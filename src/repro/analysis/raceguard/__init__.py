@@ -13,8 +13,8 @@ this package machine-checks it:
    function's global accesses, mutations, resolved call/callback edges
    and concurrency spawns;
 3. :func:`~repro.analysis.raceguard.callgraph.build_call_graph` computes
-   reachability from the concurrent entry points (service worker slots,
-   ``--worker-processes`` child main, process-pool workers, load-test
+   reachability from the concurrent entry points (service bridge
+   threads, the service job-child main, process-pool workers, load-test
    threads);
 4. the C401–C405 rules in :mod:`repro.analysis.raceguard.rules` turn the
    result into ordinary :class:`Violation` records, so ``# lint-ok:``

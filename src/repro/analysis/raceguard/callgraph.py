@@ -10,8 +10,8 @@ workers enter the concurrent region without simulating the spawning
 machinery).
 
 Reachability starts from every detected :class:`~repro.analysis.raceguard
-.facts.Spawn` target — service worker drains, ``--worker-processes``
-child mains, process-pool workers, load-test threads — and follows edges
+.facts.Spawn` target — service bridge threads, service job-child
+mains, process-pool workers, load-test threads — and follows edges
 transitively.  Parent pointers are kept so reports can show *why* a
 function is considered concurrent.
 """

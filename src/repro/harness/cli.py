@@ -129,16 +129,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=None,
         metavar="N",
-        help="(serve only) concurrent job slots; unique specs run in "
-        "parallel, each in its own simulation context",
-    )
-    parser.add_argument(
-        "--worker-processes",
-        action="store_true",
-        help="(serve only) run each job in a forked child process instead "
-        "of a pool thread (full CPU scaling across slots)",
+        help="(serve only) concurrent job slots, each running its job in a "
+        "forked child process (default: one per usable CPU)",
     )
     parser.add_argument(
         "--sanitize",
@@ -276,8 +270,7 @@ def _serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         spec_jobs=args.jobs or 1,
-        workers=max(1, args.workers),
-        worker_processes=args.worker_processes,
+        workers=args.workers,
         cache_budget_bytes=max(0, args.cache_budget_mb) * (1 << 20),
         cache=not args.no_cache,
     )

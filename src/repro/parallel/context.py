@@ -31,8 +31,11 @@ class ExecutionContext:
 
 
 def default_jobs() -> int:
-    """All available CPUs (the ``--jobs $(nproc)`` value)."""
-    return os.cpu_count() or 1
+    """The CPUs this process may run on (the ``--jobs $(nproc)`` value)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
 
 
 def _pool_policy_from_env(raw: Optional[str]) -> str:

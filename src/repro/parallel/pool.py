@@ -15,8 +15,8 @@ This module owns one long-lived pool instead:
   and the code fingerprint at spawn, off any map's critical path;
 * **grow-by-respawn** — a later call asking for more workers than the
   pool has replaces it (never shrink: idle workers are free);
-* **fork safety** — a forked child (the service's ``--worker-processes``
-  mode) inherits the parent's handle but not its worker processes; an
+* **fork safety** — a forked child (each service job runs in one)
+  inherits the parent's handle but not its worker processes; an
   ``os.register_at_fork`` hook gives the child a fresh lock and a ``None``
   pool so it can never join — or double-drive — workers it does not own;
 * **explicit shutdown** — :func:`shutdown_pool` (also registered with
@@ -101,7 +101,7 @@ class PersistentPool:
 #: Deliberately process-wide (that is the point: every fan-out on every
 #: thread reuses the same warm workers); all transitions happen under
 #: ``_POOL_LOCK`` and the fork hook below resets both in children.
-_POOL: Optional[PersistentPool] = None  # lint-ok: C401 process-wide by design; guarded by _POOL_LOCK, reset in forked children
+_POOL: Optional[PersistentPool] = None
 _POOL_LOCK = threading.Lock()
 
 
@@ -170,7 +170,7 @@ def _reset_after_fork() -> None:
     processes it does not own — both are unconditionally replaced.
     """
     global _POOL, _POOL_LOCK
-    _POOL_LOCK = threading.Lock()  # lint-ok: C402 fork bookkeeping; runs single-threaded in the fresh child
+    _POOL_LOCK = threading.Lock()
     _POOL = None  # lint-ok: C402 fork bookkeeping; runs single-threaded in the fresh child
 
 

@@ -4,11 +4,11 @@ A stdlib-only (asyncio) long-running service that wraps the harness:
 clients POST :class:`~repro.harness.spec.ExperimentSpec` payloads, the
 service coalesces identical concurrent submissions onto one simulation,
 streams per-cell progress, and serves results from a size-budgeted
-content-addressed run cache. Unique specs execute across ``workers``
-parallel slots (``--workers``), each inside its own
-:class:`~repro.simcontext.SimContext`; results are byte-identical at any
-worker count. See DESIGN.md ("Service architecture" and "Execution
-contexts & the concurrency model").
+content-addressed run cache. Each unique spec runs in its own forked
+child process, one slot per usable CPU by default (``--workers``
+overrides the count); the parent keeps the dedup ladder and the cache.
+Results are byte-identical at any slot count. See DESIGN.md ("Service
+architecture").
 """
 
 from repro.service.client import ServiceClient, ServiceError

@@ -15,7 +15,7 @@ GET    /v1/jobs/<id>                     job status (state, progress, ETA)
 GET    /v1/jobs/<id>/events              progress feed; ``?since=N&wait_s=S``
                                          long-polls for events past ``N``
 GET    /v1/jobs/<id>/result              result bytes; ``?wait_s=S`` blocks
-POST   /v1/jobs/<id>/cancel              request cooperative cancellation
+POST   /v1/jobs/<id>/cancel              cancel (terminates a running job)
 GET    /v1/stats                         service + cache counters
 GET    /v1/healthz                       liveness probe
 ====== ================================ =======================================

@@ -13,7 +13,7 @@ walks down:
    without touching the simulator.
 
 Only a submission that misses all three tiers enqueues work. All state
-mutation happens on the event-loop thread (worker threads marshal through
+mutation happens on the event-loop thread (bridge threads marshal through
 ``call_soon_threadsafe``), so none of this needs locks.
 """
 
@@ -48,7 +48,7 @@ CACHED = "cached"
 
 
 class JobCancelled(Exception):
-    """Raised inside a worker thread when its job's cancel flag is set."""
+    """Raised inside a bridge thread when its job's cancel flag is set."""
 
 
 def canonical_result_bytes(payload: object) -> bytes:
@@ -86,6 +86,8 @@ class ServiceStats:
         self.cancelled = self._registry.counter("service.cancelled")
         self.progress_events = self._registry.counter("service.progress_events")
         self.rejected = self._registry.counter("service.rejected")
+        #: Job processes that died without sending a result.
+        self.child_failures = self._registry.counter("service.child_failures")
 
     def snapshot(self) -> MetricsSnapshot:
         """The service profile as a mergeable metrics snapshot."""
@@ -103,6 +105,7 @@ class ServiceStats:
             "cancelled": int(self.cancelled.value),
             "progress_events": int(self.progress_events.value),
             "rejected": int(self.rejected.value),
+            "child_failures": int(self.child_failures.value),
         }
 
 
@@ -120,7 +123,7 @@ class Job:
         self.result_bytes: Optional[bytes] = None
         self.error: Optional[str] = None
         self.cancel_requested = False
-        #: Set from the HTTP handler, checked from the worker thread — a
+        #: Set from the HTTP handler, checked from the bridge thread — a
         #: plain bool is not a safe cross-thread flag, an Event is.
         self._cancel_event = threading.Event()
         self._changed = asyncio.Event()
@@ -137,7 +140,7 @@ class Job:
         self._cancel_event.set()
 
     def cancel_flag_set(self) -> bool:
-        """Worker-thread view of the cancel flag."""
+        """Bridge-thread view of the cancel flag."""
         return self._cancel_event.is_set()
 
     # -- loop-thread state transitions ---------------------------------------
@@ -334,7 +337,7 @@ class JobManager:
     # -- worker-side transitions (called on the loop thread) -------------------
 
     def record_progress(self, job: Job, event: Mapping[str, object]) -> None:
-        """One runner progress event arriving from the worker thread."""
+        """One runner progress event forwarded by a bridge thread."""
         kind = event.get("kind")
         payload = {name: value for name, value in event.items() if name != "kind"}
         job.record_event(str(kind), payload)
@@ -367,9 +370,9 @@ class JobManager:
     def cancel(self, job_id: str) -> Optional[Job]:
         """Request cancellation; queued jobs cancel immediately.
 
-        Cancellation is cooperative at cell granularity for running jobs:
-        the worker observes the flag at its next progress event and aborts.
-        It applies to the *job*, i.e. every coalesced subscriber.
+        A running job's bridge thread sees the flag within one poll (~50
+        ms) and terminates the job's child process. Cancellation applies
+        to the *job*, i.e. every coalesced subscriber.
         """
         job = self._jobs.get(job_id)
         if job is None:

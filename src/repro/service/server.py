@@ -33,12 +33,9 @@ class ServiceConfig:
     port: int = 0
     #: Default process fan-out per spec (specs may pin their own ``jobs``).
     spec_jobs: int = 1
-    #: Concurrent job slots: unique specs run in parallel, each inside its
-    #: own :class:`~repro.simcontext.SimContext` scope.
-    workers: int = 1
-    #: Run each job in a forked child process instead of a pool thread
-    #: (full CPU scaling; cancellation terminates the child).
-    worker_processes: bool = False
+    #: Concurrent job slots, each running its job in a forked child
+    #: process; ``None`` sizes them to the usable CPUs.
+    workers: Optional[int] = None
     #: On-disk run-cache budget in bytes; 0 disables eviction.
     cache_budget_bytes: int = 0
     #: Persist spec-level results to the run cache (and revive from it).
@@ -69,7 +66,6 @@ class ExperimentService:
             spec_jobs=self.config.spec_jobs,
             cache_budget_bytes=self.config.cache_budget_bytes,
             workers=self.config.workers,
-            worker_processes=self.config.worker_processes,
         )
         self.protocol = ServiceProtocol(self.manager, self._extra_stats)
         self._server: Optional[asyncio.base_events.Server] = None
@@ -83,7 +79,6 @@ class ExperimentService:
             "config": {
                 "spec_jobs": self.config.spec_jobs,
                 "workers": self.worker.workers,
-                "worker_processes": self.worker.worker_processes,
                 "cache_budget_bytes": self.config.cache_budget_bytes,
                 "max_done_jobs": self.config.max_done_jobs,
             }

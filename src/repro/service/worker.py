@@ -1,35 +1,17 @@
-"""Worker pool: runs queued jobs off the event loop, N at a time.
+"""Worker bridge: runs every queued job in a forked child, N at a time.
 
-Historically the bridge was pinned to a **single** worker thread because
-the simulator stack kept process-global mutable state (telemetry registry
-stack, tracer, run memos, generator hints). That state now lives on
-:class:`~repro.simcontext.SimContext` scopes, so the bridge runs ``workers``
-drain tasks, each owning:
-
-* one long-lived :class:`SimContext` — its memos stay warm across the jobs
-  that slot executes, and are invisible to every other slot;
-* the captured :class:`~repro.parallel.ExecutionContext` — scoped execution
-  overrides (test cache dirs, ``--no-cache``) are thread-local, so the
-  bridge re-applies the policy captured at construction on each worker
-  thread.
-
-Two execution modes per job, chosen by ``worker_processes``:
-
-* **thread** (default): the spec runs on a pool thread inside its slot's
-  context. Worker threads spend most of their life blocked in the per-spec
-  *process* fan-out (``repro.parallel.parallel_map``), so N slots overlap
-  usefully even under the GIL.
-* **process**: the spec runs in a forked child (its own interpreter, its
-  own fresh context), streaming progress events back over a pipe; the
-  parent thread polls the pipe, forwards events to the loop, and terminates
-  the child the moment the job's cancel flag rises. Full CPU scaling, and
-  cancellation cannot perturb a neighbour by construction.
-
-Either way, progress events are marshalled to the event loop with
-``call_soon_threadsafe`` *per job* from a single thread, so each job's
-``seq`` numbers stay dense and ordered at any worker count; and because
-every cell is a pure function of its content key, results are byte-
-identical at any worker count (the load test asserts this).
+The simulator is CPU-bound pure Python, so threads of one interpreter
+share one GIL and do not scale with slots. Each job therefore runs in its
+own forked child, and the default slot count is the usable CPU count
+(:func:`~repro.parallel.context.default_jobs`). Per job, a bridge thread
+forks the child, forwards its ``("progress", event)`` tuples to the loop
+with ``call_soon_threadsafe`` (one sender and one FIFO pipe keep ``seq``
+dense and ordered) and waits for its ``result`` or ``error`` tuple. The
+child leads its own process group, which also holds the pool a
+``jobs > 1`` spec starts, so cancel, stop and child death end the whole
+group. The parent keeps what is shared across jobs: the dedup ladder, the
+run-cache ``put`` and budget enforcement. See DESIGN.md ("The worker
+bridge").
 """
 
 from __future__ import annotations
@@ -39,51 +21,54 @@ import concurrent.futures
 import json
 import multiprocessing
 import multiprocessing.connection
+import os
+import signal
+import threading
 import traceback
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.harness.experiments import run_spec
-from repro.parallel.context import ExecutionContext, applied, get_context
-from repro.service.jobs import (
-    Job,
-    JobCancelled,
-    JobManager,
-    canonical_result_bytes,
-)
+from repro.parallel.context import ExecutionContext, applied, default_jobs, get_context
+from repro.service.jobs import Job, JobCancelled, JobManager, canonical_result_bytes
 from repro.sim.runner import cell_progress
-from repro.simcontext import SimContext, activate, sim_context
+from repro.simcontext import sim_context
 
-#: How often (seconds) the parent polls a process-mode child for progress
-#: events and re-checks the cancel flag. Bounds cancellation latency.
+#: How often (seconds) a bridge thread polls its child for progress events
+#: and re-checks the cancel and stop flags. Bounds cancellation latency.
 _CHILD_POLL_S = 0.05
+#: How long to wait for a child that closed its pipe to be reaped.
+_CHILD_REAP_S = 5.0
+
+
+class ChildExited(RuntimeError):
+    """A job's child process died without sending a result."""
 
 
 class WorkerBridge:
-    """Drains the job queue through ``workers`` executor slots."""
+    """Drains the job queue through ``workers`` forked-child slots."""
 
     def __init__(
         self,
         manager: JobManager,
         spec_jobs: int = 1,
         cache_budget_bytes: int = 0,
-        workers: int = 1,
-        worker_processes: bool = False,
+        workers: Optional[int] = None,
     ) -> None:
         self.manager = manager
         #: Default process fan-out for specs that don't pin their own.
         self.spec_jobs = max(1, int(spec_jobs))
         #: On-disk cache budget enforced after each run (0 = unlimited).
         self.cache_budget_bytes = max(0, int(cache_budget_bytes))
-        self.workers = max(1, int(workers))
-        self.worker_processes = bool(worker_processes)
+        self.workers = max(1, int(workers)) if workers else default_jobs()
         #: The execution policy visible where the service was constructed;
-        #: re-applied on worker threads (scoped overrides don't cross
-        #: threads on their own).
+        #: each child re-applies it.
         self.exec_context: ExecutionContext = get_context()
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-service-worker"
         )
-        self._tasks: Dict[int, "asyncio.Task[None]"] = {}
+        self._tasks: List["asyncio.Task[None]"] = []
+        #: Raised by :meth:`stop`: bridge threads terminate their children.
+        self._stopping = threading.Event()
         #: Serialises cache-budget enforcement across slots: concurrent
         #: LRU scans would double-count sizes and over-evict.
         self._budget_lock: Optional[asyncio.Lock] = None
@@ -93,14 +78,14 @@ class WorkerBridge:
         if self._budget_lock is None:
             self._budget_lock = asyncio.Lock()
         loop = asyncio.get_running_loop()
-        for slot in range(self.workers):
-            task = self._tasks.get(slot)
-            if task is None or task.done():
-                self._tasks[slot] = loop.create_task(self._run(slot))
+        self._tasks = [task for task in self._tasks if not task.done()]
+        while len(self._tasks) < self.workers:
+            self._tasks.append(loop.create_task(self._run()))
 
     async def stop(self) -> None:
-        """Stop every drain task and release the worker threads + pool."""
-        tasks = [task for task in self._tasks.values() if not task.done()]
+        """Stop every slot, terminate in-flight children, release threads."""
+        self._stopping.set()
+        tasks = [task for task in self._tasks if not task.done()]
         for task in tasks:
             task.cancel()
         for task in tasks:
@@ -109,18 +94,12 @@ class WorkerBridge:
             except asyncio.CancelledError:
                 pass
         self._tasks.clear()
-        self._executor.shutdown(wait=False)
-        # Jobs with spec.jobs > 1 fan out through the shared persistent
-        # pool; join those workers with the service instead of leaving
-        # them to atexit.
-        from repro.parallel import shutdown_pool
+        # Each bridge thread sees the stop flag within one poll, then
+        # terminates its child's process group and reaps the child: no job
+        # process or pool worker outlives the service.
+        self._executor.shutdown(wait=True)
 
-        shutdown_pool()
-
-    async def _run(self, slot: int) -> None:
-        # One long-lived simulation scope per slot: memos stay warm across
-        # this slot's jobs and never leak into a neighbour's.
-        context = SimContext(name="service-worker-%d" % slot)
+    async def _run(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
             job = await self.manager.queue.get()
@@ -129,7 +108,7 @@ class WorkerBridge:
             self.manager.start(job)
             try:
                 payload = await loop.run_in_executor(
-                    self._executor, self._execute, job, loop, context
+                    self._executor, self._execute, job, loop
                 )
             except asyncio.CancelledError:
                 raise
@@ -138,6 +117,8 @@ class WorkerBridge:
                 continue
             except Exception as exc:  # lint-ok: H301 job isolation — one bad
                 # spec must fail its own job, not take down the service loop.
+                if isinstance(exc, ChildExited):
+                    self.manager.stats.child_failures.inc()
                 detail = "%s: %s" % (type(exc).__name__, exc)
                 self.manager.fail(job, detail)
                 job.record_event(
@@ -158,63 +139,19 @@ class WorkerBridge:
                     )
             self.manager.finish(job, canonical_result_bytes(payload))
 
-    # -- worker-thread body ---------------------------------------------------
+    # -- bridge-thread body ---------------------------------------------------
 
-    def _execute(
-        self, job: Job, loop: asyncio.AbstractEventLoop, context: SimContext
-    ) -> object:
-        """Run one spec on a worker thread; returns its raw payload.
+    def _execute(self, job: Job, loop: asyncio.AbstractEventLoop) -> object:
+        """Run one spec in a forked child; returns its (JSON-clean) payload.
 
-        Raises :class:`JobCancelled` as soon as the cancel flag is observed
-        (checked at every progress event, i.e. at cell granularity — or on
-        a ~50 ms clock in process mode).
+        Raises :class:`JobCancelled` once the job's cancel flag (or the
+        bridge's stop flag) is seen, and :class:`ChildExited` if the child
+        dies without a result.
         """
         if job.cancel_flag_set():
             raise JobCancelled(job.id)
-        with applied(self.exec_context):
-            if self.worker_processes:
-                payload = self._execute_in_child(job, loop)
-            else:
-                payload = self._execute_inline(job, loop, context)
-            if job.cancel_flag_set():
-                raise JobCancelled(job.id)
-            if self.manager.run_cache is not None:
-                self.manager.run_cache.put(job.key, _jsonable(payload))
-        return payload
-
-    def _execute_inline(
-        self, job: Job, loop: asyncio.AbstractEventLoop, context: SimContext
-    ) -> object:
-        """Thread mode: run the spec in this thread, inside the slot scope."""
-
-        def on_progress(event: Dict[str, object]) -> None:
-            if job.cancel_flag_set():
-                raise JobCancelled(job.id)
-            loop.call_soon_threadsafe(self.manager.record_progress, job, event)
-
-        with activate(context):
-            with cell_progress(on_progress):
-                return run_spec(
-                    job.spec,
-                    quiet=True,
-                    jobs=job.spec.jobs or self.spec_jobs,
-                )
-
-    def _execute_in_child(
-        self, job: Job, loop: asyncio.AbstractEventLoop
-    ) -> object:
-        """Process mode: fork a child for the spec, stream progress back.
-
-        The child simulates inside a fresh :func:`sim_context` and writes
-        ``("progress", event)`` / ``("result", payload)`` / ``("error",
-        detail, tb)`` tuples to its end of a pipe. This thread polls the
-        parent end: forwarding events preserves per-job ordering (single
-        sender, FIFO pipe, one forwarding thread), and a raised cancel flag
-        terminates the child between polls — a killed neighbour cannot
-        perturb anyone else's simulation state, it never shared any.
-        """
         ctx = multiprocessing.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        conn, child_conn = ctx.Pipe(duplex=False)
         child = ctx.Process(
             target=_child_main,
             args=(
@@ -227,37 +164,80 @@ class WorkerBridge:
         )
         child.start()
         child_conn.close()  # the parent keeps only the read end
+        pid = child.pid
+        assert pid is not None  # set by start()
+        _lead_own_group(pid)
         try:
-            while True:
-                if job.cancel_flag_set():
-                    raise JobCancelled(job.id)
-                if not parent_conn.poll(_CHILD_POLL_S):
-                    if child.is_alive():
-                        continue
-                    # Child died without a result message (segfault, kill).
-                    raise RuntimeError(
-                        "worker child exited with code %s" % child.exitcode
-                    )
-                try:
-                    message = parent_conn.recv()
-                except EOFError:
-                    raise RuntimeError(
-                        "worker child closed the pipe without a result"
-                    ) from None
-                kind = message[0]
-                if kind == "progress":
-                    loop.call_soon_threadsafe(
-                        self.manager.record_progress, job, message[1]
-                    )
-                elif kind == "result":
-                    return message[1]
-                elif kind == "error":
-                    raise RuntimeError(message[1] + "\n" + message[2])
+            payload = self._await_child(job, loop, child, conn)
+        except BaseException:
+            _terminate_group(pid)  # cancelled, stopped or failed
+            raise
         finally:
-            if child.is_alive():
-                child.terminate()
+            # After a result the child exits on its own; joining (rather
+            # than terminating) lets it shut down any pool it started.
             child.join()
-            parent_conn.close()
+            conn.close()
+        if job.cancel_flag_set():
+            raise JobCancelled(job.id)
+        if self.manager.run_cache is not None:
+            self.manager.run_cache.put(job.key, payload)
+        return payload
+
+    def _await_child(
+        self,
+        job: Job,
+        loop: asyncio.AbstractEventLoop,
+        child: multiprocessing.process.BaseProcess,
+        conn: "multiprocessing.connection.Connection",
+    ) -> object:
+        """Forward the child's progress events until its result arrives."""
+        while True:
+            if job.cancel_flag_set() or self._stopping.is_set():
+                raise JobCancelled(job.id)
+            if not conn.poll(_CHILD_POLL_S):
+                # A sibling forked mid-spawn may hold a copy of this pipe's
+                # write end, so a dead child need not mean EOF: check it.
+                if child.is_alive() or conn.poll():
+                    continue
+                raise _exit_error(child)
+            try:
+                message = conn.recv()
+            except EOFError:
+                raise _exit_error(child) from None
+            kind = message[0]
+            if kind == "progress":
+                loop.call_soon_threadsafe(
+                    self.manager.record_progress, job, message[1]
+                )
+            elif kind == "result":
+                return message[1]
+            else:
+                raise RuntimeError(message[1] + "\n" + message[2])
+
+
+def _lead_own_group(pid: int) -> None:
+    """Make ``pid`` lead a new process group (both sides call this)."""
+    try:
+        os.setpgid(pid, pid)
+    except OSError:
+        pass  # the other side already did it, or the child is gone
+
+
+def _terminate_group(pid: int) -> None:
+    """SIGTERM child ``pid`` and its pool workers, which would outlive it."""
+    try:
+        os.killpg(pid, signal.SIGTERM)
+    except ProcessLookupError:
+        pass  # the whole group has exited
+
+
+def _exit_error(child: multiprocessing.process.BaseProcess) -> ChildExited:
+    """The failure for a child that ended without a result message."""
+    child.join(_CHILD_REAP_S)
+    return ChildExited(
+        "job process exited with code %s before sending a result"
+        % child.exitcode
+    )
 
 
 def _child_main(
@@ -266,16 +246,15 @@ def _child_main(
     jobs: int,
     exec_context: ExecutionContext,
 ) -> None:
-    """Process-mode child body: simulate one spec, stream events + result.
+    """Child body: simulate one spec, stream progress events + the result.
 
-    Runs inside a fresh :func:`sim_context` (a fork inherits the parent's
-    default-context memos as copy-on-write snapshots, but this scope keeps
-    every mutation private) and under the service's captured execution
-    policy (fork happens on a worker thread, whose scoped override state
-    is *not* what the service was configured with).
+    Runs in a fresh :func:`sim_context`, under the service's captured
+    execution policy (the bridge thread forking it has its own overrides).
     """
     from repro.harness.spec import ExperimentSpec
+    from repro.parallel import shutdown_pool
 
+    _lead_own_group(0)
     try:
         spec = ExperimentSpec.from_payload(spec_payload)
 
@@ -296,6 +275,8 @@ def _child_main(
             pass  # parent already gone; nothing left to report to
     finally:
         conn.close()
+        # Join the pool a jobs > 1 spec started: the child skips atexit.
+        shutdown_pool()
 
 
 def _jsonable(payload: object) -> object:

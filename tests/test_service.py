@@ -1,18 +1,26 @@
 """Service-plane behaviour: coalescing, cancellation, eviction, progress.
 
 These tests run the real :class:`ExperimentService` on a background thread
-with an ephemeral port and a per-test cache dir. Slow-experiment control
-uses a monkeypatched entry in ``EXPERIMENTS`` gated on ``threading.Event``
-so tests release the worker deterministically instead of sleeping.
+with an ephemeral port and a per-test cache dir. Every job runs in a
+forked child, so slow-experiment control uses a monkeypatched entry in
+``EXPERIMENTS`` (inherited by the fork) gated on fork-context
+``multiprocessing`` events: tests release the child deterministically
+instead of sleeping, and count simulations from ``/v1/stats`` ``runs``.
 """
 
 import json
+import multiprocessing
 import os
+import signal
 import threading
+import time
 
 import pytest
 
 from repro.harness import experiments as experiments_module
+from repro.harness.experiments import run_spec
+from repro.harness.spec import ExperimentSpec
+from repro.parallel import get_context, get_pool, overridden, shutdown_pool
 from repro.parallel.instrument import ExecutionStats
 from repro.parallel.runcache import RunCache
 from repro.service import (
@@ -49,15 +57,22 @@ def service_factory(tmp_path):
         service.stop_background()
 
 
+#: Job children are forked, so test gates must be fork-shared primitives.
+_FORK = multiprocessing.get_context("fork")
+
+
 @pytest.fixture
 def slow_experiment(monkeypatch):
-    """Install a gated fake experiment; returns its control handles."""
-    started = threading.Event()
-    release = threading.Event()
-    calls = []
+    """Install a gated fake experiment; returns its control handles.
+
+    ``pid`` holds the job child's process id once ``started`` is set.
+    """
+    started = _FORK.Event()
+    release = _FORK.Event()
+    pid = _FORK.Value("i", 0)
 
     def run_slow(quiet=True):
-        calls.append(1)
+        pid.value = os.getpid()
         started.set()
         emit_progress({"kind": "cell", "label": "slow/w0", "done": 1, "total": 2})
         assert release.wait(30.0), "test never released the slow experiment"
@@ -72,7 +87,7 @@ def slow_experiment(monkeypatch):
         "UNSCALED",
         experiments_module.UNSCALED | {"slowtest"},
     )
-    return {"started": started, "release": release, "calls": calls}
+    return {"started": started, "release": release, "pid": pid}
 
 
 def test_concurrent_identical_submissions_coalesce(
@@ -97,7 +112,7 @@ def test_concurrent_identical_submissions_coalesce(
         for ticket in [first] + others
     ]
     assert len(set(payloads)) == 1, "subscribers saw divergent bytes"
-    assert slow_experiment["calls"] == [1], "coalescing still ran twice"
+    assert client.stats()["service"]["runs"] == 1, "coalescing still ran twice"
 
     # After completion, the same spec is served from memory, not re-run.
     again = client.submit(spec)
@@ -105,7 +120,7 @@ def test_concurrent_identical_submissions_coalesce(
     assert (
         client.result_bytes(again["id"], max_wait_s=30.0) == payloads[0]
     )
-    assert slow_experiment["calls"] == [1]
+    assert client.stats()["service"]["runs"] == 1
 
     stats = client.stats()["service"]
     assert stats["runs"] == 1
@@ -134,10 +149,11 @@ def test_cancel_mid_job(service_factory, slow_experiment):
     ticket = client.submit({"experiment": "slowtest"})
     assert slow_experiment["started"].wait(10.0)
 
+    # No release: the terminated child is a dead sleeper on that event,
+    # and setting a multiprocessing Event waits for every sleeper.
     client.cancel(ticket["id"])
-    slow_experiment["release"].set()
 
-    # The worker observes the flag at its next progress event and aborts.
+    # The bridge thread sees the flag within one poll and terminates the child.
     events = client.stream_events(ticket["id"], poll_wait_s=1.0, max_wait_s=30.0)
     assert client.status(ticket["id"])["state"] == "cancelled"
     assert events[-1]["kind"] == "cancelled"
@@ -147,7 +163,8 @@ def test_cancel_mid_job(service_factory, slow_experiment):
 
 
 def test_cancel_queued_job_never_runs(service_factory, slow_experiment):
-    _service, client = service_factory()
+    # One slot, so the second spec has to queue behind the running one.
+    _service, client = service_factory(workers=1)
     running = client.submit({"experiment": "slowtest"})
     assert slow_experiment["started"].wait(10.0)
 
@@ -297,8 +314,8 @@ def test_progress_event_order_is_jobs_invariant():
 
 def _install_fake_experiments(monkeypatch, count):
     """Install ``count`` deterministic fake experiments, each emitting a
-    burst of progress events and touching scoped telemetry (so concurrent
-    jobs exercise the per-slot context, not just the marshalling)."""
+    burst of progress events and touching telemetry (so concurrent jobs
+    exercise their children's fresh contexts, not just the marshalling)."""
     from repro.telemetry import get_registry
 
     names = ["fakestress%d" % index for index in range(count)]
@@ -417,8 +434,8 @@ def test_multi_worker_byte_identity_stress(
 
 def _install_gated_experiment(monkeypatch, name):
     """One gated fake experiment; returns its started/release events."""
-    started = threading.Event()
-    release = threading.Event()
+    started = _FORK.Event()
+    release = _FORK.Event()
 
     def run(quiet=True):
         started.set()
@@ -449,8 +466,7 @@ def test_cancel_is_isolated_between_workers(service_factory, monkeypatch):
     # Both jobs are mid-flight simultaneously: that needs the second slot.
     assert slow_b["started"].wait(10.0)
 
-    client.cancel(ticket_a["id"])
-    slow_a["release"].set()  # lets A reach its next progress check and die
+    client.cancel(ticket_a["id"])  # A's child is terminated, never released
     slow_b["release"].set()
 
     survivor = json.loads(
@@ -465,35 +481,155 @@ def test_cancel_is_isolated_between_workers(service_factory, monkeypatch):
     assert cells == ["slowpair_b/w0", "slowpair_b/w1"]
     assert events_b[-1]["kind"] == "done"
 
+    client.stream_events(ticket_a["id"], poll_wait_s=1.0, max_wait_s=30.0)
     assert client.status(ticket_a["id"])["state"] == "cancelled"
     stats = client.stats()["service"]
     assert stats["cancelled"] == 1
     assert stats["runs"] == 2
 
 
-def test_worker_processes_mode_byte_identical(service_factory, tmp_path):
-    """Process-backed execution (forked child per job) returns the same
-    bytes as thread-mode execution for real specs."""
-    _threaded, thread_client = service_factory(
-        cache_dir=str(tmp_path / "cache-threads")
+def test_service_bytes_equal_an_in_process_run(service_factory):
+    """A job's bytes, simulated in a forked child, equal the canonical
+    bytes of the same spec run in this process."""
+    _service, client = service_factory(workers=2)
+    specs = [
+        {"experiment": "table1"},
+        {"experiment": "sdc"},
+        {
+            "experiment": "grid",
+            "scale": "quick",
+            "designs": ["SGX_O"],
+            "seeds": [1],
+        },
+    ]
+    tickets = [client.submit(spec) for spec in specs]
+    assert [t["disposition"] for t in tickets] == ["accepted"] * len(specs)
+    for spec, ticket in zip(specs, tickets):
+        with overridden(cache_enabled=False):
+            expected = canonical_result_bytes(
+                run_spec(ExperimentSpec.from_payload(spec), quiet=True)
+            )
+        assert client.result_bytes(ticket["id"], max_wait_s=120.0) == expected
+    assert client.stats()["service"]["runs"] == len(specs)
+
+
+def test_killed_child_fails_its_job_and_the_slot_serves_the_next(
+    service_factory, slow_experiment
+):
+    _service, client = service_factory(workers=1)
+    ticket = client.submit({"experiment": "slowtest"})
+    assert slow_experiment["started"].wait(10.0)
+
+    os.kill(slow_experiment["pid"].value, signal.SIGKILL)
+    events = client.stream_events(ticket["id"], poll_wait_s=1.0, max_wait_s=30.0)
+    status = client.status(ticket["id"])
+    assert status["state"] == "failed"
+    assert "exited with code -9" in status["error"]
+    assert "failed" in [event["kind"] for event in events]
+
+    # The one slot is free again: the next job runs and completes.
+    follow_up = client.submit({"experiment": "table1"})
+    assert follow_up["disposition"] == "accepted"
+    raw = client.result_bytes(follow_up["id"], max_wait_s=60.0)
+    assert json.loads(raw)
+    stats = client.stats()["service"]
+    assert stats["child_failures"] == 1
+    assert stats["failed"] == 1
+    assert stats["completed"] == 1
+    assert stats["runs"] == 2
+
+
+def test_stop_leaves_no_job_process_behind(service_factory, slow_experiment):
+    shutdown_pool()  # earlier tests' pool workers are not the service's
+    service, client = service_factory(workers=1)
+    client.submit({"experiment": "slowtest"})
+    assert slow_experiment["started"].wait(10.0)
+
+    service.stop_background()
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ProcessLookupError):
+        os.kill(slow_experiment["pid"].value, 0)
+
+
+@pytest.fixture
+def pooled_experiment(monkeypatch):
+    """Install a gated fake experiment that starts a worker pool.
+
+    Once ``started`` is set, ``pid`` holds the job child's process id and
+    ``workers`` the process ids of the pool workers it forked.
+    """
+    started = _FORK.Event()
+    release = _FORK.Event()
+    pid = _FORK.Value("i", 0)
+    workers = _FORK.Array("i", 8)
+
+    def run_pooled(quiet=True):
+        pid.value = os.getpid()
+        pool = get_pool(get_context().jobs)
+        list(pool.map(abs, range(4)))  # the executor forks its workers here
+        for index, worker in enumerate(multiprocessing.active_children()):
+            workers[index] = worker.pid
+        started.set()
+        assert release.wait(30.0), "test never released the pooled experiment"
+        return {"label": "pooled"}
+
+    monkeypatch.setitem(experiments_module.EXPERIMENTS, "pooltest", run_pooled)
+    monkeypatch.setattr(
+        experiments_module,
+        "UNSCALED",
+        experiments_module.UNSCALED | {"pooltest"},
     )
-    _forked, fork_client = service_factory(
-        workers=2,
-        worker_processes=True,
-        cache_dir=str(tmp_path / "cache-procs"),
-    )
-    for spec in ({"experiment": "table1"}, {"experiment": "sdc"}):
-        baseline_ticket = thread_client.submit(spec)
-        baseline = thread_client.result_bytes(
-            baseline_ticket["id"], max_wait_s=60.0
-        )
-        forked_ticket = fork_client.submit(spec)
-        assert forked_ticket["disposition"] == "accepted"
-        assert (
-            fork_client.result_bytes(forked_ticket["id"], max_wait_s=60.0)
-            == baseline
-        )
-    assert fork_client.stats()["service"]["runs"] == 2
+    # Never set ``release`` once the child may be dead: a multiprocessing
+    # Event.set() waits for every sleeper, and a killed one never wakes.
+    return {"started": started, "pid": pid, "workers": workers}
+
+
+def _survivors(pids, timeout_s=10.0):
+    """The ``pids`` still running after up to ``timeout_s`` seconds.
+
+    A zombie waiting for its reaper has exited, so it does not count.
+    """
+    deadline = time.monotonic() + timeout_s
+    while True:
+        alive = []
+        for pid in pids:
+            try:
+                with open("/proc/%d/stat" % pid) as handle:
+                    state = handle.read().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                continue
+            if state != "Z":
+                alive.append(pid)
+        if not alive or time.monotonic() > deadline:
+            return alive
+        time.sleep(0.05)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
+@pytest.mark.parametrize("ending", ["cancel", "stop", "sigkill"])
+def test_ended_job_leaves_no_pool_worker_behind(
+    service_factory, pooled_experiment, ending
+):
+    """A jobs=2 spec forks pool workers inside its job child; however the
+    job ends early, those workers must not outlive it."""
+    service, client = service_factory(workers=1)
+    ticket = client.submit({"experiment": "pooltest", "jobs": 2})
+    assert pooled_experiment["started"].wait(30.0)
+    workers = [pid for pid in pooled_experiment["workers"] if pid]
+    assert len(workers) == 2
+    assert _survivors(workers, timeout_s=0.0) == workers
+
+    if ending == "cancel":
+        client.cancel(ticket["id"])
+        client.stream_events(ticket["id"], poll_wait_s=1.0, max_wait_s=30.0)
+        assert client.status(ticket["id"])["state"] == "cancelled"
+    elif ending == "sigkill":
+        os.kill(pooled_experiment["pid"].value, signal.SIGKILL)
+        client.stream_events(ticket["id"], poll_wait_s=1.0, max_wait_s=30.0)
+        assert client.status(ticket["id"])["state"] == "failed"
+    else:
+        service.stop_background()
+    assert _survivors(workers) == []
 
 
 def test_service_eviction_end_to_end(service_factory):

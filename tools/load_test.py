@@ -236,7 +236,6 @@ def run_replay(submissions, unique_count, args, workers):
                 spec_jobs=args.spec_jobs,
                 cache_dir=temp_cache,
                 workers=workers,
-                worker_processes=args.worker_processes,
             )
         )
     port = service.start_background()
@@ -325,14 +324,10 @@ def main():
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=None,
         metavar="N",
-        help="job slots for the in-process service (single-replay mode)",
-    )
-    parser.add_argument(
-        "--worker-processes",
-        action="store_true",
-        help="run each service job in a forked child process",
+        help="job slots for the in-process service (single-replay mode; "
+        "default: one per usable CPU)",
     )
     parser.add_argument(
         "--compare-workers",
@@ -387,7 +382,6 @@ def main():
         "scale": args.scale,
         "spec_jobs": args.spec_jobs,
         "seed": args.seed,
-        "worker_processes": args.worker_processes,
     }
     host_info = {
         "cpu_count": os.cpu_count(),
@@ -522,8 +516,7 @@ def main():
                     port=0,
                     spec_jobs=args.spec_jobs,
                     cache_dir=temp_cache,
-                    workers=max(1, args.workers),
-                    worker_processes=args.worker_processes,
+                    workers=args.workers,
                 )
             )
         port = service.start_background()
@@ -548,7 +541,7 @@ def main():
         service.stop_background()
 
     report = summarize(records, failures, wall, unique_count, stats_payload)
-    report["workers"] = args.workers
+    report["workers"] = report["server"]["workers"]
     print(json.dumps(_strip_digests(report), indent=2, sort_keys=True))
     for line in failures[:10]:
         print("FAILED:", line)
@@ -563,7 +556,7 @@ def main():
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
             "parameters": dict(
                 parameters,
-                workers=args.workers,
+                workers=report["workers"],
                 in_process_server=service is not None,
             ),
             "host": host_info,
