@@ -6,16 +6,11 @@ Two halves (see DESIGN.md, "Analysis"):
   rule series: D (determinism), P (hot-path discipline), H (hygiene).
   ``tools/lint_repro.py`` is the CLI entry point; CI runs it with the
   committed baseline so only *new* violations fail the build.
-* :mod:`repro.analysis.raceguard` — the whole-program concurrency pass
-  (C401–C405): inventories module-level mutable state, builds the project
-  call graph, and checks reachability from the concurrent entry points so
-  the SimContext scoping contract is machine-enforced
-  (``tools/lint_repro.py --concurrency``).
 * :mod:`repro.analysis.sanitizer` — runtime invariant checks for the
   simulated hardware (DRAM timing legality, RAID-3 reconstruction
-  uniqueness, counter-tree consistency, run-cache replay fidelity, and
-  the owner-context rule for SimContext-owned memos/registries),
-  enabled with ``REPRO_SANITIZE=1`` / ``--sanitize`` and free when off.
+  uniqueness, counter-tree consistency, run-cache replay fidelity and
+  the scheduler index), enabled with ``REPRO_SANITIZE=1`` /
+  ``--sanitize`` and free when off.
 """
 
 from repro.analysis.linter import (
@@ -25,11 +20,6 @@ from repro.analysis.linter import (
     load_baseline,
     new_violations,
     violations_to_baseline,
-)
-from repro.analysis.raceguard import (
-    ConcurrencyReport,
-    analyze_paths,
-    concurrency_catalogue,
 )
 from repro.analysis.rules import ALL_RULES, rule_catalogue
 from repro.analysis.sanitizer import (
@@ -43,12 +33,9 @@ from repro.analysis.sanitizer import (
 
 __all__ = [
     "ALL_RULES",
-    "ConcurrencyReport",
     "Sanitizer",
     "SanitizerError",
     "Violation",
-    "analyze_paths",
-    "concurrency_catalogue",
     "configure_sanitizer",
     "get_sanitizer",
     "lint_paths",

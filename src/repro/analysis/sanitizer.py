@@ -23,10 +23,6 @@ Invariants checked (paper cross-references in DESIGN.md):
   *new* parent value (Section II-A4).
 * Run cache — a replayed payload is byte-equal (canonical JSON) to a
   fresh recomputation of the same cell.
-* Owner context — every mutation of a SimContext-owned container (trace/
-  warm/run memos, word-consumption hints, the registry stack) lands in
-  the active context's own container, never one that escaped another
-  scope (the dynamic counterpart of raceguard's C403 rule).
 * Scheduler index — at every controller ``process()`` epoch the
   incremental FR-FCFS structures (per-channel open-row table, closed-bank
   tally, per-pool row census) agree with a fresh scan of the queues
@@ -487,29 +483,6 @@ class Sanitizer:
                 )
 
     # ------------------------------------------------------------------
-    # Owner-context rule (hooks: sim.runner memo stores,
-    # workloads.generator hint writes, telemetry.registry scope pushes)
-    # ------------------------------------------------------------------
-
-    def check_context_owner(self, container: object, what: str) -> None:
-        """The dynamic counterpart of raceguard's C403: a mutation of a
-        SimContext-owned container (memo, hint table, registry stack) must
-        land in the container belonging to the *active* context. A mismatch
-        means a reference escaped one scope and is being written from
-        another — exactly the cross-worker leak the context plane exists
-        to prevent."""
-        self._enter("context_owner")
-        from repro.simcontext import current_context
-
-        context = current_context()
-        if not context.owns(container):
-            self._fail(
-                f"context owner: {what} mutation targets a container not "
-                f"owned by the active context {context!r} — a reference "
-                "escaped its scope"
-            )
-
-    # ------------------------------------------------------------------
     # Run cache (hook: sim.runner.run_suite cache-hit path)
     # ------------------------------------------------------------------
 
@@ -556,10 +529,10 @@ def get_sanitizer() -> Optional[Sanitizer]:
     """
 
     global _sanitizer, _resolved
-    if not _resolved:  # lint-ok: C405 idempotent lazy init of a process switch
-        _resolved = True  # lint-ok: C402 process-wide sanitizer switch
+    if not _resolved:
+        _resolved = True
         if os.environ.get(ENV_VAR, "").strip().lower() not in _FALSEY:
-            _sanitizer = Sanitizer()  # lint-ok: C402 process-wide switch
+            _sanitizer = Sanitizer()
     return _sanitizer
 
 
@@ -571,8 +544,8 @@ def configure_sanitizer(enabled: bool) -> Optional[Sanitizer]:
     """
 
     global _sanitizer, _resolved
-    _resolved = True  # lint-ok: C402 explicit process-wide reconfiguration
-    _sanitizer = Sanitizer() if enabled else None  # lint-ok: C402 CLI/test switch
+    _resolved = True
+    _sanitizer = Sanitizer() if enabled else None
     return _sanitizer
 
 
@@ -585,4 +558,4 @@ def sanitized(enabled: bool = True) -> Iterator[Optional[Sanitizer]]:
     try:
         yield configure_sanitizer(enabled)
     finally:
-        _resolved, _sanitizer = previous  # lint-ok: C402 test-scoped restore
+        _resolved, _sanitizer = previous

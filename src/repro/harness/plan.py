@@ -14,7 +14,7 @@ The planner turns the run inside out:
    :class:`CellSpec` records whose identity is exactly the run-cache key
    (``sim.runner.cell_key``).
 2. **Dedup** — cells are merged across experiments into one unique work
-   list (first-request order), and cells already present in the context
+   list (first-request order), and cells already present in the runner's
    memo or the on-disk cache are dropped via *silent* probes (no
    hit/miss counting: the assembly phase owns the counters).
 3. **Dispatch** — the remaining cells run in a *single* fan-out through
@@ -55,8 +55,7 @@ from repro.secure.designs import (
 )
 from repro.sim.config import SystemConfig
 from repro.sim.energy import SystemEnergyParams
-from repro.sim.runner import cell_cost_key, cell_key, run_cells
-from repro.simcontext import current_context
+from repro.sim.runner import cell_cost_key, cell_key, is_memoised, run_cells
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -289,11 +288,10 @@ def _dispatch_pending(
     phase's hit/miss counters match the legacy path.
     """
     run_cache = resolve_cache(cache)
-    run_memo = current_context().run_memo
     pending: List[CellSpec] = []
     for cell in cells:
         key = cell.key()
-        if run_memo.get(key) is not None:
+        if is_memoised(key):
             continue
         if run_cache is not None and run_cache.has(key):
             continue

@@ -26,7 +26,7 @@ from repro.parallel.context import (
     resolve_jobs,
 )
 from repro.parallel.executor import parallel_map
-from repro.parallel.instrument import EXECUTION_STATS, ExecutionStats, current_stats
+from repro.parallel.instrument import EXECUTION_STATS, ExecutionStats
 from repro.parallel.pool import (
     PersistentPool,
     active_pool,
@@ -54,7 +54,6 @@ __all__ = [
     "code_fingerprint",
     "configure",
     "cost_key",
-    "current_stats",
     "default_cache_dir",
     "default_jobs",
     "get_context",

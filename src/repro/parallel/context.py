@@ -73,8 +73,8 @@ def get_context() -> ExecutionContext:
     if override is not None:
         return override
     global _CONTEXT
-    if _CONTEXT is None:  # lint-ok: C405 idempotent lazy init from the env
-        _CONTEXT = _from_env()  # lint-ok: C402 process baseline, env-derived
+    if _CONTEXT is None:
+        _CONTEXT = _from_env()
     return _CONTEXT
 
 
@@ -86,8 +86,8 @@ def configure(**changes: object) -> ExecutionContext:
     """
     global _CONTEXT
     if _CONTEXT is None:
-        _CONTEXT = _from_env()  # lint-ok: C402 process-wide policy by design
-    _CONTEXT = replace(_CONTEXT, **changes)  # lint-ok: C402 CLI-owned baseline
+        _CONTEXT = _from_env()
+    _CONTEXT = replace(_CONTEXT, **changes)
     return _CONTEXT
 
 

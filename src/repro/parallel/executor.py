@@ -23,7 +23,7 @@ import time
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.parallel.context import get_context
-from repro.parallel.instrument import ExecutionStats, current_stats
+from repro.parallel.instrument import EXECUTION_STATS, ExecutionStats
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -60,7 +60,7 @@ def parallel_map(
     items = list(items)
     if labels is None:
         labels = [str(index) for index in range(len(items))]
-    stats = stats if stats is not None else current_stats()
+    stats = stats if stats is not None else EXECUTION_STATS
     workers = min(max(1, int(jobs)), len(items)) if items else 1
 
     span_started = time.perf_counter()

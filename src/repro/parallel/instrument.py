@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.simcontext import current_context, default_context
 from repro.telemetry import MetricsRegistry, MetricsSnapshot
 
 
@@ -30,6 +29,7 @@ class ExecutionStats:
         self._misses = self._registry.counter("exec.cache_misses")
         self._corrupt = self._registry.counter("exec.cache_corrupt")
         self._evictions = self._registry.counter("exec.cache_evictions")
+        self._write_errors = self._registry.counter("exec.cache_write_errors")
         self._memo_evictions = self._registry.counter("exec.memo_evictions")
         self._pool_spawns = self._registry.counter("exec.pool_spawns")
         self._pool_maps = self._registry.counter("exec.pool_maps")
@@ -61,6 +61,9 @@ class ExecutionStats:
 
     def record_cache_eviction(self, label: str = "") -> None:
         self._evictions.inc()
+
+    def record_cache_write_error(self, label: str = "") -> None:
+        self._write_errors.inc()
 
     def record_memo_evictions(self, count: int = 1) -> None:
         if count:
@@ -105,6 +108,11 @@ class ExecutionStats:
     def cache_evictions(self) -> int:
         """Cache entries evicted by size-budget enforcement."""
         return int(self._evictions.value)
+
+    @property
+    def cache_write_errors(self) -> int:
+        """Cache writes that failed (unwritable root); the run went on."""
+        return int(self._write_errors.value)
 
     @property
     def memo_evictions(self) -> int:
@@ -164,6 +172,7 @@ class ExecutionStats:
             "cache_misses": self.cache_misses,
             "cache_corrupt": self.cache_corrupt,
             "cache_evictions": self.cache_evictions,
+            "cache_write_errors": self.cache_write_errors,
             "memo_evictions": self.memo_evictions,
             "pool_spawns": self.pool_spawns,
             "pool_maps": self.pool_maps,
@@ -179,21 +188,5 @@ class ExecutionStats:
         }
 
 
-#: Process-default collector: what :func:`current_stats` resolves outside
-#: any :mod:`repro.simcontext` scope (the CLI and report layer reference
-#: this object directly, so the default context binds this very instance).
-EXECUTION_STATS = ExecutionStats()  # lint-ok: C401 default-context identity; worker scopes resolve their own stats
-
-
-def current_stats() -> ExecutionStats:
-    """The active context's execution stats."""
-    context = current_context()
-    stats = context.stats
-    if stats is None:
-        stats = (
-            EXECUTION_STATS
-            if context is default_context()
-            else ExecutionStats()
-        )
-        context.stats = stats
-    return stats  # type: ignore[no-any-return]
+#: The process's collector (the CLI and report layer read it directly).
+EXECUTION_STATS = ExecutionStats()

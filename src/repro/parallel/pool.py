@@ -9,7 +9,7 @@ This module owns one long-lived pool instead:
 * **lazy spawn** — nothing is created until the first ``jobs > 1`` map;
   serial runs never pay for a pool;
 * **reuse** — subsequent maps dispatch into the same warm workers, whose
-  imported module graph and context memos (trace/warm-state) survive
+  imported module graph and memos (trace/warm-state) survive
   across batches;
 * **warm-worker initializer** — each worker preloads the simulation stack
   and the code fingerprint at spawn, off any map's critical path;
@@ -38,7 +38,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
-from repro.parallel.instrument import ExecutionStats, current_stats
+from repro.parallel.instrument import EXECUTION_STATS, ExecutionStats
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -122,7 +122,7 @@ def get_pool(
     larger pool is reused as-is, a smaller one is joined and replaced.
     A handle inherited across ``fork`` (stale pid) or broken by a worker
     death is abandoned/replaced, never joined. A spawn is recorded on
-    ``stats`` (the dispatching map's collector) or the context's.
+    ``stats`` (the dispatching map's collector) or the process's.
     """
     global _POOL
     workers = max(1, int(workers))
@@ -130,17 +130,17 @@ def get_pool(
         pool = _POOL
         if pool is not None and pool.pid != os.getpid():
             # Inherited across fork: the workers belong to the parent.
-            pool = _POOL = None  # lint-ok: C402 under _POOL_LOCK; abandons a handle this process does not own
+            pool = _POOL = None
         if pool is not None and pool.broken:
             pool.shutdown()
-            pool = _POOL = None  # lint-ok: C402 under _POOL_LOCK; replaces a dead pool
+            pool = _POOL = None
         if pool is not None and pool.workers < workers:
             pool.shutdown()
             pool = None
         if pool is None:
             pool = PersistentPool(workers)
-            _POOL = pool  # lint-ok: C402 under _POOL_LOCK; the lazy-spawn rebind
-            collector = stats if stats is not None else current_stats()
+            _POOL = pool
+            collector = stats if stats is not None else EXECUTION_STATS
             collector.record_pool_spawn(pool.spawn_seconds)
         return pool
 
@@ -149,12 +149,13 @@ def shutdown_pool() -> int:
     """Shut the shared pool down (idempotent); returns workers released.
 
     Registered with ``atexit``; also called explicitly by benchmarks
-    between legs and by the service bridge on stop.
+    between legs and by each service job child before it exits (a forked
+    child skips ``atexit``).
     """
     global _POOL
     with _POOL_LOCK:
         pool = _POOL
-        _POOL = None  # lint-ok: C402 under _POOL_LOCK; the shutdown rebind
+        _POOL = None
     if pool is None:
         return 0
     if pool.pid == os.getpid():
@@ -171,7 +172,7 @@ def _reset_after_fork() -> None:
     """
     global _POOL, _POOL_LOCK
     _POOL_LOCK = threading.Lock()
-    _POOL = None  # lint-ok: C402 fork bookkeeping; runs single-threaded in the fresh child
+    _POOL = None
 
 
 if hasattr(os, "register_at_fork"):

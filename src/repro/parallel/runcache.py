@@ -20,6 +20,7 @@ atomically; the default root is ``~/.cache/synergy-repro`` (override with
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import hashlib
@@ -29,7 +30,7 @@ import tempfile
 from typing import Optional, Union
 
 from repro.parallel.context import get_context
-from repro.parallel.instrument import ExecutionStats, current_stats
+from repro.parallel.instrument import EXECUTION_STATS, ExecutionStats
 
 _FINGERPRINT: Optional[str] = None
 
@@ -37,7 +38,7 @@ _FINGERPRINT: Optional[str] = None
 def code_fingerprint() -> str:
     """Hash of all ``repro`` package sources (computed once per process)."""
     global _FINGERPRINT
-    if _FINGERPRINT is None:  # lint-ok: C405 idempotent: every racer computes
+    if _FINGERPRINT is None:
         import repro
 
         package_root = os.path.dirname(os.path.abspath(repro.__file__))
@@ -52,7 +53,7 @@ def code_fingerprint() -> str:
                 with open(path, "rb") as handle:
                     digest.update(handle.read())
                 digest.update(b"\x00")
-        _FINGERPRINT = digest.hexdigest()[:16]  # lint-ok: C402 pure-function cache
+        _FINGERPRINT = digest.hexdigest()[:16]
     return _FINGERPRINT
 
 
@@ -119,17 +120,7 @@ class RunCache:
         stats: Optional[ExecutionStats] = None,
     ):
         self.root = root or default_cache_dir()
-        # With no explicit collector, resolve per call: one RunCache may be
-        # shared across service worker scopes with per-scope stats.
-        self._pinned_stats = stats
-
-    @property
-    def _stats(self) -> ExecutionStats:
-        return (
-            self._pinned_stats
-            if self._pinned_stats is not None
-            else current_stats()
-        )
+        self._stats = stats if stats is not None else EXECUTION_STATS
 
     def path_for(self, key: str) -> str:
         """On-disk location of one entry (two-level fan-out by prefix)."""
@@ -185,24 +176,13 @@ class RunCache:
         ``meta`` rides alongside the payload (e.g. ``{"seconds": ...}``,
         the recorded wall time run_suite attaches) without perturbing it:
         ``get`` returns the payload only, so metadata can never leak into
-        figure outputs.
+        figure outputs. An unwritable root is counted
+        (``exec.cache_write_errors``) and the caller carries on uncached.
         """
-        path = self.path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         entry = {"key": key, "fingerprint": code_fingerprint(), "payload": payload}
         if meta:
             entry["meta"] = meta
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w") as handle:
-                json.dump(entry, handle)
-            os.replace(temp_path, path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        self._write_json(self.path_for(key), entry)
 
     def meta(self, key: str) -> Optional[dict]:
         """The entry's stored metadata, if any (silent, like :meth:`has`)."""
@@ -225,19 +205,26 @@ class RunCache:
 
     def record_timing(self, key: str, seconds: float) -> None:
         """Record one cell's wall time under its cost key (last write wins)."""
-        path = self._cost_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
+        self._write_json(self._cost_path(key), {"seconds": float(seconds)})
+
+    def _write_json(self, path: str, entry: dict) -> None:
+        """Atomically write ``entry`` to ``path``; count an unwritable root."""
+        temp_path = ""
         try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            descriptor, temp_path = tempfile.mkstemp(
+                dir=os.path.dirname(path), suffix=".tmp"
+            )
             with os.fdopen(descriptor, "w") as handle:
-                json.dump({"seconds": float(seconds)}, handle)
+                json.dump(entry, handle)
             os.replace(temp_path, path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+            temp_path = ""
+        except OSError:
+            self._stats.record_cache_write_error()
+        finally:
+            if temp_path:
+                with contextlib.suppress(OSError):
+                    os.unlink(temp_path)
 
     def timing(self, key: str) -> Optional[float]:
         """The recorded wall seconds for a cost key, or ``None``."""

@@ -16,9 +16,6 @@ versions:
   the columnar numpy-batch driver, ``miss_expansion_reference`` the
   retained scalar oracle they are measured against)
 * ``telemetry_record``  — counter/histogram recording through a registry
-* ``context_scope``     — :func:`repro.simcontext.sim_context` enter/exit
-  plus context-resolved ``get_registry`` lookups: the dispatch overhead the
-  scoped-context refactor added to every hot-path metric touch
 * ``pool_dispatch``     — repeated small ``parallel_map`` fan-outs through
   the shared persistent pool (spawn amortisation + per-map round-trip)
 * ``trace_generate``    — vectorised workload-trace synthesis (sphinx3, 50k)
@@ -260,28 +257,6 @@ def telemetry_record() -> int:
     return 2 * iterations
 
 
-def context_scope() -> int:
-    """Simulation-scope churn: context enter/exit + registry resolution.
-
-    Every ``get_registry()``/``get_tracer()``/memo touch now resolves
-    through ``contextvars`` instead of reading a module global; this case
-    prices that dispatch — a fresh :func:`sim_context` per iteration with
-    a handful of registry lookups inside, the access pattern one simulated
-    cell's telemetry hooks produce in miniature. The gated hot-loop cases
-    (``miss_expansion``, ``rob_advance``) bound the end-to-end cost; this
-    one isolates it."""
-    from repro.simcontext import sim_context
-    from repro.telemetry.registry import get_registry
-
-    entries = 10_000
-    lookups_per_entry = 4
-    for _ in range(entries):
-        with sim_context(name="microbench"):
-            for _ in range(lookups_per_entry):
-                get_registry()  # lint-ok: P203 the lookup IS the payload
-    return entries * (1 + lookups_per_entry)
-
-
 def _pool_noop(value: int) -> int:
     """Worker-side payload for ``pool_dispatch``: pure dispatch overhead."""
     return value
@@ -350,7 +325,6 @@ CASES: Dict[str, Callable[[], int]] = {
     "miss_expansion_batch": miss_expansion_batch,
     "miss_expansion_reference": miss_expansion_reference,
     "telemetry_record": telemetry_record,
-    "context_scope": context_scope,
     "pool_dispatch": pool_dispatch,
     "trace_generate": trace_generate,
     "trace_generate_reference": trace_generate_reference,

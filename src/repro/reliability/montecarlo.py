@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.parallel import (
-    current_stats,
+    EXECUTION_STATS,
     parallel_map,
     resolve_cache,
     resolve_jobs,
@@ -43,9 +43,9 @@ from repro.reliability.faults import ChipGeometry, FaultInstance
 from repro.reliability.fitrates import FAULT_MODES, FaultGranularity, FaultMode
 from repro.reliability.schemes import ProtectionScheme
 from repro.telemetry import (
+    TELEMETRY_AGGREGATE,
     MetricsSnapshot,
     cell_scope,
-    current_aggregate,
     get_registry,
 )
 from repro.util.rng import DeterministicRng, derive_seed
@@ -339,7 +339,7 @@ def simulate_failure_probability(
         if payload is not None:
             # Warm hit: revive the cached telemetry so reports still carry
             # metrics even when no shard actually executed.
-            current_aggregate().add(label, payload.get("telemetry"))
+            TELEMETRY_AGGREGATE.add(label, payload.get("telemetry"))
             return float(payload["probability"])
 
     shards = config.shards()
@@ -350,7 +350,7 @@ def simulate_failure_probability(
         span_started = time.perf_counter()
         shard_results = simulate_shards_batched(scheme, config, shards)
         elapsed = time.perf_counter() - span_started
-        stats = current_stats()
+        stats = EXECUTION_STATS
         for shard_id, _size in shards:
             stats.record_cell(
                 "%s/shard%d" % (label, shard_id), elapsed / len(shards)
@@ -371,7 +371,7 @@ def simulate_failure_probability(
     telemetry = MetricsSnapshot()
     for _failures, shard_payload in shard_results:
         telemetry = telemetry.merge(MetricsSnapshot.from_payload(shard_payload))
-    current_aggregate().add(label, telemetry)
+    TELEMETRY_AGGREGATE.add(label, telemetry)
     probability = failures / config.devices
     if run_cache is not None and key is not None:
         run_cache.put(

@@ -31,7 +31,6 @@ from repro.harness.experiments import run_spec
 from repro.parallel.context import ExecutionContext, applied, default_jobs, get_context
 from repro.service.jobs import Job, JobCancelled, JobManager, canonical_result_bytes
 from repro.sim.runner import cell_progress
-from repro.simcontext import sim_context
 
 #: How often (seconds) a bridge thread polls its child for progress events
 #: and re-checks the cancel and stop flags. Bounds cancellation latency.
@@ -248,8 +247,9 @@ def _child_main(
 ) -> None:
     """Child body: simulate one spec, stream progress events + the result.
 
-    Runs in a fresh :func:`sim_context`, under the service's captured
-    execution policy (the bridge thread forking it has its own overrides).
+    Runs under the service's captured execution policy (the bridge thread
+    forking it has its own overrides), on the memos it inherits from the
+    parent: they are content-keyed, so a warm entry is always valid.
     """
     from repro.harness.spec import ExperimentSpec
     from repro.parallel import shutdown_pool
@@ -261,10 +261,8 @@ def _child_main(
         def forward(event: Dict[str, object]) -> None:
             conn.send(("progress", event))
 
-        with applied(exec_context):
-            with sim_context(name="service-child"):
-                with cell_progress(forward):
-                    payload = run_spec(spec, quiet=True, jobs=jobs)
+        with applied(exec_context), cell_progress(forward):
+            payload = run_spec(spec, quiet=True, jobs=jobs)
         conn.send(("result", _jsonable(payload)))
     except BaseException as exc:  # lint-ok: H301 the child's last act is
         # reporting the failure; anything escaping here is lost to a pipe.

@@ -13,13 +13,24 @@ from __future__ import annotations
 
 import contextlib
 import json
-import threading
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+import os
+from collections import OrderedDict
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.cpu.trace import Trace
 from repro.parallel import (
-    current_stats,
+    EXECUTION_STATS,
     parallel_map,
     resolve_cache,
     resolve_jobs,
@@ -30,14 +41,13 @@ from repro.sim.config import SystemConfig
 from repro.sim.energy import SystemEnergyParams, system_energy
 from repro.sim.results import ResultTable, RunResult
 from repro.sim.system import SystemSimulator
-from repro.simcontext import current_context
 from repro.telemetry import (
+    TELEMETRY_AGGREGATE,
     MetricsSnapshot,
     cell_scope,
-    current_aggregate,
     get_tracer,
 )
-from repro.workloads.generator import generate_trace
+from repro.workloads.generator import clear_words_hints, generate_trace
 from repro.workloads.mixes import MIXES
 from repro.workloads.profiles import WorkloadProfile, profile_by_name
 
@@ -48,18 +58,15 @@ from repro.workloads.profiles import WorkloadProfile, profile_by_name
 #: hit, worker seconds, and the cell's deterministic telemetry headline.
 ProgressCallback = Callable[[Dict[str, object]], None]
 
-#: Per-thread progress hook. Thread-local (not a plain global) because the
-#: experiment service runs specs on an executor thread while other threads
-#: may run their own suites; each installation only ever sees its own
-#: thread's cells.
-_PROGRESS = threading.local()
+#: The process's progress hook (one simulation runs per process).
+_PROGRESS: Optional[ProgressCallback] = None
 
 
 @contextlib.contextmanager
 def cell_progress(callback: Optional[ProgressCallback]) -> Iterator[None]:
-    """Install ``callback`` as this thread's progress hook for the block.
+    """Install ``callback`` as the progress hook for the block.
 
-    Every ``run_suite`` call on this thread (however deep inside an
+    Every ``run_suite`` call in the block (however deep inside an
     experiment function) streams its per-cell completion events through the
     callback — the mechanism the experiment service uses for live job
     progress. Events arrive in deterministic order (grid-scan order for
@@ -67,21 +74,22 @@ def cell_progress(callback: Optional[ProgressCallback]) -> Iterator[None]:
     An exception raised by the callback aborts the suite — cooperative
     cancellation.
     """
-    previous = getattr(_PROGRESS, "callback", None)
-    _PROGRESS.callback = callback
+    global _PROGRESS
+    previous = _PROGRESS
+    _PROGRESS = callback
     try:
         yield
     finally:
-        _PROGRESS.callback = previous
+        _PROGRESS = previous
 
 
 def emit_progress(event: Dict[str, object]) -> None:
-    """Send one event through this thread's progress hook, if installed.
+    """Send one event through the progress hook, if installed.
 
     Public so long-running experiments outside ``run_suite`` (Monte-Carlo
     sweeps, custom loops) can report progress and observe cancellation.
     """
-    callback = getattr(_PROGRESS, "callback", None)
+    callback = _PROGRESS
     if callback is not None:
         callback(dict(event))
 
@@ -91,18 +99,19 @@ def _active_progress(
 ) -> Optional[ProgressCallback]:
     if explicit is not None:
         return explicit
-    return getattr(_PROGRESS, "callback", None)
+    return _PROGRESS
 
 
-#: Context-local memo for generated traces (``SimContext.trace_memo``).
-#: Grid runs regenerate the same per-core traces for every design sharing a
-#: workload (designs outer, workloads inner), and trace synthesis is a
-#: measurable slice of each cell; generate_trace is a pure function of the
-#: key below, and traces are immutable (columnar numpy arrays that no
-#: consumer mutates), so sharing one instance across simulators is safe.
-#: Bounded by wholesale clearing — the access pattern is a small working
-#: set per experiment, not an LRU-worthy stream.
+#: Memo for generated traces. Grid runs regenerate the same per-core
+#: traces for every design sharing a workload (designs outer, workloads
+#: inner), and trace synthesis is a measurable slice of each cell;
+#: generate_trace is a pure function of the key below, and traces are
+#: immutable (columnar numpy arrays that no consumer mutates), so sharing
+#: one instance across simulators is safe. Bounded by wholesale clearing —
+#: the access pattern is a small working set per experiment, not an
+#: LRU-worthy stream.
 _TRACE_MEMO_MAX = 256
+_TRACE_MEMO: Dict[Tuple[object, ...], Trace] = {}
 
 
 def _memoised_trace(
@@ -113,7 +122,7 @@ def _memoised_trace(
     seed_salt: object,
     scale_divisor: int,
 ) -> Trace:
-    memo = current_context().trace_memo
+    memo = _TRACE_MEMO
     key = (profile, accesses, core, base_line, seed_salt, scale_divisor)
     try:
         trace = memo.get(key)
@@ -130,9 +139,6 @@ def _memoised_trace(
             scale_divisor=scale_divisor,
         )
         if key is not None:
-            sanitizer = get_sanitizer()
-            if sanitizer is not None:
-                sanitizer.check_context_owner(memo, "trace memo")
             if len(memo) >= _TRACE_MEMO_MAX:
                 memo.clear()
             memo[key] = trace
@@ -169,15 +175,15 @@ def _traces_for(
     return label, traces
 
 
-#: Context-local memo for post-warmup cache state (``SimContext.warm_memo``).
-#: Warmup is a pure
-#: function of (warm traces, cache geometry, the design flags that steer
-#: the metadata walk): designs sharing those flags reach byte-identical
-#: cache dictionaries, so grid runs restore the snapshot instead of
-#: replaying the warm traces. Snapshot dicts are private copies — the
-#: restore copies them into the simulator's own set dictionaries
-#: (preserving insertion order, which *is* the LRU state).
+#: Memo for post-warmup cache state. Warmup is a pure function of (warm
+#: traces, cache geometry, the design flags that steer the metadata walk):
+#: designs sharing those flags reach byte-identical cache dictionaries, so
+#: grid runs restore the snapshot instead of replaying the warm traces.
+#: Snapshot dicts are private copies — the restore copies them into the
+#: simulator's own set dictionaries (preserving insertion order, which
+#: *is* the LRU state).
 _WARM_MEMO_MAX = 64
+_WARM_MEMO: Dict[Tuple[object, ...], Any] = {}
 
 
 def _warm_key(
@@ -219,16 +225,13 @@ def _warm_simulator(
     seed: Optional[int] = None,
 ) -> None:
     """Warm ``sim``'s caches, through the memo when a snapshot exists."""
-    memo = current_context().warm_memo
+    memo = _WARM_MEMO
     key = _warm_key(design, label, config, seed)
     cached = memo.get(key)
     llc_sets = sim.hierarchy.llc._sets
     md_sets = sim.hierarchy.metadata_cache._sets
     if cached is None:
         sim.warmup(warmup_traces)
-        sanitizer = get_sanitizer()
-        if sanitizer is not None:
-            sanitizer.check_context_owner(memo, "warm memo")
         if len(memo) >= _WARM_MEMO_MAX:
             memo.clear()
         memo[key] = (
@@ -245,41 +248,122 @@ def _warm_simulator(
         ways.update(snapshot)
 
 
-# The in-memory L1 in front of the persistent run cache, keyed by the same
-# content address, lives on the context too (``SimContext.run_memo``). The
-# evaluation figures share grid cells wholesale (the SGX_O/SGX/Synergy
-# baseline grid recurs in Figs. 8/9/10, Fig. 12's two-channel leg, and
-# Fig. 13's monolithic leg), and each cell is a pure function of its key —
-# so within one scope the second figure replays the first figure's result
-# instead of re-simulating. Unlike the disk cache this cannot go stale (it
-# dies with the context and never spans a code version), so it stays on
-# even when the persistent cache is disabled. Values are JSON strings: hits
-# round-trip through ``json.loads`` so every consumer sees the same payload
-# types as a disk-cache hit, and no two figures share mutable result state.
-# The memo is a byte-budgeted LRU (``BoundedBytesMemo``): long-lived
-# service processes stream unbounded distinct specs through it, and each
-# eviction is counted as ``exec.memo_evictions`` on the scope's stats.
+#: Default byte budget for the cell-result memo below. Serialized cells are
+#: a few KiB of JSON, so this retains thousands of cells while bounding a
+#: long-lived process. Overridable via ``REPRO_RUN_MEMO_BYTES``.
+DEFAULT_RUN_MEMO_BYTES = 32 * 1024 * 1024
+
+
+def _run_memo_budget() -> int:
+    value = os.environ.get("REPRO_RUN_MEMO_BYTES", "")
+    if value:
+        try:
+            return max(0, int(value))
+        except ValueError:
+            return DEFAULT_RUN_MEMO_BYTES
+    return DEFAULT_RUN_MEMO_BYTES
+
+
+class BoundedBytesMemo:
+    """A string-to-string LRU memo bounded by approximate byte size.
+
+    Sizes are approximated as ``len(key) + len(value)`` (the values are
+    ASCII-dominated JSON, so characters ~ bytes). ``put`` evicts from the
+    least-recently-used end until the budget holds and returns how many
+    entries were evicted, so callers can count evictions into their stats.
+    A budget of 0 disables the memo entirely (every ``get`` misses).
+    """
+
+    __slots__ = ("max_bytes", "used_bytes", "evictions", "_entries")
+
+    def __init__(self, max_bytes: int = DEFAULT_RUN_MEMO_BYTES) -> None:
+        self.max_bytes = max(0, int(max_bytes))
+        self.used_bytes = 0
+        #: Lifetime eviction count (mirrors ``exec.memo_evictions``).
+        self.evictions = 0
+        self._entries: "OrderedDict[str, str]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries
+
+    def get(self, key: str) -> Optional[str]:
+        """The memoised value (refreshing its recency), or None."""
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key: str, value: str) -> int:
+        """Store ``key -> value``; returns the number of entries evicted."""
+        if self.max_bytes <= 0:
+            return 0
+        size = len(key) + len(value)
+        if size > self.max_bytes:
+            # A single over-budget entry can never be retained; storing it
+            # would immediately evict everything including itself.
+            return 0
+        previous = self._entries.pop(key, None)
+        if previous is not None:
+            self.used_bytes -= len(key) + len(previous)
+        self._entries[key] = value
+        self.used_bytes += size
+        evicted = 0
+        while self.used_bytes > self.max_bytes and self._entries:
+            old_key, old_value = self._entries.popitem(last=False)
+            self.used_bytes -= len(old_key) + len(old_value)
+            evicted += 1
+        self.evictions += evicted
+        return evicted
+
+    def clear(self) -> None:
+        """Drop every entry (eviction counters are lifetime, kept)."""
+        self._entries.clear()
+        self.used_bytes = 0
+
+
+#: The in-memory L1 in front of the persistent run cache, keyed by the same
+#: content address. The evaluation figures share grid cells wholesale (the
+#: SGX_O/SGX/Synergy baseline grid recurs in Figs. 8/9/10, Fig. 12's
+#: two-channel leg, and Fig. 13's monolithic leg), and each cell is a pure
+#: function of its key — so within one process the second figure replays
+#: the first figure's result instead of re-simulating. Unlike the disk cache
+#: this cannot go stale (it dies with the process and never spans a code
+#: version), so it stays on even when the persistent cache is disabled, and
+#: a forked child may safely reuse what it inherits. Values are JSON
+#: strings: hits round-trip through ``json.loads`` so every consumer sees
+#: the same payload types as a disk-cache hit, and no two figures share
+#: mutable result state. The byte budget bounds long-lived processes that
+#: stream unbounded distinct specs through it; each eviction is counted as
+#: ``exec.memo_evictions``.
+_RUN_MEMO = BoundedBytesMemo(_run_memo_budget())
 
 
 def clear_run_memos() -> None:
-    """Drop the active context's memos (traces, warm state, cell results).
+    """Drop the process's memos (traces, warm state, cell results, hints).
 
     Tests that assert on execution counts call this first; nothing in the
     memos is observable in results — cells are pure — so clearing is
     always safe, merely slower.
     """
-    current_context().clear_memos()
+    _TRACE_MEMO.clear()
+    _WARM_MEMO.clear()
+    _RUN_MEMO.clear()
+    clear_words_hints()
+
+
+def is_memoised(key: str) -> bool:
+    """Whether the cell-result memo holds ``key`` (the planner's probe)."""
+    return _RUN_MEMO.get(key) is not None
 
 
 def _memo_put(key: str, serialized: str) -> None:
-    """Store one cell in the context memo, counting any LRU evictions."""
-    memo = current_context().run_memo
-    sanitizer = get_sanitizer()
-    if sanitizer is not None:
-        sanitizer.check_context_owner(memo, "run memo")
-    evicted = memo.put(key, serialized)
+    """Store one cell in the memo, counting any LRU evictions."""
+    evicted = _RUN_MEMO.put(key, serialized)
     if evicted:
-        current_stats().record_memo_evictions(evicted)
+        EXECUTION_STATS.record_memo_evictions(evicted)
 
 
 def run_workload(
@@ -406,7 +490,7 @@ def _store_result(
     seconds: float,
 ) -> None:
     """Persist one executed cell: disk entry (with wall-time metadata and
-    the cost-model timing sidecar) plus the in-context memo."""
+    the cost-model timing sidecar) plus the in-process memo."""
     if key is None:
         return
     payload = result.to_payload()
@@ -473,7 +557,7 @@ def run_suite(
     whatever the completion order, and are bit-identical to a serial run.
 
     ``seed`` re-salts trace synthesis per cell (see :func:`run_workload`).
-    ``progress`` (or the thread's :func:`cell_progress` hook) receives one
+    ``progress`` (or the :func:`cell_progress` hook) receives one
     ``suite`` event, then one ``cell`` event per finished cell: cache hits
     in grid-scan order, executed cells in submission order — the same
     sequence at any ``jobs`` count, modulo the wall-clock ``seconds``
@@ -490,8 +574,6 @@ def run_suite(
     # The in-process memo stands down under the sanitizer: sanitize runs
     # recompute every cell so check_cached_payload exercises the full path.
     memo_on = get_sanitizer() is None
-    run_memo = current_context().run_memo
-    stats = current_stats()
     finished = {}
     hits = []
     pending = []
@@ -503,9 +585,9 @@ def run_suite(
             else None
         )
         if key is not None and memo_on:
-            serialized = run_memo.get(key)
+            serialized = _RUN_MEMO.get(key)
             if serialized is not None:
-                stats.record_cache_hit(label)
+                EXECUTION_STATS.record_cache_hit(label)
                 result = RunResult.from_payload(json.loads(serialized))
                 finished[(design, workload)] = result
                 hits.append((label, result))
@@ -576,7 +658,7 @@ def run_suite(
         table.add(result)
         # Grid order + commutative merge => the aggregate is independent of
         # completion order, and warm cache hits still contribute metrics.
-        current_aggregate().add(result.design, result.telemetry)
+        TELEMETRY_AGGREGATE.add(result.design, result.telemetry)
     return table
 
 
@@ -593,10 +675,10 @@ def run_cells(
     fans the tasks (``(design, workload, config, energy_params, seed)``
     tuples) over ``jobs`` workers in the order supplied (the planner's
     LPT order), stores each result exactly as ``run_suite`` would (disk
-    entry with wall-time metadata, cost-model timing, context memo), and
+    entry with wall-time metadata, cost-model timing, in-process memo), and
     returns results in submission order.
 
-    Per-cell completion is streamed through the thread's
+    Per-cell completion is streamed through the
     :func:`cell_progress` hook as ``cell`` events (``planned: True``), so
     service jobs keep cell-granular progress and cancellation during a
     planned prefetch.

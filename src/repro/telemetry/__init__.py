@@ -26,7 +26,6 @@ from repro.telemetry.aggregate import (
     TELEMETRY_AGGREGATE,
     TelemetryAggregate,
     cell_scope,
-    current_aggregate,
     write_metrics,
 )
 from repro.telemetry.metrics import (
@@ -71,7 +70,6 @@ __all__ = [
     "collection_enabled",
     "configure",
     "configure_tracer",
-    "current_aggregate",
     "get_registry",
     "get_tracer",
     "merge_payloads",

@@ -3,8 +3,7 @@
 Each experiment cell (a ``run_workload`` grid cell or a Monte-Carlo shard
 batch) produces one :class:`MetricsSnapshot` in whatever process ran it —
 or, on a run-cache hit, out of the cached payload. The harness feeds every
-snapshot into the active context's aggregate (:func:`current_aggregate`;
-:data:`TELEMETRY_AGGREGATE` for code outside any scope), grouped by
+snapshot into the process's :data:`TELEMETRY_AGGREGATE`, grouped by
 design/scheme, always iterating cells in *grid order*: combined with the
 commutative snapshot merge this makes the aggregate a pure function of the
 set of cells, independent of worker count or completion order (the same
@@ -22,7 +21,6 @@ import json
 import os
 from typing import Dict, Iterator, Optional
 
-from repro.simcontext import current_context, default_context
 from repro.telemetry.registry import (
     MetricsRegistry,
     MetricsSnapshot,
@@ -102,26 +100,9 @@ class TelemetryAggregate:
         }
 
 
-#: The process-default aggregate: what :func:`current_aggregate` resolves
-#: for code running outside any :mod:`repro.simcontext` scope (the CLI, the
-#: report layer and the tests all reference this object directly).
-TELEMETRY_AGGREGATE = TelemetryAggregate()  # lint-ok: C401 default-context identity; worker scopes get their own
-
-
-def current_aggregate() -> TelemetryAggregate:
-    """The active context's aggregate (the default context binds
-    :data:`TELEMETRY_AGGREGATE` itself, keeping existing direct references
-    to the module global coherent)."""
-    context = current_context()
-    aggregate = context.aggregate
-    if aggregate is None:
-        aggregate = (
-            TELEMETRY_AGGREGATE
-            if context is default_context()
-            else TelemetryAggregate()
-        )
-        context.aggregate = aggregate
-    return aggregate  # type: ignore[no-any-return]
+#: The process's aggregate: the harness feeds it, and the CLI, the report
+#: layer and the tests read it.
+TELEMETRY_AGGREGATE = TelemetryAggregate()
 
 
 @contextlib.contextmanager
@@ -146,7 +127,7 @@ def write_metrics(
     aggregate: Optional[TelemetryAggregate] = None,
 ) -> str:
     """Write the aggregate (plus run provenance) as JSON; returns the path."""
-    aggregate = aggregate if aggregate is not None else current_aggregate()
+    aggregate = aggregate if aggregate is not None else TELEMETRY_AGGREGATE
     payload = {"run": run or {}, "telemetry": aggregate.as_dict()}
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)

@@ -1,12 +1,11 @@
 """The metrics registry, snapshots, and per-cell scoping.
 
-One :class:`MetricsRegistry` is active per *execution context* at any
-moment (see :mod:`repro.simcontext`; threads that never enter a context
-share the process-default one, preserving the historical single-registry
-behaviour). Simulator
-components fetch metric handles by name at construction time (`counter`,
-`gauge`, `histogram`, `timer`); handles with the same name resolve to the
-same object, so any number of components can share a counter.
+One :class:`MetricsRegistry` is active per process at any moment (one
+simulation runs per process; see DESIGN.md "One simulation per process").
+Simulator components fetch metric handles by name at construction time
+(`counter`, `gauge`, `histogram`, `timer`); handles with the same name
+resolve to the same object, so any number of components can share a
+counter.
 
 ``run_workload`` / Monte-Carlo shard tasks push a *fresh* registry for the
 duration of one cell (:func:`cell_scope`), so the snapshot taken at the end
@@ -22,9 +21,8 @@ from __future__ import annotations
 
 import contextlib
 import os
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.simcontext import current_context
 from repro.telemetry.metrics import (
     Counter,
     DEFAULT_EDGES,
@@ -285,23 +283,22 @@ class MetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Context-scoped registry stack
+# The process's registry stack
 # ---------------------------------------------------------------------------
 #
-# The registry stack lives on the active SimContext: code that never enters
-# a context resolves the shared process-default stack (the exact pre-context
-# behaviour), while the service's worker scopes each get a private stack so
-# concurrent simulations cannot interleave registries. The collection
-# *enable* flag stays process-wide — it is configuration, not run state.
+# The bottom entry is the process-default registry; ``scoped_registry``
+# pushes and pops above it. The collection *enable* flag is configuration,
+# not run state: it only steers registries created afterwards.
 
 _COLLECTION_ENABLED: Optional[bool] = None
+_REGISTRY_STACK: List[MetricsRegistry] = []
 
 
 def collection_enabled() -> bool:
     """Whether telemetry collection is on in this process."""
     global _COLLECTION_ENABLED
-    if _COLLECTION_ENABLED is None:  # lint-ok: C405 idempotent lazy env read
-        _COLLECTION_ENABLED = _env_enabled()  # lint-ok: C402 process-wide flag
+    if _COLLECTION_ENABLED is None:
+        _COLLECTION_ENABLED = _env_enabled()
     return _COLLECTION_ENABLED
 
 
@@ -312,12 +309,12 @@ def configure(enabled: bool) -> None:
     :func:`cell_scope`); the currently active registry is untouched.
     """
     global _COLLECTION_ENABLED
-    _COLLECTION_ENABLED = bool(enabled)  # lint-ok: C402 config, not run state
+    _COLLECTION_ENABLED = bool(enabled)
 
 
 def get_registry() -> MetricsRegistry:
-    """The active registry (context default, or the innermost scope)."""
-    stack = current_context().registry_stack
+    """The active registry (process default, or the innermost scope)."""
+    stack = _REGISTRY_STACK
     if not stack:
         stack.append(MetricsRegistry(enabled=collection_enabled()))
     return stack[-1]
@@ -330,21 +327,14 @@ def scoped_registry(
     """Push a fresh registry for the duration of the block.
 
     Components constructed inside the block register into it; the caller
-    snapshots it before (or after) the block exits. Scopes nest, and the
-    push/pop lands on whichever :class:`~repro.simcontext.SimContext` is
-    active at entry — concurrent workers each scope their own stack.
+    snapshots it before (or after) the block exits. Scopes nest.
     """
     if enabled is None:
         enabled = collection_enabled()
-    stack = current_context().registry_stack
+    stack = _REGISTRY_STACK
     if not stack:
         stack.append(MetricsRegistry(enabled=collection_enabled()))
     registry = MetricsRegistry(enabled=enabled)
-    from repro.analysis.sanitizer import get_sanitizer
-
-    sanitizer = get_sanitizer()
-    if sanitizer is not None:
-        sanitizer.check_context_owner(stack, "registry stack")
     stack.append(registry)
     try:
         yield registry

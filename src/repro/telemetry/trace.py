@@ -26,8 +26,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from repro.simcontext import current_context
-
 _FALSEY = ("0", "false", "no", "off")
 
 
@@ -181,22 +179,18 @@ def read_jsonl(path: str) -> List[TraceEvent]:
 
 
 # ---------------------------------------------------------------------------
-# Context-scoped tracer
+# The process's tracer
 # ---------------------------------------------------------------------------
-#
-# The tracer lives on the active SimContext (repro.simcontext): code outside
-# any context gets the shared process-default tracer (the historical
-# behaviour), while each service worker scope traces into its own ring.
+
+_TRACER: Optional[EventTracer] = None
 
 
 def get_tracer() -> EventTracer:
-    """The active context's tracer (enabled iff ``REPRO_TRACE`` is set)."""
-    context = current_context()
-    tracer = context.tracer
-    if tracer is None:
-        tracer = EventTracer(enabled=trace_out_from_env() is not None)
-        context.tracer = tracer
-    return tracer  # type: ignore[no-any-return]
+    """The process's tracer (enabled iff ``REPRO_TRACE`` is set)."""
+    global _TRACER
+    if _TRACER is None:
+        _TRACER = EventTracer(enabled=trace_out_from_env() is not None)
+    return _TRACER
 
 
 def configure_tracer(
@@ -204,14 +198,13 @@ def configure_tracer(
     capacity: Optional[int] = None,
     run_id: Optional[str] = None,
 ) -> EventTracer:
-    """Reconfigure the active context's tracer (CLI entry points, tests)."""
-    context = current_context()
+    """Reconfigure the process's tracer (CLI entry points, tests)."""
+    global _TRACER
     tracer = get_tracer()
     if capacity is not None and capacity != tracer.capacity:
-        tracer = EventTracer(
+        tracer = _TRACER = EventTracer(
             capacity=capacity, enabled=tracer.enabled, run_id=tracer.run_id
         )
-        context.tracer = tracer
     if enabled is not None:
         tracer.enabled = enabled
     if run_id is not None:

@@ -38,10 +38,9 @@ detected by a wide tolerance band and recomputed with ``math.log``.
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.cpu.trace import MemoryOp, Trace, TraceRecord
-from repro.simcontext import current_context
 from repro.util.rng import DeterministicRng, derive_seed, mt_unit_floats
 from repro.util.units import CACHELINE_BYTES, KIB, MIB
 from repro.workloads.profiles import WorkloadProfile
@@ -202,7 +201,7 @@ def generate_trace(
     # exhaustion (rejection runs have unbounded tails). Consumption is
     # deterministic per call signature, so remember it and peek exactly
     # next time (the grid re-generates identical traces constantly).
-    hints = current_context().words_hint
+    hints = _WORDS_HINT
     hint_key = (
         profile.name, num_accesses, core_id, repr(seed_salt), scale_divisor
     )
@@ -220,13 +219,6 @@ def generate_trace(
             break
         except IndexError:
             budget *= 2
-    from repro.analysis.sanitizer import get_sanitizer
-
-    sanitizer = get_sanitizer()
-    if sanitizer is not None:
-        # The hint table was resolved before the decode loop; prove it still
-        # belongs to the active context before writing into it.
-        sanitizer.check_context_owner(hints, "words-hint table")
     if len(hints) >= _WORDS_HINT_MAX:
         hints.clear()
     hints[hint_key] = consumed
@@ -241,12 +233,17 @@ def generate_trace(
 
 #: Exact raw-word consumption per call signature, learned on first use, so
 #: repeat generations peek precisely instead of over-budgeting. Perf-only
-#: state: a miss merely costs a larger peek, never changes the trace. The
-#: hints live on the active :class:`~repro.simcontext.SimContext`
-#: (``words_hint``) — per-scope rather than shared-mutable across
-#: concurrent workers — and are bounded by wholesale clearing (the working
-#: set per experiment is tiny; an overflow only means re-learning budgets).
+#: state: a miss merely costs a larger peek, never changes the trace.
+#: Bounded by wholesale clearing (the working set per experiment is tiny;
+#: an overflow only means re-learning budgets).
 _WORDS_HINT_MAX = 4096
+_WORDS_HINT: Dict[Tuple[object, ...], int] = {}
+
+
+def clear_words_hints() -> None:
+    """Forget every learned consumption hint (``clear_run_memos`` calls it)."""
+    _WORDS_HINT.clear()
+
 
 #: 2**-53 — scales a 53-bit draw integer to random.Random.random()'s float.
 _INV53 = float(2.0 ** -53)

@@ -8,8 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    analyze_paths,
-    concurrency_catalogue,
     lint_source,
     load_baseline,
     new_violations,
@@ -220,6 +218,36 @@ class TestRepoIsClean:
             capture_output=True,
             text=True,
         )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_stale_baseline_is_checked_then_pruned(self, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(
+            json.dumps(
+                {
+                    "entries": [
+                        {
+                            "rule": "D101",
+                            "path": "src/repro/gone.py",
+                            "line_text": "import random",
+                            "count": 1,
+                        }
+                    ]
+                }
+            )
+        )
+        cli = [sys.executable, str(REPO_ROOT / "tools" / "lint_repro.py")]
+        check = cli + ["--check-baseline", "--baseline-file", str(baseline)]
+        proc = subprocess.run(check, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "stale baseline entry: D101" in proc.stdout
+        proc = subprocess.run(
+            cli + ["--prune-baseline", "--baseline-file", str(baseline)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        proc = subprocess.run(check, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_lint_cli_fails_on_synthetic_violation(self, tmp_path):
@@ -496,338 +524,3 @@ class TestSchedulerIndexSanitizer:
             controller.channels[0].open_rows[0] += 1
             with pytest.raises(SanitizerError, match="open-row table"):
                 controller.process()
-
-
-# ---------------------------------------------------------------------------
-# raceguard: the whole-program C4xx concurrency pass
-
-
-#: A synthetic package exercising the call-graph machinery (diamond imports,
-#: constructor-typed method resolution, a closure callback handed to
-#: ``submit``) with one deliberately seeded race per C4xx rule.
-RACE_FIXTURE_FILES = {
-    "rgpkg/__init__.py": "",
-    "rgpkg/state.py": (
-        "from contextvars import ContextVar\n"
-        "\n"
-        "SHARED = {}\n"
-        'FLAG = ContextVar("rgpkg-flag")\n'
-    ),
-    "rgpkg/engine.py": (
-        "from rgpkg.state import SHARED\n"
-        "\n"
-        "\n"
-        "class Engine:\n"
-        '    __slots__ = ("label",)\n'
-        "\n"
-        "    def __init__(self):\n"
-        '        self.label = "engine"\n'
-        "\n"
-        "    def touch(self, key, value):\n"
-        "        SHARED.update({key: value})\n"
-        "        return self.label\n"
-    ),
-    "rgpkg/checkact.py": (
-        "from rgpkg.state import SHARED\n"
-        "\n"
-        "CACHE = {}\n"
-        "\n"
-        "\n"
-        "def ensure(value):\n"
-        "    if not CACHE:\n"
-        "        CACHE.update(seed=len(SHARED))\n"
-        "    return value\n"
-    ),
-    "rgpkg/writer.py": (
-        "COUNT = 0\n"
-        "\n"
-        "\n"
-        "def bump():\n"
-        "    global COUNT\n"
-        "    COUNT += 1\n"
-        "    return COUNT\n"
-    ),
-    "rgpkg/leak.py": (
-        "def current_context():\n"
-        "    return None\n"
-        "\n"
-        "\n"
-        "def steal():\n"
-        "    return current_context().trace_memo\n"
-    ),
-    "rgpkg/boot.py": (
-        "from rgpkg.state import FLAG\n"
-        "\n"
-        "ACTIVE = FLAG.get()\n"
-    ),
-    "rgpkg/api.py": (
-        "from rgpkg import checkact, engine, writer\n"
-        "\n"
-        "\n"
-        "def handle(item):\n"
-        "    worker_engine = engine.Engine()\n"
-        "    worker_engine.touch(item, item)\n"
-        "    checkact.ensure(item)\n"
-        "    writer.bump()\n"
-        "    return item\n"
-    ),
-    "rgpkg/service.py": (
-        "from rgpkg.api import handle\n"
-        "\n"
-        "\n"
-        "def serve(executor, jobs):\n"
-        "    def worker(job):\n"
-        "        return handle(job)\n"
-        "\n"
-        "    for job in jobs:\n"
-        "        executor.submit(worker, job)\n"
-        "    return len(jobs)\n"
-    ),
-}
-
-
-def _write_fixture_package(root, files=RACE_FIXTURE_FILES):
-    for rel, source in files.items():
-        path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source)
-    return root
-
-
-@pytest.fixture(scope="module")
-def race_report(tmp_path_factory):
-    root = _write_fixture_package(tmp_path_factory.mktemp("raceguard"))
-    return analyze_paths([root / "rgpkg"], root=root)
-
-
-class TestRaceguardCallGraph:
-    def test_submit_closure_is_a_spawn(self, race_report):
-        spawns = {(s.mechanism, s.target) for s in race_report.graph.spawns}
-        assert ("submit", "rgpkg.service.serve.<locals>.worker") in spawns
-
-    def test_reachability_crosses_modules_and_methods(self, race_report):
-        graph = race_report.graph
-        # closure -> handle -> (constructor-typed method, diamond imports)
-        assert graph.is_concurrent("rgpkg.api.handle")
-        assert graph.is_concurrent("rgpkg.engine.Engine.touch")
-        assert graph.is_concurrent("rgpkg.checkact.ensure")
-        assert graph.is_concurrent("rgpkg.writer.bump")
-        # never called from the concurrent region
-        assert not graph.is_concurrent("rgpkg.leak.steal")
-
-    def test_chain_explains_why_a_function_is_concurrent(self, race_report):
-        chain = race_report.graph.chain("rgpkg.engine.Engine.touch")
-        assert chain[0] == "rgpkg.service.serve.<locals>.worker"
-        assert chain[-1] == "rgpkg.engine.Engine.touch"
-
-    def test_payload_inventories_the_shared_state(self, race_report):
-        payload = race_report.payload()
-        assert "rgpkg.state" in payload["modules"]
-        mechanisms = {entry["mechanism"] for entry in payload["entries"]}
-        assert "submit" in mechanisms
-        shared = [
-            entry
-            for entry in payload["globals"]
-            if entry["qualname"] == "rgpkg.state.SHARED"
-        ]
-        assert shared and shared[0]["concurrent"]
-        assert shared[0]["kind"] == "container"
-
-
-class TestRaceguardRules:
-    @pytest.mark.parametrize(
-        "rule_id, path_suffix, fragment",
-        [
-            ("C401", "rgpkg/state.py", "SHARED"),
-            ("C401", "rgpkg/checkact.py", "CACHE"),
-            ("C402", "rgpkg/writer.py", "COUNT"),
-            ("C403", "rgpkg/leak.py", "trace_memo"),
-            ("C404", "rgpkg/boot.py", "FLAG.get"),
-            ("C405", "rgpkg/checkact.py", "CACHE"),
-        ],
-    )
-    def test_seeded_race_is_detected(
-        self, race_report, rule_id, path_suffix, fragment
-    ):
-        hits = [
-            v
-            for v in race_report.violations
-            if v.rule_id == rule_id and v.path == path_suffix
-        ]
-        assert hits, "no %s reported in %s" % (rule_id, path_suffix)
-        assert any(fragment in v.message for v in hits)
-
-    def test_no_unexpected_findings(self, race_report):
-        assert sorted(v.rule_id for v in race_report.violations) == [
-            "C401",
-            "C401",
-            "C402",
-            "C403",
-            "C404",
-            "C405",
-        ]
-
-    def test_run_memo_regression_trips_c401(self, tmp_path):
-        # Re-adding a module-level `_RUN_MEMO`-style dict to a pool-mapped
-        # worker (the exact pre-SimContext shape of sim.runner) must trip
-        # C401 — this is the regression the whole pass exists to prevent.
-        _write_fixture_package(
-            tmp_path,
-            {
-                "rmod/__init__.py": "",
-                "rmod/runner.py": (
-                    "_RUN_MEMO = {}\n"
-                    "\n"
-                    "\n"
-                    "def _run_cell(spec):\n"
-                    "    _RUN_MEMO[spec] = spec\n"
-                    "    return spec\n"
-                    "\n"
-                    "\n"
-                    "def run_suite(pool, specs):\n"
-                    "    return list(pool.map(_run_cell, specs))\n"
-                ),
-            },
-        )
-        report = analyze_paths([tmp_path / "rmod"], root=tmp_path)
-        c401 = [v for v in report.violations if v.rule_id == "C401"]
-        assert c401 and "_RUN_MEMO" in c401[0].message
-        assert "pool.map" in c401[0].message
-
-    def test_lint_ok_suppression_applies_to_c_rules(self, tmp_path):
-        _write_fixture_package(
-            tmp_path,
-            {
-                "supp/__init__.py": "",
-                "supp/mod.py": (
-                    "COUNT = 0\n"
-                    "\n"
-                    "\n"
-                    "def bump():\n"
-                    "    global COUNT\n"
-                    "    COUNT += 1  # lint-ok: C402 fixture-justified write\n"
-                ),
-            },
-        )
-        report = analyze_paths([tmp_path / "supp"], root=tmp_path)
-        assert report.violations == []
-
-    def test_catalogue_is_the_c_series_and_disjoint_from_per_file_rules(self):
-        assert sorted(concurrency_catalogue()) == [
-            "C401",
-            "C402",
-            "C403",
-            "C404",
-            "C405",
-        ]
-        assert not set(concurrency_catalogue()) & set(rule_catalogue())
-
-
-class TestConcurrencyCli:
-    def test_head_is_clean_and_dumps_call_graph(self, tmp_path):
-        out = tmp_path / "callgraph.json"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                str(REPO_ROOT / "tools" / "lint_repro.py"),
-                "--concurrency",
-                "--call-graph-out",
-                str(out),
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        payload = json.loads(out.read_text())
-        targets = {entry["target"] for entry in payload["entries"]}
-        # the real tree's concurrent entry points must all be modelled
-        assert "repro.sim.runner._run_cell" in targets
-        assert "repro.service.worker._child_main" in targets
-        assert "repro.service.worker.WorkerBridge._execute" in targets
-        assert "repro.parallel.executor._timed_call" in targets
-        assert any(target.startswith("tools.load_test.") for target in targets)
-
-    def test_stale_baseline_is_checked_then_pruned(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "entries": [
-                        {
-                            "rule": "C401",
-                            "path": "src/repro/gone.py",
-                            "line_text": "GONE = {}",
-                            "count": 1,
-                        }
-                    ]
-                }
-            )
-        )
-        cli = [sys.executable, str(REPO_ROOT / "tools" / "lint_repro.py")]
-        check = cli + ["--check-baseline", "--baseline-file", str(baseline)]
-        proc = subprocess.run(check, capture_output=True, text=True)
-        assert proc.returncode == 1
-        assert "stale baseline entry: C401" in proc.stdout
-        proc = subprocess.run(
-            cli + ["--prune-baseline", "--baseline-file", str(baseline)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        proc = subprocess.run(check, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-# ---------------------------------------------------------------------------
-# Sanitizer: owner-context rule (the dynamic counterpart of C403)
-
-
-class TestOwnerContextSanitizer:
-    def test_cross_context_memo_mutation_is_caught(self):
-        from repro.simcontext import SimContext, sim_context
-
-        with sanitized() as sanitizer:
-            leaked = SimContext(name="victim").run_memo
-            with sim_context("worker") as context:
-                sanitizer.check_context_owner(context.run_memo, "run memo")
-                with pytest.raises(SanitizerError, match="context owner"):
-                    sanitizer.check_context_owner(leaked, "run memo")
-
-    def test_default_context_owns_its_containers(self):
-        from repro.simcontext import default_context
-
-        with sanitized() as sanitizer:
-            context = default_context()
-            sanitizer.check_context_owner(context.words_hint, "hints")
-            sanitizer.check_context_owner(context.registry_stack, "registry")
-
-    def test_scoped_registry_push_is_checked(self):
-        from repro.simcontext import sim_context
-        from repro.telemetry.registry import scoped_registry
-
-        with sanitized() as sanitizer:
-            with sim_context("scope"):
-                with scoped_registry():
-                    pass
-        assert sanitizer.checks >= 1
-        assert sanitizer.last_check == "context_owner"
-
-    def test_hint_write_hook_runs_and_is_metric_neutral(self):
-        from repro.parallel.instrument import current_stats
-        from repro.simcontext import sim_context
-        from repro.workloads import generate_trace, profile_by_name
-
-        profile = profile_by_name("gcc")
-        with sim_context("plain"):
-            baseline = generate_trace(profile, 64, core_id=0)
-        with sanitized() as sanitizer:
-            with sim_context("guarded") as context:
-                before = current_stats().snapshot().to_payload()
-                guarded = generate_trace(profile, 64, core_id=0)
-                after = current_stats().snapshot().to_payload()
-                assert context.words_hint  # the hook site actually ran
-        assert sanitizer.last_check == "context_owner"
-        assert sanitizer.checks >= 1
-        # same trace, and not a single counted metric moved
-        assert guarded.lines.tolist() == baseline.lines.tolist()
-        assert before == after

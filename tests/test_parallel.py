@@ -7,6 +7,7 @@ never reorder printed figure rows.
 """
 
 import dataclasses
+import os
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.parallel import (
     RunCache,
     cache_key,
     code_fingerprint,
+    default_jobs,
     overridden,
     parallel_map,
     resolve_cache,
@@ -191,6 +193,29 @@ class TestRunCache:
         with overridden(jobs=3):
             assert resolve_jobs() == 3
             assert resolve_jobs(1) == 1
+
+    def test_default_jobs_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert default_jobs() == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert default_jobs() == 3
+
+    def test_unwritable_cache_degrades_to_uncached(self, tmp_path):
+        # A root that is a regular file fails every write (NotADirectoryError).
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        clear_run_memos()
+        with overridden(cache_enabled=False):
+            clean = run_suite([SGX_O], ["mcf"], TINY)
+        clear_run_memos()
+        EXECUTION_STATS.reset()
+        with overridden(cache_enabled=True, cache_dir=str(blocker)):
+            degraded = run_suite([SGX_O], ["mcf"], TINY)
+        assert degraded.results[0].to_payload() == clean.results[0].to_payload()
+        assert EXECUTION_STATS.cache_write_errors >= 1
+        assert EXECUTION_STATS.as_dict()["cache_write_errors"] >= 1
+        assert blocker.is_file()
 
 
 def _result(design, workload, ipc=1.0):

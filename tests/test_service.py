@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.analysis.sanitizer import sanitizer_enabled
 from repro.harness import experiments as experiments_module
 from repro.harness.experiments import run_spec
 from repro.harness.spec import ExperimentSpec
@@ -30,7 +31,7 @@ from repro.service import (
     ServiceError,
     canonical_result_bytes,
 )
-from repro.sim.runner import emit_progress
+from repro.sim.runner import clear_run_memos, emit_progress
 
 
 @pytest.fixture
@@ -315,7 +316,7 @@ def test_progress_event_order_is_jobs_invariant():
 def _install_fake_experiments(monkeypatch, count):
     """Install ``count`` deterministic fake experiments, each emitting a
     burst of progress events and touching telemetry (so concurrent jobs
-    exercise their children's fresh contexts, not just the marshalling)."""
+    exercise their children's registries, not just the marshalling)."""
     from repro.telemetry import get_registry
 
     names = ["fakestress%d" % index for index in range(count)]
@@ -488,20 +489,19 @@ def test_cancel_is_isolated_between_workers(service_factory, monkeypatch):
     assert stats["runs"] == 2
 
 
+_QUICK_GRID = {
+    "experiment": "grid",
+    "scale": "quick",
+    "designs": ["SGX_O"],
+    "seeds": [1],
+}
+
+
 def test_service_bytes_equal_an_in_process_run(service_factory):
     """A job's bytes, simulated in a forked child, equal the canonical
     bytes of the same spec run in this process."""
     _service, client = service_factory(workers=2)
-    specs = [
-        {"experiment": "table1"},
-        {"experiment": "sdc"},
-        {
-            "experiment": "grid",
-            "scale": "quick",
-            "designs": ["SGX_O"],
-            "seeds": [1],
-        },
-    ]
+    specs = [{"experiment": "table1"}, {"experiment": "sdc"}, _QUICK_GRID]
     tickets = [client.submit(spec) for spec in specs]
     assert [t["disposition"] for t in tickets] == ["accepted"] * len(specs)
     for spec, ticket in zip(specs, tickets):
@@ -511,6 +511,49 @@ def test_service_bytes_equal_an_in_process_run(service_factory):
             )
         assert client.result_bytes(ticket["id"], max_wait_s=120.0) == expected
     assert client.stats()["service"]["runs"] == len(specs)
+
+
+@pytest.mark.skipif(
+    sanitizer_enabled(), reason="the sanitizer turns the run memo off"
+)
+def test_job_child_inherits_the_parents_warm_memos(service_factory, tmp_path):
+    """A job child starts from the memos it inherits at fork: a spec this
+    process already simulated replays there from memory, byte-identical."""
+    spec = ExperimentSpec.from_payload(_QUICK_GRID)
+    clear_run_memos()
+    with overridden(cache_enabled=False):
+        expected = canonical_result_bytes(run_spec(spec, quiet=True))
+        # With the cell cache off in the child too, its only source of
+        # cached cells is the memo it inherited.
+        _service, client = service_factory(
+            workers=1, cache_dir=str(tmp_path / "fresh-cache")
+        )
+    ticket = client.submit(_QUICK_GRID)
+    assert ticket["disposition"] == "accepted"
+    assert client.result_bytes(ticket["id"], max_wait_s=120.0) == expected
+    events = client.stream_events(ticket["id"], poll_wait_s=1.0, max_wait_s=30.0)
+    cells = [event for event in events if event["kind"] == "cell"]
+    assert cells and all(cell["cached"] for cell in cells)
+    assert client.stats()["service"]["runs"] == 1
+
+
+def test_unwritable_cache_still_finishes_the_job(service_factory, tmp_path):
+    """A cache root that is a regular file costs the cache, not the job."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    clear_run_memos()
+    with overridden(cache_dir=str(blocker)):
+        _service, client = service_factory(workers=1, cache_dir=str(blocker))
+    ticket = client.submit(_QUICK_GRID)
+    assert ticket["disposition"] == "accepted"
+    raw = client.result_bytes(ticket["id"], max_wait_s=120.0)
+    assert client.status(ticket["id"])["state"] == "done"
+    with overridden(cache_enabled=False):
+        expected = canonical_result_bytes(
+            run_spec(ExperimentSpec.from_payload(_QUICK_GRID), quiet=True)
+        )
+    assert raw == expected
+    assert blocker.is_file()
 
 
 def test_killed_child_fails_its_job_and_the_slot_serves_the_next(

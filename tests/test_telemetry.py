@@ -295,6 +295,7 @@ class TestExecutionStats:
             "cache_misses",
             "cache_corrupt",
             "cache_evictions",
+            "cache_write_errors",
             "memo_evictions",
             "pool_spawns",
             "pool_maps",

@@ -5,20 +5,15 @@ Usage:
 
     python tools/lint_repro.py                 # lint src/repro, all findings
     python tools/lint_repro.py --baseline      # fail only on NEW findings
-    python tools/lint_repro.py --concurrency   # add the C4xx whole-program pass
     python tools/lint_repro.py --write-baseline  # accept current findings
     python tools/lint_repro.py --prune-baseline  # drop stale baseline entries
     python tools/lint_repro.py --check-baseline  # fail if baseline has stale entries
     python tools/lint_repro.py --list-rules    # print the rule catalogue
     python tools/lint_repro.py path/to/file.py # lint specific files/dirs
 
-The per-file rules (D/P/H series) check each file independently; the
-concurrency rules (C4xx) are whole-program: with ``--concurrency`` the
-analyzer always models ``src/repro`` plus ``tools`` (the load-test threads
-are a concurrent entry point) and then reports only the findings located in
-the requested paths. ``--call-graph-out`` dumps the analyzer's model —
-modules, call edges, concurrency entries, reachability, and the shared
-mutable-state inventory — as JSON (implies ``--concurrency``).
+The rules (D/P/H series) check each file independently. Baseline
+maintenance (``--prune-baseline`` / ``--check-baseline``) lints the same
+paths as a plain run.
 
 Exit status: 0 when no (new) violations, 1 otherwise.
 """
@@ -26,20 +21,16 @@ Exit status: 0 when no (new) violations, 1 otherwise.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis import (  # noqa: E402
-    ConcurrencyReport,
     Violation,
-    analyze_paths,
-    concurrency_catalogue,
     lint_paths,
     load_baseline,
     new_violations,
@@ -48,11 +39,7 @@ from repro.analysis import (  # noqa: E402
 from repro.analysis.linter import write_baseline  # noqa: E402
 
 DEFAULT_TARGET = REPO_ROOT / "src" / "repro"
-TOOLS_DIR = REPO_ROOT / "tools"
-DEFAULT_BASELINE = TOOLS_DIR / "lint_baseline.json"
-#: What the concurrency analyzer always models, whatever paths were asked
-#: for: the package plus tools/ (tools/load_test.py spawns threads into it).
-ANALYSIS_SCOPE = (DEFAULT_TARGET, TOOLS_DIR)
+DEFAULT_BASELINE = REPO_ROOT / "tools" / "lint_baseline.json"
 
 
 def _display(path: Path) -> str:
@@ -60,38 +47,6 @@ def _display(path: Path) -> str:
         return str(path.resolve().relative_to(REPO_ROOT))
     except ValueError:
         return str(path)
-
-
-def _relative_prefixes(targets: Sequence[Path]) -> List[str]:
-    prefixes = []
-    for target in targets:
-        try:
-            prefixes.append(target.resolve().relative_to(REPO_ROOT).as_posix())
-        except ValueError:
-            prefixes.append(target.as_posix())
-    return prefixes
-
-
-def _in_targets(path: str, prefixes: Sequence[str]) -> bool:
-    return any(
-        path == prefix or path.startswith(prefix + "/") for prefix in prefixes
-    )
-
-
-def _collect(
-    targets: Sequence[Path], concurrency: bool
-) -> Tuple[List[Violation], Optional[ConcurrencyReport]]:
-    """All findings for ``targets`` (+ the report when the C-pass ran)."""
-    violations = lint_paths(targets, root=REPO_ROOT)
-    report = None
-    if concurrency:
-        report = analyze_paths(list(ANALYSIS_SCOPE), root=REPO_ROOT)
-        prefixes = _relative_prefixes(targets)
-        violations.extend(
-            v for v in report.violations if _in_targets(v.path, prefixes)
-        )
-        violations.sort(key=lambda v: (v.path, v.line, v.rule_id))
-    return violations, report
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -122,25 +77,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--prune-baseline",
         action="store_true",
-        help="rewrite the baseline keeping only entries still found today "
-        "(full scope, both passes); exits 0",
+        help="rewrite the baseline keeping only entries still found today; "
+        "exits 0",
     )
     parser.add_argument(
         "--check-baseline",
         action="store_true",
         help="fail (exit 1) listing baseline entries no longer found today",
-    )
-    parser.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="also run the whole-program context-safety pass (C4xx rules)",
-    )
-    parser.add_argument(
-        "--call-graph-out",
-        type=Path,
-        metavar="PATH",
-        help="write the concurrency analyzer's call-graph/state model as "
-        "JSON (implies --concurrency)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
@@ -151,22 +94,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for rule_id, rule in rule_catalogue().items():
             print(f"{rule_id}  {rule.title}")
             print(f"      {rule.rationale}")
-        for rule_id, conc_rule in concurrency_catalogue().items():
-            print(f"{rule_id}  {conc_rule.title}")
-            print(f"      {conc_rule.rationale}")
         return 0
 
-    concurrency = bool(args.concurrency or args.call_graph_out)
+    targets = args.paths or [DEFAULT_TARGET]
+    targets = [p if p.is_absolute() else (REPO_ROOT / p) for p in targets]
+    violations = lint_paths(targets, root=REPO_ROOT)
 
-    # Baseline maintenance always sees the full picture — every path either
-    # pass can report on — so a C4xx baseline entry is never misjudged stale
-    # just because the C-pass didn't run.
     if args.prune_baseline or args.check_baseline:
-        current, _ = _collect(list(ANALYSIS_SCOPE), concurrency=True)
         baseline = load_baseline(args.baseline_file)
         budget = Counter(baseline)
         kept: List[Violation] = []
-        for violation in current:
+        for violation in violations:
             key = violation.baseline_key()
             if budget.get(key, 0) > 0:
                 budget[key] -= 1
@@ -192,21 +130,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{len(kept)} finding(s) kept in {_display(args.baseline_file)}"
         )
         return 0
-
-    targets = args.paths or [DEFAULT_TARGET]
-    targets = [p if p.is_absolute() else (REPO_ROOT / p) for p in targets]
-    violations, report = _collect(targets, concurrency=concurrency)
-
-    if args.call_graph_out and report is not None:
-        out_path = args.call_graph_out
-        if not out_path.is_absolute():
-            out_path = REPO_ROOT / out_path
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(
-            json.dumps(report.payload(), indent=2, sort_keys=False) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote call-graph model to {out_path}")
 
     if args.write_baseline:
         write_baseline(args.baseline_file, violations)
