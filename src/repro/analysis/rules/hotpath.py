@@ -266,13 +266,12 @@ class AdHocProcessPoolRule(Rule):
         "processes: a pool constructed anywhere else pays spawn + module "
         "re-import per call (the cost the persistent pool amortises), "
         "escapes the fork-safety and shutdown bookkeeping, and its cells "
-        "bypass ExecutionStats. Fan out through parallel_map, or the "
-        "ephemeral pool_policy if a cold pool is genuinely required."
+        "bypass ExecutionStats. Fan out through parallel_map."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if ctx.in_package("parallel"):
-            return  # the pool module and the ephemeral baseline live here
+            return  # the pool module lives here
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -691,7 +691,6 @@ def run_experiment(
     quiet: bool = False,
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
-    plan: bool = True,
 ) -> object:
     """Run one registered experiment under an execution-context override.
 
@@ -701,15 +700,13 @@ def run_experiment(
     experiment service all execute requests through one validated path.
 
     ``name="all"`` runs every registered experiment through the whole-run
-    planner (one globally-deduped fan-out, then per-figure assembly);
-    ``plan=False`` restores the legacy figure-at-a-time loop. ``plan`` is
-    ignored for single experiments.
+    planner (one globally-deduped fan-out, then per-figure assembly).
     """
     if name == "all":
         from repro.harness.plan import run_all_experiments
 
         return run_all_experiments(
-            scale=scale, quiet=quiet, jobs=jobs, cache=cache, plan=plan
+            scale=scale, quiet=quiet, jobs=jobs, cache=cache
         )
     spec = ExperimentSpec(experiment=name, scale=resolve_scale(scale).name)
     return run_spec(spec, quiet=quiet, jobs=jobs, cache=cache)

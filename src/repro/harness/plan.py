@@ -1,4 +1,4 @@
-"""Whole-run execution planning: global cell dedup + makespan-aware dispatch.
+"""Whole-run execution planning: global cell dedup + one fan-out.
 
 A full evaluation run (``synergy-repro all``) regenerates 16 tables and
 figures whose performance grids overlap heavily — the SGX_O/SGX/Synergy
@@ -18,10 +18,8 @@ The planner turns the run inside out:
    memo or the on-disk cache are dropped via *silent* probes (no
    hit/miss counting: the assembly phase owns the counters).
 3. **Dispatch** — the remaining cells run in a *single* fan-out through
-   the persistent pool, ordered longest-processing-time-first by a cost
-   model fed from recorded wall times (the fingerprint-free timing
-   sidecar; cold cells fall back to a scale-derived estimate). LPT +
-   ``chunksize=1`` dynamic scheduling minimises the makespan tail.
+   the persistent pool, in first-request order; ``chunksize=1`` dynamic
+   scheduling hands each worker the next cell as it frees up.
 4. **Assemble** — the figures then run unchanged; every grid cell they
    request is a memo/cache hit, so their outputs are bit-identical to
    the legacy path (cells are pure functions of their key, and hits
@@ -39,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.analysis.sanitizer import get_sanitizer
 from repro.harness.scales import Scale, resolve_scale
 from repro.parallel import resolve_cache, resolve_jobs
-from repro.parallel.runcache import RunCache
 from repro.secure.designs import (
     IVEC,
     LOTECC,
@@ -55,7 +52,7 @@ from repro.secure.designs import (
 )
 from repro.sim.config import SystemConfig
 from repro.sim.energy import SystemEnergyParams
-from repro.sim.runner import cell_cost_key, cell_key, is_memoised, run_cells
+from repro.sim.runner import cell_key, is_memoised, run_cells
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -81,12 +78,6 @@ class CellSpec:
     def key(self) -> str:
         """Run-cache identity — what dedup and the figures agree on."""
         return cell_key(
-            self.design, self.workload, self.config, self.energy, self.seed
-        )
-
-    def cost_key(self) -> str:
-        """Fingerprint-free identity for recorded wall times."""
-        return cell_cost_key(
             self.design, self.workload, self.config, self.energy, self.seed
         )
 
@@ -196,79 +187,33 @@ class ExecutionPlan:
         return self.requested - self.unique
 
 
+def _unique(cells: Sequence[CellSpec]) -> List[CellSpec]:
+    """``cells`` without repeated keys, in first-request order."""
+    seen: Dict[str, CellSpec] = {}
+    for cell in cells:
+        seen.setdefault(cell.key(), cell)
+    return list(seen.values())
+
+
 def plan_experiments(
     names: Sequence[str], scale: object = None
 ) -> ExecutionPlan:
     """Enumerate and globally dedup every cell the experiments will need."""
     scale = resolve_scale(scale)
-    seen: Dict[str, CellSpec] = {}
-    requested = 0
+    requested: List[CellSpec] = []
     per_experiment: Dict[str, int] = {}
     for name in names:
         source = CELL_SOURCES.get(name)
         cells = source(scale) if source is not None else []
         per_experiment[name] = len(cells)
-        requested += len(cells)
-        for cell in cells:
-            seen.setdefault(cell.key(), cell)
+        requested.extend(cells)
     return ExecutionPlan(
         experiments=tuple(names),
         scale=scale,
-        cells=list(seen.values()),
-        requested=requested,
+        cells=_unique(requested),
+        requested=len(requested),
         per_experiment=per_experiment,
     )
-
-
-# ---------------------------------------------------------------------------
-# Cost model + LPT ordering
-# ---------------------------------------------------------------------------
-
-#: Cold-cell fallback: seconds per simulated access (per core), calibrated
-#: loosely against quick-scale runs. Only *relative* magnitudes matter —
-#: the estimate seeds an ordering, never a result.
-_SECONDS_PER_ACCESS = 5e-5
-
-
-def estimate_cell_seconds(cell: CellSpec) -> float:
-    """Scale-derived cost estimate for a never-measured cell."""
-    config = cell.config
-    return _SECONDS_PER_ACCESS * config.accesses_per_core * config.num_cores
-
-
-@dataclass
-class CostModel:
-    """Per-cell wall-time estimates: recorded timings, else scale-derived.
-
-    Recorded timings come from the run cache's fingerprint-free sidecar
-    (``RunCache.timing``), written every time a cell executes — so the
-    model improves monotonically and survives code changes, sessions and
-    processes.
-    """
-
-    cache: Optional[RunCache] = None
-
-    def estimate(self, cell: CellSpec) -> float:
-        if self.cache is not None:
-            recorded = self.cache.timing(cell.cost_key())
-            if recorded is not None and recorded > 0:
-                return recorded
-        return estimate_cell_seconds(cell)
-
-
-def lpt_order(
-    cells: Sequence[CellSpec],
-    cost: Callable[[CellSpec], float],
-) -> List[CellSpec]:
-    """Longest-processing-time-first schedule of ``cells``.
-
-    With ``chunksize=1`` dynamic dispatch, submitting the most expensive
-    cells first is the classic LPT list schedule: no straggler can start
-    last, bounding the makespan at (4/3 - 1/3m) x optimal. Ties break on
-    (label, key) so the order — and therefore the progress stream — is
-    deterministic whatever the cost table says.
-    """
-    return sorted(cells, key=lambda c: (-cost(c), c.label, c.key()))
 
 
 # ---------------------------------------------------------------------------
@@ -276,85 +221,24 @@ def lpt_order(
 # ---------------------------------------------------------------------------
 
 
-def _dispatch_pending(
-    cells: Sequence[CellSpec],
-    jobs: int,
-    cache: object,
-    summary: Dict[str, object],
-) -> Dict[str, object]:
-    """Probe, LPT-order and execute the not-yet-cached subset of ``cells``.
-
-    Probes are silent (``RunCache.has`` / a memo peek) so the assembly
-    phase's hit/miss counters match the legacy path.
-    """
-    run_cache = resolve_cache(cache)
-    pending: List[CellSpec] = []
-    for cell in cells:
-        key = cell.key()
-        if is_memoised(key):
-            continue
-        if run_cache is not None and run_cache.has(key):
-            continue
-        pending.append(cell)
-    summary["cells_pending"] = len(pending)
-    if not pending:
-        return summary
-    model = CostModel(run_cache)
-    ordered = lpt_order(pending, model.estimate)
-    run_cells(
-        [cell.task() for cell in ordered],
-        labels=[cell.label for cell in ordered],
-        jobs=jobs,
-        cache=run_cache if run_cache is not None else False,
-    )
-    return summary
-
-
-def execute_plan(
-    plan: ExecutionPlan,
-    jobs: Optional[int] = None,
-    cache: object = None,
-) -> Dict[str, object]:
-    """Dispatch a plan's not-yet-cached cells in one LPT-ordered fan-out.
-
-    Returns a summary dict (requested/unique/pending counts, jobs) for
-    reporting; figure outputs come later, from the figures themselves.
-
-    Under the sanitizer this is a no-op: sanitize runs must recompute
-    every cell through ``run_suite``'s checked path.
-    """
-    jobs = resolve_jobs(jobs)
-    summary: Dict[str, object] = {
-        "experiments": list(plan.experiments),
-        "scale": plan.scale.name,
-        "cells_requested": plan.requested,
-        "cells_unique": plan.unique,
-        "cells_deduped": plan.deduped,
-        "cells_pending": 0,
-        "jobs": jobs,
-    }
-    if get_sanitizer() is not None:
-        summary["skipped"] = "sanitizer"
-        return summary
-    return _dispatch_pending(plan.cells, jobs, cache, summary)
-
-
 def execute_cells(
     cells: Sequence[CellSpec],
     jobs: Optional[int] = None,
     cache: object = None,
 ) -> Dict[str, object]:
-    """Dedup and dispatch an ad-hoc cell list (no experiment registry).
+    """Dedup ``cells`` and run the not-yet-cached ones in one fan-out.
 
-    The prefetch entry point for callers that already know their grid —
-    e.g. ``grid_experiment``'s multi-seed sweep. Same probe/LPT/dispatch
-    path and sanitizer stand-down as :func:`execute_plan`.
+    Pending cells go out in first-request order. The memo and disk probes
+    are silent (a memo peek / ``RunCache.has``), so the assembly phase's
+    hit/miss counters match the legacy path. Returns a summary dict
+    (requested/unique/pending counts, jobs) for reporting; results land
+    in the memo and run cache, where the figures then find them.
+
+    Under the sanitizer this is a no-op: sanitize runs must recompute
+    every cell through ``run_suite``'s checked path.
     """
     jobs = resolve_jobs(jobs)
-    seen: Dict[str, CellSpec] = {}
-    for cell in cells:
-        seen.setdefault(cell.key(), cell)
-    unique = list(seen.values())
+    unique = _unique(cells)
     summary: Dict[str, object] = {
         "cells_requested": len(cells),
         "cells_unique": len(unique),
@@ -365,7 +249,38 @@ def execute_cells(
     if get_sanitizer() is not None:
         summary["skipped"] = "sanitizer"
         return summary
-    return _dispatch_pending(unique, jobs, cache, summary)
+    run_cache = resolve_cache(cache)
+    pending = []
+    for cell in unique:
+        key = cell.key()
+        if is_memoised(key) or (run_cache is not None and run_cache.has(key)):
+            continue
+        pending.append(cell)
+    summary["cells_pending"] = len(pending)
+    if pending:
+        run_cells(
+            [cell.task() for cell in pending],
+            labels=[cell.label for cell in pending],
+            jobs=jobs,
+            cache=run_cache if run_cache is not None else False,
+        )
+    return summary
+
+
+def execute_plan(
+    plan: ExecutionPlan,
+    jobs: Optional[int] = None,
+    cache: object = None,
+) -> Dict[str, object]:
+    """Run a plan's not-yet-cached cells (see :func:`execute_cells`)."""
+    summary = execute_cells(plan.cells, jobs=jobs, cache=cache)
+    summary["cells_requested"] = plan.requested
+    summary["cells_deduped"] = plan.deduped
+    return {
+        "experiments": list(plan.experiments),
+        "scale": plan.scale.name,
+        **summary,
+    }
 
 
 def run_all_experiments(
@@ -373,14 +288,12 @@ def run_all_experiments(
     quiet: bool = True,
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
-    plan: bool = True,
 ) -> Dict[str, object]:
-    """Run every registered experiment, planner-prefetched by default.
+    """Run every registered experiment, planner-prefetched.
 
     The ``run_experiment("all")`` entry point: plans and dispatches the
     global unique-cell list once, then assembles each figure in name
-    order exactly as the legacy loop would. Returns ``{name: output}``
-    plus a ``"plan"`` summary entry when planning ran.
+    order. Returns ``{name: output}`` plus a ``"plan"`` summary entry.
     """
     from repro.harness.experiments import EXPERIMENTS, run_experiment
     from repro.parallel import overridden
@@ -394,9 +307,7 @@ def run_all_experiments(
         changes["cache_enabled"] = bool(cache)
     out: Dict[str, object] = {}
     with overridden(**changes):
-        if plan:
-            execution = plan_experiments(names, scale)
-            out["plan"] = execute_plan(execution)
+        out["plan"] = execute_plan(plan_experiments(names, scale))
         for name in names:
             out[name] = run_experiment(name, scale=scale, quiet=quiet)
     return out

@@ -37,7 +37,6 @@ from repro.parallel.runcache import (
     RunCache,
     cache_key,
     code_fingerprint,
-    cost_key,
     default_cache_dir,
     resolve_cache,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "cache_key",
     "code_fingerprint",
     "configure",
-    "cost_key",
     "default_cache_dir",
     "default_jobs",
     "get_context",

@@ -4,7 +4,7 @@ Every fan-out point (``sim.runner.run_suite``, the Monte-Carlo shard loop)
 resolves its ``jobs``/``cache`` arguments against one process-global
 :class:`ExecutionContext`, so the CLI flags (``--jobs``, ``--no-cache``)
 and environment overrides (``REPRO_JOBS``, ``REPRO_CACHE``,
-``REPRO_CACHE_DIR``, ``REPRO_POOL``) steer every experiment without
+``REPRO_CACHE_DIR``) steer every experiment without
 threading parameters through each figure function.
 """
 
@@ -24,10 +24,6 @@ class ExecutionContext:
     jobs: int = 1  #: worker processes for grid/shard fan-out
     cache_enabled: bool = True  #: consult/populate the on-disk run cache
     cache_dir: Optional[str] = None  #: None -> default location
-    #: "persistent" routes jobs>1 maps through the shared warm pool
-    #: (repro.parallel.pool); "ephemeral" keeps the legacy spawn-per-call
-    #: executor — the benchmark baseline and an escape hatch.
-    pool_policy: str = "persistent"
 
 
 def default_jobs() -> int:
@@ -38,12 +34,6 @@ def default_jobs() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_policy_from_env(raw: Optional[str]) -> str:
-    if raw and raw.lower() in ("ephemeral", "0", "false", "no", "off"):
-        return "ephemeral"
-    return "persistent"
-
-
 def _from_env() -> ExecutionContext:
     jobs = os.environ.get("REPRO_JOBS")
     cache = os.environ.get("REPRO_CACHE", "1")
@@ -51,7 +41,6 @@ def _from_env() -> ExecutionContext:
         jobs=max(1, int(jobs)) if jobs else 1,
         cache_enabled=cache.lower() not in ("0", "false", "no", "off"),
         cache_dir=os.environ.get("REPRO_CACHE_DIR") or None,
-        pool_policy=_pool_policy_from_env(os.environ.get("REPRO_POOL")),
     )
 
 

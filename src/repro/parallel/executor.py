@@ -9,9 +9,11 @@ explicit seeds, not shared state).
 
 ``jobs > 1`` maps dispatch through the shared persistent pool
 (``repro.parallel.pool``) so consecutive fan-outs reuse warm workers;
-the context's ``pool_policy="ephemeral"`` restores the legacy
-spawn-per-call executor (the benchmark baseline). Either way the merge
-contract is identical — ``Executor.map`` yields in submission order.
+``Executor.map`` yields in submission order, which is the merge contract.
+If a worker dies mid-map, the broken pool is dropped and the items not
+yet yielded are re-submitted once to a fresh pool (``exec.cell_retries``);
+cells are pure and content-keyed, so re-running an unfinished one is
+always safe. A second break raises ``BrokenProcessPool``.
 
 ``fn`` must be a module-level function and each item picklable (the
 standard ``ProcessPoolExecutor`` contract).
@@ -20,10 +22,11 @@ standard ``ProcessPoolExecutor`` contract).
 from __future__ import annotations
 
 import time
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.parallel.context import get_context
 from repro.parallel.instrument import EXECUTION_STATS, ExecutionStats
+from repro.parallel.pool import discard_pool, get_pool
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -65,39 +68,34 @@ def parallel_map(
 
     span_started = time.perf_counter()
     outputs: List[_R] = []
+
+    def land(result: _R, elapsed: float) -> None:
+        index = len(outputs)
+        stats.record_cell(labels[index], elapsed)
+        outputs.append(result)
+        if progress is not None:
+            progress(index, labels[index], result, elapsed)
+
     try:
         if workers <= 1:
-            for index, (item, label) in enumerate(zip(items, labels)):
-                result, elapsed = _timed_call((fn, item))
-                stats.record_cell(label, elapsed)
-                outputs.append(result)
-                if progress is not None:
-                    progress(index, label, result, elapsed)
+            for item in items:
+                land(*_timed_call((fn, item)))
         else:
             tasks = [(fn, item) for item in items]
-
-            def drain(batches) -> None:
-                # Executor.map yields in submission order regardless of which
-                # worker finishes first: the deterministic-merge guarantee.
-                for index, (label, (result, elapsed)) in enumerate(
-                    zip(labels, batches)
-                ):
-                    stats.record_cell(label, elapsed)
-                    outputs.append(result)
-                    if progress is not None:
-                        progress(index, label, result, elapsed)
-
-            if get_context().pool_policy == "ephemeral":
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    drain(pool.map(_timed_call, tasks))
-            else:
-                from repro.parallel.pool import get_pool
-
+            for retry in (False, True):
                 pool = get_pool(workers, stats=stats)
                 stats.record_pool_map()
-                drain(pool.map(_timed_call, tasks))
+                try:
+                    for result, elapsed in pool.map(
+                        _timed_call, tasks[len(outputs):]
+                    ):
+                        land(result, elapsed)
+                    break
+                except BrokenProcessPool:
+                    discard_pool(pool)
+                    if retry:
+                        raise
+                    stats.record_cell_retry()
     finally:
         if items:
             stats.record_map(workers, time.perf_counter() - span_started)

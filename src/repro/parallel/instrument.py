@@ -33,6 +33,7 @@ class ExecutionStats:
         self._memo_evictions = self._registry.counter("exec.memo_evictions")
         self._pool_spawns = self._registry.counter("exec.pool_spawns")
         self._pool_maps = self._registry.counter("exec.pool_maps")
+        self._cell_retries = self._registry.counter("exec.cell_retries")
         self._cell_timer = self._registry.timer("exec.cell_seconds")
         self._span_timer = self._registry.timer("exec.span_seconds")
         self._capacity_timer = self._registry.timer("exec.capacity_seconds")
@@ -87,6 +88,10 @@ class ExecutionStats:
         """One batch dispatched through the persistent pool."""
         self._pool_maps.inc()
 
+    def record_cell_retry(self) -> None:
+        """One map re-submitted to a fresh pool after a worker died."""
+        self._cell_retries.inc()
+
     # -- derived metrics ----------------------------------------------------
 
     @property
@@ -128,6 +133,11 @@ class ExecutionStats:
     def pool_maps(self) -> int:
         """Batches dispatched through the persistent pool."""
         return int(self._pool_maps.value)
+
+    @property
+    def cell_retries(self) -> int:
+        """Maps whose unfinished cells were re-run after a worker death."""
+        return int(self._cell_retries.value)
 
     @property
     def pool_spawn_seconds(self) -> float:
@@ -177,6 +187,7 @@ class ExecutionStats:
             "pool_spawns": self.pool_spawns,
             "pool_maps": self.pool_maps,
             "pool_spawn_seconds": round(self.pool_spawn_seconds, 3),
+            "cell_retries": self.cell_retries,
             "cells_executed": self.cells_executed,
             "busy_seconds": round(self.busy_seconds, 3),
             "span_seconds": round(self.span_seconds, 3),

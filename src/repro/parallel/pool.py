@@ -23,10 +23,14 @@ This module owns one long-lived pool instead:
   ``atexit``) joins the workers; tests and benchmarks call it between
   legs so spawn costs are attributed where they happen.
 
+* **drop on break** — when a worker dies mid-map, ``parallel_map``
+  hands the broken pool to :func:`discard_pool` and retries on a fresh
+  one, so a dead worker never outlives the map it broke.
+
 ``ExecutionStats`` observes the lifecycle: ``exec.pool_spawns`` /
 ``exec.pool_spawn_seconds`` at spawn, ``exec.pool_maps`` per dispatched
-batch — the reuse ratio ``pool_maps / pool_spawns`` is what
-``tools/bench_plan.py`` reports as pool-reuse savings.
+batch — the reuse ratio ``pool_maps / pool_spawns`` measures how well
+consecutive fan-outs share warm workers.
 """
 
 from __future__ import annotations
@@ -73,11 +77,6 @@ class PersistentPool:
         )
         self.spawn_seconds = time.perf_counter() - started
 
-    @property
-    def broken(self) -> bool:
-        """True once a worker died mid-batch; the pool must be respawned."""
-        return bool(getattr(self._executor, "_broken", False))
-
     def map(
         self,
         fn: Callable[[_T], _R],
@@ -87,8 +86,7 @@ class PersistentPool:
         """Submission-ordered map (the ``Executor.map`` contract).
 
         ``chunksize=1`` keeps scheduling dynamic: each worker pulls the
-        next task as it frees up, so a longest-first submission order
-        (the planner's LPT schedule) becomes a balanced makespan.
+        next task as it frees up.
         """
         return self._executor.map(fn, tasks, chunksize=chunksize)
 
@@ -120,8 +118,8 @@ def get_pool(
 
     Returns a pool with *at least* ``workers`` workers: an existing
     larger pool is reused as-is, a smaller one is joined and replaced.
-    A handle inherited across ``fork`` (stale pid) or broken by a worker
-    death is abandoned/replaced, never joined. A spawn is recorded on
+    A handle inherited across ``fork`` (stale pid) is abandoned, never
+    joined. A spawn is recorded on
     ``stats`` (the dispatching map's collector) or the process's.
     """
     global _POOL
@@ -130,9 +128,6 @@ def get_pool(
         pool = _POOL
         if pool is not None and pool.pid != os.getpid():
             # Inherited across fork: the workers belong to the parent.
-            pool = _POOL = None
-        if pool is not None and pool.broken:
-            pool.shutdown()
             pool = _POOL = None
         if pool is not None and pool.workers < workers:
             pool.shutdown()
@@ -143,6 +138,18 @@ def get_pool(
             collector = stats if stats is not None else EXECUTION_STATS
             collector.record_pool_spawn(pool.spawn_seconds)
         return pool
+
+
+def discard_pool(pool: PersistentPool) -> None:
+    """Drop ``pool`` (one a worker death broke) and join what is left of it.
+
+    The next :func:`get_pool` spawns a fresh pool.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is pool:
+            _POOL = None
+    pool.shutdown()
 
 
 def shutdown_pool() -> int:

@@ -16,6 +16,8 @@ SHA-256 of everything that determines its output:
 Entries are JSON files under ``<root>/<key[:2]>/<key>.json``, written
 atomically; the default root is ``~/.cache/synergy-repro`` (override with
 ``REPRO_CACHE_DIR`` or ``--no-cache`` / ``REPRO_CACHE=0`` to disable).
+Each entry stores a SHA-256 digest of its payload, checked on every read:
+an altered payload is detected and recomputed, never served.
 """
 
 from __future__ import annotations
@@ -90,18 +92,22 @@ def cache_key(kind: str, **components: object) -> str:
     return hashlib.sha256(serialised.encode("utf-8")).hexdigest()
 
 
-def cost_key(kind: str, **components: object) -> str:
-    """Fingerprint-*free* content address: the cost model's cell identity.
+def canonical_bytes(payload: object) -> bytes:
+    """The canonical JSON encoding of a payload (what the digest covers).
 
-    Identical to :func:`cache_key` minus the code version. Cache entries
-    die with every source edit (the only safe rule for results), but a
-    cell's *wall time* is a property of its shape, not of the exact code
-    revision — so recorded timings are keyed without the fingerprint and
-    keep seeding the planner's LPT schedule across code changes.
+    Round-trips through ``json`` first so a fresh in-process result and one
+    read back from disk (where non-string dict keys have already been
+    stringified) serialise to *identical bytes*.
     """
-    payload = {"kind": kind, "components": _canonical(components)}
-    serialised = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(serialised.encode("utf-8")).hexdigest()
+    normalised = json.loads(json.dumps(payload))
+    return json.dumps(
+        normalised, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+
+
+def payload_digest(payload: object) -> str:
+    """SHA-256 of :func:`canonical_bytes` — the entry's integrity check."""
+    return hashlib.sha256(canonical_bytes(payload)).hexdigest()
 
 
 def default_cache_dir() -> str:
@@ -129,11 +135,12 @@ class RunCache:
     def get(self, key: str, label: str = "") -> Optional[object]:
         """The cached payload for ``key``, or ``None`` (counts hit/miss).
 
-        A *corrupt* entry — the file exists but does not parse, or parses
-        to something without a ``payload`` — is treated as a miss, counted
-        separately (``exec.cache_corrupt``), and deleted so a writer killed
-        mid-flight (or a bad disk) can never poison later runs. Hits are
-        touched (mtime) so size-budgeted eviction is LRU, not FIFO.
+        A *corrupt* entry — the file exists but does not parse, parses to
+        something without a ``payload``, or its payload no longer matches
+        the stored ``digest`` — is treated as a miss, counted separately
+        (``exec.cache_corrupt``), and deleted so a writer killed mid-flight
+        (or a bad disk) can never poison later runs: the caller recomputes.
+        Hits are touched (mtime) so size-budgeted eviction is LRU, not FIFO.
         """
         path = self.path_for(key)
         try:
@@ -145,6 +152,8 @@ class RunCache:
         try:
             entry = json.loads(raw)
             payload = entry["payload"]
+            if entry["digest"] != payload_digest(payload):
+                raise ValueError("payload digest mismatch")
         except (ValueError, KeyError, TypeError):
             self._stats.record_cache_corrupt(label)
             self._stats.record_cache_miss(label)
@@ -166,49 +175,26 @@ class RunCache:
         The planner scans the whole unique-cell list before dispatch;
         counting those probes as hits/misses would double every counter
         the assembly phase later records, so existence checks touch
-        neither the stats nor the entry's mtime.
+        neither the stats nor the entry's mtime. Nor do they check the
+        digest: the assembly phase's :meth:`get` does, and its caller
+        recomputes a bad entry.
         """
         return os.path.isfile(self.path_for(key))
 
-    def put(self, key: str, payload: object, meta: Optional[dict] = None) -> None:
+    def put(self, key: str, payload: object) -> None:
         """Store one cell result (atomic rename; concurrent-writer safe).
 
-        ``meta`` rides alongside the payload (e.g. ``{"seconds": ...}``,
-        the recorded wall time run_suite attaches) without perturbing it:
-        ``get`` returns the payload only, so metadata can never leak into
-        figure outputs. An unwritable root is counted
-        (``exec.cache_write_errors``) and the caller carries on uncached.
+        The entry carries the payload's digest, which :meth:`get` checks.
+        An unwritable root is counted (``exec.cache_write_errors``) and
+        the caller carries on uncached.
         """
-        entry = {"key": key, "fingerprint": code_fingerprint(), "payload": payload}
-        if meta:
-            entry["meta"] = meta
-        self._write_json(self.path_for(key), entry)
-
-    def meta(self, key: str) -> Optional[dict]:
-        """The entry's stored metadata, if any (silent, like :meth:`has`)."""
-        try:
-            with open(self.path_for(key), "r") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        found = entry.get("meta") if isinstance(entry, dict) else None
-        return found if isinstance(found, dict) else None
-
-    # -- cost-model timing sidecar ------------------------------------------
-    #
-    # Timings live under <root>/costs/, keyed by the fingerprint-free
-    # cost_key(), in their own subtree so entries()/clear()/__len__ (and
-    # therefore budget eviction) never mistake them for cell results.
-
-    def _cost_path(self, key: str) -> str:
-        return os.path.join(self.root, "costs", key[:2], key + ".json")
-
-    def record_timing(self, key: str, seconds: float) -> None:
-        """Record one cell's wall time under its cost key (last write wins)."""
-        self._write_json(self._cost_path(key), {"seconds": float(seconds)})
-
-    def _write_json(self, path: str, entry: dict) -> None:
-        """Atomically write ``entry`` to ``path``; count an unwritable root."""
+        entry = {
+            "key": key,
+            "fingerprint": code_fingerprint(),
+            "digest": payload_digest(payload),
+            "payload": payload,
+        }
+        path = self.path_for(key)
         temp_path = ""
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -226,15 +212,6 @@ class RunCache:
                 with contextlib.suppress(OSError):
                     os.unlink(temp_path)
 
-    def timing(self, key: str) -> Optional[float]:
-        """The recorded wall seconds for a cost key, or ``None``."""
-        try:
-            with open(self._cost_path(key), "r") as handle:
-                entry = json.load(handle)
-            return float(entry["seconds"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
     def entries(self) -> list:
         """Every entry as ``(mtime, size_bytes, path)``, oldest first.
 
@@ -244,9 +221,7 @@ class RunCache:
         found = []
         if not os.path.isdir(self.root):
             return found
-        for directory, dirs, files in os.walk(self.root):
-            if directory == self.root and "costs" in dirs:
-                dirs.remove("costs")  # timing sidecar: not cache entries
+        for directory, _dirs, files in os.walk(self.root):
             for name in files:
                 if not name.endswith(".json"):
                     continue
@@ -289,17 +264,11 @@ class RunCache:
         return evicted
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed.
-
-        Timing sidecar files survive: they are fingerprint-free cost
-        estimates, still valid after the results they came from are gone.
-        """
+        """Delete every entry; returns how many were removed."""
         removed = 0
         if not os.path.isdir(self.root):
             return removed
-        for directory, dirs, files in os.walk(self.root):
-            if directory == self.root and "costs" in dirs:
-                dirs.remove("costs")
+        for directory, _dirs, files in os.walk(self.root):
             for name in files:
                 if name.endswith(".json"):
                     os.unlink(os.path.join(directory, name))
@@ -310,9 +279,7 @@ class RunCache:
         count = 0
         if not os.path.isdir(self.root):
             return count
-        for directory, dirs, files in os.walk(self.root):
-            if directory == self.root and "costs" in dirs:
-                dirs.remove("costs")
+        for directory, _dirs, files in os.walk(self.root):
             count += sum(1 for name in files if name.endswith(".json"))
         return count
 

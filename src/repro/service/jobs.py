@@ -20,14 +20,13 @@ mutation happens on the event-loop thread (bridge threads marshal through
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 import time
 from collections import OrderedDict
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.harness.spec import ExperimentSpec
-from repro.parallel.runcache import RunCache
+from repro.parallel.runcache import RunCache, canonical_bytes
 from repro.telemetry import MetricsRegistry, MetricsSnapshot
 
 #: Job lifecycle states.
@@ -51,18 +50,11 @@ class JobCancelled(Exception):
     """Raised inside a bridge thread when its job's cancel flag is set."""
 
 
-def canonical_result_bytes(payload: object) -> bytes:
-    """The canonical JSON encoding of an experiment result.
-
-    Round-trips through ``json`` first so a fresh in-process result and one
-    revived from the on-disk cache (where non-string dict keys have already
-    been stringified) serialise to *identical bytes* — the property the
-    coalescing tests pin.
-    """
-    normalised = json.loads(json.dumps(payload))
-    return json.dumps(
-        normalised, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+#: The canonical JSON encoding of an experiment result: a fresh in-process
+#: result and one revived from the on-disk cache serialise to *identical
+#: bytes* — the property the coalescing tests pin. The run cache's payload
+#: digest hashes the same form.
+canonical_result_bytes = canonical_bytes
 
 
 class ServiceStats:

@@ -35,7 +35,7 @@ from repro.parallel import (
     resolve_cache,
     resolve_jobs,
 )
-from repro.parallel.runcache import RunCache, cache_key, cost_key
+from repro.parallel.runcache import RunCache, cache_key
 from repro.secure.designs import SecureDesign
 from repro.sim.config import SystemConfig
 from repro.sim.energy import SystemEnergyParams, system_energy
@@ -463,44 +463,18 @@ def cell_key(
     return _cell_key(design, workload, config, energy_params, seed)
 
 
-def cell_cost_key(
-    design: SecureDesign,
-    workload: Union[str, WorkloadProfile],
-    config: SystemConfig,
-    energy_params: Optional[SystemEnergyParams] = None,
-    seed: Optional[int] = None,
-) -> str:
-    """Fingerprint-free identity for the cell's recorded wall time."""
-    return cost_key(
-        "run_workload",
-        design=design,
-        workload=workload,
-        config=config,
-        energy=energy_params or SystemEnergyParams(),
-        seed=seed,
-    )
-
-
 def _store_result(
     run_cache: Optional[RunCache],
     memo_on: bool,
     key: Optional[str],
-    task: Tuple,
     result: RunResult,
-    seconds: float,
 ) -> None:
-    """Persist one executed cell: disk entry (with wall-time metadata and
-    the cost-model timing sidecar) plus the in-process memo."""
+    """Persist one executed cell: disk entry plus the in-process memo."""
     if key is None:
         return
     payload = result.to_payload()
     if run_cache is not None:
-        run_cache.put(key, payload, meta={"seconds": round(seconds, 6)})
-        design, workload, config, energy_params, seed = task
-        run_cache.record_timing(
-            cell_cost_key(design, workload, config, energy_params, seed),
-            seconds,
-        )
+        run_cache.put(key, payload)
     if memo_on:
         _memo_put(key, json.dumps(payload))
 
@@ -623,17 +597,11 @@ def run_suite(
 
     if pending:
         emit = progress  # bind for the closure; progress stays Optional
-        cell_seconds: List[float] = []
 
         def cell_progress_cb(index, label, result, elapsed):
-            # Always capture the wall time (it feeds the stored entry's
-            # metadata and the planner's cost model); forward to the user
-            # callback only when one is installed.
             nonlocal done
-            cell_seconds.append(elapsed)
-            if emit is not None:
-                done += 1
-                emit(_cell_event(label, done, total, False, elapsed, result))
+            done += 1
+            emit(_cell_event(label, done, total, False, elapsed, result))
 
         tasks = [
             (design, workload, config, energy_params, seed)
@@ -644,13 +612,11 @@ def run_suite(
             tasks,
             jobs=jobs,
             labels=[label for _cell, _key, label in pending],
-            progress=cell_progress_cb,
+            progress=cell_progress_cb if emit is not None else None,
         )
-        for (cell, key, _label), task, result, seconds in zip(
-            pending, tasks, results, cell_seconds
-        ):
+        for (cell, key, _label), result in zip(pending, results):
             finished[cell] = result
-            _store_result(run_cache, memo_on, key, task, result, seconds)
+            _store_result(run_cache, memo_on, key, result)
 
     table = ResultTable()
     for cell in cells:
@@ -673,10 +639,9 @@ def run_cells(
     The whole-run planner's dispatch primitive: unlike :func:`run_suite`
     this neither probes nor dedups — the planner already did both — it
     fans the tasks (``(design, workload, config, energy_params, seed)``
-    tuples) over ``jobs`` workers in the order supplied (the planner's
-    LPT order), stores each result exactly as ``run_suite`` would (disk
-    entry with wall-time metadata, cost-model timing, in-process memo), and
-    returns results in submission order.
+    tuples) over ``jobs`` workers in the order supplied, stores each
+    result exactly as ``run_suite`` would (disk entry plus in-process
+    memo), and returns results in submission order.
 
     Per-cell completion is streamed through the
     :func:`cell_progress` hook as ``cell`` events (``planned: True``), so
@@ -694,24 +659,20 @@ def run_cells(
         ]
     hook = _active_progress(None)
     total = len(tasks)
-    cell_seconds: List[float] = []
 
     def on_cell(index, label, result, elapsed):
-        cell_seconds.append(elapsed)
-        if hook is not None:
-            event = _cell_event(label, index + 1, total, False, elapsed, result)
-            event["planned"] = True
-            hook(event)
+        event = _cell_event(label, index + 1, total, False, elapsed, result)
+        event["planned"] = True
+        hook(event)
 
     results = parallel_map(
-        _run_cell, tasks, jobs=jobs, labels=labels, progress=on_cell
+        _run_cell,
+        tasks,
+        jobs=jobs,
+        labels=labels,
+        progress=on_cell if hook is not None else None,
     )
-    for task, result, seconds in zip(tasks, results, cell_seconds):
-        design, workload, config, energy_params, seed = task
-        key = (
-            _cell_key(design, workload, config, energy_params, seed)
-            if run_cache is not None or memo_on
-            else None
-        )
-        _store_result(run_cache, memo_on, key, task, result, seconds)
+    for task, result in zip(tasks, results):
+        key = _cell_key(*task) if run_cache is not None or memo_on else None
+        _store_result(run_cache, memo_on, key, result)
     return results

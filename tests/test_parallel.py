@@ -7,7 +7,9 @@ never reorder printed figure rows.
 """
 
 import dataclasses
+import json
 import os
+import re
 
 import pytest
 
@@ -32,7 +34,7 @@ from repro.reliability.schemes import SECDED_SCHEME, SYNERGY_SCHEME
 from repro.secure.designs import SGX_O, SYNERGY
 from repro.sim.config import SystemConfig
 from repro.sim.results import ResultTable, RunResult
-from repro.sim.runner import clear_run_memos, run_suite
+from repro.sim.runner import cell_key, clear_run_memos, run_suite
 
 #: Tiny grid: big enough to exercise warm-up, caches and both designs,
 #: small enough that the golden comparison runs twice in seconds.
@@ -135,6 +137,37 @@ class TestRunCache:
         assert len(cache) == 1
         assert cache.clear() == 1
         assert cache.get(key) is None
+
+    def test_integer_dict_keys_round_trip_as_a_hit(self, tmp_path):
+        # JSON stringifies int keys on disk; the digest is taken over the
+        # round-tripped form, so this is no false mismatch.
+        stats = ExecutionStats()
+        cache = RunCache(str(tmp_path), stats=stats)
+        key = cache_key("unit", value=4)
+        cache.put(key, {1: "a", "nested": {2: [3.5, None]}})
+        assert cache.get(key) == {"1": "a", "nested": {"2": [3.5, None]}}
+        assert stats.cache_hits == 1 and stats.cache_corrupt == 0
+
+    def test_flipped_digit_in_warm_cache_is_recomputed(self, tmp_path):
+        clear_run_memos()
+        with overridden(cache_enabled=False):
+            clean = run_suite([SGX_O], ["mcf"], TINY).results[0].to_payload()
+        clear_run_memos()
+        with overridden(cache_enabled=True, cache_dir=str(tmp_path)):
+            run_suite([SGX_O], ["mcf"], TINY)
+            path = RunCache(str(tmp_path)).path_for(cell_key(SGX_O, "mcf", TINY))
+            with open(path) as handle:
+                raw = handle.read()
+            digit = re.search(r'"ipc": \d+\.(\d)', raw)
+            flipped = str((int(digit.group(1)) + 1) % 10)
+            with open(path, "w") as handle:
+                handle.write(raw[: digit.start(1)] + flipped + raw[digit.end(1) :])
+            clear_run_memos()
+            EXECUTION_STATS.reset()
+            again = run_suite([SGX_O], ["mcf"], TINY).results[0].to_payload()
+        assert again == clean
+        assert EXECUTION_STATS.cache_corrupt == 1
+        assert EXECUTION_STATS.cells_executed == 1
 
     def test_key_sensitive_to_config_fields(self):
         base = cache_key("run_workload", design=SGX_O, config=TINY)

@@ -1,4 +1,4 @@
-"""Whole-grid execution planner: dedup, LPT scheduling, byte-identity.
+"""Whole-grid execution planner: dedup, one fan-out, byte-identity.
 
 The contracts under test:
 
@@ -9,14 +9,16 @@ The contracts under test:
 * after a planned prefetch, assembling a planned figure executes *zero*
   cells — the drift guard that keeps ``CELL_SOURCES`` in lock-step with
   the figure functions;
+* the planner's memo and disk probes are silent and skip warm cells;
 * the persistent pool is reused across maps, grows by respawn, survives
-  only in the process that spawned it, and shuts down idempotently;
-* run-cache entries carry wall-time metadata and the fingerprint-free
-  timing sidecar that feeds the cost model.
+  only in the process that spawned it, shuts down idempotently, and is
+  replaced once mid-map when a worker dies.
 """
 
 import hashlib
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -25,11 +27,8 @@ from repro.harness.experiments import EXPERIMENTS, UNSCALED, _workloads
 from repro.harness.plan import (
     CELL_SOURCES,
     CellSpec,
-    CostModel,
-    estimate_cell_seconds,
     execute_cells,
     execute_plan,
-    lpt_order,
     plan_experiments,
 )
 from repro.harness.scales import QUICK, Scale
@@ -44,9 +43,9 @@ from repro.parallel import (
     parallel_map,
     shutdown_pool,
 )
-from repro.secure.designs import SGX, SGX_O, SYNERGY
+from repro.secure.designs import SGX_O, SYNERGY
 from repro.sim.config import SystemConfig
-from repro.sim.runner import cell_cost_key, clear_run_memos
+from repro.sim.runner import clear_run_memos
 
 #: The planner deliberately stands down under the invariant sanitizer
 #: (sanitize runs must recompute every cell through the checked path), so
@@ -99,62 +98,7 @@ class TestPlanEnumeration:
         assert any(label.startswith("Synergy/") for label in labels[-3:])
 
 
-class TestLptOrder:
-    def _cells(self):
-        return [
-            CellSpec(design, workload, TINY_CONFIG)
-            for design in (SGX_O, SGX, SYNERGY)
-            for workload in ("mcf", "lbm")
-        ]
-
-    def test_orders_longest_first(self):
-        cells = self._cells()
-        costs = {cell.label: float(index) for index, cell in enumerate(cells)}
-        ordered = lpt_order(cells, lambda cell: costs[cell.label])
-        assert [costs[c.label] for c in ordered] == sorted(
-            costs.values(), reverse=True
-        )
-
-    def test_ties_break_deterministically(self):
-        cells = self._cells()
-        flat = lpt_order(cells, lambda cell: 1.0)
-        assert [c.label for c in flat] == sorted(c.label for c in cells)
-        assert [c.label for c in lpt_order(reversed(cells), lambda c: 1.0)] == [
-            c.label for c in flat
-        ]
-
-
-class TestCostModel:
-    def test_cold_cell_uses_scale_estimate(self):
-        model = CostModel(None)
-        cell = CellSpec(SGX_O, "mcf", TINY_CONFIG)
-        assert model.estimate(cell) == estimate_cell_seconds(cell)
-        bigger = CellSpec(
-            SGX_O, "mcf", SystemConfig(accesses_per_core=2 * 240)
-        )
-        assert estimate_cell_seconds(bigger) == 2 * estimate_cell_seconds(cell)
-
-    def test_recorded_timing_wins(self, tmp_path):
-        cache = RunCache(str(tmp_path))
-        cell = CellSpec(SGX_O, "mcf", TINY_CONFIG)
-        cache.record_timing(cell.cost_key(), 7.25)
-        assert CostModel(cache).estimate(cell) == 7.25
-
-    def test_cost_key_matches_runner(self):
-        cell = CellSpec(SGX_O, "mcf", TINY_CONFIG, seed=3)
-        assert cell.cost_key() == cell_cost_key(
-            SGX_O, "mcf", TINY_CONFIG, None, 3
-        )
-
-
 class TestRunCacheMetadata:
-    def test_put_meta_round_trip(self, tmp_path):
-        cache = RunCache(str(tmp_path))
-        key = cache_key("unit", value=1)
-        cache.put(key, {"answer": 42}, meta={"seconds": 1.5})
-        assert cache.get(key) == {"answer": 42}
-        assert cache.meta(key) == {"seconds": 1.5}
-
     def test_has_probe_is_silent(self, tmp_path):
         stats = ExecutionStats()
         cache = RunCache(str(tmp_path), stats=stats)
@@ -163,17 +107,6 @@ class TestRunCacheMetadata:
         cache.put(key, {"v": 1})
         assert cache.has(key)
         assert stats.cache_hits == 0 and stats.cache_misses == 0
-
-    def test_timing_sidecar_survives_clear(self, tmp_path):
-        cache = RunCache(str(tmp_path))
-        key = cache_key("unit", value=3)
-        cost = "f" * 64
-        cache.put(key, {"v": 1})
-        cache.record_timing(cost, 0.75)
-        assert len(cache) == 1  # the sidecar is not an entry
-        assert cache.clear() == 1
-        assert cache.timing(cost) == 0.75
-        assert cache.timing("0" * 64) is None
 
 
 class TestExecutePlan:
@@ -204,6 +137,18 @@ class TestExecutePlan:
             # Everything is now warm: a re-run dispatches nothing.
             again = execute_cells(cells)
             assert again["cells_pending"] == 0
+            # With the memo gone, the silent disk probe finds the entries:
+            # nothing runs and no hit/miss is counted.
+            clear_run_memos()
+            counters = (EXECUTION_STATS.cache_hits, EXECUTION_STATS.cache_misses)
+            executed = EXECUTION_STATS.cells_executed
+            disk = execute_cells(cells)
+            assert disk["cells_pending"] == 0
+            assert EXECUTION_STATS.cells_executed == executed
+            assert (
+                EXECUTION_STATS.cache_hits,
+                EXECUTION_STATS.cache_misses,
+            ) == counters
 
 
 def _digest(payload) -> str:
@@ -343,11 +288,47 @@ class TestPersistentPool:
         assert shutdown_pool() == 2
         assert shutdown_pool() == 0
 
-    def test_ephemeral_policy_bypasses_pool(self):
+    def test_worker_death_retries_unfinished_items_once(self, tmp_path):
         shutdown_pool()
-        with overridden(pool_policy="ephemeral"):
-            result = parallel_map(
-                _identity, list(range(6)), jobs=2, stats=ExecutionStats()
-            )
-        assert result == list(range(6))
-        assert active_pool() is None
+        stats = ExecutionStats()
+        marker = str(tmp_path / "died")
+        items = [(marker, value) for value in range(6)]
+        seen = []
+        result = parallel_map(
+            _die_once_at_three,
+            items,
+            jobs=2,
+            stats=stats,
+            progress=lambda index, label, value, seconds: seen.append(index),
+        )
+        assert result == [value * value for value in range(6)]
+        assert os.path.exists(marker)
+        assert stats.cell_retries == 1
+        assert stats.as_dict()["cell_retries"] == 1
+        assert seen == list(range(6))  # submission order, each item once
+        assert stats.cells_executed == 6
+        assert stats.pool_spawns == 2  # the broken pool was replaced
+        shutdown_pool()
+
+    def test_second_worker_death_raises(self):
+        shutdown_pool()
+        stats = ExecutionStats()
+        with pytest.raises(BrokenProcessPool):
+            parallel_map(_always_die, [1, 2, 3], jobs=2, stats=stats)
+        assert stats.cell_retries == 1
+        assert active_pool() is None  # the broken pool was dropped
+        # The next map gets a fresh, working pool.
+        assert parallel_map(_identity, [1, 2], jobs=2, stats=stats) == [1, 2]
+        shutdown_pool()
+
+
+def _die_once_at_three(item):
+    marker, value = item
+    if value == 3 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return value * value
+
+
+def _always_die(_item):
+    os._exit(1)

@@ -238,6 +238,23 @@ class TestRunCacheHardening:
             json.dump({"wrong": "shape"}, handle)
         assert cache.get(key) is None
         assert stats.cache_corrupt == 2
+        # A parseable entry whose payload no longer matches its digest
+        # (or that carries none) is detected on read, then removed.
+        cache.put(key, {"ipc": 1.25})
+        with open(path) as handle:
+            entry = json.load(handle)
+        entry["payload"]["ipc"] = 1.75
+        with open(path, "w") as handle:
+            json.dump(entry, handle)
+        assert cache.get(key) is None
+        assert stats.cache_corrupt == 3
+        assert not os.path.exists(path)
+        del entry["digest"]
+        with open(path, "w") as handle:
+            json.dump(entry, handle)
+        assert cache.get(key) is None
+        assert stats.cache_corrupt == 4
+        assert stats.cache_hits == 0
 
     def test_eviction_is_lru_and_respects_budget(self, tmp_path):
         cache, stats = self._cache(tmp_path)

@@ -300,6 +300,7 @@ class TestExecutionStats:
             "pool_spawns",
             "pool_maps",
             "pool_spawn_seconds",
+            "cell_retries",
             "cells_executed",
             "busy_seconds",
             "span_seconds",
