@@ -20,8 +20,9 @@ from repro.analysis.rules.base import (
     walk_loop_bodies,
 )
 
-#: Packages whose classes live on per-event paths.
-HOT_PACKAGES = ("dram", "cpu", "cache", "secure", "telemetry")
+#: Packages whose classes live on per-event (or, for the Monte-Carlo
+#: kernel, per-device) paths.
+HOT_PACKAGES = ("dram", "cpu", "cache", "secure", "telemetry", "reliability")
 
 _INIT_METHODS = ("__init__", "__post_init__", "__init_subclass__")
 
@@ -80,9 +81,10 @@ class MissingSlotsRule(Rule):
     rule_id = "P201"
     title = "hot-path class without __slots__"
     rationale = (
-        "Instances in dram/cpu/cache/secure/telemetry are created or "
-        "traversed per simulated event; a __dict__ per instance costs "
-        "memory and attribute-lookup time and allows typo'd attributes."
+        "Instances in dram/cpu/cache/secure/telemetry/reliability are "
+        "created or traversed per simulated event or sampled device; a "
+        "__dict__ per instance costs memory and attribute-lookup time "
+        "and allows typo'd attributes."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:

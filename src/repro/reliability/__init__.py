@@ -8,8 +8,8 @@
 * :mod:`repro.reliability.schemes` — per-scheme uncorrectable-error
   predicates: SECDED, Chipkill, Synergy, IVEC.
 * :mod:`repro.reliability.montecarlo` — Monte-Carlo over device lifetimes:
-  an event-driven reference implementation and a vectorised (numpy) fast
-  path for the billion-device scale of the paper.
+  one shard kernel that settles 0/1-fault devices with numpy and samples
+  explicit fault histories only for multi-fault devices.
 * :mod:`repro.reliability.analytical` — closed-form cross-checks and the
   SDC-rate arithmetic of Section IV-A.
 """
@@ -19,7 +19,6 @@ from repro.reliability.faults import FaultInstance, faults_overlap
 from repro.reliability.montecarlo import (
     MonteCarloConfig,
     simulate_failure_probability,
-    simulate_shard,
 )
 from repro.reliability.schemes import (
     CHIPKILL_SCHEME,
@@ -37,7 +36,6 @@ __all__ = [
     "faults_overlap",
     "MonteCarloConfig",
     "simulate_failure_probability",
-    "simulate_shard",
     "ProtectionScheme",
     "SECDED_SCHEME",
     "CHIPKILL_SCHEME",

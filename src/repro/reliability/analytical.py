@@ -61,16 +61,13 @@ def empirical_overlap_probability(
 ) -> float:
     """Estimate P(two random faults on different chips overlap)."""
     from repro.reliability.faults import faults_overlap
-    from repro.reliability.montecarlo import _sample_fault
-    from repro.util.rng import DeterministicRng
+    from repro.reliability.montecarlo import FaultSampler
 
-    rng = DeterministicRng(seed)
-    weights = [mode.fit for mode in FAULT_MODES]
+    sampler = FaultSampler(config)
+    sampler.reseed(seed)
     hits = 0
     for _ in range(samples):
-        first = _sample_fault(rng, 0, rng.weighted_choice(FAULT_MODES, weights), config)
-        second = _sample_fault(rng, 1, rng.weighted_choice(FAULT_MODES, weights), config)
-        if faults_overlap(first, second):
+        if faults_overlap(sampler.fault(0), sampler.fault(1)):
             hits += 1
     return hits / samples
 

@@ -11,7 +11,7 @@ their active windows overlap in time. This is the FAULTSIM methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.reliability.fitrates import FaultGranularity
 
@@ -30,13 +30,14 @@ class ChipGeometry:
         return self.banks * self.rows_per_bank * self.words_per_row
 
 
-@dataclass(frozen=True)
-class FaultInstance:
+class FaultInstance(NamedTuple):
     """One fault on one chip.
 
     ``bank``/``row``/``column`` anchor the footprint; whether each axis is
-    a single coordinate or spans everything follows from the granularity.
-    ``end_hour`` is None for permanent faults (active until end of life).
+    a single coordinate or spans everything follows from the granularity
+    (see :data:`COVERAGE`). ``end_hour`` is None for permanent faults
+    (active until end of life). A named tuple, not a dataclass: the
+    Monte-Carlo kernel builds one per sampled fault.
     """
 
     chip: int
@@ -52,56 +53,33 @@ class FaultInstance:
     def active_during(self, other: "FaultInstance") -> bool:
         """Do the two faults' active windows intersect?"""
         start = max(self.start_hour, other.start_hour)
-        end = min(
-            self.end_hour if self.end_hour is not None else float("inf"),
-            other.end_hour if other.end_hour is not None else float("inf"),
-        )
-        return start <= end
-
-    # -- axis coverage -----------------------------------------------------
-
-    def covers_all_banks(self) -> bool:
-        """Whole-chip-scale faults span every bank."""
-        return self.granularity in (
-            FaultGranularity.MULTI_BANK,
-            FaultGranularity.MULTI_RANK,
-        )
-
-    def covers_all_rows(self) -> bool:
-        """Column/bank/chip faults span every row of their bank(s)."""
-        return self.granularity in (
-            FaultGranularity.SINGLE_COLUMN,
-            FaultGranularity.SINGLE_BANK,
-            FaultGranularity.MULTI_BANK,
-            FaultGranularity.MULTI_RANK,
-        )
-
-    def covers_all_columns(self) -> bool:
-        """Row/bank/chip faults span every column of their row(s)."""
-        return self.granularity in (
-            FaultGranularity.SINGLE_ROW,
-            FaultGranularity.SINGLE_BANK,
-            FaultGranularity.MULTI_BANK,
-            FaultGranularity.MULTI_RANK,
+        return (self.end_hour is None or start <= self.end_hour) and (
+            other.end_hour is None or start <= other.end_hour
         )
 
 
-def _axis_intersects(a_all: bool, a_coord: int, b_all: bool, b_coord: int) -> bool:
-    if a_all or b_all:
-        return True
-    return a_coord == b_coord
+#: Per-granularity axis coverage ``(all banks, all rows, all columns)``:
+#: column faults span every row of their bank, row faults every column of
+#: their row, bank faults both, and chip-scale faults every bank too.
+COVERAGE: Dict[FaultGranularity, Tuple[bool, bool, bool]] = {
+    FaultGranularity.SINGLE_BIT: (False, False, False),
+    FaultGranularity.SINGLE_WORD: (False, False, False),
+    FaultGranularity.SINGLE_COLUMN: (False, True, False),
+    FaultGranularity.SINGLE_ROW: (False, False, True),
+    FaultGranularity.SINGLE_BANK: (False, True, True),
+    FaultGranularity.MULTI_BANK: (True, True, True),
+    FaultGranularity.MULTI_RANK: (True, True, True),
+}
 
 
 def footprints_intersect(a: FaultInstance, b: FaultInstance) -> bool:
     """Do the two faults corrupt at least one common word address?"""
+    a_banks, a_rows, a_columns = COVERAGE[a.granularity]
+    b_banks, b_rows, b_columns = COVERAGE[b.granularity]
     return (
-        _axis_intersects(a.covers_all_banks(), a.bank, b.covers_all_banks(), b.bank)
-        and _axis_intersects(
-            a.covers_all_rows(), a.row, b.covers_all_rows(), b.row
-        )
-        and _axis_intersects(
-            a.covers_all_columns(), a.column, b.covers_all_columns(), b.column
-        )
+        (a_banks or b_banks or a.bank == b.bank)
+        and (a_rows or b_rows or a.row == b.row)
+        and (a_columns or b_columns or a.column == b.column)
     )
 
 

@@ -6,49 +6,40 @@ gets a uniformly random location and — if transient — a bounded active
 window ending at the next scrub. The device fails if the scheme's
 uncorrectability predicate ever holds.
 
-Two implementations share the same sampling logic:
+One kernel, :func:`simulate_shards_batched`, simulates a list of device
+*shards*, one shard in memory at a time: numpy draws every device's fault
+count, the (overwhelmingly common) 0/1-fault devices are settled in bulk,
+and only multi-fault devices (a ~1e-4 fraction) get explicit fault
+histories from :class:`FaultSampler` and the scheme's predicate. This is
+how the billion-device scale of the paper becomes tractable in Python.
 
-* :func:`simulate_device` — per-device, fully explicit; the reference used
-  by unit tests.
-* :func:`simulate_failure_probability` — batched over N devices with a
-  numpy fast path for the (overwhelmingly common) 0/1-fault devices and
-  the explicit predicate only for multi-fault devices. This is how the
-  billion-device scale of the paper becomes tractable in Python.
-
-The device population is partitioned into fixed-size *shards* whose RNG
-streams derive from ``(seed, shard_id)`` alone — never from execution
-order — so running shards serially, across a process pool, or in any
-interleaving produces bit-identical failure counts. ``jobs``/``cache``
-default to the process execution context (see ``repro.parallel``), and
-finished curves land in the content-addressed run cache so Fig. 11 and
-the scrub-interval sweep share work.
+Each shard's RNG streams derive from ``(seed, shard_id)`` alone — never
+from execution order — so :func:`simulate_failure_probability` can hand
+contiguous shard slices to ``parallel_map`` (one slice in-process at
+``jobs=1``, ``jobs * 4`` across the pool otherwise) and get bit-identical
+failure counts. ``jobs``/``cache`` default to the process execution
+context (see ``repro.parallel``), and finished curves land in the
+content-addressed run cache so Fig. 11 and the scrub-interval sweep share
+work. The draw-for-draw oracle of the sampler lives in the tests.
 """
 
 from __future__ import annotations
 
-import time
+from bisect import bisect
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.parallel import (
-    EXECUTION_STATS,
-    parallel_map,
-    resolve_cache,
-    resolve_jobs,
-)
+from repro.parallel import parallel_map, resolve_cache, resolve_jobs
 from repro.parallel.runcache import RunCache, cache_key
 from repro.reliability.faults import ChipGeometry, FaultInstance
-from repro.reliability.fitrates import FAULT_MODES, FaultGranularity, FaultMode
+from repro.reliability.fitrates import FAULT_MODES
 from repro.reliability.schemes import ProtectionScheme
-from repro.telemetry import (
-    TELEMETRY_AGGREGATE,
-    MetricsSnapshot,
-    cell_scope,
-    get_registry,
-)
-from repro.util.rng import DeterministicRng, derive_seed
+from repro.telemetry import TELEMETRY_AGGREGATE, MetricsSnapshot, cell_scope
+from repro.util.rng import ReseedableStream, derive_seed, derive_seeds
 from repro.util.units import HOURS_PER_YEAR
 
 #: Failure-count buckets for the per-shard failure histogram.
@@ -69,8 +60,17 @@ _LARGE_FRACTION = (
     / sum(m.fit for m in FAULT_MODES)
 )
 
-#: Fault-mode sampling weights for multi-fault devices (proportional to FIT).
-_MODE_WEIGHTS = [mode.fit for mode in FAULT_MODES]
+#: Fault modes as ``(granularity, transient)``, with their cumulative
+#: weights (proportional to FIT) and total accumulated once, exactly as
+#: ``random.choices`` accumulates them on every call.
+_MODE_FIELDS = [(mode.granularity, mode.transient) for mode in FAULT_MODES]
+_MODE_CUM_WEIGHTS = list(accumulate(mode.fit for mode in FAULT_MODES))
+_MODE_TOTAL_WEIGHT = _MODE_CUM_WEIGHTS[-1] + 0.0
+_LAST_MODE = len(FAULT_MODES) - 1
+
+#: Contiguous shard slices per worker when the shards fan out over a pool:
+#: enough tasks to balance the workers, few enough to amortise dispatch.
+_SLICES_PER_JOB = 4
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,14 @@ class MonteCarloConfig:
     #: identity: the same (seed, shard_devices) pair reproduces the same
     #: population no matter how many workers simulate it.
     shard_devices: int = 50_000
+
+    def __post_init__(self) -> None:
+        for name in ("devices", "shard_devices"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(
+                    "MonteCarloConfig.%s must be at least 1, got %r" % (name, value)
+                )
 
     @property
     def lifetime_hours(self) -> float:
@@ -107,119 +115,104 @@ class MonteCarloConfig:
         return out
 
 
-def _sample_fault(
-    rng: DeterministicRng,
-    chip: int,
-    mode: FaultMode,
-    config: MonteCarloConfig,
-) -> FaultInstance:
-    """Draw location and timing for one fault arrival."""
-    geometry = config.geometry
-    start = rng.uniform(0.0, config.lifetime_hours)
-    if mode.transient:
-        end: Optional[float] = start + config.scrub_interval_hours
-    else:
-        end = None
-    return FaultInstance(
-        chip=chip,
-        granularity=mode.granularity,
-        transient=mode.transient,
-        start_hour=start,
-        end_hour=end,
-        bank=rng.randint(0, geometry.banks - 1),
-        row=rng.randint(0, geometry.rows_per_bank - 1),
-        column=rng.randint(0, geometry.words_per_row - 1),
-        bit=rng.randint(0, 63),
-    )
+class FaultSampler(ReseedableStream):
+    """Fault histories for multi-fault devices from one reseeded stream.
 
-
-def sample_device_faults(
-    rng: DeterministicRng, scheme: ProtectionScheme, config: MonteCarloConfig
-) -> List[FaultInstance]:
-    """All fault arrivals for one device over its lifetime."""
-    faults: List[FaultInstance] = []
-    for chip in range(scheme.chips):
-        for mode in FAULT_MODES:
-            expected = mode.fit * 1e-9 * config.lifetime_hours
-            arrivals = rng.poisson(expected)
-            for _ in range(arrivals):
-                faults.append(_sample_fault(rng, chip, mode, config))
-    return faults
-
-
-def simulate_device(
-    rng: DeterministicRng, scheme: ProtectionScheme, config: MonteCarloConfig
-) -> bool:
-    """Reference path: does one simulated device fail?"""
-    return scheme.device_fails(sample_device_faults(rng, scheme, config))
-
-
-def _multi_fault_device_fails(
-    device_rng: DeterministicRng,
-    scheme: ProtectionScheme,
-    config: MonteCarloConfig,
-    count: int,
-) -> bool:
-    """Explicit predicate for a device with ``count`` (>= 2) faults.
-
-    Shared by the per-shard and multi-shard batched paths so the two stay
-    draw-for-draw identical.
+    ``device_faults(seed, chips, count)`` returns exactly the faults a
+    fresh ``DeterministicRng(seed)`` yields when each fault draws its chip
+    with ``randint``, its mode with ``weighted_choice`` over the FIT
+    rates, its start with ``uniform`` and its bank/row/column/bit with
+    ``randint``. The stdlib arithmetic behind those calls is inlined:
+    ``randint(0, n - 1)`` draws ``n.bit_length()`` bits and redraws while
+    the value is ``>= n`` (half the draws on average, since every location
+    range is a power of two), and the mode pick bisects the cumulative
+    weights.
     """
-    faults = []
-    for _ in range(count):
-        chip = device_rng.randint(0, scheme.chips - 1)
-        mode = device_rng.weighted_choice(FAULT_MODES, _MODE_WEIGHTS)
-        faults.append(_sample_fault(device_rng, chip, mode, config))
-    return scheme.device_fails(faults)
+
+    __slots__ = ("_lifetime_hours", "_scrub_hours", "_axes")
+
+    def __init__(self, config: MonteCarloConfig) -> None:
+        super().__init__()
+        geometry = config.geometry
+        self._lifetime_hours = config.lifetime_hours
+        self._scrub_hours = config.scrub_interval_hours
+        #: (range, draw width) of bank, row, column and bit-in-word, in
+        #: draw order.
+        self._axes = [
+            (size, size.bit_length())
+            for size in (
+                geometry.banks,
+                geometry.rows_per_bank,
+                geometry.words_per_row,
+                64,
+            )
+        ]
+
+    def fault(self, chip: int) -> FaultInstance:
+        """Draw one fault's mode, start hour and location on ``chip``."""
+        getrandbits = self.getrandbits
+        unit = self.random
+        granularity, transient = _MODE_FIELDS[
+            bisect(_MODE_CUM_WEIGHTS, unit() * _MODE_TOTAL_WEIGHT, 0, _LAST_MODE)
+        ]
+        # uniform(0, lifetime): ``0.0 + (lifetime - 0.0) * r`` is this product.
+        start = self._lifetime_hours * unit()
+        end = start + self._scrub_hours if transient else None
+        location = []
+        for size, width in self._axes:
+            value = getrandbits(width)
+            while value >= size:
+                value = getrandbits(width)
+            location.append(value)
+        return FaultInstance(chip, granularity, transient, start, end, *location)
+
+    def device_faults(self, seed: int, chips: int, count: int) -> List[FaultInstance]:
+        """All ``count`` faults of one device whose stream is ``seed``."""
+        self.reseed(seed)
+        getrandbits = self.getrandbits
+        fault = self.fault
+        width = chips.bit_length()
+        faults = []
+        for _ in range(count):
+            chip = getrandbits(width)
+            while chip >= chips:
+                chip = getrandbits(width)
+            faults.append(fault(chip))
+        return faults
 
 
-def simulate_shard(
+def _shard_failures(
     scheme: ProtectionScheme,
     config: MonteCarloConfig,
-    shard_id: int,
-    shard_size: int,
+    sampler: FaultSampler,
+    shard_seed: int,
+    size: int,
 ) -> int:
-    """Failure count among one shard's devices.
+    """Failure count among one shard's ``size`` devices.
 
-    Fast path: the number of faults per device is Poisson with a small
-    mean, so devices are binned by fault count with numpy. Zero-fault
-    devices survive. Single-fault devices fail only under SECDED and only
-    for multi-bit faults — a Bernoulli, also vectorised. Multi-fault
-    devices (a ~1e-4 fraction) run the explicit predicate.
-
-    All randomness derives from ``(config.seed, shard_id)``, so the shard
-    is a pure function of its arguments — the property that makes serial
-    and process-pool execution bit-identical.
+    The number of faults per device is Poisson with a small mean, so
+    devices are binned by fault count with numpy. Zero-fault devices
+    survive. Single-fault devices fail only under SECDED and only for
+    multi-bit faults — a Bernoulli over the binomial tally. Multi-fault
+    devices run the explicit predicate, device ``i`` drawing from
+    ``derive_seed(shard_seed, "device", i)``.
     """
-    shard_seed = derive_seed(config.seed, "mc-shard", shard_id)
-    per_chip_rate = _FIT_RATE * config.lifetime_hours
-    device_rate = per_chip_rate * scheme.chips
-
-    rng_np = np.random.default_rng(shard_seed)
-    counts = rng_np.poisson(device_rate, shard_size)
-
+    generator = np.random.default_rng(shard_seed)
+    counts = generator.poisson(_FIT_RATE * config.lifetime_hours * scheme.chips, size)
     failures = 0
-    single_fault_devices = int(np.count_nonzero(counts == 1))
-    if not scheme.chip_correcting and single_fault_devices:
-        failures += int(
-            rng_np.binomial(single_fault_devices, _LARGE_FRACTION)
-        )
     # Chip-correcting schemes survive any single fault by construction.
-
-    multi_indices = np.flatnonzero(counts >= 2)
-    rng = DeterministicRng(shard_seed)
-    # One bulk conversion: the loop below sees plain Python ints.
-    for device_index, count in zip(
-        multi_indices.tolist(), counts[multi_indices].tolist()
-    ):
-        device_rng = rng.fork("device", device_index)
-        if _multi_fault_device_fails(device_rng, scheme, config, count):
+    if not scheme.chip_correcting:
+        single_fault_devices = int(np.count_nonzero(counts == 1))
+        if single_fault_devices:
+            failures += int(generator.binomial(single_fault_devices, _LARGE_FRACTION))
+    multi = np.flatnonzero(counts >= 2)
+    seeds = derive_seeds((shard_seed, "device"), multi.tolist())
+    device_fails = scheme.device_fails
+    device_faults = sampler.device_faults
+    chips = scheme.chips
+    for seed, count in zip(seeds, counts[multi].tolist()):
+        if device_fails(device_faults(seed, chips, count)):
             failures += 1
-    registry = get_registry()
-    registry.counter("mc.shards").inc()
-    registry.counter("mc.devices").inc(shard_size)
-    registry.counter("mc.failures").inc(failures)
-    registry.histogram("mc.shard_failures", SHARD_FAILURE_EDGES).record(failures)
     return failures
 
 
@@ -228,68 +221,21 @@ def simulate_shards_batched(
     config: MonteCarloConfig,
     shards: List[Tuple[int, int]],
 ) -> List[Tuple[int, dict]]:
-    """Multi-cell batched epoch mode: classify every shard in one pass.
+    """``(failures, telemetry payload)`` of each ``(shard_id, size)`` shard.
 
-    The serial (``jobs == 1``) counterpart of fanning ``_shard_task`` over
-    a pool: instead of classifying shard populations one at a time, every
-    shard's Poisson fault counts are drawn up front and the 0/1/multi
-    device classification runs as a single numpy pass over the
-    concatenated population. Per-shard draw order is untouched — each
-    shard keeps its own ``(seed, shard_id)``-derived generator and draws
-    poisson-then-binomial from it, exactly as :func:`simulate_shard` does —
-    so failure counts and telemetry payloads are bit-identical to the
-    per-shard path, whatever the interleaving.
+    The Monte-Carlo kernel. Shards run one after another, so memory holds
+    one shard's fault counts at a time whatever the slice length. Each
+    shard runs under its own registry scope, so its payload holds exactly
+    its own metrics, and all its randomness derives from
+    ``(config.seed, shard_id)``: any slicing of the shard list, in any
+    process, gives the same results.
     """
-    device_rate = _FIT_RATE * config.lifetime_hours * scheme.chips
-    generators = []
-    counts_per_shard = []
-    for shard_id, size in shards:
-        gen = np.random.default_rng(derive_seed(config.seed, "mc-shard", shard_id))
-        generators.append(gen)
-        counts_per_shard.append(gen.poisson(device_rate, size))
-
-    # One classification pass over the whole population: per-shard
-    # single-fault tallies via segmented reduction, multi-fault device
-    # coordinates via one flatnonzero over the concatenated counts.
-    all_counts = np.concatenate(counts_per_shard)
-    bounds = np.zeros(len(shards) + 1, dtype=np.int64)
-    np.cumsum([size for _shard_id, size in shards], out=bounds[1:])
-    ones_per_shard = np.add.reduceat(
-        (all_counts == 1).astype(np.int64), bounds[:-1]
-    )
-    multi_global = np.flatnonzero(all_counts >= 2)
-    multi_shard = np.searchsorted(bounds, multi_global, side="right") - 1
-    multi_local = multi_global - bounds[multi_shard]
-
-    # Bulk-convert the classification output once; the per-shard loop
-    # below sees plain Python ints (lint P204).
-    ones_list = ones_per_shard.tolist()
-    multi_by_shard: List[List[Tuple[int, int]]] = [[] for _shard in shards]
-    for shard_pos, local_index, count in zip(
-        multi_shard.tolist(),
-        multi_local.tolist(),
-        all_counts[multi_global].tolist(),
-    ):
-        multi_by_shard[shard_pos].append((local_index, count))
-
-    chip_correcting = scheme.chip_correcting
+    sampler = FaultSampler(config)
     results: List[Tuple[int, dict]] = []
-    for position, (shard_id, size) in enumerate(shards):
+    for shard_id, size in shards:
         shard_seed = derive_seed(config.seed, "mc-shard", shard_id)
         with cell_scope(cell="mc:%s" % scheme.name, shard=shard_id) as registry:
-            failures = 0
-            single_fault_devices = ones_list[position]
-            if not chip_correcting and single_fault_devices:
-                failures += int(
-                    generators[position].binomial(
-                        single_fault_devices, _LARGE_FRACTION
-                    )
-                )
-            rng = DeterministicRng(shard_seed)
-            for device_index, count in multi_by_shard[position]:
-                device_rng = rng.fork("device", device_index)
-                if _multi_fault_device_fails(device_rng, scheme, config, count):
-                    failures += 1
+            failures = _shard_failures(scheme, config, sampler, shard_seed, size)
             registry.counter("mc.shards").inc()
             registry.counter("mc.devices").inc(size)
             registry.counter("mc.failures").inc(failures)
@@ -301,20 +247,6 @@ def simulate_shards_batched(
     return results
 
 
-def _shard_task(task: Tuple) -> Tuple[int, dict]:
-    """Module-level worker entry so shards pickle into pool processes.
-
-    Returns ``(failures, telemetry_payload)``: the shard runs under its own
-    registry scope so the snapshot contains exactly this shard's metrics,
-    regardless of which worker process executed it.
-    """
-    scheme, config, shard_id, shard_size = task
-    with cell_scope(cell="mc:%s" % scheme.name, shard=shard_id) as registry:
-        failures = simulate_shard(scheme, config, shard_id, shard_size)
-        payload = registry.snapshot().to_payload()
-    return failures, payload
-
-
 def simulate_failure_probability(
     scheme: ProtectionScheme,
     config: MonteCarloConfig = MonteCarloConfig(),
@@ -324,10 +256,10 @@ def simulate_failure_probability(
     """Probability of device failure over the lifetime (Fig. 11's metric).
 
     The device budget is split into deterministic shards (see
-    :meth:`MonteCarloConfig.shards`) fanned over ``jobs`` worker
-    processes; failure counts merge by summation, which is
-    order-independent. The finished probability is cached on disk keyed
-    by (scheme, config, code version).
+    :meth:`MonteCarloConfig.shards`), cut into contiguous slices and
+    mapped over ``jobs`` worker processes; failure counts merge by
+    summation, which is order-independent. The finished probability is
+    cached on disk keyed by (scheme, config, code version).
     """
     jobs = resolve_jobs(jobs)
     run_cache = resolve_cache(cache)
@@ -343,31 +275,21 @@ def simulate_failure_probability(
             return float(payload["probability"])
 
     shards = config.shards()
-    if jobs <= 1 and len(shards) > 1:
-        # Serial route: the multi-cell batched epoch stepper classifies
-        # every shard in one numpy pass (bit-identical to the per-shard
-        # path — see simulate_shards_batched).
-        span_started = time.perf_counter()
-        shard_results = simulate_shards_batched(scheme, config, shards)
-        elapsed = time.perf_counter() - span_started
-        stats = EXECUTION_STATS
-        for shard_id, _size in shards:
-            stats.record_cell(
-                "%s/shard%d" % (label, shard_id), elapsed / len(shards)
-            )
-        stats.record_map(1, elapsed)
-    else:
-        shard_results = parallel_map(
-            _shard_task,
-            [(scheme, config, shard_id, size) for shard_id, size in shards],
-            jobs=jobs,
-            labels=[
-                "%s/shard%d" % (label, shard_id) for shard_id, _size in shards
-            ],
-        )
-    failures = sum(result[0] for result in shard_results)
+    pieces = min(len(shards), 1 if jobs <= 1 else jobs * _SLICES_PER_JOB)
+    bounds = [len(shards) * index // pieces for index in range(pieces + 1)]
+    slices = [shards[low:high] for low, high in zip(bounds, bounds[1:])]
+    slice_results = parallel_map(
+        partial(simulate_shards_batched, scheme, config),
+        slices,
+        jobs=jobs,
+        labels=[
+            "%s/shards%d-%d" % (label, part[0][0], part[-1][0]) for part in slices
+        ],
+    )
     # parallel_map returns in submission (= shard) order, and the merge is
     # commutative anyway: the aggregate is independent of worker count.
+    shard_results = [result for part in slice_results for result in part]
+    failures = sum(result[0] for result in shard_results)
     telemetry = MetricsSnapshot()
     for _failures, shard_payload in shard_results:
         telemetry = telemetry.merge(MetricsSnapshot.from_payload(shard_payload))

@@ -26,6 +26,8 @@ from typing import List
 from repro.reliability.faults import FaultInstance, faults_overlap
 from repro.reliability.fitrates import FaultGranularity
 
+_SINGLE_BIT = FaultGranularity.SINGLE_BIT
+
 
 @dataclass(frozen=True)
 class ProtectionScheme:
@@ -59,7 +61,7 @@ class ProtectionScheme:
     def _secded_fails(faults: List[FaultInstance]) -> bool:
         # Any multi-bit fault corrupts >1 bit of some word: uncorrectable.
         for fault in faults:
-            if fault.granularity is not FaultGranularity.SINGLE_BIT:
+            if fault.granularity is not _SINGLE_BIT:
                 return True
         # Two single-bit faults in the same word (any chips, same address).
         for index, first in enumerate(faults):

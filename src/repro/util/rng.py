@@ -48,6 +48,45 @@ def derive_seed(*components: object) -> int:
     return int.from_bytes(digest.digest()[:8], "big")
 
 
+def derive_seeds(prefix: Sequence[object], suffixes: Iterable[object]) -> List[int]:
+    """``[derive_seed(*prefix, suffix) for suffix in suffixes]``, cheaply.
+
+    The prefix is hashed once and the SHA-256 state copied per suffix,
+    which feeds the digest the same bytes as :func:`derive_seed`.
+    """
+    head = hashlib.sha256()
+    for component in prefix:
+        head.update(repr(component).encode("utf-8"))
+        head.update(b"\x00")
+    seeds = []
+    for suffix in suffixes:
+        digest = head.copy()
+        digest.update(repr(suffix).encode("utf-8") + b"\x00")
+        seeds.append(int.from_bytes(digest.digest()[:8], "big"))
+    return seeds
+
+
+class ReseedableStream:
+    """One Mersenne Twister reseeded in place for many short draw sequences.
+
+    After ``reseed(seed)``, ``random`` and ``getrandbits`` return exactly
+    what a fresh ``DeterministicRng(seed)`` draws from its underlying
+    :class:`random.Random`, without allocating a generator per sequence.
+    Consumers that need ``randint``/``weighted_choice`` draws inline the
+    stdlib's arithmetic over these two primitives.
+    """
+
+    __slots__ = ("reseed", "random", "getrandbits")
+
+    def __init__(self) -> None:
+        generator = random.Random(0)
+        # The C-level seed: for an int, random.Random.seed adds only type
+        # checks and a reset of the gauss() cache, which is never drawn here.
+        self.reseed = super(random.Random, generator).seed
+        self.random = generator.random
+        self.getrandbits = generator.getrandbits
+
+
 class DeterministicRng:
     """A seeded RNG wrapper with the handful of draws the simulators need.
 

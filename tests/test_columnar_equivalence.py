@@ -17,9 +17,9 @@ observable:
 The warm phase exercises ``fast_warm`` against ``warm_miss_metadata``
 under the same post-warmup reset contract the system simulator applies.
 
-A second class pins the Monte-Carlo multi-shard batched classification
-(``simulate_shards_batched``) to the per-shard reference, including the
-per-shard telemetry payloads.
+A second class pins the Monte-Carlo shard kernel
+(``simulate_shards_batched``): one pass over every shard equals any
+slicing of the shard list, per-shard telemetry payloads included.
 """
 
 import pytest
@@ -27,11 +27,7 @@ import pytest
 from repro.cache.hierarchy import CacheConfig, CacheHierarchy
 from repro.dram.controller import MemoryController
 from repro.dram.timing import MemoryConfig
-from repro.reliability.montecarlo import (
-    MonteCarloConfig,
-    _shard_task,
-    simulate_shards_batched,
-)
+from repro.reliability.montecarlo import MonteCarloConfig, simulate_shards_batched
 from repro.reliability.schemes import (
     CHIPKILL_SCHEME,
     IVEC_SCHEME,
@@ -203,6 +199,16 @@ def test_deferred_equivalence_seed_sweep(seed):
         assert vector == scalar, design.name
 
 
+def _sliced(scheme, config, shards, pieces):
+    """The kernel over ``pieces`` contiguous slices of ``shards``, joined."""
+    bounds = [len(shards) * index // pieces for index in range(pieces + 1)]
+    return [
+        result
+        for low, high in zip(bounds, bounds[1:])
+        for result in simulate_shards_batched(scheme, config, shards[low:high])
+    ]
+
+
 class TestMonteCarloBatched:
     def test_batched_shards_match_reference(self):
         config = MonteCarloConfig(
@@ -215,20 +221,18 @@ class TestMonteCarloBatched:
             SYNERGY_SCHEME,
             IVEC_SCHEME,
         ):
-            batched = simulate_shards_batched(scheme, config, shards)
-            reference = [
-                _shard_task((scheme, config, shard_id, size))
-                for shard_id, size in shards
-            ]
-            assert batched == reference, scheme.name
+            one_pass = simulate_shards_batched(scheme, config, shards)
+            assert len(one_pass) == len(shards)
+            assert one_pass == _sliced(scheme, config, shards, len(shards))
+            assert one_pass == _sliced(scheme, config, shards, 2), scheme.name
 
     def test_batched_handles_ragged_final_shard(self):
         config = MonteCarloConfig(devices=70_001, shard_devices=30_000, seed=5)
         shards = config.shards()
         assert [size for _sid, size in shards] == [30_000, 30_000, 10_001]
-        batched = simulate_shards_batched(SECDED_SCHEME, config, shards)
-        reference = [
-            _shard_task((SECDED_SCHEME, config, shard_id, size))
-            for shard_id, size in shards
-        ]
-        assert batched == reference
+        one_pass = simulate_shards_batched(SECDED_SCHEME, config, shards)
+        assert one_pass == _sliced(SECDED_SCHEME, config, shards, len(shards))
+        assert one_pass == _sliced(SECDED_SCHEME, config, shards, 2)
+        # The payload of the ragged shard counts exactly its own devices.
+        ragged = one_pass[-1][1]
+        assert ragged["mc.devices"]["value"] == 10_001

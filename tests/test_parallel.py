@@ -28,7 +28,7 @@ from repro.parallel import (
 from repro.reliability.montecarlo import (
     MonteCarloConfig,
     simulate_failure_probability,
-    simulate_shard,
+    simulate_shards_batched,
 )
 from repro.reliability.schemes import SECDED_SCHEME, SYNERGY_SCHEME
 from repro.secure.designs import SGX_O, SYNERGY
@@ -111,8 +111,8 @@ class TestMonteCarloGolden:
         assert config.shards() == [(0, 20_000), (1, 20_000), (2, 5_000)]
 
     def test_shard_is_pure_function_of_seed_and_id(self):
-        first = simulate_shard(SYNERGY_SCHEME, TINY_MC, 1, 20_000)
-        second = simulate_shard(SYNERGY_SCHEME, TINY_MC, 1, 20_000)
+        first = simulate_shards_batched(SYNERGY_SCHEME, TINY_MC, [(1, 20_000)])
+        second = simulate_shards_batched(SYNERGY_SCHEME, TINY_MC, [(1, 20_000)])
         assert first == second
 
     def test_different_seed_different_population(self):

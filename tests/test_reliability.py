@@ -1,6 +1,17 @@
 """Reliability-plane tests: fault model, overlap, schemes, Monte-Carlo."""
 
+import pathlib
+import tracemalloc
+
 import pytest
+from reference.montecarlo_oracle import (
+    multi_fault_device_faults,
+    multi_fault_devices,
+    overlap_probability,
+    sample_device_faults,
+    shard_failures,
+    simulate_device,
+)
 
 from repro.reliability.analytical import (
     chip_correcting_failure_probability,
@@ -24,18 +35,19 @@ from repro.reliability.fitrates import (
     total_fit_per_chip,
 )
 from repro.reliability.montecarlo import (
+    FaultSampler,
     MonteCarloConfig,
-    sample_device_faults,
-    simulate_device,
     simulate_failure_probability,
+    simulate_shards_batched,
 )
 from repro.reliability.schemes import (
+    ALL_SCHEMES,
     CHIPKILL_SCHEME,
     IVEC_SCHEME,
     SECDED_SCHEME,
     SYNERGY_SCHEME,
 )
-from repro.util.rng import DeterministicRng
+from repro.util.rng import DeterministicRng, derive_seed, derive_seeds
 
 
 def fault(chip, granularity, bank=0, row=0, column=0, start=0.0, end=None, bit=0):
@@ -237,6 +249,102 @@ class TestMonteCarlo:
         a = simulate_failure_probability(SYNERGY_SCHEME, config)
         b = simulate_failure_probability(SYNERGY_SCHEME, config)
         assert a == b
+
+
+class TestMonteCarloConfig:
+    def test_zero_devices_is_rejected_before_the_kernel(self):
+        # Used to raise ZeroDivisionError after simulating nothing.
+        with pytest.raises(ValueError, match=r"MonteCarloConfig\.devices "):
+            simulate_failure_probability(
+                SECDED_SCHEME, MonteCarloConfig(devices=0), cache=False
+            )
+
+    def test_zero_shard_size_is_rejected_before_the_partition(self):
+        # Used to loop forever in shards().
+        with pytest.raises(ValueError, match=r"MonteCarloConfig\.shard_devices "):
+            MonteCarloConfig(devices=10, shard_devices=0).shards()
+
+
+class TestShardKernelMemory:
+    def test_serial_route_holds_one_shard_at_a_time(self):
+        # 2 M devices is 40 shards: all their fault counts at once take
+        # ~50 MiB, one shard's well under 1 MiB.
+        config = MonteCarloConfig(devices=2_000_000, seed=3)
+        simulate_failure_probability(SECDED_SCHEME, config, jobs=1, cache=False)
+        tracemalloc.start()
+        try:
+            simulate_failure_probability(SECDED_SCHEME, config, jobs=1, cache=False)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024, peak
+
+
+class TestSamplerMatchesOracle:
+    """The production sampler against the explicit ``DeterministicRng`` one."""
+
+    MIN_DEVICES = 2_000
+
+    @staticmethod
+    def _multi_fault_shards(scheme, config):
+        """Leading shards holding at least MIN_DEVICES multi-fault devices."""
+        shards, devices = [], []
+        for shard_id, size in config.shards():
+            found = multi_fault_devices(scheme, config, shard_id, size)
+            shards.append((shard_id, size))
+            devices += [(shard_id, index, count) for index, count in found]
+            if len(devices) >= TestSamplerMatchesOracle.MIN_DEVICES:
+                return shards, devices
+        raise AssertionError("population too small for %s" % scheme.name)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+    def test_fault_lists_and_verdicts_match(self, scheme):
+        config = MonteCarloConfig(devices=10_000_000, seed=41)
+        shards, devices = self._multi_fault_shards(scheme, config)
+        sampler = FaultSampler(config)
+        verdicts = 0
+        for shard_id, index, count in devices:
+            shard_rng = DeterministicRng(derive_seed(config.seed, "mc-shard", shard_id))
+            expected = multi_fault_device_faults(
+                shard_rng.fork("device", index), scheme, config, count
+            )
+            actual = sampler.device_faults(
+                derive_seed(shard_rng.seed, "device", index), scheme.chips, count
+            )
+            # Tuple equality compares every field, floats bit for bit.
+            assert actual == expected, (scheme.name, shard_id, index)
+            verdicts += scheme.device_fails(actual)
+        assert verdicts > 0
+        # Verdicts, single-fault tallies included, shard by shard.
+        kernel = [failures for failures, _ in simulate_shards_batched(scheme, config, shards)]
+        oracle = [shard_failures(scheme, config, sid, size) for sid, size in shards]
+        assert kernel == oracle
+
+    def test_prefix_hashed_seeds_equal_derive_seed(self):
+        shard_seed = derive_seed(2018, "mc-shard", 7)
+        indices = [0, 1, 9, 10, 49_999, 2**40]
+        assert derive_seeds((shard_seed, "device"), indices) == [
+            derive_seed(shard_seed, "device", index) for index in indices
+        ]
+        assert derive_seeds(("a", 2.5), ["b", None]) == [
+            derive_seed("a", 2.5, "b"),
+            derive_seed("a", 2.5, None),
+        ]
+
+    def test_overlap_estimate_draws_like_the_oracle(self):
+        config = MonteCarloConfig(scrub_interval_hours=500.0)
+        assert empirical_overlap_probability(
+            config, samples=3_000, seed=11
+        ) == overlap_probability(config, samples=3_000, seed=11)
+
+    def test_production_code_never_imports_the_oracle(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        offenders = [
+            str(path)
+            for path in sorted(src.rglob("*.py"))
+            if "montecarlo_oracle" in path.read_text()
+        ]
+        assert offenders == []
 
 
 class TestAnalytical:
