@@ -13,7 +13,8 @@ Invariants checked (paper cross-references in DESIGN.md):
 
 * DRAM commit legality — bank ready time, classification latency
   (tRCD/tRP/tCL/tCWL), burst arithmetic, bus turnaround, tRRD/tFAW
-  activation windows, refresh blackouts (Section VI methodology).
+  activation windows, refresh blackouts (Section VI methodology) — and
+  every request of an epoch completing after it arrived.
 * RAID-3 reconstruction — the accepted chip hypothesis is the *only*
   one whose MAC verifies among the remaining candidates, and the
   repaired nine lanes XOR to zero against the active parity
@@ -23,10 +24,10 @@ Invariants checked (paper cross-references in DESIGN.md):
   *new* parent value (Section II-A4).
 * Run cache — a replayed payload is byte-equal (canonical JSON) to a
   fresh recomputation of the same cell.
-* Scheduler index — at every controller ``process()`` epoch the
-  incremental FR-FCFS structures (per-channel open-row table, closed-bank
-  tally, per-pool row census) agree with a fresh scan of the queues
-  against the actual bank states (the PR-5 indexed-chooser invariant).
+* Scheduler index — at every controller ``process()`` epoch boundary
+  and every 64 decisions, the incremental FR-FCFS structures (per-channel
+  open-row table, closed-bank tally, the epoch-local pools' row census)
+  agree with a fresh recount against the actual bank states.
 """
 
 from __future__ import annotations
@@ -80,32 +81,40 @@ class Sanitizer:
         raise SanitizerError(message)
 
     # ------------------------------------------------------------------
-    # DRAM timing legality (hook: ChannelState.commit)
+    # DRAM timing legality (hook: the controller's decision loop, before
+    # each commit)
     # ------------------------------------------------------------------
 
     def check_dram_commit(
         self,
         channel: Any,
-        rank: int,
-        bank: int,
+        flat_bank: int,
         row: int,
         is_write: bool,
-        plan: Tuple[int, int, int],
+        start: int,
+        data_start: int,
+        completion: int,
     ) -> None:
         """Validate a planned access against the channel/bank state it is
-        about to be committed over (must run *before* ``commit`` mutates)."""
+        about to be committed over (must run *before* the commit mutates)."""
         self._enter("dram_commit")
-        start, data_start, completion = plan
         timing = channel.timing
-        bank_state = channel.banks[channel.flat_bank(rank, bank)]
-        where = f"ch rank={rank} bank={bank} row={row} start={start}"
+        bank_state = channel.banks[flat_bank]
+        rank = flat_bank // channel.config.banks_per_rank
+        where = f"ch bank={flat_bank} rank={rank} row={row} start={start}"
 
         if start < bank_state.ready_at:
             self._fail(
                 f"DRAM: command starts at {start} before bank ready_at "
                 f"{bank_state.ready_at} (tCCD/tWR violation) [{where}]"
             )
-        latency = bank_state.access_latency(row, is_write)
+        column = timing.t_cwl if is_write else timing.t_cl
+        if bank_state.open_row is None:
+            latency = timing.t_rcd + column
+        elif bank_state.open_row == row:
+            latency = column
+        else:
+            latency = timing.t_rp + timing.t_rcd + column
         if data_start - start < latency:
             self._fail(
                 f"DRAM: data_start-start={data_start - start} < "
@@ -130,7 +139,7 @@ class Sanitizer:
         activating = bank_state.open_row != row
         history: Sequence[int] = ()
         if channel.config.model_faw and activating:
-            history = channel._recent_activates[rank]
+            history = channel.recent_activates[rank]
             if history:
                 if start < history[-1] + timing.t_rrd:
                     self._fail(
@@ -146,10 +155,10 @@ class Sanitizer:
         if channel.config.model_refresh:
             phase = start % timing.t_refi
             if phase < timing.t_rfc:
-                # plan() lifts start out of the blackout *before* the tFAW
-                # and bus-turnaround stages, which may legitimately push it
-                # into a later blackout; a start inside a blackout is only a
-                # bug when no later constraint pinned it there.
+                # The plan lifts start out of the blackout *before* the
+                # tFAW and bus-turnaround stages, which may legitimately
+                # push it into a later blackout; a start inside a blackout
+                # is only a bug when no later constraint pinned it there.
                 pinned_by_bus = data_start == bus_bound
                 pinned_by_act = bool(history) and (
                     start == history[-1] + timing.t_rrd
@@ -163,23 +172,31 @@ class Sanitizer:
                     )
 
     # ------------------------------------------------------------------
-    # FR-FCFS row-hit index (hook: MemoryController.process / sampled
-    # per-decision inside _process_channel)
+    # FR-FCFS row-hit census (hooks: MemoryController.process at every
+    # epoch boundary, and every 64 decisions inside the decision loop)
     # ------------------------------------------------------------------
 
-    def check_scheduler_index(self, controller: Any) -> None:
-        """The controller's incremental scheduling indexes must agree with
-        a fresh scan of ground truth: each channel's ``open_rows`` table
-        and ``closed_banks`` tally mirror per-bank state, and each pool's
-        row census (``row_counts``/``hits``) equals a recount of the queued
-        requests. Runs at every ``process()`` epoch boundary and sampled
-        between decisions, so index-maintenance bugs fail loudly instead
-        of silently changing schedules."""
+    def check_scheduler_index(
+        self,
+        controller: Any,
+        channel: Any = None,
+        census: Sequence[Tuple[str, Sequence[Tuple[int, int]], Dict[int, int], int]] = (),
+    ) -> None:
+        """The controller's incremental scheduling state must agree with a
+        fresh scan of ground truth: each channel's ``open_rows`` table and
+        ``closed_banks`` tally mirror per-bank state, and each epoch-local
+        pool census ``(name, members, row_counts, hits)`` of ``channel`` —
+        ``members`` being the queued requests' ``(flat_bank, row)`` pairs —
+        equals a recount of those requests against its open-row table. Runs at
+        every ``process()`` epoch boundary (pools are drained there) and
+        every 64 decisions with the live pools of the channel being
+        scheduled, so maintenance bugs fail loudly instead of silently
+        changing schedules."""
         self._enter("scheduler_index")
-        for channel_index, channel in enumerate(controller.channels):
-            open_rows = channel.open_rows
+        for channel_index, state in enumerate(controller.channels):
+            open_rows = state.open_rows
             closed = 0
-            for flat, bank in enumerate(channel.banks):
+            for flat, bank in enumerate(state.banks):
                 expected = -1 if bank.open_row is None else bank.open_row
                 if open_rows[flat] != expected:
                     self._fail(
@@ -189,35 +206,30 @@ class Sanitizer:
                     )
                 if bank.open_row is None:
                     closed += 1
-            if closed != channel.closed_banks:
+            if closed != state.closed_banks:
                 self._fail(
                     f"scheduler index: channel {channel_index} closed_banks "
-                    f"is {channel.closed_banks}, fresh count is {closed}"
+                    f"is {state.closed_banks}, fresh count is {closed}"
                 )
-            queues = controller._queues[channel_index]
-            for name, pool, index in (
-                ("read", queues.reads, queues.read_index),
-                ("write", queues.writes, queues.write_index),
-            ):
-                counts: Dict[int, int] = {}
-                hits = 0
-                for request in pool:
-                    key = request.row_key
-                    counts[key] = counts.get(key, 0) + 1
-                    if open_rows[request.flat_bank] == request.row:
-                        hits += 1
-                if counts != index.row_counts:
-                    self._fail(
-                        f"scheduler index: channel {channel_index} {name} "
-                        f"pool row_counts diverged from a fresh scan "
-                        f"({len(index.row_counts)} keys vs {len(counts)})"
-                    )
-                if hits != index.hits:
-                    self._fail(
-                        f"scheduler index: channel {channel_index} {name} "
-                        f"pool hit tally is {index.hits}, fresh scan "
-                        f"counts {hits}"
-                    )
+        for name, members, row_counts, hits in census:
+            open_rows = channel.open_rows
+            counts: Dict[int, int] = {}
+            fresh_hits = 0
+            for flat, row in members:
+                key = (flat << 40) | row
+                counts[key] = counts.get(key, 0) + 1
+                if open_rows[flat] == row:
+                    fresh_hits += 1
+            if counts != row_counts:
+                self._fail(
+                    f"scheduler index: {name} pool row_counts diverged from "
+                    f"a fresh scan ({len(row_counts)} keys vs {len(counts)})"
+                )
+            if fresh_hits != hits:
+                self._fail(
+                    f"scheduler index: {name} pool hit tally is {hits}, "
+                    f"fresh scan counts {fresh_hits}"
+                )
 
     # ------------------------------------------------------------------
     # Columnar secure timing plane (hooks: SecureTimingEngine
@@ -300,41 +312,46 @@ class Sanitizer:
             )
 
     def check_epoch_flush(
-        self, specs: Sequence[Tuple], requests: Sequence[Any]
+        self,
+        specs: Sequence[Tuple],
+        slots: Sequence[Optional[int]],
+        first_sequence: int,
+        next_sequence: int,
     ) -> None:
-        """The epoch flush must be a faithful 1:1 materialisation: one
-        request per buffered spec, same fields in the same order, with
-        consecutive sequence numbers — i.e. indistinguishable from the
-        scalar engine enqueuing each spec the moment it was emitted."""
+        """The epoch flush must hand the controller every buffered spec:
+        one empty completion slot per spec, with the controller's sequence
+        advanced by exactly the batch size — i.e. indistinguishable from
+        the scalar engine enqueuing each spec the moment it was emitted."""
         self._enter("epoch_flush")
-        if len(specs) != len(requests):
+        if len(specs) != len(slots):
             self._fail(
-                f"epoch flush: {len(specs)} buffered specs materialised "
-                f"{len(requests)} requests"
+                f"epoch flush: {len(specs)} buffered specs got "
+                f"{len(slots)} completion slots"
             )
-        if not requests:
-            return
-        first_sequence = requests[0].sequence
-        for offset, (spec, request) in enumerate(zip(specs, requests)):
-            kind, line, arrival, category, core = spec
-            if (
-                request.kind is not kind
-                or request.line_address != line
-                or request.arrival != arrival
-                or request.category != category
-                or request.core != core
-            ):
+        if next_sequence - first_sequence != len(specs):
+            self._fail(
+                f"epoch flush: sequence advanced {first_sequence} -> "
+                f"{next_sequence} for {len(specs)} specs"
+            )
+        if any(slot is not None for slot in slots):
+            self._fail("epoch flush: a completion slot was filled before process")
+
+    def check_epoch_completions(
+        self, specs: Sequence[Tuple], completions: Sequence[Optional[int]]
+    ) -> None:
+        """After ``MemoryController.process`` every request of the epoch
+        has a completion, strictly after its arrival."""
+        self._enter("epoch_completions")
+        if len(specs) != len(completions):
+            self._fail(
+                f"epoch completions: {len(completions)} slots for "
+                f"{len(specs)} specs"
+            )
+        for offset, (spec, completion) in enumerate(zip(specs, completions)):
+            if completion is None or completion <= spec[2]:
                 self._fail(
-                    f"epoch flush: request {offset} is ({request.kind}, "
-                    f"{request.line_address:#x}, {request.arrival}, "
-                    f"{request.category}, core {request.core}), spec said "
-                    f"({kind}, {line:#x}, {arrival}, {category}, core {core})"
-                )
-            if request.sequence != first_sequence + offset:
-                self._fail(
-                    f"epoch flush: request {offset} has sequence "
-                    f"{request.sequence}, expected consecutive "
-                    f"{first_sequence + offset}"
+                    f"epoch completions: request {offset} (line "
+                    f"{spec[1]:#x}, arrival {spec[2]}) completes at {completion}"
                 )
 
     # ------------------------------------------------------------------

@@ -3,9 +3,8 @@
 * :mod:`repro.dram.timing` — DDR3 timing/config parameters (Table III).
 * :mod:`repro.dram.address` — line address -> (channel, rank, bank, row, col).
 * :mod:`repro.dram.bank` — per-bank open-row state and ready times.
-* :mod:`repro.dram.channel` — a channel: banks + shared data bus.
-* :mod:`repro.dram.scheduler` — FR-FCFS with write-drain watermarks.
-* :mod:`repro.dram.controller` — the event-driven memory controller.
+* :mod:`repro.dram.channel` — a channel's state between scheduling epochs.
+* :mod:`repro.dram.controller` — the columnar FR-FCFS epoch kernel.
 * :mod:`repro.dram.power` — Micron-style DRAM energy accounting.
 
 Time unit throughout: memory-bus cycles (800 MHz in the baseline config;
@@ -13,14 +12,13 @@ the CPU runs at 3.2 GHz = 4 CPU cycles per memory cycle).
 """
 
 from repro.dram.address import AddressMapper, DecodedAddress
-from repro.dram.controller import MemoryController, Request, RequestKind
+from repro.dram.controller import MemoryController, RequestKind
 from repro.dram.timing import DramTiming, MemoryConfig
 
 __all__ = [
     "AddressMapper",
     "DecodedAddress",
     "MemoryController",
-    "Request",
     "RequestKind",
     "DramTiming",
     "MemoryConfig",

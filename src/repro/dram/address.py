@@ -10,16 +10,19 @@ locality:
 This is USIMM's default-style interleaving; the sensitivity study of
 Fig. 12 only varies the channel count.
 
-``decode_fast`` is the controller's per-request entry point: it returns a
-plain tuple and, when every geometry factor is a power of two (the default
-and every configuration in the paper), uses precomputed shifts and masks
-instead of div/mod chains.
+``decode_fast`` returns a plain tuple and, when every geometry factor is a
+power of two (the default and every configuration in the paper), uses
+precomputed shifts and masks instead of div/mod chains.
+``decode_columns`` is the same arithmetic over a numpy column of lines: the
+controller decodes each scheduling epoch with one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple
+
+import numpy as np
 
 from repro.dram.timing import MemoryConfig
 from repro.util.units import is_power_of_two, log2_int
@@ -102,6 +105,27 @@ class AddressMapper:
         remaining //= config.ranks_per_channel
         row = remaining % config.rows_per_bank
         return channel, rank, bank, row, column
+
+    def decode_columns(self, lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(channel, flat_bank, row)`` int64 arrays for a column of lines.
+
+        The same arithmetic as :meth:`decode_fast`, vectorised; ``flat_bank``
+        is ``rank * banks_per_rank + bank``, the channel-local bank index.
+        """
+        config = self.config
+        if self._pow2:
+            remaining = lines & self._total_mask
+            channel = remaining & self._channel_mask
+            remaining = remaining >> (self._channel_shift + self._column_shift)
+            flat_bank = remaining & (config.banks_per_channel - 1)
+            row = (remaining >> (self._bank_shift + self._rank_shift)) & self._row_mask
+            return channel, flat_bank, row
+        remaining = lines % config.total_lines
+        channel = remaining % config.channels
+        remaining = remaining // config.channels // config.lines_per_row
+        flat_bank = remaining % config.banks_per_channel
+        row = (remaining // config.banks_per_channel) % config.rows_per_bank
+        return channel, flat_bank, row
 
     def decode(self, line_address: int) -> DecodedAddress:
         """Split a line address into DRAM coordinates (wraps modulo size)."""

@@ -1,124 +1,23 @@
-"""Per-bank state: open row and earliest next-command time.
+"""Per-bank state: open row, earliest next-command time, hit/miss tallies.
 
 Open-page policy: a row stays open after an access until a conflicting
-access precharges it. The bank exposes the three-way row-hit / row-miss /
-closed classification the FR-FCFS scheduler prioritises on.
-
-Hot-path notes: the scheduler reads ``open_row``/``ready_at`` directly in
-its candidate scan (millions of probes per cell), so the class is
-``__slots__`` and the latency arithmetic is precomputed per timing
-configuration instead of re-derived per access.
+access precharges it. The controller's epoch kernel reads and writes these
+slots directly from its decision loop (see :mod:`repro.dram.controller`);
+the bank carries no behaviour of its own.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.dram.timing import DramTiming
-from repro.telemetry import get_registry
-
 
 class BankState:
     """Timing state of one DRAM bank (open-page policy)."""
 
-    __slots__ = (
-        "timing",
-        "open_row",
-        "ready_at",
-        "activated_at",
-        "row_hits",
-        "row_misses",
-        "_t_activations",
-        "_lat_hit_read",
-        "_lat_hit_write",
-        "_lat_closed_read",
-        "_lat_closed_write",
-        "_lat_miss_read",
-        "_lat_miss_write",
-        "_ready_delta_read",
-        "_ready_delta_write",
-        "_t_rp",
-        "_synced_activations",
-    )
+    __slots__ = ("open_row", "ready_at", "row_hits", "row_misses")
 
-    def __init__(self, timing: DramTiming):
-        self.timing = timing
-        self.open_row: Optional[int] = None
+    def __init__(self) -> None:
+        self.open_row: Optional[int] = None  #: None while the bank is closed
         self.ready_at = 0  #: earliest cycle the next command may start
-        self.activated_at = 0  #: when the current row was opened (tRAS)
         self.row_hits = 0
-        self.row_misses = 0
-        # Precomputed latency table: classification x direction.
-        self._lat_hit_read = timing.t_cl
-        self._lat_hit_write = timing.t_cwl
-        self._lat_closed_read = timing.t_rcd + timing.t_cl
-        self._lat_closed_write = timing.t_rcd + timing.t_cwl
-        self._lat_miss_read = timing.t_rp + timing.t_rcd + timing.t_cl
-        self._lat_miss_write = timing.t_rp + timing.t_rcd + timing.t_cwl
-        # After an access the bank is ready again at start + tCCD (+ tWR
-        # write recovery) — the row is open by then, so the column latency
-        # cancels out of the original formulation.
-        self._ready_delta_read = timing.t_ccd
-        self._ready_delta_write = timing.t_ccd + timing.t_wr
-        self._t_rp = timing.t_rp
-        # Shared across all banks created under the same registry scope.
-        self._t_activations = get_registry().counter("dram.bank_activations")
-        self._synced_activations = 0
-
-    def classify(self, row: int) -> str:
-        """'hit', 'miss' (conflict), or 'closed'."""
-        if self.open_row is None:
-            return "closed"
-        return "hit" if self.open_row == row else "miss"
-
-    def access_latency(self, row: int, is_write: bool) -> int:
-        """Command-start to first-data-beat latency for accessing ``row``."""
-        open_row = self.open_row
-        if open_row is None:
-            return self._lat_closed_write if is_write else self._lat_closed_read
-        if open_row == row:
-            return self._lat_hit_write if is_write else self._lat_hit_read
-        return self._lat_miss_write if is_write else self._lat_miss_read
-
-    def begin_access(self, row: int, start: int, is_write: bool) -> Optional[int]:
-        """Commit an access starting at ``start``; updates row + ready time.
-
-        Returns the row that was open *before* this access (``None`` for a
-        closed bank) so the channel can maintain its flat open-row table
-        without re-reading bank state around the call.
-        """
-        open_row = self.open_row
-        if open_row == row:
-            self.row_hits += 1
-        else:
-            # One activation per row miss; the telemetry counter is synced
-            # from ``row_misses`` at snapshot time (sync_telemetry).
-            self.row_misses += 1
-            if open_row is not None:
-                # Must respect tRAS of the previously open row before PRE;
-                # the caller accounted for PRE+ACT in the latency already.
-                self.activated_at = start + self._t_rp
-            else:
-                self.activated_at = start
-            self.open_row = row
-        self.ready_at = start + (
-            self._ready_delta_write if is_write else self._ready_delta_read
-        )
-        return open_row
-
-    def earliest_start(self, now: int) -> int:
-        """Earliest cycle a new command to this bank may start."""
-        ready = self.ready_at
-        return ready if ready > now else now
-
-    def sync_telemetry(self) -> None:
-        """Reconcile the activation counter with ``row_misses`` (idempotent).
-
-        Banks under one registry scope share the ``dram.bank_activations``
-        counter; each bank contributes its own delta, so syncing every
-        bank once sums to the per-event total the hot path used to record.
-        """
-        delta = self.row_misses - self._synced_activations
-        if delta:
-            self._t_activations.inc(delta)
-            self._synced_activations = self.row_misses
+        self.row_misses = 0  #: one activation each

@@ -1,20 +1,18 @@
-"""One memory channel: a set of banks sharing a command/data bus.
+"""One memory channel: the state that persists across scheduling epochs.
 
-The channel tracks per-bank state plus data-bus occupancy and computes, for
-a candidate request, the earliest (start, data_start, completion) triple that
-respects bank timing, bus availability, and read/write turnaround.
-
-Hot-path notes: ``plan``/``commit`` run once per scheduled request; the
-timing constants they consult are bound to attributes in ``__init__`` and
-row classification reads ``open_row`` directly instead of going through the
-string-returning ``classify``.
+A channel is a set of banks sharing a command/data bus. Between two
+``MemoryController.process`` epochs it remembers per-bank state, data-bus
+occupancy and direction, the per-rank activation history (tFAW/tRRD), the
+write-drain mode and the last command start. The controller's decision
+loop keeps the scalar fields in locals while it runs and writes them back
+at the end of the epoch (and before every sanitizer hook).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from collections import deque
+from typing import Deque, List
 
-from repro.analysis.sanitizer import get_sanitizer
 from repro.dram.bank import BankState
 from repro.dram.timing import DramTiming, MemoryConfig
 
@@ -30,202 +28,39 @@ class ChannelState:
         "closed_banks",
         "bus_free_at",
         "last_was_write",
-        "busy_cycles",
-        "_recent_activates",
+        "last_command_start",
+        "draining",
+        "recent_activates",
         "refresh_stall_cycles",
-        "_banks_per_rank",
-        "_model_refresh",
-        "_model_faw",
-        "_t_refi",
-        "_t_rfc",
-        "_t_rrd",
-        "_t_faw",
-        "_t_wtr",
-        "_t_rtw",
-        "_t_burst",
-        "_sanitizer",
     )
 
     def __init__(self, config: MemoryConfig):
         self.config = config
         self.timing: DramTiming = config.timing
         self.banks: List[BankState] = [
-            BankState(config.timing) for _ in range(config.banks_per_channel)
+            BankState() for _ in range(config.banks_per_channel)
         ]
         #: Open-row table: ``open_rows[flat_bank]`` mirrors the bank's
-        #: ``open_row`` with -1 for closed. Schedulers classify candidates
-        #: against this flat list (one index + compare) instead of chasing
-        #: per-bank attributes, and the controller's row-hit index keys off
-        #: it. Maintained exclusively by :meth:`commit`.
+        #: ``open_row`` with -1 for closed, so the scheduler classifies a
+        #: candidate with one index + compare.
         self.open_rows: List[int] = [-1] * config.banks_per_channel
         #: Banks whose row buffer has never been opened. Monotone to zero
         #: (open-page policy never precharges without activating), which
         #: makes ``closed_banks == 0`` a cheap "every candidate classifies
-        #: hit-or-miss" predicate for scheduler fast paths.
+        #: hit-or-miss" predicate.
         self.closed_banks = config.banks_per_channel
         self.bus_free_at = 0
         self.last_was_write = False
-        self.busy_cycles = 0  #: data-bus occupancy accumulator (utilisation)
-        #: per-rank recent activate times (tFAW/tRRD bookkeeping)
-        self._recent_activates: List[List[int]] = [
-            [] for _ in range(config.ranks_per_channel)
+        self.last_command_start = -1
+        #: Write-drain hysteresis: set at the high watermark, cleared at
+        #: the low one.
+        self.draining = False
+        #: Per-rank activate times, newest last, the last 8 kept
+        #: (tFAW/tRRD).
+        self.recent_activates: List[Deque[int]] = [
+            deque(maxlen=8) for _ in range(config.ranks_per_channel)
         ]
         self.refresh_stall_cycles = 0
-        # Bound once: consulted on every plan/commit.
-        timing = config.timing
-        self._banks_per_rank = config.banks_per_rank
-        self._model_refresh = config.model_refresh
-        self._model_faw = config.model_faw
-        self._t_refi = timing.t_refi
-        self._t_rfc = timing.t_rfc
-        self._t_rrd = timing.t_rrd
-        self._t_faw = timing.t_faw
-        self._t_wtr = timing.t_wtr
-        self._t_rtw = timing.t_rtw
-        self._t_burst = timing.t_burst
-        # None unless REPRO_SANITIZE is on; commit() checks the plan against
-        # pre-mutation state when set (see repro.analysis.sanitizer).
-        self._sanitizer = get_sanitizer()
-
-    def flat_bank(self, rank: int, bank: int) -> int:
-        """Flatten (rank, bank) into a channel-local bank index."""
-        return rank * self._banks_per_rank + bank
-
-    # -- refresh ------------------------------------------------------------
-
-    def _after_refresh(self, start: int) -> int:
-        """Push ``start`` out of any periodic refresh blackout window.
-
-        All banks of a rank are unavailable for tRFC every tREFI; we model
-        the blackout as channel-wide (ranks refresh staggered in reality —
-        a second-order detail).
-        """
-        if not self._model_refresh:
-            return start
-        phase = start % self._t_refi
-        if phase < self._t_rfc:
-            shifted = start + (self._t_rfc - phase)
-            self.refresh_stall_cycles += shifted - start
-            return shifted
-        return start
-
-    # -- activation window ----------------------------------------------------
-
-    def _after_faw(self, rank: int, start: int, will_activate: bool) -> int:
-        """Respect tFAW (max 4 ACTs per rolling window) and tRRD."""
-        if not self._model_faw or not will_activate:
-            return start
-        history = self._recent_activates[rank]
-        if history:
-            after_rrd = history[-1] + self._t_rrd
-            if after_rrd > start:
-                start = after_rrd
-            if len(history) >= 4:
-                after_faw = history[-4] + self._t_faw
-                if after_faw > start:
-                    start = after_faw
-        return start
-
-    def plan(
-        self, rank: int, bank: int, row: int, is_write: bool, now: int
-    ) -> Tuple[int, int, int]:
-        """Earliest (command_start, data_start, completion) for a request.
-
-        Does not commit bank/bus state (only the refresh-stall accounting
-        mutates, exactly as the ``_after_refresh`` helper it inlines). The
-        body is self-contained — one call per scheduling decision instead
-        of four — but computes the identical sequence: bank-ready clamp,
-        refresh blackout, tFAW/tRRD, latency class, bus turnaround.
-        """
-        bank_state = self.banks[rank * self._banks_per_rank + bank]
-        ready = bank_state.ready_at
-        start = ready if ready > now else now
-        open_row = bank_state.open_row
-        if self._model_refresh:
-            phase = start % self._t_refi
-            if phase < self._t_rfc:
-                shifted = start + (self._t_rfc - phase)
-                self.refresh_stall_cycles += shifted - start
-                start = shifted
-        if open_row != row:
-            if self._model_faw:
-                history = self._recent_activates[rank]
-                if history:
-                    after_rrd = history[-1] + self._t_rrd
-                    if after_rrd > start:
-                        start = after_rrd
-                    if len(history) >= 4:
-                        after_faw = history[-4] + self._t_faw
-                        if after_faw > start:
-                            start = after_faw
-            if open_row is None:
-                latency = (
-                    bank_state._lat_closed_write
-                    if is_write
-                    else bank_state._lat_closed_read
-                )
-            else:
-                latency = (
-                    bank_state._lat_miss_write
-                    if is_write
-                    else bank_state._lat_miss_read
-                )
-        else:
-            latency = (
-                bank_state._lat_hit_write if is_write else bank_state._lat_hit_read
-            )
-        data_start = start + latency
-        if is_write:
-            turnaround = 0 if self.last_was_write else self._t_rtw
-        else:
-            turnaround = self._t_wtr if self.last_was_write else 0
-        earliest_bus = self.bus_free_at + turnaround
-        if data_start < earliest_bus:
-            shift = earliest_bus - data_start
-            start += shift
-            data_start += shift
-        completion = data_start + self._t_burst
-        return start, data_start, completion
-
-    def commit(
-        self, rank: int, bank: int, row: int, is_write: bool, plan: Tuple[int, int, int]
-    ) -> None:
-        """Apply a previously planned access to bank and bus state."""
-        if self._sanitizer is not None:
-            self._sanitizer.check_dram_commit(self, rank, bank, row, is_write, plan)
-        start, data_start, completion = plan
-        flat = rank * self._banks_per_rank + bank
-        bank_state = self.banks[flat]
-        # Inlined BankState.begin_access (kept as a method for unit tests):
-        # identical row-hit/miss accounting, activation tracking, and
-        # ready-time update, merged with the open-row table maintenance.
-        open_row = bank_state.open_row
-        if open_row == row:
-            bank_state.row_hits += 1
-        else:
-            if self._model_faw:
-                history = self._recent_activates[rank]
-                history.append(start)
-                if len(history) > 8:
-                    del history[:-8]
-            bank_state.row_misses += 1
-            if open_row is not None:
-                bank_state.activated_at = start + bank_state._t_rp
-            else:
-                bank_state.activated_at = start
-                self.closed_banks -= 1
-            bank_state.open_row = row
-            self.open_rows[flat] = row
-        bank_state.ready_at = start + (
-            bank_state._ready_delta_write if is_write else bank_state._ready_delta_read
-        )
-        self.bus_free_at = completion
-        self.last_was_write = is_write
-        self.busy_cycles += completion - data_start
-
-    def is_row_hit(self, rank: int, bank: int, row: int) -> bool:
-        """Does ``row`` currently sit in the bank's row buffer?"""
-        return self.banks[rank * self._banks_per_rank + bank].open_row == row
 
     @property
     def row_hit_rate(self) -> float:

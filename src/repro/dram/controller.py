@@ -1,59 +1,75 @@
-"""Event-driven memory controller with FR-FCFS scheduling.
+"""Memory controller: one columnar FR-FCFS kernel per scheduling epoch.
 
-Co-simulation contract: producers (the system simulator) enqueue timestamped
-requests; :meth:`MemoryController.process` then schedules everything that
-has been enqueued, in causal order, assigning each request its completion
-cycle. The system alternates "cores run until blocked" and "controller
-schedules" epochs — cores can only block on their own outstanding reads, so
-by the time ``process`` runs, every request that could contend is present.
+Co-simulation contract: producers (the system simulator) enqueue
+timestamped request specs; :meth:`MemoryController.process` then schedules
+everything enqueued, in causal order, assigning each request its
+completion cycle. The system alternates "cores run until blocked" and
+"controller schedules" epochs — cores can only block on their own
+outstanding reads, so by the time ``process`` runs, every request that
+could contend is present.
 
-Scheduling approximates FR-FCFS: at each decision the controller picks the
-queued request with the earliest achievable data transfer (row hits
-naturally win), with age as tie-break, and drains writes in bursts governed
-by watermarks. Command-bus serialisation is modelled at one command per
-cycle; rank-level constraints (tFAW/tRRD) are intentionally omitted
-(second-order for the traffic-volume effects this reproduction targets —
-see DESIGN.md).
+Scheduling approximates FR-FCFS: at each decision the controller picks,
+among the oldest ``WINDOW`` queued requests of the selected pool, the one
+with the earliest achievable data start (row hits naturally win), with age
+as tie-break, and drains writes in bursts governed by watermarks. Refresh
+blackouts (tREFI/tRFC) and the rank activation window (tRRD/tFAW) are
+modelled; tRAS and the read/write queue capacities are not (DESIGN.md,
+"Model decisions").
 
-Hot-path notes: ``enqueue`` and the per-decision scheduling loop run once
-per memory request and once per scheduling decision respectively — millions
-of times per grid cell. Request is a ``__slots__`` class with ``is_write``
-and the row-index key precomputed, per-(category, kind) stat counters are
-bound once in a lookup table instead of string-formatted per request, and
-``incoming`` is a plain list sorted once per ``process`` epoch (one Timsort
-over an almost-sorted list beats a heap pop per request).
+The epoch kernel. A request is a ``(kind, line, arrival, category, core)``
+spec tuple, never an object. :meth:`enqueue_batch` buffers the specs and
+hands back one completion slot per spec; :meth:`process` then
 
-The decision itself is indexed, not scanned: each pool keeps an incremental
-row-hit census (``_PoolRowIndex``) so the common cases resolve in O(1) —
+* decodes the whole epoch with one numpy pass (flat bank, row, packed
+  ``(flat_bank << 40) | row`` key; shift/mask for power-of-two
+  geometries, div/mod otherwise);
+* orders each channel's spec indices by a stable sort on arrival, which
+  equals the (arrival, sequence) order of serial enqueues;
+* runs one fused decision loop per channel over integer indices into
+  those columns — pool selection, the candidate scan, the bank/bus timing
+  plan (refresh blackout, tRRD/tFAW, latency class, bus turnaround) and
+  its commit are all inline, with the channel's scalar state in locals —
+  and writes the completion of request ``i`` into slot ``i``.
 
-* pool has no row hits and every bank is open: all candidates are
-  same-latency row misses, so the oldest request (the pool head) wins
-  outright, no scan;
-* otherwise the bounded window scan runs, but exits as soon as the current
-  best is a ready row hit (unbeatable) and prunes on arrival order (pools
-  are age-sorted, so once ``arrival >= best_estimate - lat_hit`` no later
-  candidate can win).
+Pools drain fully in every ``process`` call, so indices are epoch-local;
+bank, bus, drain-mode and activation-window state persist across epochs in
+:class:`~repro.dram.channel.ChannelState`.
 
-The same census powers the late-arrival re-choose: admissions that cannot
-have changed the scanned window (same pool object, window already full or
-length unchanged) reuse the first decision instead of rescanning.
-Invariants of the index are sanitizer-checked (REPRO_SANITIZE=1) against a
-fresh queue scan; see ``repro.analysis.sanitizer.check_scheduler_index``.
+Each pool keeps an incremental row-hit census (``row_key -> count`` plus
+the number of queued row hits), re-based whenever a commit moves a bank's
+open row. Once every bank is open it splits decisions three ways:
+
+* no row hit queued: every candidate is an equal-latency row miss, so the
+  earliest startable candidate wins and one ready at the horizon stops the
+  scan;
+* hits queued: a hit-or-miss scan that stops at a ready row hit, or as
+  soon as every queued hit has been scanned and the best estimate is at or
+  under ``horizon + lat_miss`` (no later miss can beat it);
+* the general scan (three-way latency class, arrival prune) serves
+  warm-up, while some bank is still closed, and the late-arrival
+  re-choose.
+
+Every path picks what the plain windowed scan picks;
+``tests/reference/dram_oracle.py`` is that scan with the step-wise
+plan/commit arithmetic, and ``tests/test_dram_kernel.py`` replays streams
+through both. Under ``REPRO_SANITIZE=1`` every commit is checked for timing
+legality and the census is recounted every 64 decisions and at every
+epoch boundary (``repro.analysis.sanitizer``).
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from collections import Counter, deque
+from itertools import compress, islice, repeat
+from operator import is_, itemgetter, not_
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.sanitizer import get_sanitizer
-
 from repro.dram.address import AddressMapper
 from repro.dram.channel import ChannelState
-from repro.dram.scheduler import FrFcfsScheduler
 from repro.dram.timing import MemoryConfig
 from repro.telemetry import get_registry
 from repro.util.stats import StatGroup
@@ -62,6 +78,14 @@ from repro.util.stats import StatGroup
 #: cycles (fixed so per-cell histograms merge across workers).
 QUEUE_DEPTH_EDGES = (0, 1, 2, 4, 8, 16, 32, 64, 128)
 LATENCY_EDGES = (16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 1024, 4096)
+
+#: Scheduler candidate window: only the oldest WINDOW queued requests of a
+#: pool are considered per decision (real FR-FCFS pickers have bounded
+#: associative search too). Keeps each decision O(WINDOW).
+WINDOW = 16
+
+#: Estimate sentinel above any reachable cycle count.
+_NEVER = 1 << 62
 
 
 class RequestKind(enum.Enum):
@@ -73,134 +97,34 @@ class RequestKind(enum.Enum):
 
 _WRITE = RequestKind.WRITE
 
-#: Batch size at which enqueue_batch switches to the columnar numpy
-#: decode; below this the fixed numpy setup cost beats the savings.
-_BATCH_DECODE_MIN = 48
+Spec = Tuple[RequestKind, int, int, str, int]
 
-
-class Request:
-    """One cacheline-sized memory request."""
-
-    __slots__ = (
-        "kind",
-        "line_address",
-        "arrival",
-        "category",
-        "core",
-        "channel",
-        "rank",
-        "bank",
-        "row",
-        "flat_bank",
-        "row_key",
-        "completion",
-        "sequence",
-        "is_write",
-    )
-
-    def __init__(
-        self,
-        kind: RequestKind,
-        line_address: int,
-        arrival: int,
-        category: str = "data",  #: data | counter | mac | parity | tree
-        core: int = 0,
-        channel: int = 0,
-        rank: int = 0,
-        bank: int = 0,
-        row: int = 0,
-        flat_bank: int = 0,  #: channel-local bank index, precomputed
-        completion: Optional[int] = None,
-        sequence: int = 0,
-    ):
-        self.kind = kind
-        self.line_address = line_address
-        self.arrival = arrival
-        self.category = category
-        self.core = core
-        self.channel = channel
-        self.rank = rank
-        self.bank = bank
-        self.row = row
-        self.flat_bank = flat_bank
-        # Row-index key: (flat_bank, row) packed into one int so the
-        # per-pool row census needs a single dict probe per event. Rows are
-        # far below 2**40 for any modelled geometry.
-        self.row_key = (flat_bank << 40) | row
-        self.completion = completion
-        self.sequence = sequence
-        self.is_write = kind is _WRITE
-
-    def __repr__(self) -> str:
-        return "Request(%s line=%d arrival=%d category=%s completion=%s)" % (
-            self.kind.value,
-            self.line_address,
-            self.arrival,
-            self.category,
-            self.completion,
-        )
-
-
-class _PoolRowIndex:
-    """Incremental open-row census for one scheduling pool.
-
-    ``row_counts[row_key]`` is the number of queued requests targeting that
-    (flat_bank, row); ``hits`` is the number of queued requests whose row is
-    currently open in their bank. Both are maintained on admit/remove and
-    re-based when a commit moves a bank's open row, so the scheduler can ask
-    "does this pool contain any row hit?" in O(1) instead of scanning.
-    """
-
-    __slots__ = ("row_counts", "hits")
-
-    def __init__(self) -> None:
-        self.row_counts: Dict[int, int] = {}
-        self.hits = 0
-
-
-class _ChannelQueues:
-    __slots__ = (
-        "incoming",
-        "reads",
-        "writes",
-        "read_index",
-        "write_index",
-        "last_command_start",
-    )
-
-    def __init__(self) -> None:
-        self.incoming: List = []  # (arrival, seq, req); sorted per epoch
-        self.reads: Deque[Request] = deque()
-        self.writes: Deque[Request] = deque()
-        self.read_index = _PoolRowIndex()
-        self.write_index = _PoolRowIndex()
-        self.last_command_start = -1
+_kinds_of = itemgetter(0)
+_lines_of = itemgetter(1)
+_arrivals_of = itemgetter(2)
+_categories_of = itemgetter(3)
 
 
 class MemoryController:
-    """Schedules requests over the configured channels."""
+    """Schedules request specs over the configured channels."""
 
     __slots__ = (
         "config",
         "mapper",
-        "_pow2_decode",
         "channels",
-        "schedulers",
-        "_queues",
-        "_sequence",
-        "_banks_per_rank",
+        "sequence",
         "stats",
+        "_specs",
+        "_is_write",
+        "_slots",
         "_read_counters",
         "_write_counters",
         "_h_read_latency",
         "_h_write_latency",
         "_c_data_bus_cycles",
-        "_lat_hit_read",
-        "_lat_hit_write",
-        "_lat_closed_read",
-        "_lat_closed_write",
-        "_lat_miss_read",
-        "_lat_miss_write",
+        "_t_activations",
+        "_t_drain_bursts",
+        "_t_write_queue_depth",
         "_t_row_hits",
         "_t_row_misses",
         "_synced_rows",
@@ -210,14 +134,6 @@ class MemoryController:
         "_depth_acc",
         "_read_lat_acc",
         "_write_lat_acc",
-        "_dec_total_mask",
-        "_dec_channel_mask",
-        "_dec_bank_shift",
-        "_dec_bank_mask",
-        "_dec_rank_shift",
-        "_dec_rank_mask",
-        "_dec_row_shift",
-        "_dec_row_mask",
         "_sanitizer",
         "_san_tick",
     )
@@ -225,53 +141,31 @@ class MemoryController:
     def __init__(self, config: MemoryConfig):
         self.config = config
         self.mapper = AddressMapper(config)
-        # Inlined power-of-two decode for enqueue: same arithmetic as
-        # AddressMapper.decode_fast, but with the channel/column shifts
-        # folded together (enqueue never needs the column) and no call.
-        mapper = self.mapper
-        self._pow2_decode = getattr(mapper, "_pow2", False)
-        if self._pow2_decode:
-            self._dec_total_mask = mapper._total_mask
-            self._dec_channel_mask = mapper._channel_mask
-            self._dec_bank_shift = mapper._channel_shift + mapper._column_shift
-            self._dec_bank_mask = mapper._bank_mask
-            self._dec_rank_shift = self._dec_bank_shift + mapper._bank_shift
-            self._dec_rank_mask = mapper._rank_mask
-            self._dec_row_shift = self._dec_rank_shift + mapper._rank_shift
-            self._dec_row_mask = mapper._row_mask
         self.channels = [ChannelState(config) for _ in range(config.channels)]
-        self.schedulers = [
-            FrFcfsScheduler(config.write_drain_high, config.write_drain_low)
-            for _ in range(config.channels)
-        ]
-        self._queues = [_ChannelQueues() for _ in range(config.channels)]
-        self._sequence = 0
-        self._banks_per_rank = config.banks_per_rank
+        #: Requests enqueued so far, over all epochs.
+        self.sequence = 0
+        # The epoch: buffered specs, their is-write column (built at
+        # enqueue for the traffic tally) and the slot lists handed out.
+        self._specs: List[Spec] = []
+        self._is_write: List[bool] = []
+        self._slots: List[List[Optional[int]]] = []
         self.stats = StatGroup("memory_controller")
         #: category -> (requests_<kind>, traffic_<category>_<kind>) counter
-        #: pairs, one dict per direction, built lazily so enqueue never
-        #: string-formats. Keyed by the category string alone (str hashes
-        #: are cached; hashing the (category, kind) tuple re-ran the
-        #: enum's Python-level __hash__ on every request).
+        #: pairs, one dict per direction, bound lazily.
         self._read_counters: Dict[str, Tuple] = {}
         self._write_counters: Dict[str, Tuple] = {}
-        # Per-direction latency stats, bound once instead of per record.
         self._h_read_latency = self.stats.histogram("read_latency")
         self._h_write_latency = self.stats.histogram("write_latency")
         self._c_data_bus_cycles = self.stats.counter("data_bus_cycles")
-        # Candidate-scan latency constants (identical across banks; see
-        # BankState.access_latency).
-        timing = config.timing
-        self._lat_hit_read = timing.t_cl
-        self._lat_hit_write = timing.t_cwl
-        self._lat_closed_read = timing.t_rcd + timing.t_cl
-        self._lat_closed_write = timing.t_rcd + timing.t_cwl
-        self._lat_miss_read = timing.t_rp + timing.t_rcd + timing.t_cl
-        self._lat_miss_write = timing.t_rp + timing.t_rcd + timing.t_cwl
         registry = get_registry()
+        self._t_activations = registry.counter("dram.bank_activations")
+        self._t_drain_bursts = registry.counter("dram.write_drain_bursts")
+        self._t_write_queue_depth = registry.histogram(
+            "dram.write_queue_depth", QUEUE_DEPTH_EDGES
+        )
         self._t_row_hits = registry.counter("dram.row_hits")
         self._t_row_misses = registry.counter("dram.row_misses")
-        # Deferred-telemetry watermarks (see record_telemetry).
+        # Deferred-telemetry watermarks: hits, misses (= activations).
         self._synced_rows = [0, 0]
         self._t_queue_depth = registry.histogram(
             "dram.queue_depth", QUEUE_DEPTH_EDGES
@@ -282,28 +176,26 @@ class MemoryController:
         self._t_write_latency = registry.histogram(
             "dram.write_latency_cycles", LATENCY_EDGES
         )
-        # Deferred histogram accumulators: the hot path tallies integer
-        # observations as value -> weight and record_telemetry flushes them
-        # weight-batched. All three record int cycles/depths, so the
-        # batched sums are bit-identical to per-event recording.
-        self._depth_acc: Dict[int, int] = {}
-        self._read_lat_acc: Dict[int, int] = {}
-        self._write_lat_acc: Dict[int, int] = {}
-        # None unless REPRO_SANITIZE is on; when set, the row-hit index is
-        # cross-checked against a fresh queue scan (sampled per decision and
-        # at every process() epoch boundary).
+        # Deferred histogram tallies (value -> weight), flushed by
+        # record_telemetry. All three observe ints, so the weight-batched
+        # records are bit-identical to per-event recording.
+        self._depth_acc: Counter = Counter()
+        self._read_lat_acc: Counter = Counter()
+        self._write_lat_acc: Counter = Counter()
+        # None unless REPRO_SANITIZE is on (see the module docstring).
         self._sanitizer = get_sanitizer()
         self._san_tick = 0
 
     # ------------------------------------------------------------------
 
-    def _counters_for(self, category: str, kind: RequestKind) -> Tuple:
+    def _counters_for(self, category: str, is_write: bool) -> Tuple:
         """Bind the request/traffic counters for one (category, kind)."""
+        kind = "write" if is_write else "read"
         counters = (
-            self.stats.counter("requests_%s" % kind.value),
-            self.stats.counter("traffic_%s_%s" % (category, kind.value)),
+            self.stats.counter("requests_%s" % kind),
+            self.stats.counter("traffic_%s_%s" % (category, kind)),
         )
-        table = self._write_counters if kind is _WRITE else self._read_counters
+        table = self._write_counters if is_write else self._read_counters
         table[category] = counters
         return counters
 
@@ -314,666 +206,453 @@ class MemoryController:
         arrival: int,
         category: str = "data",
         core: int = 0,
-    ) -> Request:
-        """Add a request; its ``completion`` is set by :meth:`process`."""
-        if self._pow2_decode:
-            masked = line_address & self._dec_total_mask
-            channel = masked & self._dec_channel_mask
-            bank = (masked >> self._dec_bank_shift) & self._dec_bank_mask
-            rank = (masked >> self._dec_rank_shift) & self._dec_rank_mask
-            row = (masked >> self._dec_row_shift) & self._dec_row_mask
-        else:
-            channel, rank, bank, row, _column = self.mapper.decode_fast(
-                line_address
-            )
-        sequence = self._sequence + 1
-        self._sequence = sequence
-        # Build the request through __new__ + direct slot writes: ~2.5x
-        # cheaper than the __init__ call on this per-request path.
-        request = Request.__new__(Request)
-        request.kind = kind
-        request.line_address = line_address
-        request.arrival = arrival
-        request.category = category
-        request.core = core
-        request.channel = channel
-        request.rank = rank
-        request.bank = bank
-        request.row = row
-        flat_bank = rank * self._banks_per_rank + bank
-        request.flat_bank = flat_bank
-        request.row_key = (flat_bank << 40) | row
-        request.completion = None
-        request.sequence = sequence
-        request.is_write = kind is _WRITE
-        queues = self._queues[channel]
-        # Plain append: _process_channel sorts the backlog once per epoch.
-        # Arrivals are emitted almost-sorted, so the Timsort is near-linear
-        # and strictly cheaper than a heap operation per request.
-        queues.incoming.append((arrival, sequence, request))
-        table = self._write_counters if kind is _WRITE else self._read_counters
-        try:
-            counters = table[category]
-        except KeyError:
-            counters = self._counters_for(category, kind)
-        # Unit increments: bump the slots directly, skipping Counter.add's
-        # sign check on the per-request path.
-        counters[0].value += 1
-        counters[1].value += 1
-        return request
+    ) -> List[Optional[int]]:
+        """Enqueue one spec; returns its one-element completion slot list."""
+        return self.enqueue_batch([(kind, line_address, arrival, category, core)])
 
-    def enqueue_batch(
-        self, specs: List[Tuple[RequestKind, int, int, str, int]]
-    ) -> List[Request]:
-        """Enqueue ``(kind, line, arrival, category, core)`` specs in order.
+    def enqueue_batch(self, specs: Sequence[Spec]) -> List[Optional[int]]:
+        """Buffer ``(kind, line, arrival, category, core)`` specs in order.
 
-        Sequence numbers are assigned in list order, exactly as the same
-        calls made one by one — producers that expand one event into
-        several requests (the secure engine's metadata expansion) buffer
-        their emissions and flush through here to amortise the per-call
-        binding without perturbing arbitration order.
+        Returns one completion slot per spec, filled by the next
+        :meth:`process`. Sequence order is list order, exactly as the same
+        specs enqueued one by one. The request/traffic counters are bumped
+        here, one tally per (direction, category).
         """
-        if not self._pow2_decode:
-            enqueue = self.enqueue
-            return [
-                enqueue(kind, line, arrival, category, core)
-                for kind, line, arrival, category, core in specs
-            ]
         count = len(specs)
-        if count >= _BATCH_DECODE_MIN:
-            return self._enqueue_batch_columnar(specs, count)
-        total_mask = self._dec_total_mask
-        channel_mask = self._dec_channel_mask
-        bank_shift = self._dec_bank_shift
-        bank_mask = self._dec_bank_mask
-        rank_shift = self._dec_rank_shift
-        rank_mask = self._dec_rank_mask
-        row_shift = self._dec_row_shift
-        row_mask = self._dec_row_mask
-        banks_per_rank = self._banks_per_rank
-        queues = self._queues
-        read_counters = self._read_counters
-        write_counters = self._write_counters
-        write = _WRITE
-        sequence = self._sequence
-        new = Request.__new__
-        out: List[Request] = []
-        append = out.append
-        for kind, line_address, arrival, category, core in specs:
-            masked = line_address & total_mask
-            channel = masked & channel_mask
-            bank = (masked >> bank_shift) & bank_mask
-            rank = (masked >> rank_shift) & rank_mask
-            row = (masked >> row_shift) & row_mask
-            sequence += 1
-            request = new(Request)
-            request.kind = kind
-            request.line_address = line_address
-            request.arrival = arrival
-            request.category = category
-            request.core = core
-            request.channel = channel
-            request.rank = rank
-            request.bank = bank
-            request.row = row
-            flat_bank = rank * banks_per_rank + bank
-            request.flat_bank = flat_bank
-            request.row_key = (flat_bank << 40) | row
-            request.completion = None
-            request.sequence = sequence
-            is_write = kind is write
-            request.is_write = is_write
-            queues[channel].incoming.append((arrival, sequence, request))
-            table = write_counters if is_write else read_counters
-            try:
-                counters = table[category]
-            except KeyError:
-                counters = self._counters_for(category, kind)
-            counters[0].value += 1
-            counters[1].value += 1
-            append(request)
-        self._sequence = sequence
-        return out
-
-    def _enqueue_batch_columnar(self, specs, count: int) -> List[Request]:
-        """Large-batch enqueue: one numpy pass decodes every address.
-
-        The channel/rank/bank/row/flat_bank/row_key columns for the whole
-        batch come out of a handful of vectorised integer ops (identical
-        arithmetic to the scalar decode, so the resulting requests are
-        bit-identical); the remaining per-request loop only materialises
-        the Request objects and routes them. Roughly 4x cheaper per spec
-        than the scalar decode at epoch-flush batch sizes.
-        """
-        lines = np.fromiter(
-            (spec[1] for spec in specs), dtype=np.int64, count=count
-        )
-        masked = lines & self._dec_total_mask
-        rank = (masked >> self._dec_rank_shift) & self._dec_rank_mask
-        bank = (masked >> self._dec_bank_shift) & self._dec_bank_mask
-        row = (masked >> self._dec_row_shift) & self._dec_row_mask
-        flat = rank * self._banks_per_rank + bank
-        channel_col = (masked & self._dec_channel_mask).tolist()
-        rank_col = rank.tolist()
-        bank_col = bank.tolist()
-        row_col = row.tolist()
-        flat_col = flat.tolist()
-        row_key_col = ((flat << 40) | row).tolist()
-        queues = self._queues
-        incoming_appends = [q.incoming.append for q in queues]
-        write = _WRITE
-        sequence = self._sequence
-        new = Request.__new__
-        out: List[Request] = []
-        append = out.append
-        # Accounting is tallied locally and flushed once per batch: the
-        # tally dict keeps first-seen order, so lazily created counters
-        # appear in the stats group in exactly the order serial enqueues
-        # would have created them. Keyed (is_write, category) — hashing
-        # a bool is a no-op, hashing the RequestKind enum is a Python
-        # __hash__ call per request.
-        tally: Dict[Tuple[bool, str], int] = {}
-        for (
-            (kind, line_address, arrival, category, core),
-            channel,
-            rank_v,
-            bank_v,
-            row_v,
-            flat_bank,
-            row_key,
-        ) in zip(
-            specs, channel_col, rank_col, bank_col, row_col, flat_col,
-            row_key_col,
+        slots: List[Optional[int]] = [None] * count
+        self._slots.append(slots)
+        self._specs += specs
+        self.sequence += count
+        is_write = list(map(is_, map(_kinds_of, specs), repeat(_WRITE)))
+        self._is_write += is_write
+        for write, table, mask in (
+            (False, self._read_counters, map(not_, is_write)),
+            (True, self._write_counters, is_write),
         ):
-            sequence += 1
-            request = new(Request)
-            request.kind = kind
-            request.line_address = line_address
-            request.arrival = arrival
-            request.category = category
-            request.core = core
-            request.channel = channel
-            request.rank = rank_v
-            request.bank = bank_v
-            request.row = row_v
-            request.flat_bank = flat_bank
-            request.row_key = row_key
-            request.completion = None
-            request.sequence = sequence
-            is_write = kind is write
-            request.is_write = is_write
-            incoming_appends[channel]((arrival, sequence, request))
-            key = (is_write, category)
-            try:
-                tally[key] += 1
-            except KeyError:
-                tally[key] = 1
-            append(request)
-        self._sequence = sequence
-        read_counters = self._read_counters
-        write_counters = self._write_counters
-        for (is_write, category), count in tally.items():
-            table = write_counters if is_write else read_counters
-            try:
-                counters = table[category]
-            except KeyError:
-                counters = self._counters_for(
-                    category, write if is_write else RequestKind.READ
-                )
-            counters[0].value += count
-            counters[1].value += count
-        return out
+            for category, tally in Counter(
+                compress(map(_categories_of, specs), mask)
+            ).items():
+                counters = table.get(category)
+                if counters is None:
+                    counters = self._counters_for(category, write)
+                counters[0].value += tally
+                counters[1].value += tally
+        return slots
 
     # ------------------------------------------------------------------
 
     def process(self) -> None:
-        """Schedule every enqueued request, assigning completions."""
-        for channel_index in range(self.config.channels):
-            self._process_channel(channel_index)
-        if self._sanitizer is not None:
-            # Epoch boundary: the row-hit index must agree with a fresh
-            # scan of the (now drained) queues and the open-row tables
-            # must mirror bank state.
-            self._sanitizer.check_scheduler_index(self)
-
-    def _process_channel(self, channel_index: int) -> None:
-        queues = self._queues[channel_index]
-        incoming = queues.incoming
-        reads = queues.reads
-        writes = queues.writes
-        if not incoming and not reads and not writes:
-            return  # idle channel: skip the prologue entirely
-        channel = self.channels[channel_index]
-        scheduler = self.schedulers[channel_index]
-        read_index = queues.read_index
-        write_index = queues.write_index
-        open_rows = channel.open_rows
-        banks = channel.banks
-        plan_fn = channel.plan
-        lat_hit_read = self._lat_hit_read
-        lat_hit_write = self._lat_hit_write
-        lat_miss_read = self._lat_miss_read
-        lat_miss_write = self._lat_miss_write
-        select_pool = self._select_pool
-        scan = self._scan
-        depth_acc = self._depth_acc
-        read_lat_acc = self._read_lat_acc
-        write_lat_acc = self._write_lat_acc
-        bus_counter = self._c_data_bus_cycles
+        """Schedule every enqueued request, filling its completion slot."""
+        specs = self._specs
         sanitizer = self._sanitizer
-        window = self.WINDOW
-        drain_high = scheduler.drain_high
+        if specs:
+            completions = self._schedule_epoch(specs)
+            if sanitizer is not None:
+                sanitizer.check_epoch_completions(specs, completions)
+            self._specs = []
+            self._is_write = []
+        self._slots = []
+        if sanitizer is not None:
+            # Epoch boundary: the open-row tables must mirror bank state.
+            sanitizer.check_scheduler_index(self)
 
-        # One near-linear Timsort per epoch replaces a heap pop per request
-        # (producers emit almost-sorted arrivals; (arrival, seq) is unique).
-        if incoming:
-            incoming.sort()
-        cursor = 0
-        backlog = len(incoming)
+    def _schedule_epoch(self, specs: List[Spec]) -> List[Optional[int]]:
+        """Decode the epoch's columns and run each channel's kernel."""
+        count = len(specs)
+        slot_lists = self._slots
+        if len(slot_lists) == 1:
+            completions = slot_lists[0]
+        else:
+            completions = [None] * count
+        config = self.config
+        arrival_col = np.fromiter(map(_arrivals_of, specs), np.int64, count)
+        channel_col, flat_col, row_col = self.mapper.decode_columns(
+            np.fromiter(map(_lines_of, specs), np.int64, count)
+        )
+        order = np.lexsort((arrival_col, channel_col)).tolist()
+        per_channel = np.bincount(channel_col, minlength=config.channels).tolist()
+        columns = (
+            arrival_col.tolist(),
+            flat_col.tolist(),
+            row_col.tolist(),
+            ((flat_col << 40) | row_col).tolist(),
+            self._is_write,
+            completions,
+        )
+        begin = 0
+        for channel, size in zip(self.channels, per_channel):
+            if size:
+                self._schedule_channel(channel, order[begin : begin + size], *columns)
+                begin += size
+        self._c_data_bus_cycles.value += count * config.timing.t_burst
+        if len(slot_lists) > 1:
+            begin = 0
+            for slots in slot_lists:
+                end = begin + len(slots)
+                slots[:] = completions[begin:end]
+                begin = end
+        return completions
 
-        # Admission is inlined at its three sites (hot path): route into
-        # the pool and maintain its row census — count the (bank, row)
-        # key, and tally a hit when that bank currently holds the
-        # request's row open.
-        reads_append = reads.append
-        writes_append = writes.append
-        read_counts = read_index.row_counts
-        write_counts = write_index.row_counts
+    def _schedule_channel(
+        self,
+        channel: ChannelState,
+        order: List[int],
+        arrivals: List[int],
+        flat: List[int],
+        rows: List[int],
+        row_keys: List[int],
+        is_write: List[bool],
+        completions: List[Optional[int]],
+    ) -> None:
+        """FR-FCFS over one channel's epoch, plan and commit inlined."""
+        config = self.config
+        timing = config.timing
+        banks = channel.banks
+        open_rows = channel.open_rows
+        recent_activates = channel.recent_activates
+        banks_per_rank = config.banks_per_rank
+        model_refresh = config.model_refresh
+        model_faw = config.model_faw
+        t_refi = timing.t_refi
+        t_rfc = timing.t_rfc
+        t_rrd = timing.t_rrd
+        t_faw = timing.t_faw
+        t_wtr = timing.t_wtr
+        t_rtw = timing.t_rtw
+        t_burst = timing.t_burst
+        lat_hit_read = timing.t_cl
+        lat_hit_write = timing.t_cwl
+        lat_closed_read = timing.t_rcd + timing.t_cl
+        lat_closed_write = timing.t_rcd + timing.t_cwl
+        lat_miss_read = timing.t_rp + lat_closed_read
+        lat_miss_write = timing.t_rp + lat_closed_write
+        # After an access the bank is ready again at start + tCCD (+ tWR
+        # write recovery).
+        ready_read = timing.t_ccd
+        ready_write = timing.t_ccd + timing.t_wr
+        drain_high = config.write_drain_high
+        drain_low = config.write_drain_low
+        window = WINDOW
+        sanitizer = self._sanitizer
 
-        while cursor < backlog or reads or writes:
-            if not reads and not writes:
-                # Idle: jump to the next arrival.
-                entry = incoming[cursor]
-                cursor += 1
-                request = entry[2]
-                if request.is_write:
-                    writes_append(request)
-                    index = write_index
-                    row_counts = write_counts
-                else:
-                    reads_append(request)
-                    index = read_index
-                    row_counts = read_counts
-                key = request.row_key
-                row_counts[key] = row_counts.get(key, 0) + 1
-                if open_rows[request.flat_bank] == request.row:
-                    index.hits += 1
-                horizon = entry[0]
+        # Channel state in locals; written back at the end and before
+        # every sanitizer hook.
+        closed_banks = channel.closed_banks
+        bus_free_at = channel.bus_free_at
+        last_was_write = channel.last_was_write
+        last_start = channel.last_command_start
+        draining = channel.draining
+        refresh_stall = 0
+
+        reads: deque = deque()
+        writes: deque = deque()
+        read_counts: Dict[int, int] = {}
+        write_counts: Dict[int, int] = {}
+        read_hits = 0
+        write_hits = 0
+        depths: List[int] = []
+        depths_append = depths.append
+        read_latencies: List[int] = []
+        write_latencies: List[int] = []
+        backlog = len(order)
+        cursor = 0  # order[:cursor] admitted
+        done = 0  # decisions committed
+
+        while done < backlog:
+            if cursor == done:
+                horizon = arrivals[order[cursor]]  # idle: jump ahead
             else:
-                horizon = queues.last_command_start + 1
-            # Admit everything that has arrived by the current horizon.
-            while cursor < backlog and incoming[cursor][0] <= horizon:
-                request = incoming[cursor][2]
-                cursor += 1
-                if request.is_write:
-                    writes_append(request)
-                    index = write_index
-                    row_counts = write_counts
-                else:
-                    reads_append(request)
-                    index = read_index
-                    row_counts = read_counts
-                key = request.row_key
-                row_counts[key] = row_counts.get(key, 0) + 1
-                if open_rows[request.flat_bank] == request.row:
-                    index.hits += 1
+                horizon = last_start + 1
+            limit = horizon
+            rechoose = False
+            while True:
+                # Admit every arrival up to the limit into its pool's
+                # census: count the row key, tally a hit when that bank
+                # holds the row open.
+                while cursor < backlog:
+                    i = order[cursor]
+                    if arrivals[i] > limit:
+                        break
+                    cursor += 1
+                    key = row_keys[i]
+                    if is_write[i]:
+                        writes.append(i)
+                        if key in write_counts:
+                            write_counts[key] += 1
+                        else:
+                            write_counts[key] = 1
+                        if open_rows[flat[i]] == rows[i]:
+                            write_hits += 1
+                    else:
+                        reads.append(i)
+                        if key in read_counts:
+                            read_counts[key] += 1
+                        else:
+                            read_counts[key] = 1
+                        if open_rows[flat[i]] == rows[i]:
+                            read_hits += 1
 
-            # Pool selection fast path: steady non-drain state with reads
-            # pending and the write queue below the high watermark cannot
-            # transition (no side effects) and always picks reads.
-            if not scheduler.draining and reads and len(writes) < drain_high:
-                pool = reads
-            else:
-                pool = select_pool(scheduler, reads, writes)
-                if pool is None:
-                    continue
-            pool_len = len(pool)
-            # Inline first-scan decision: same estimate policy as _scan
-            # (max(arrival, horizon, ready) + latency class) with the pool
-            # row census splitting the dominant steady state into an
-            # all-miss scan and a two-way hit/miss scan.
-            head = pool[0]
-            is_write_pool = head.is_write
-            if pool_len == 1:
-                chosen = head
-                pool_index = 0
-                earliest = head.arrival
-                if horizon > earliest:
-                    earliest = horizon
-                plan = plan_fn(
-                    head.rank, head.bank, head.row, is_write_pool, earliest
-                )
-            elif channel.closed_banks == 0:
-                if is_write_pool:
+                # Pool selection with write-drain hysteresis; the common
+                # steady state (not draining, reads waiting, writes under
+                # the high watermark) cannot transition.
+                write_depth = len(writes)
+                if not draining and reads and write_depth < drain_high:
+                    pool = reads
+                else:
+                    was_draining = draining
+                    if draining:
+                        if write_depth <= drain_low:
+                            draining = False
+                    elif write_depth >= drain_high:
+                        draining = True
+                    if write_depth and not reads:
+                        # Opportunistic writes when the channel would idle.
+                        draining = True
+                    if draining and not was_draining:
+                        self._t_drain_bursts.inc()
+                        self._t_write_queue_depth.record(write_depth)
+                    pool = writes if (draining and write_depth) or not reads else reads
+
+                if rechoose and pool is first_pool and (
+                    first_len >= window or len(pool) == first_len
+                ):
+                    # Late arrivals only matter if they can enter the
+                    # scanned window: same pool, and the window was full
+                    # or nothing joined it, keeps the first decision.
+                    break
+                write_pool = pool is writes
+                if write_pool:
                     lat_hit = lat_hit_write
                     lat_miss = lat_miss_write
-                    index = write_index
+                    lat_closed = lat_closed_write
                 else:
                     lat_hit = lat_hit_read
                     lat_miss = lat_miss_read
-                    index = read_index
-                if index.hits == 0:
-                    # All candidates are equal-latency row misses, so the
-                    # estimate ordering is the earliest-start ordering: the
-                    # oldest candidate startable at the horizon wins
-                    # outright, else the oldest with the smallest start
-                    # (strict < keeps the first-scanned-wins tie-break).
-                    chosen = head
-                    pool_index = 0
-                    best_earliest = 1 << 62
-                    position = 0
-                    for request in pool:
-                        if position >= window:
-                            break
-                        arrival = request.arrival
+                    lat_closed = lat_closed_read
+
+                # Choose: the earliest estimated data start
+                # max(arrival, horizon, ready) + latency class within the
+                # window; the first scanned wins ties (pools are in age
+                # order).
+                if rechoose or closed_banks:
+                    best = _NEVER
+                    prune = _NEVER
+                    floor = horizon + lat_hit
+                    for i in islice(pool, window):
+                        arrival = arrivals[i]
+                        if arrival >= prune:
+                            break  # age order: no later candidate can win
                         earliest = arrival if arrival > horizon else horizon
-                        ready = banks[request.flat_bank].ready_at
+                        bank_index = flat[i]
+                        ready = banks[bank_index].ready_at
+                        if ready > earliest:
+                            earliest = ready
+                        open_row = open_rows[bank_index]
+                        if open_row == rows[i]:
+                            estimate = earliest + lat_hit
+                        elif open_row < 0:
+                            estimate = earliest + lat_closed
+                        else:
+                            estimate = earliest + lat_miss
+                        if estimate < best:
+                            chosen = i
+                            best = estimate
+                            if estimate <= floor:
+                                break
+                            prune = estimate - lat_hit
+                elif not (write_hits if write_pool else read_hits):
+                    # All row misses: estimate order is earliest-start
+                    # order, and a candidate startable at the horizon is
+                    # unbeatable.
+                    best = _NEVER
+                    for i in islice(pool, window):
+                        arrival = arrivals[i]
+                        earliest = arrival if arrival > horizon else horizon
+                        ready = banks[flat[i]].ready_at
                         if ready > earliest:
                             earliest = ready
                         if earliest <= horizon:
-                            chosen = request
-                            pool_index = position
+                            chosen = i
                             break
-                        if earliest < best_earliest:
-                            chosen = request
-                            pool_index = position
-                            best_earliest = earliest
-                        position += 1
+                        if earliest < best:
+                            chosen = i
+                            best = earliest
                 else:
-                    # Hit-or-miss two-way scan; a ready row hit (estimate
-                    # at the floor) is unbeatable, so stop there.
+                    # Hits or misses. A ready hit (estimate at the floor)
+                    # is unbeatable. A miss is estimated at or above
+                    # horizon + lat_miss, so once the best is within that
+                    # bound misses are skipped unestimated, and once every
+                    # queued hit has been scanned the best is final.
+                    best = _NEVER
                     floor = horizon + lat_hit
-                    chosen = head
-                    pool_index = 0
-                    best_estimate = 1 << 62
-                    position = 0
-                    for request in pool:
-                        if position >= window:
-                            break
-                        arrival = request.arrival
-                        earliest = arrival if arrival > horizon else horizon
-                        bank = banks[request.flat_bank]
-                        ready = bank.ready_at
-                        if ready > earliest:
-                            earliest = ready
-                        estimate = earliest + (
-                            lat_hit if bank.open_row == request.row else lat_miss
-                        )
-                        if estimate < best_estimate:
-                            chosen = request
-                            pool_index = position
-                            best_estimate = estimate
-                            if estimate <= floor:
+                    bound = horizon + lat_miss
+                    unscanned_hits = write_hits if write_pool else read_hits
+                    for i in islice(pool, window):
+                        bank_index = flat[i]
+                        if open_rows[bank_index] == rows[i]:
+                            arrival = arrivals[i]
+                            earliest = arrival if arrival > horizon else horizon
+                            ready = banks[bank_index].ready_at
+                            if ready > earliest:
+                                earliest = ready
+                            estimate = earliest + lat_hit
+                            if estimate < best:
+                                chosen = i
+                                best = estimate
+                                if estimate <= floor:
+                                    break
+                            unscanned_hits -= 1
+                            if not unscanned_hits and best <= bound:
                                 break
-                        position += 1
-                earliest = chosen.arrival
-                if horizon > earliest:
-                    earliest = horizon
-                plan = plan_fn(
-                    chosen.rank, chosen.bank, chosen.row, is_write_pool, earliest
-                )
-            else:
-                # Warm-up (some banks still closed): three-way latency
-                # classes — take the general scan.
-                chosen, plan, pool_index = scan(
-                    channel, pool,
-                    write_index if pool is writes else read_index,
-                    horizon,
-                )
-            # Late arrivals before the chosen command start could alter the
-            # decision; admit them and re-choose once. The rescan is
-            # skipped when it provably cannot differ: same pool object and
-            # either the candidate window was already full (appends land
-            # beyond it) or nothing was admitted into this pool.
-            if cursor < backlog and incoming[cursor][0] <= plan[0]:
-                until = plan[0]
-                while cursor < backlog and incoming[cursor][0] <= until:
-                    request = incoming[cursor][2]
-                    cursor += 1
-                    if request.is_write:
-                        writes_append(request)
-                        index = write_index
-                        row_counts = write_counts
-                    else:
-                        reads_append(request)
-                        index = read_index
-                        row_counts = read_counts
-                    key = request.row_key
-                    row_counts[key] = row_counts.get(key, 0) + 1
-                    if open_rows[request.flat_bank] == request.row:
-                        index.hits += 1
-                if not scheduler.draining and reads and len(writes) < drain_high:
-                    pool2 = reads
-                else:
-                    pool2 = select_pool(scheduler, reads, writes)
-                if pool2 is not pool or (
-                    pool_len < window and len(pool2) != pool_len
-                ):
-                    pool = pool2
-                    chosen, plan, pool_index = scan(
-                        channel, pool,
-                        write_index if pool is writes else read_index,
-                        horizon,
-                    )
+                        elif best > bound:
+                            arrival = arrivals[i]
+                            earliest = arrival if arrival > horizon else horizon
+                            ready = banks[bank_index].ready_at
+                            if ready > earliest:
+                                earliest = ready
+                            estimate = earliest + lat_miss
+                            if estimate < best:
+                                chosen = i
+                                best = estimate
+                                if not unscanned_hits and estimate <= bound:
+                                    break
 
-            depth = len(reads) + len(writes)
-            try:
-                depth_acc[depth] += 1
-            except KeyError:
-                depth_acc[depth] = 1
-            fb = chosen.flat_bank
-            old_row = open_rows[fb]
-            new_row = chosen.row
-            channel.commit(chosen.rank, chosen.bank, new_row, chosen.is_write, plan)
-            if old_row != new_row:
-                # The bank's open row moved: re-base both pools' hit
-                # tallies — requests on the new row become hits, requests
-                # on the old row (none existed while it was closed) stop
-                # being hits.
-                base = fb << 40
-                key_new = base | new_row
-                for index in (read_index, write_index):
-                    row_counts = index.row_counts
-                    delta = row_counts.get(key_new, 0)
-                    if old_row >= 0:
-                        delta -= row_counts.get(base | old_row, 0)
-                    if delta:
-                        index.hits += delta
-            chosen.completion = plan[2]
-            queues.last_command_start = plan[0]
-            index = write_index if pool is writes else read_index
-            row_counts = index.row_counts
-            key = chosen.row_key
-            count = row_counts[key] - 1
-            if count:
-                row_counts[key] = count
-            else:
-                del row_counts[key]
-            # After the commit the chosen request's row is open in its
-            # bank, so its removal always decrements the hit tally.
-            index.hits -= 1
-            if pool_index == 0:
-                pool.popleft()
-            else:
-                del pool[pool_index]
-            # Latency accounting: tally value -> weight; record_telemetry
-            # flushes into both the stats and registry histograms (integer
-            # weights, so batching is bit-exact).
-            completion = plan[2]
-            latency = completion - chosen.arrival
-            acc = write_lat_acc if chosen.is_write else read_lat_acc
-            try:
-                acc[latency] += 1
-            except KeyError:
-                acc[latency] = 1
-            bus_counter.value += completion - plan[1]
+                # Plan: bank-ready clamp, refresh blackout, tRRD/tFAW for
+                # an activation, latency class, bus turnaround.
+                arrival = arrivals[chosen]
+                start = arrival if arrival > horizon else horizon
+                bank_index = flat[chosen]
+                bank = banks[bank_index]
+                ready = bank.ready_at
+                if ready > start:
+                    start = ready
+                if model_refresh:
+                    phase = start % t_refi
+                    if phase < t_rfc:
+                        refresh_stall += t_rfc - phase
+                        start += t_rfc - phase
+                open_row = open_rows[bank_index]
+                row = rows[chosen]
+                if open_row == row:
+                    data_start = start + lat_hit
+                else:
+                    if model_faw:
+                        history = recent_activates[bank_index // banks_per_rank]
+                        if history:
+                            after = history[-1] + t_rrd
+                            if after > start:
+                                start = after
+                            if len(history) >= 4:
+                                after = history[-4] + t_faw
+                                if after > start:
+                                    start = after
+                    data_start = start + (lat_closed if open_row < 0 else lat_miss)
+                if write_pool:
+                    bus_ready = bus_free_at if last_was_write else bus_free_at + t_rtw
+                else:
+                    bus_ready = bus_free_at + t_wtr if last_was_write else bus_free_at
+                if data_start < bus_ready:
+                    start += bus_ready - data_start
+                    data_start = bus_ready
+
+                # A late arrival before the chosen start could change the
+                # decision: admit it and choose once more.
+                if (
+                    rechoose
+                    or cursor == backlog
+                    or arrivals[order[cursor]] > start
+                ):
+                    break
+                limit = start
+                rechoose = True
+                first_pool = pool
+                first_len = len(pool)
+
+            completion = data_start + t_burst
             if sanitizer is not None:
-                # Sampled mid-stream consistency check (every 64 decisions)
-                # so maintenance bugs surface near the offending commit.
+                channel.closed_banks = closed_banks
+                channel.bus_free_at = bus_free_at
+                channel.last_was_write = last_was_write
+                sanitizer.check_dram_commit(
+                    channel, bank_index, row, write_pool, start, data_start, completion
+                )
                 self._san_tick = tick = (self._san_tick + 1) & 63
                 if tick == 0:
-                    sanitizer.check_scheduler_index(self)
-        del incoming[:]
+                    sanitizer.check_scheduler_index(
+                        self,
+                        channel,
+                        (
+                            ("read", [(flat[i], rows[i]) for i in reads],
+                             read_counts, read_hits),
+                            ("write", [(flat[i], rows[i]) for i in writes],
+                             write_counts, write_hits),
+                        ),
+                    )
 
-    #: Scheduler candidate window: only the oldest WINDOW queued requests
-    #: are considered per decision (real FR-FCFS pickers have bounded
-    #: associative search too). Keeps each decision O(WINDOW).
-    WINDOW = 16
-
-    def _select_pool(self, scheduler, reads, writes):
-        """Drain-hysteresis pool selection (side effects preserved).
-
-        Inlined from FrFcfsScheduler.update_drain_mode: same transitions,
-        same telemetry on entering a drain burst. Runs once per decision
-        and again on a late-arrival re-choose — the burst accounting is
-        part of the bit-identical contract, so the re-choose path must
-        execute it even when the rescan itself is skipped.
-        """
-        write_depth = len(writes)
-        draining = scheduler.draining
-        was_draining = draining
-        if draining:
-            if write_depth <= scheduler.drain_low:
-                draining = False
-        else:
-            if write_depth >= scheduler.drain_high:
-                draining = True
-        if write_depth and not reads:
-            # Opportunistic writes when the channel would otherwise idle.
-            draining = True
-        if draining != was_draining:
-            scheduler.draining = draining
-            if draining:
-                scheduler._t_drain_bursts.inc()
-                scheduler._t_write_queue_depth.record(write_depth)
-        pool = writes if (draining and write_depth) else reads
-        if not pool:
-            pool = writes or reads
-        return pool if pool else None
-
-    def _scan(self, channel, pool, index, horizon):
-        """Pick the pool request with the earliest achievable data start.
-
-        Returns ``(request, plan, pool_index)``. The estimate is computed
-        from bank state alone (the data-bus shift is common to all
-        candidates); the full plan is computed once, for the winner.
-
-        Fast paths, each provably equal to the windowed reference scan:
-
-        * **head**: no row hit in the pool (``index.hits == 0``) and no
-          closed bank on the channel means every candidate is a row miss
-          with the same latency, so the estimate ordering degenerates to
-          ``max(arrival, ready_at, horizon)`` — and when the pool head is
-          both arrived and bank-ready, it is the minimum with the oldest
-          (arrival, sequence), i.e. the scan's winner, without scanning.
-        * **ready-hit exit**: once the running best is a row hit starting
-          at the horizon (estimate == horizon + lat_hit) nothing later can
-          beat it (estimates are bounded below by exactly that) and later
-          ties lose on age, so the scan stops.
-        * **arrival prune**: pools are age-ordered, so once a candidate's
-          arrival reaches ``best_estimate - lat_hit`` its estimate (and
-          every later one's) is >= the best, with older tie-break — stop.
-
-        The scan itself exploits the age order too: (arrival, sequence)
-        is strictly increasing along the pool, so a later candidate can
-        never win a tie — the reference's composite tie-break reduces to
-        a single strict ``estimate < best_estimate`` compare.
-        """
-        banks = channel.banks
-        head = pool[0]
-        is_write_pool = head.is_write
-        if len(pool) == 1:
-            # Single candidate: no scan, straight to the plan.
-            earliest = head.arrival
-            if horizon > earliest:
-                earliest = horizon
-            plan = channel.plan(
-                head.rank, head.bank, head.row, is_write_pool, earliest
-            )
-            return head, plan, 0
-        if (
-            index.hits == 0
-            and channel.closed_banks == 0
-            and head.arrival <= horizon
-            and banks[head.flat_bank].ready_at <= horizon
-        ):
-            plan = channel.plan(
-                head.rank, head.bank, head.row, is_write_pool, horizon
-            )
-            return head, plan, 0
-        window = self.WINDOW
-        if is_write_pool:
-            lat_hit = self._lat_hit_write
-            lat_closed = self._lat_closed_write
-            lat_miss = self._lat_miss_write
-        else:
-            lat_hit = self._lat_hit_read
-            lat_closed = self._lat_closed_read
-            lat_miss = self._lat_miss_read
-        floor = horizon + lat_hit
-        best = None
-        best_index = -1
-        best_estimate = 1 << 62
-        prune = 1 << 62
-        position = 0
-        if channel.closed_banks == 0:
-            # Every bank holds an open row: candidates are hit or miss,
-            # never closed — one compare decides the latency class.
-            for request in pool:
-                if position >= window:
-                    break
-                arrival = request.arrival
-                if arrival >= prune:
-                    break
-                bank = banks[request.flat_bank]
-                earliest = arrival if arrival > horizon else horizon
-                ready = bank.ready_at
-                if ready > earliest:
-                    earliest = ready
-                estimate = earliest + (
-                    lat_hit if bank.open_row == request.row else lat_miss
-                )
-                if estimate < best_estimate:
-                    best = request
-                    best_index = position
-                    best_estimate = estimate
-                    if estimate <= floor:
-                        break
-                    prune = estimate - lat_hit
-                position += 1
-        else:
-            for request in pool:
-                if position >= window:
-                    break
-                arrival = request.arrival
-                if arrival >= prune:
-                    break
-                bank = banks[request.flat_bank]
-                earliest = arrival if arrival > horizon else horizon
-                ready = bank.ready_at
-                if ready > earliest:
-                    earliest = ready
-                open_row = bank.open_row
-                if open_row is None:
-                    latency = lat_closed
-                elif open_row == request.row:
-                    latency = lat_hit
+            # Commit: retire the chosen request from its pool's census.
+            depths_append(cursor - done)
+            done += 1
+            key = row_keys[chosen]
+            if write_pool:
+                count = write_counts[key] - 1
+                if count:
+                    write_counts[key] = count
                 else:
-                    latency = lat_miss
-                estimate = earliest + latency
-                if estimate < best_estimate:
-                    best = request
-                    best_index = position
-                    best_estimate = estimate
-                    if estimate <= floor:
-                        break
-                    prune = estimate - lat_hit
-                position += 1
-        earliest = best.arrival
-        if horizon > earliest:
-            earliest = horizon
-        plan = channel.plan(best.rank, best.bank, best.row, is_write_pool, earliest)
-        return best, plan, best_index
+                    del write_counts[key]
+                write_latencies.append(completion - arrival)
+            else:
+                count = read_counts[key] - 1
+                if count:
+                    read_counts[key] = count
+                else:
+                    del read_counts[key]
+                read_latencies.append(completion - arrival)
+            if pool[0] is chosen:
+                pool.popleft()
+            else:
+                pool.remove(chosen)
+            if open_row == row:
+                bank.row_hits += 1
+                if write_pool:
+                    write_hits -= 1
+                else:
+                    read_hits -= 1
+            else:
+                # Activation: the bank's open row moves. Requests on the
+                # new row become hits, requests on the old row stop being
+                # hits (none existed while the bank was closed).
+                bank.row_misses += 1
+                bank.open_row = row
+                open_rows[bank_index] = row
+                if key in read_counts:
+                    read_hits += read_counts[key]
+                if key in write_counts:
+                    write_hits += write_counts[key]
+                if open_row < 0:
+                    closed_banks -= 1
+                else:
+                    old_key = key - row + open_row
+                    if old_key in read_counts:
+                        read_hits -= read_counts[old_key]
+                    if old_key in write_counts:
+                        write_hits -= write_counts[old_key]
+                if model_faw:
+                    history.append(start)
+            bank.ready_at = start + (ready_write if write_pool else ready_read)
+            bus_free_at = completion
+            last_was_write = write_pool
+            last_start = start
+            completions[chosen] = completion
+
+        channel.closed_banks = closed_banks
+        channel.bus_free_at = bus_free_at
+        channel.last_was_write = last_was_write
+        channel.last_command_start = last_start
+        channel.draining = draining
+        channel.refresh_stall_cycles += refresh_stall
+        self._depth_acc.update(depths)
+        self._read_lat_acc.update(read_latencies)
+        self._write_lat_acc.update(write_latencies)
 
     # ------------------------------------------------------------------
 
@@ -998,10 +677,9 @@ class MemoryController:
         the mean.
 
         Row-hit/miss and activation telemetry is recorded deferred: the
-        hot path bumps the per-bank plain ints and this reconciles the
-        registry counters (idempotently) before the snapshot. A scheduled
-        request is a row hit at decision time iff its bank access commits
-        as one, so the bank sums equal the per-decision counts.
+        kernel bumps the per-bank plain ints and this reconciles the
+        registry counters (idempotently) before the snapshot. Every row
+        miss is one activation.
         """
         row_hits = 0
         row_misses = 0
@@ -1009,16 +687,16 @@ class MemoryController:
             for bank in channel_state.banks:
                 row_hits += bank.row_hits
                 row_misses += bank.row_misses
-                bank.sync_telemetry()
         synced = self._synced_rows
         self._t_row_hits.inc(row_hits - synced[0])
         self._t_row_misses.inc(row_misses - synced[1])
+        self._t_activations.inc(row_misses - synced[1])
         synced[0] = row_hits
         synced[1] = row_misses
-        # Flush the deferred histogram accumulators (weight-batched; all
+        # Flush the deferred histogram tallies (weight-batched; all
         # integer observations, so batching is bit-exact). The latency
-        # accumulators feed both the per-controller stats histograms and
-        # the telemetry registry.
+        # tallies feed both the per-controller stats histograms and the
+        # telemetry registry.
         for value, weight in self._depth_acc.items():
             self._t_queue_depth.record(value, weight)
         self._depth_acc.clear()
@@ -1033,9 +711,7 @@ class MemoryController:
         registry = get_registry()
         last = self.last_completion
         if last > 0:
-            bus_cycles = 0
-            if "data_bus_cycles" in self.stats:
-                bus_cycles = self.stats["data_bus_cycles"].value  # type: ignore[attr-defined]
+            bus_cycles = self._c_data_bus_cycles.value
             registry.gauge("dram.bus_utilisation").set(
                 bus_cycles / (last * self.config.channels)
             )

@@ -4,11 +4,11 @@ This package exists so the perf tooling (``benchmarks/micro``,
 ``tools/profile_run.py``, ``tools/bench_snapshot.py``) shares one set of
 deterministic hot-path workloads instead of each inventing its own.
 
-The case roster covers every per-event simulator path plus the two
-structure-level cases CI gates on: ``scheduler_choose_indexed`` (the
-indexed FR-FCFS chooser in isolation) and ``trace_generate`` (vectorised
-workload synthesis, measured against its retained scalar baseline
-``trace_generate_reference`` at the same profile and length).
+The case roster covers every per-event simulator path. CI gates four of
+them: ``controller_schedule`` (one epoch through the DRAM controller's
+FR-FCFS kernel), ``trace_generate`` (vectorised workload synthesis,
+measured against its retained scalar baseline ``trace_generate_reference``
+at the same profile and length), ``miss_expansion`` and ``rob_advance``.
 """
 
 from repro.perf.microbench import CASES, MicroResult, run_all, run_case

@@ -7,9 +7,8 @@ dependence), so per-op timings are comparable across runs and across code
 versions:
 
 * ``cache_access``      — :class:`SetAssociativeCache` lookup/allocate
-* ``controller_schedule`` — enqueue + FR-FCFS scheduling to completion
-* ``scheduler_choose_indexed`` — the indexed FR-FCFS chooser in isolation
-  (``BankIndexedPool`` add/choose/remove churn, no DRAM timing)
+* ``controller_schedule`` — one ``enqueue_batch`` + the FR-FCFS epoch
+  kernel scheduling it to completion (the production DRAM path)
 * ``rob_advance``       — trace-driven core fetch/retire with resolved reads
 * ``miss_expansion``    — secure-engine metadata expansion of LLC misses
   (the production epoch-deferred fused path; ``miss_expansion_batch`` is
@@ -71,68 +70,21 @@ def cache_access() -> int:
 
 
 def controller_schedule() -> int:
-    """Enqueue a request stream and schedule it to completion."""
+    """Enqueue a request stream as one epoch and schedule it to completion."""
     from repro.dram.controller import MemoryController, RequestKind
     from repro.dram.timing import MemoryConfig
 
     controller = MemoryController(MemoryConfig())
     stream = _addresses(20_000, 1 << 22, seed=29)
-    enqueue = controller.enqueue
     read = RequestKind.READ
     write = RequestKind.WRITE
-    arrival = 0
-    for index, line in enumerate(stream):
-        kind = write if index % 3 == 0 else read
-        enqueue(kind, line, arrival)
-        arrival += 2
+    specs = [
+        (write if index % 3 == 0 else read, line, 2 * index, "data", 0)
+        for index, line in enumerate(stream)
+    ]
+    controller.enqueue_batch(specs)
     controller.process()
     return len(stream)
-
-
-class _SchedRequest:
-    """Minimal request shape the scheduler index needs (bank/row/arrival)."""
-
-    __slots__ = ("flat_bank", "row", "arrival", "is_write")
-
-    def __init__(self, flat_bank: int, row: int, arrival: int, is_write: bool):
-        self.flat_bank = flat_bank
-        self.row = row
-        self.arrival = arrival
-        self.is_write = is_write
-
-
-def scheduler_choose_indexed() -> int:
-    """Indexed FR-FCFS decisions over an LCG bank/row stream.
-
-    Isolates the ``BankIndexedPool`` + ``choose_indexed`` data structures
-    from DRAM timing: every step enqueues one request and schedules one,
-    committing the chosen request's row as the bank's new open row.
-    """
-    from repro.dram.scheduler import BankIndexedPool, FrFcfsScheduler
-
-    banks = 32
-    open_rows = [-1] * banks
-    read_pool = BankIndexedPool(open_rows)
-    write_pool = BankIndexedPool(open_rows)
-    scheduler = FrFcfsScheduler(drain_high=40, drain_low=20)
-    stream = _addresses(60_000, 1 << 20, seed=61)
-    choose = scheduler.choose_indexed
-    decisions = 0
-    for arrival, value in enumerate(stream):
-        is_write = (value & 7) < 3
-        request = _SchedRequest(value & 31, (value >> 5) & 255, arrival, is_write)
-        (write_pool if is_write else read_pool).add(request)
-        chosen = choose(read_pool, write_pool)
-        if chosen is None:
-            continue
-        decisions += 1
-        (write_pool if chosen.is_write else read_pool).remove(chosen)
-        flat_bank = chosen.flat_bank
-        if open_rows[flat_bank] != chosen.row:
-            open_rows[flat_bank] = chosen.row
-            read_pool.notify_row_change(flat_bank, chosen.row)
-            write_pool.notify_row_change(flat_bank, chosen.row)
-    return decisions
 
 
 def rob_advance() -> int:
@@ -319,7 +271,6 @@ def trace_generate_reference() -> int:
 CASES: Dict[str, Callable[[], int]] = {
     "cache_access": cache_access,
     "controller_schedule": controller_schedule,
-    "scheduler_choose_indexed": scheduler_choose_indexed,
     "rob_advance": rob_advance,
     "miss_expansion": miss_expansion,
     "miss_expansion_batch": miss_expansion_batch,

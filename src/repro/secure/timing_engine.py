@@ -21,7 +21,7 @@ from typing import List, Optional
 from repro.analysis.sanitizer import get_sanitizer
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.setassoc import ABSENT
-from repro.dram.controller import MemoryController, Request, RequestKind
+from repro.dram.controller import MemoryController, RequestKind
 from repro.secure.designs import (
     CounterMode,
     MacLocation,
@@ -150,14 +150,16 @@ class TimingMetadataMap:
 class ExpandedAccess:
     """Requests generated for one data access.
 
-    ``blocking`` requests gate the read's completion (data + verification
-    metadata); ``posted`` requests only consume bandwidth. Invariant:
+    ``completions`` holds one completion slot per request the access
+    enqueued (filled by the controller's next ``process``); ``blocking``
+    lists the slot indices that gate the read's completion (data +
+    verification metadata) — the rest only consume bandwidth. Invariant:
     ``blocking[0]`` is always the data line itself — speculative designs
     (§VII-B) complete on it alone.
     """
 
-    blocking: List[Request] = field(default_factory=list)
-    posted: List[Request] = field(default_factory=list)
+    blocking: List[int] = field(default_factory=list)
+    completions: List[Optional[int]] = field(default_factory=list)
 
 
 class SecureTimingEngine:
@@ -296,17 +298,12 @@ class SecureTimingEngine:
         if category != "data":
             self._n_metadata_accesses += 1
 
-    def _emit_read(
-        self, out: ExpandedAccess, line: int, when: int, category: str, core: int
-    ) -> None:
+    def _emit_read(self, line: int, when: int, category: str, core: int) -> None:
+        """A gating read; only ever emitted inside a batch (every read
+        expansion batches), its batch index recorded as blocking."""
         self._account(category, _READ)
-        if self._batching:
-            self._batch_blocking.append(len(self._batch))
-            self._batch.append((_READ, line, when, category, core))
-        else:
-            out.blocking.append(
-                self.controller.enqueue(_READ, line, when, category, core)
-            )
+        self._batch_blocking.append(len(self._batch))
+        self._batch.append((_READ, line, when, category, core))
 
     def _emit_rmw_read(self, line: int, when: int, category: str, core: int) -> None:
         """A posted read (RMW fetch) that gates nothing."""
@@ -324,18 +321,17 @@ class SecureTimingEngine:
             self.controller.enqueue(_WRITE, line, when, category, core)
 
     def _flush_batch(self, out: Optional[ExpandedAccess]) -> None:
-        """Enqueue the buffered specs in emission order; route the gating
-        requests into ``out.blocking`` by their recorded batch indices."""
+        """Enqueue the buffered specs in emission order; hand ``out`` the
+        completion slots and the recorded gating batch indices."""
         self._batching = False
         batch = self._batch
         if not batch:
             del self._batch_blocking[:]
             return
-        requests = self.controller.enqueue_batch(batch)
+        slots = self.controller.enqueue_batch(batch)
         if out is not None:
-            blocking = out.blocking
-            for index in self._batch_blocking:
-                blocking.append(requests[index])
+            out.completions = slots
+            out.blocking = list(self._batch_blocking)
         del batch[:]
         del self._batch_blocking[:]
 
@@ -430,8 +426,8 @@ class SecureTimingEngine:
     ) -> List[int]:
         """Deferred-mode read-miss expansion; returns epoch-batch indices.
 
-        The indices resolve against the request list returned by the next
-        :meth:`flush_epoch`; index 0 is always the data line itself (the
+        The indices resolve against the completion slots returned by the
+        next :meth:`flush_epoch`; index 0 is always the data line itself (the
         ``ExpandedAccess.blocking[0]`` invariant, preserved for
         speculative designs).
         """
@@ -468,11 +464,11 @@ class SecureTimingEngine:
         del self._batch_blocking[:]
         return blocking
 
-    def flush_epoch(self) -> List[Request]:
-        """Enqueue the buffered epoch batch; returns the request list.
+    def flush_epoch(self) -> List[Optional[int]]:
+        """Enqueue the buffered epoch batch; returns its completion slots.
 
         Called by the system simulator at each resolve boundary, before
-        ``controller.process``. Sequence numbers are assigned in batch
+        ``controller.process`` fills the slots. Sequence order is batch
         order — identical to the scalar engine's serial enqueues.
         """
         batch = self._batch
@@ -480,15 +476,16 @@ class SecureTimingEngine:
             return []
         sanitizer = self._sanitizer
         if sanitizer is None:
-            requests = self.controller.enqueue_batch(batch)
+            slots = self.controller.enqueue_batch(batch)
             del batch[:]
-            return requests
-        specs = list(batch)
-        requests = self.controller.enqueue_batch(batch)
-        sanitizer.check_epoch_flush(specs, requests)
+            return slots
+        controller = self.controller
+        first_sequence = controller.sequence
+        slots = controller.enqueue_batch(batch)
+        sanitizer.check_epoch_flush(batch, slots, first_sequence, controller.sequence)
         self._san_epoch_checked = False
         del batch[:]
-        return requests
+        return slots
 
     def _build_fast_expand(self):
         """Build the fused read-miss expansion closure.
@@ -1139,19 +1136,17 @@ class SecureTimingEngine:
         if top:
             self._batching = True
         try:
-            self._emit_read(out, data_line, when, "data", core)
+            self._emit_read(data_line, when, "data", core)
             if design.encrypted:
-                self._fetch_counter_chain(out, data_line, when, core)
+                self._fetch_counter_chain(data_line, when, core)
                 if design.mac_location is MacLocation.SEPARATE:
-                    self._fetch_mac(out, data_line, when, core)
+                    self._fetch_mac(data_line, when, core)
         finally:
             if top:
                 self._flush_batch(out)
         return out
 
-    def _fetch_counter_chain(
-        self, out: ExpandedAccess, data_line: int, when: int, core: int
-    ) -> None:
+    def _fetch_counter_chain(self, data_line: int, when: int, core: int) -> None:
         design = self.design
         counter_line = self.map.counter_line(data_line)
         result = self.hierarchy.access_metadata(
@@ -1162,7 +1157,7 @@ class SecureTimingEngine:
             self._c_counter_hits.value += 1
             self._n_counter_hits += 1
             return
-        self._emit_read(out, counter_line, when, "counter", core)
+        self._emit_read(counter_line, when, "counter", core)
         if design.tree_kind is not TreeKind.BONSAI_COUNTER:
             return
         # Walk the counter tree until a cached level (trust anchor).
@@ -1174,7 +1169,7 @@ class SecureTimingEngine:
             self._handle_writeback(node.writeback_address, when, core)
             if node.hit:
                 break
-            self._emit_read(out, tree_line, when, "counter", core)
+            self._emit_read(tree_line, when, "counter", core)
             depth += 1
         acc = self._tree_depth_acc
         try:
@@ -1182,9 +1177,7 @@ class SecureTimingEngine:
         except KeyError:
             acc[depth] = 1
 
-    def _fetch_mac(
-        self, out: ExpandedAccess, data_line: int, when: int, core: int
-    ) -> None:
+    def _fetch_mac(self, data_line: int, when: int, core: int) -> None:
         design = self.design
         mac_line = self.map.mac_line(data_line)
         if not design.macs_cached:
@@ -1193,10 +1186,10 @@ class SecureTimingEngine:
             # IVEC additionally *stores* its (untrusted) MACs in the LLC,
             # displacing data without eliding the fetch (design note in
             # repro.secure.designs.IVEC).
-            self._emit_read(out, mac_line, when, "mac", core)
+            self._emit_read(mac_line, when, "mac", core)
             if design.macs_in_llc:
                 self._handle_writeback(self.hierarchy.llc.fill(mac_line), when, core)
-            self._walk_mac_tree_read(out, mac_line, when, core)
+            self._walk_mac_tree_read(mac_line, when, core)
             return
         result = self.hierarchy.access_metadata(
             mac_line, is_write=False, use_llc=design.macs_in_llc
@@ -1206,12 +1199,10 @@ class SecureTimingEngine:
             self._c_mac_hits.value += 1
             self._n_mac_hits += 1
             return
-        self._emit_read(out, mac_line, when, "mac", core)
-        self._walk_mac_tree_read(out, mac_line, when, core)
+        self._emit_read(mac_line, when, "mac", core)
+        self._walk_mac_tree_read(mac_line, when, core)
 
-    def _walk_mac_tree_read(
-        self, out: ExpandedAccess, mac_line: int, when: int, core: int
-    ) -> None:
+    def _walk_mac_tree_read(self, mac_line: int, when: int, core: int) -> None:
         """IVEC read path: the MAC is a tree member — walk the MAC tree."""
         design = self.design
         if design.tree_kind is not TreeKind.MAC_TREE:
@@ -1224,7 +1215,7 @@ class SecureTimingEngine:
             self._handle_writeback(node.writeback_address, when, core)
             if node.hit:
                 break
-            self._emit_read(out, tree_line, when, "mac", core)
+            self._emit_read(tree_line, when, "mac", core)
             depth += 1
         acc = self._mac_tree_depth_acc
         try:

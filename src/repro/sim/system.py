@@ -168,11 +168,11 @@ class SystemSimulator:
         """Flush the epoch batch, schedule DRAM, fill in completions.
 
         The engine buffered this epoch's emissions; one ``flush_epoch``
-        materialises them (same order/sequence numbers as immediate
-        enqueues) and the blocking indices recorded at ``_read`` resolve
-        against the returned request list.
+        hands them to the controller (same order as immediate enqueues),
+        ``process`` fills the returned completion slots, and the blocking
+        indices recorded at ``_read`` resolve against those slots.
         """
-        requests = self.engine.flush_epoch()
+        completions = self.engine.flush_epoch()
         self.controller.process()
         verify = (
             self.config.verify_latency_cpu if self.design.encrypted else 0
@@ -190,14 +190,14 @@ class SystemSimulator:
                 # PoisonIvy-style: data usable on arrival; verification
                 # (and its metadata fetches) retire off the critical path.
                 # blocking[0] is always the data read itself.
-                last_mem = requests[blocking[0]].completion
+                last_mem = completions[blocking[0]]
                 latency_tail = llc_latency
             elif len(blocking) == 1:
                 # Counter-hit majority: only the data read gates.
-                last_mem = requests[blocking[0]].completion
+                last_mem = completions[blocking[0]]
                 latency_tail = llc_latency + verify
             else:
-                last_mem = max(requests[index].completion for index in blocking)
+                last_mem = max([completions[index] for index in blocking])
                 latency_tail = llc_latency + verify
             completion = last_mem * mult
             if issue_cpu > completion:

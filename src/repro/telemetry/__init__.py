@@ -13,8 +13,8 @@ The three pieces (see DESIGN.md, "Telemetry"):
   snapshots (including snapshots revived from the run cache), grouped by
   design/scheme, dumped by ``--metrics-out``.
 
-Instrumented layers: ``dram.controller``/``scheduler``/``bank`` (row-buffer
-hits, queue depth, latencies, activations), ``cache.setassoc``/``hierarchy``
+Instrumented layers: ``dram.controller`` (row-buffer hits, queue depth,
+latencies, write-drain bursts, activations), ``cache.setassoc``/``hierarchy``
 (per-level hit/miss, occupancy), ``secure.timing_engine``/``mac`` (tree-walk
 depth, metadata accesses, MAC computations), ``core.reconstruction``/
 ``scrubber`` (candidate-chip attempts, scrub passes),

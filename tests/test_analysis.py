@@ -25,7 +25,9 @@ from repro.core.cacheline_codec import (
     encode_data_line,
 )
 from repro.core.reconstruction import ReconstructionEngine
-from repro.dram.channel import ChannelState
+from reference.dram_oracle import OracleChannel
+from repro.dram.address import DecodedAddress
+from repro.dram.controller import MemoryController, RequestKind
 from repro.dram.timing import MemoryConfig
 from repro.secure.counter_tree import CounterTree
 from repro.secure.counters import COUNTERS_PER_LINE
@@ -278,11 +280,11 @@ class TestSanitizerPlumbing:
 
     def test_components_bind_at_init(self):
         with sanitized(False):
-            channel = ChannelState(MemoryConfig())
-        assert channel._sanitizer is None
+            controller = MemoryController(MemoryConfig())
+        assert controller._sanitizer is None
         with sanitized():
-            channel = ChannelState(MemoryConfig())
-        assert channel._sanitizer is not None
+            controller = MemoryController(MemoryConfig())
+        assert controller._sanitizer is not None
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +292,12 @@ class TestSanitizerPlumbing:
 
 
 class TestDramSanitizer:
+    """``check_dram_commit`` over the reference plan/commit steps, and from
+    inside the production kernel's decision loop."""
+
     def test_legal_sequence_passes_and_counts(self):
         with sanitized() as sanitizer:
-            channel = ChannelState(MemoryConfig())
+            channel = OracleChannel(MemoryConfig())
             now = 0
             for row in (5, 5, 9):
                 plan = channel.plan(0, 0, row, False, now)
@@ -303,7 +308,7 @@ class TestDramSanitizer:
 
     def test_illegal_transition_is_caught(self):
         with sanitized():
-            channel = ChannelState(MemoryConfig())
+            channel = OracleChannel(MemoryConfig())
             plan = channel.plan(0, 0, 5, False, 0)
             channel.commit(0, 0, 5, False, plan)
             # Replaying the same plan starts the next command before the
@@ -313,12 +318,27 @@ class TestDramSanitizer:
 
     def test_understated_latency_is_caught(self):
         with sanitized():
-            channel = ChannelState(MemoryConfig())
+            channel = OracleChannel(MemoryConfig())
             start, data_start, completion = channel.plan(0, 0, 5, False, 0)
             # Claim the data appears one cycle too early for a closed bank
             # (violates tRCD+CL) while keeping the burst arithmetic valid.
             with pytest.raises(SanitizerError, match="latency"):
                 channel.commit(0, 0, 5, False, (start + 1, data_start, completion))
+
+    def test_corrupted_bank_state_trips_the_kernel(self):
+        with sanitized() as sanitizer:
+            controller = MemoryController(MemoryConfig(channels=1))
+            line = controller.mapper.encode(DecodedAddress(0, 0, 3, 77, 0))
+            controller.enqueue(RequestKind.READ, line, 0)
+            controller.process()
+            assert sanitizer.checks > 0
+            # The bank forgets its open row while the open-row table the
+            # kernel classifies against still holds it: the kernel plans a
+            # row hit (tCL) that a closed bank cannot serve (tRCD + tCL).
+            controller.channels[0].banks[3].open_row = None
+            controller.enqueue(RequestKind.READ, line + 1, 1000)
+            with pytest.raises(SanitizerError, match="latency"):
+                controller.process()
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +510,14 @@ class TestCacheReplaySanitizer:
 class TestSchedulerIndexSanitizer:
     @staticmethod
     def _loaded_controller():
-        from repro.dram.controller import MemoryController, RequestKind
-
         controller = MemoryController(MemoryConfig())
         state = 17
+        specs = []
         for index in range(600):
             state = (state * 1103515245 + 12345) % (1 << 31)
             kind = RequestKind.WRITE if index % 3 == 0 else RequestKind.READ
-            controller.enqueue(kind, state % (1 << 22), index * 2)
+            specs.append((kind, state % (1 << 22), index * 2, "data", 0))
+        controller.enqueue_batch(specs)
         return controller
 
     def test_consistent_index_passes(self):
@@ -508,14 +528,23 @@ class TestSchedulerIndexSanitizer:
         assert sanitizer.checks > 0
 
     def test_corrupted_hit_tally_is_caught(self):
-        with sanitized():
+        with sanitized() as sanitizer:
             controller = self._loaded_controller()
             controller.process()
-            # Desync the incremental census from ground truth; the next
-            # epoch-boundary audit must notice even with empty queues.
-            controller._queues[0].read_index.hits += 1
+            channel = controller.channels[0]
+            flat = next(f for f, row in enumerate(channel.open_rows) if row >= 0)
+            row = channel.open_rows[flat]
+            members = [(flat, row), (flat, row + 1)]
+            counts = {(flat << 40) | row: 1, (flat << 40) | (row + 1): 1}
+            # One queued request on the bank's open row is one hit ...
+            sanitizer.check_scheduler_index(
+                controller, channel, (("read", members, counts, 1),)
+            )
+            # ... and a pool census claiming two has drifted.
             with pytest.raises(SanitizerError, match="hit tally"):
-                controller.process()
+                sanitizer.check_scheduler_index(
+                    controller, channel, (("read", members, counts, 2),)
+                )
 
     def test_corrupted_open_row_table_is_caught(self):
         with sanitized():

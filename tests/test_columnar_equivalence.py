@@ -7,8 +7,9 @@ drive one scalar and one deferred engine with the same pseudo-random
 access stream (an LCG, so failures reproduce exactly) and compare every
 observable:
 
-* the controller's incoming queues — request lines, kinds, categories,
-  arrival times and **sequence numbers**, per channel, in order;
+* the controller's pending epoch — every buffered spec (kind, line,
+  arrival, category, core) in enqueue order, i.e. with its **sequence
+  number**;
 * the blocking sets of every expansion (resolved to (line, sequence));
 * the engine's accounting stats (``StatGroup`` insertion order included);
 * both cache's full set dictionaries — entry order *is* LRU state;
@@ -74,6 +75,11 @@ def _drive(design, deferred, seed):
 
         stream = _lcg_stream(seed)
 
+        def resolve(base, indices):
+            """(line, sequence) of batch-relative request indices."""
+            specs = controller._specs
+            return [(specs[base + i][1], base + i) for i in indices]
+
         # Warm phase: metadata walks only (the system simulator handles
         # the data-cache side), then the same resets warmup applies.
         if design.encrypted:
@@ -99,56 +105,27 @@ def _drive(design, deferred, seed):
             elif deferred:
                 pending.append((index, expand(line, when, core)))
             else:
+                # The controller never processes here, so its pending
+                # epoch holds every spec and a spec's position in it is
+                # its sequence number.
+                base = controller.sequence
                 access = expand(line, when, core)
-                blocking_log.append(
-                    (
-                        index,
-                        [(r.line_address, r.sequence) for r in access.blocking],
-                    )
-                )
+                blocking_log.append((index, resolve(base, access.blocking)))
             if deferred and (index + 1) % _FLUSH_EVERY == 0:
-                requests = engine.flush_epoch()
+                base = controller.sequence
+                engine.flush_epoch()
                 for event, indices in pending:
-                    blocking_log.append(
-                        (
-                            event,
-                            [
-                                (requests[i].line_address, requests[i].sequence)
-                                for i in indices
-                            ],
-                        )
-                    )
+                    blocking_log.append((event, resolve(base, indices)))
                 pending = []
         if deferred:
-            requests = engine.flush_epoch()
+            base = controller.sequence
+            engine.flush_epoch()
             for event, indices in pending:
-                blocking_log.append(
-                    (
-                        event,
-                        [
-                            (requests[i].line_address, requests[i].sequence)
-                            for i in indices
-                        ],
-                    )
-                )
+                blocking_log.append((event, resolve(base, indices)))
         engine.sync_telemetry()
 
-        queues = [
-            [
-                (
-                    arrival,
-                    sequence,
-                    request.line_address,
-                    request.kind.value,
-                    request.category,
-                    request.core,
-                )
-                for arrival, sequence, request in queue.incoming
-            ]
-            for queue in controller._queues
-        ]
         observables = {
-            "queues": queues,
+            "specs": list(controller._specs),
             "blocking": sorted(blocking_log),
             "stats": list(engine.stats.as_dict().items()),
             "metadata_accesses": engine._n_metadata_accesses,

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.dram_oracle import OracleChannel, access_latency, begin_access, classify
 from repro.dram.address import AddressMapper, DecodedAddress
 from repro.dram.bank import BankState
-from repro.dram.channel import ChannelState
 from repro.dram.controller import MemoryController, RequestKind
 from repro.dram.power import DramEnergyParams, dram_energy
 from repro.dram.timing import DramTiming, MemoryConfig
@@ -57,51 +57,60 @@ class TestAddressMapper:
 
 
 class TestBankState:
+    """Bank classification and access commit, via the reference helpers the
+    epoch kernel is pinned against (tests/test_dram_kernel.py)."""
+
     def test_closed_then_hit(self):
-        bank = BankState(DramTiming())
-        assert bank.classify(5) == "closed"
-        bank.begin_access(5, 0, is_write=False)
-        assert bank.classify(5) == "hit"
-        assert bank.classify(6) == "miss"
+        timing = DramTiming()
+        bank = BankState()
+        assert classify(bank, 5) == "closed"
+        begin_access(bank, timing, 5, 0, is_write=False)
+        assert classify(bank, 5) == "hit"
+        assert classify(bank, 6) == "miss"
 
     def test_latencies(self):
         timing = DramTiming()
-        bank = BankState(timing)
-        assert bank.access_latency(5, False) == timing.row_closed_read
-        bank.begin_access(5, 0, False)
-        assert bank.access_latency(5, False) == timing.t_cl
-        assert bank.access_latency(6, False) == timing.row_miss_read
+        bank = BankState()
+        assert access_latency(bank, timing, 5, False) == timing.row_closed_read
+        begin_access(bank, timing, 5, 0, False)
+        assert access_latency(bank, timing, 5, False) == timing.t_cl
+        assert access_latency(bank, timing, 6, False) == timing.row_miss_read
 
     def test_hit_miss_counters(self):
-        bank = BankState(DramTiming())
-        bank.begin_access(5, 0, False)
-        bank.begin_access(5, 10, False)
-        bank.begin_access(6, 20, False)
+        timing = DramTiming()
+        bank = BankState()
+        begin_access(bank, timing, 5, 0, False)
+        begin_access(bank, timing, 5, 10, False)
+        begin_access(bank, timing, 6, 20, False)
         assert bank.row_hits == 1
         assert bank.row_misses == 2
 
     def test_ready_time_advances(self):
-        bank = BankState(DramTiming())
-        bank.begin_access(5, 0, False)
-        assert bank.ready_at > 0
-        assert bank.earliest_start(0) == bank.ready_at
+        timing = DramTiming()
+        bank = BankState()
+        begin_access(bank, timing, 5, 0, False)
+        assert bank.ready_at == timing.t_ccd
+        begin_access(bank, timing, 5, 10, True)
+        assert bank.ready_at == 10 + timing.t_ccd + timing.t_wr
 
 
 class TestChannelState:
+    """The reference plan/commit arithmetic (tests/reference/dram_oracle.py)."""
+
     def test_plan_does_not_mutate(self):
-        channel = ChannelState(MemoryConfig())
+        channel = OracleChannel(MemoryConfig())
         before = channel.bus_free_at
         channel.plan(0, 0, 5, False, 0)
         assert channel.bus_free_at == before
 
     def test_commit_occupies_bus(self):
-        channel = ChannelState(MemoryConfig())
+        channel = OracleChannel(MemoryConfig())
         plan = channel.plan(0, 0, 5, False, 0)
         channel.commit(0, 0, 5, False, plan)
         assert channel.bus_free_at == plan[2]
 
     def test_bus_serialises_back_to_back(self):
-        channel = ChannelState(MemoryConfig())
+        channel = OracleChannel(MemoryConfig())
         plan1 = channel.plan(0, 0, 5, False, 0)
         channel.commit(0, 0, 5, False, plan1)
         plan2 = channel.plan(0, 1, 5, False, 0)  # different bank, same time
@@ -109,40 +118,57 @@ class TestChannelState:
         assert plan2[1] >= plan1[2]
 
     def test_row_hit_rate(self):
-        channel = ChannelState(MemoryConfig())
+        channel = OracleChannel(MemoryConfig())
         for _ in range(3):
             plan = channel.plan(0, 0, 5, False, 0)
             channel.commit(0, 0, 5, False, plan)
         assert channel.row_hit_rate == pytest.approx(2 / 3)
 
 
+def _spec(kind, line, arrival, category="data"):
+    return (kind, line, arrival, category, 0)
+
+
 class TestMemoryController:
     def test_all_requests_complete(self):
         controller = MemoryController(MemoryConfig())
         rng = random.Random(1)
-        requests = []
+        specs = []
         time = 0
         for _ in range(2000):
             time += rng.randrange(0, 8)
             kind = RequestKind.WRITE if rng.random() < 0.3 else RequestKind.READ
-            requests.append(controller.enqueue(kind, rng.randrange(1 << 20), time))
+            specs.append(_spec(kind, rng.randrange(1 << 20), time))
+        completions = controller.enqueue_batch(specs)
         controller.process()
-        assert all(r.completion is not None for r in requests)
+        assert all(completion is not None for completion in completions)
 
     def test_completion_after_arrival(self):
         controller = MemoryController(MemoryConfig())
         rng = random.Random(2)
-        requests = [
-            controller.enqueue(RequestKind.READ, rng.randrange(1 << 16), t * 3)
-            for t in range(500)
+        specs = [
+            _spec(RequestKind.READ, rng.randrange(1 << 16), t * 3) for t in range(500)
+        ]
+        completions = controller.enqueue_batch(specs)
+        controller.process()
+        assert all(
+            completion > spec[2] for spec, completion in zip(specs, completions)
+        )
+
+    def test_single_enqueues_fill_their_slots(self):
+        controller = MemoryController(MemoryConfig())
+        slots = [
+            controller.enqueue(RequestKind.READ, index * 3, index) for index in range(40)
         ]
         controller.process()
-        assert all(r.completion > r.arrival for r in requests)
+        assert all(len(slot) == 1 and slot[0] > index for index, slot in enumerate(slots))
+        assert controller.sequence == 40
 
     def test_sequential_stream_row_hits(self):
         controller = MemoryController(MemoryConfig())
-        for index in range(2000):
-            controller.enqueue(RequestKind.READ, index, index * 4)
+        controller.enqueue_batch(
+            [_spec(RequestKind.READ, index, index * 4) for index in range(2000)]
+        )
         controller.process()
         assert controller.channels[0].row_hit_rate > 0.9
 
@@ -153,8 +179,9 @@ class TestMemoryController:
         controller = MemoryController(config)
         count = 2000
         rng = random.Random(3)
-        for t in range(count):
-            controller.enqueue(RequestKind.READ, rng.randrange(1 << 20), t)
+        controller.enqueue_batch(
+            [_spec(RequestKind.READ, rng.randrange(1 << 20), t) for t in range(count)]
+        )
         controller.process()
         span = controller.last_completion
         assert span >= count * config.timing.t_burst * 0.9
@@ -170,29 +197,32 @@ class TestMemoryController:
 
     def test_writes_drain_eventually(self):
         controller = MemoryController(MemoryConfig(channels=1))
-        requests = [
-            controller.enqueue(RequestKind.WRITE, i, 0) for i in range(100)
-        ]
+        completions = controller.enqueue_batch(
+            [_spec(RequestKind.WRITE, i, 0) for i in range(100)]
+        )
         controller.process()
-        assert all(r.completion is not None for r in requests)
+        assert all(completion is not None for completion in completions)
 
     def test_reads_prioritised_over_writes(self):
         config = MemoryConfig(channels=1)
         controller = MemoryController(config)
-        writes = [
-            controller.enqueue(RequestKind.WRITE, 1000 + i * 64, 0)
+        specs = [
+            _spec(RequestKind.WRITE, 1000 + i * 64, 0)
             for i in range(10)  # below drain threshold
         ]
-        read = controller.enqueue(RequestKind.READ, 0, 1)
+        specs.append(_spec(RequestKind.READ, 0, 1))
+        completions = controller.enqueue_batch(specs)
         controller.process()
         # The read should complete before most buffered writes.
-        later_writes = [w for w in writes if w.completion > read.completion]
+        read = completions[-1]
+        later_writes = [write for write in completions[:-1] if write > read]
         assert len(later_writes) >= 5
 
     def test_activation_counts(self):
         controller = MemoryController(MemoryConfig())
-        for index in range(100):
-            controller.enqueue(RequestKind.READ, index * 257, index * 4)
+        controller.enqueue_batch(
+            [_spec(RequestKind.READ, index * 257, index * 4) for index in range(100)]
+        )
         controller.process()
         counts = controller.activation_counts()
         assert counts["activations"] + counts["row_hits"] == 100

@@ -1,11 +1,16 @@
-"""Tests for refresh (tREFI/tRFC) and activation-window (tFAW) modelling."""
+"""Tests for refresh (tREFI/tRFC) and activation-window (tFAW) modelling.
+
+The plan/commit cases drive the reference channel arithmetic
+(``tests/reference/dram_oracle.py``) the epoch kernel is pinned against;
+the throughput case runs the production controller.
+"""
 
 import random
 from dataclasses import replace
 
 import pytest
 
-from repro.dram.channel import ChannelState
+from reference.dram_oracle import OracleChannel
 from repro.dram.controller import MemoryController, RequestKind
 from repro.dram.timing import DramTiming, MemoryConfig
 
@@ -13,7 +18,7 @@ from repro.dram.timing import DramTiming, MemoryConfig
 class TestRefresh:
     def test_start_pushed_out_of_blackout(self):
         config = MemoryConfig()
-        channel = ChannelState(config)
+        channel = OracleChannel(config)
         timing = config.timing
         # A request landing inside the first blackout window is delayed.
         start, _data, _done = channel.plan(0, 0, 5, False, 10)
@@ -21,7 +26,7 @@ class TestRefresh:
 
     def test_no_delay_outside_blackout(self):
         config = MemoryConfig()
-        channel = ChannelState(config)
+        channel = OracleChannel(config)
         timing = config.timing
         now = timing.t_rfc + 100
         start, _data, _done = channel.plan(0, 0, 5, False, now)
@@ -29,13 +34,13 @@ class TestRefresh:
 
     def test_disabled_refresh(self):
         config = replace(MemoryConfig(), model_refresh=False)
-        channel = ChannelState(config)
+        channel = OracleChannel(config)
         start, _data, _done = channel.plan(0, 0, 5, False, 10)
         assert start == 10
 
     def test_refresh_stall_accounting(self):
         config = MemoryConfig()
-        channel = ChannelState(config)
+        channel = OracleChannel(config)
         channel.plan(0, 0, 5, False, 0)
         assert channel.refresh_stall_cycles > 0
 
@@ -44,8 +49,12 @@ class TestRefresh:
             config = replace(MemoryConfig(channels=1), model_refresh=model_refresh)
             controller = MemoryController(config)
             rng = random.Random(1)
-            for t in range(3000):
-                controller.enqueue(RequestKind.READ, rng.randrange(1 << 20), t * 2)
+            controller.enqueue_batch(
+                [
+                    (RequestKind.READ, rng.randrange(1 << 20), t * 2, "data", 0)
+                    for t in range(3000)
+                ]
+            )
             controller.process()
             return controller.last_completion
 
@@ -57,7 +66,7 @@ class TestFaw:
         # Exaggerated window to make the constraint visible.
         timing = DramTiming(t_faw=200, t_rrd=2)
         config = replace(MemoryConfig(), timing=timing, model_refresh=False)
-        return ChannelState(config), timing
+        return OracleChannel(config), timing
 
     def test_fifth_activate_delayed(self):
         channel, timing = self.make_channel()
@@ -99,7 +108,7 @@ class TestFaw:
             model_refresh=False,
             model_faw=False,
         )
-        channel = ChannelState(config)
+        channel = OracleChannel(config)
         starts = []
         for bank in range(5):
             plan = channel.plan(0, bank, 1, False, 0)

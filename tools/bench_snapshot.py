@@ -21,7 +21,7 @@ timing file (``tools/run_experiments.py`` output) is supplied:
         --before BENCH_PR3.json --micro      # prior PR snapshot as baseline
     python tools/bench_snapshot.py --pr-out BENCH_ci.json --micro \\
         --scale quick --compare BENCH_PR5.json \\
-        --fail-on-regress --fail-cases scheduler_choose_indexed,trace_generate
+        --fail-on-regress --fail-cases controller_schedule,trace_generate
 
 ``--before``/``--after`` accept any of: ``tools/run_experiments.py`` output,
 a previous combined PR snapshot (its ``end_to_end.after_s`` section), or a
