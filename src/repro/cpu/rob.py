@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Deque, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.cpu.trace import Trace
+from repro.cpu.trace import Trace, column_buffer
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,8 @@ class CoreModel:
         "params",
         "_read_fn",
         "_write_fn",
-        "_ops",
-        "_lines",
-        "_terms",
-        "_mem_pos",
-        "_cursor",
-        "_count",
+        "_records",
+        "_held",
         "fetch_time",
         "retire_time",
         "fetched_count",
@@ -98,20 +95,21 @@ class CoreModel:
         # ``advance`` produce bit-identical fetch times. ``mem_pos[i]``
         # is the instruction position of record i's memory op
         # (``cumsum(gap + 1) - 1``, matching the running fetched_count).
-        gaps = np.asarray(trace.gaps, dtype=np.int64)
-        instructions = gaps + 1
-        self._terms: List[float] = (instructions / params.width).tolist()
-        self._mem_pos: List[int] = (np.cumsum(instructions) - 1).tolist()
-        self._ops: List[int] = (
-            trace.ops.tolist() if hasattr(trace.ops, "tolist")
-            else list(trace.ops)
+        # The columns are typed buffers (one allocation each), never lists
+        # of boxed values: a cell holds tens of thousands of records per
+        # core, and per-record objects fragment the allocator cell after
+        # cell. ``advance`` steps one zip over them, so each value is boxed
+        # only while its record is in flight.
+        instructions = np.asarray(trace.gaps, dtype=np.int64) + 1
+        #: (term, mem_pos, op, line) per record, consumed in order.
+        self._records: Iterator[Tuple[float, int, int, int]] = zip(
+            column_buffer("d", instructions / params.width),
+            column_buffer("q", np.cumsum(instructions) - 1),
+            column_buffer("b", trace.ops),
+            column_buffer("q", trace.lines),
         )
-        self._lines: List[int] = (
-            trace.lines.tolist() if hasattr(trace.lines, "tolist")
-            else list(trace.lines)
-        )
-        self._cursor = 0
-        self._count = len(self._ops)
+        #: the record a blocked ``advance`` fetched but could not issue.
+        self._held: Optional[Tuple[float, int, int, int]] = None
 
         self.fetch_time = 0.0
         self.retire_time = 0.0
@@ -132,37 +130,40 @@ class CoreModel:
         retired its trace.
 
         Hot-path note: this is the batch-advance stepper — per-record
-        work is three list indexings (precomputed term, memory position,
-        op) plus the memory callback. Fetch state lives in locals and is
-        written back to the instance only at blocking points; the memory
-        callbacks never read ``fetch_time``/``fetched_count``, and the
-        precomputed columns make the stepper branch-free between ROB
-        stalls. The arithmetic (one float add per record, ``max`` with
-        the retire clock at stalls) is the scalar model's, op for op.
+        work is one step of the column zip (precomputed term, memory
+        position, op, line) plus the memory callback. Indexing the typed
+        buffers in place would box every value on each access; the zip
+        boxes each once. Fetch state lives in locals and is written back
+        to the instance only at blocking points; the memory callbacks
+        never read ``fetch_time``/``fetched_count``, and the precomputed
+        columns make the stepper branch-free between ROB stalls. The
+        arithmetic (one float add per record, ``max`` with the retire
+        clock at stalls) is the scalar model's, op for op.
         """
         rob = self.params.rob_size
         core_id = self.core_id
         read_fn = self._read_fn
         write_fn = self._write_fn
-        terms = self._terms
-        mem_pos = self._mem_pos
-        ops = self._ops
-        lines = self._lines
-        count = self._count
         retire_until = self._retire_until
         pending_append = self._pending_reads.append
         fetch_time = self.fetch_time
         retired = self.retired_count
-        cursor = self._cursor
-        while cursor < count:
-            mem_position = mem_pos[cursor]
+        # Memory position of the last issued record (fetched_count - 1).
+        last = self.fetched_count - 1
+        records = self._records
+        held = self._held
+        if held is not None:
+            # Resume with the record the last call blocked on.
+            self._held = None
+            records = chain((held,), records)
+        for term, mem_position, op, line in records:
             needed_retired = mem_position + 1 - rob
             if needed_retired > retired:
                 self.fetch_time = fetch_time
-                self.fetched_count = mem_pos[cursor - 1] + 1 if cursor else 0
+                self.fetched_count = last + 1
                 blocked = retire_until(needed_retired)
                 if blocked is not None:
-                    self._cursor = cursor
+                    self._held = (term, mem_position, op, line)
                     return blocked
                 retired = self.retired_count
                 # ROB was full: fetch resumes no earlier than the freeing
@@ -172,17 +173,16 @@ class CoreModel:
                     self.stall_cycles += retire_time - fetch_time
                     fetch_time = retire_time
 
-            fetch_time += terms[cursor]
-            if ops[cursor]:
-                write_fn(lines[cursor], fetch_time, core_id)
+            fetch_time += term
+            if op:
+                write_fn(line, fetch_time, core_id)
             else:
-                handle = read_fn(lines[cursor], fetch_time, core_id)
+                handle = read_fn(line, fetch_time, core_id)
                 pending_append((mem_position, handle))
-            cursor += 1
+            last = mem_position
         # Trace exhausted: retire everything still in flight.
-        self._cursor = cursor
         self.fetch_time = fetch_time
-        self.fetched_count = mem_pos[count - 1] + 1 if count else 0
+        self.fetched_count = last + 1
         blocked = retire_until(self.fetched_count)
         if blocked is not None:
             return blocked

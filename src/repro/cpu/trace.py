@@ -8,8 +8,10 @@ synthetic workload generator rather than Pin.
 
 Storage is columnar: a :class:`Trace` holds three compact parallel arrays
 (``gaps``/``ops``/``lines``) instead of one Python object per record —
-roughly 17 bytes per access instead of ~100 — and hands hot consumers the
-raw columns via :meth:`Trace.iter_accesses`. :class:`TraceRecord` remains
+roughly 17 bytes per access instead of ~100. Hot consumers read the
+columns through typed buffers (:func:`column_buffer`, as the ROB does, or
+:meth:`Trace.iter_accesses` for the warm-up replay), which box one value
+at a time instead of listing a whole column. :class:`TraceRecord` remains
 the one-record view for file I/O, tests, and ad-hoc construction;
 iterating a trace yields records, so existing callers are unchanged.
 """
@@ -20,6 +22,26 @@ import enum
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
+
+import numpy as np
+
+
+#: numpy dtype of each stdlib ``array`` typecode a column may take.
+_DTYPES = {"b": np.int8, "q": np.int64, "d": np.float64}
+
+
+def column_buffer(typecode: str, column) -> array:
+    """A column's values as one typed stdlib buffer (``b``/``q``/``d``).
+
+    Iterating the buffer boxes one value per step, and each box dies with
+    its step. ``tolist`` would box the whole column at once and keep every
+    box alive as long as the list, one small allocation per record. A
+    stdlib ``array`` of the requested type is returned as is.
+    """
+    if isinstance(column, array) and column.typecode == typecode:
+        return column
+    values = np.ascontiguousarray(column, dtype=_DTYPES[typecode])
+    return array(typecode, values.tobytes())
 
 
 class MemoryOp(enum.Enum):
@@ -108,14 +130,15 @@ class Trace:
         ):
             yield TraceRecord(gap, write if op else read, line)
 
-    def iter_accesses(self) -> Iterator[Tuple[int, int, int]]:
-        """Raw column iterator: ``(gap, is_write, line_address)`` tuples.
+    def iter_accesses(self) -> Iterator[Tuple[int, int]]:
+        """Raw column iterator: ``(is_write, line_address)`` pairs.
 
-        The hot-path view: plain ints (``is_write`` truthy for writes),
-        no per-record object construction. One ``tolist`` per column up
-        front, then a C-speed zip.
+        The warm-up replay's view: plain ints (``is_write`` truthy for
+        writes), no per-record objects, and no list of any column — ops
+        and lines are read through :func:`column_buffer`, so only the
+        record in flight is boxed. Gaps are not read.
         """
-        return zip(self.gaps.tolist(), self.ops.tolist(), self.lines.tolist())
+        return zip(column_buffer("b", self.ops), column_buffer("q", self.lines))
 
     def __len__(self) -> int:
         return len(self.gaps)

@@ -56,14 +56,14 @@ def render_series(
 def render_execution_stats(stats: "ExecutionStats") -> str:
     """One-line-per-metric summary of the parallel execution layer.
 
-    Shows cache hit/miss counts, cell execution totals, pool utilisation
-    and the slowest cells — the numbers that tell you whether ``--jobs``
-    and the run cache are actually paying off.
+    Shows cache hit/miss counts, the peak resident set, cell execution
+    totals, pool utilisation and the slowest cells — the numbers that
+    tell you whether ``--jobs`` and the run cache are actually paying off.
     """
     cells = stats.cells_executed
     lines = [
-        "execution: %d cell(s) run, %d cache hit(s), %d miss(es)"
-        % (cells, stats.cache_hits, stats.cache_misses)
+        "execution: %d cell(s) run, %d cache hit(s), %d miss(es), peak RSS %.1f MiB"
+        % (cells, stats.cache_hits, stats.cache_misses, stats.peak_rss_mib)
     ]
     if cells:
         lines.append(

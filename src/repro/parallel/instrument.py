@@ -10,11 +10,14 @@ so the execution profile merges and serialises through the same snapshot
 path as the simulator metrics (``snapshot()``). The registry is private —
 not the cell-scoped one — because these numbers describe the *harness*
 (wall clocks, pool spans), which must never leak into the deterministic
-per-cell snapshots attached to cached results.
+per-cell snapshots attached to cached results. The same holds for the
+process's peak resident set (``peak_rss_mib``): it depends on the host
+and the allocator, so it is read only when a summary is rendered.
 """
 
 from __future__ import annotations
 
+import resource
 from typing import Dict, List, Tuple
 
 from repro.telemetry import MetricsRegistry, MetricsSnapshot
@@ -167,6 +170,22 @@ class ExecutionStats:
             return 0.0
         return min(1.0, self.busy_seconds / capacity)
 
+    @property
+    def peak_rss_mib(self) -> float:
+        """Peak resident set of this process and its reaped children, MiB.
+
+        The larger ``ru_maxrss`` (KiB on Linux) of the two, as the
+        end-to-end benchmark measures it: pool workers and service job
+        children count once they have been reaped.
+        """
+        return (
+            max(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+            )
+            / 1024.0
+        )
+
     def slowest_cells(self, count: int = 5) -> List[Tuple[str, float]]:
         """The ``count`` longest-running cells (for hot-spot reports)."""
         return sorted(self.cell_times, key=lambda item: -item[1])[:count]
@@ -192,6 +211,7 @@ class ExecutionStats:
             "busy_seconds": round(self.busy_seconds, 3),
             "span_seconds": round(self.span_seconds, 3),
             "worker_utilisation": round(self.worker_utilisation, 3),
+            "peak_rss_mib": round(self.peak_rss_mib, 1),
             "slowest_cells": [
                 {"cell": label, "seconds": round(seconds, 3)}
                 for label, seconds in self.slowest_cells()

@@ -43,7 +43,7 @@ class MissColumns:
 
     All columns are int64 ndarrays parallel to ``data_lines``. The tree
     leaf index column feeds :func:`tree_path_columns` (and the engine's
-    memoised per-leaf path walk).
+    per-leaf path walk).
     """
 
     data_lines: np.ndarray
@@ -78,9 +78,9 @@ def tree_path_columns(
     """
     index = np.asarray(leaf_indices, dtype=np.int64)
     columns: List[np.ndarray] = []
-    for base, size in zip(map_.tree_level_bases, map_.tree_level_sizes):
+    for base, clamp in map_.tree_levels:
         index = index // TREE_ARITY
-        columns.append(base + np.minimum(index, size - 1))
+        columns.append(base + np.minimum(index, clamp))
     return columns
 
 

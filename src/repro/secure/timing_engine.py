@@ -16,7 +16,7 @@ split counters, IVEC's MAC tree, LOT-ECC parity RMW) is configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.cache.hierarchy import CacheHierarchy
@@ -70,7 +70,7 @@ class TimingMetadataMap:
         "tree_level_bases",
         "tree_level_sizes",
         "total_lines",
-        "_tree_path_cache",
+        "tree_levels",
     )
 
     def __init__(self, num_data_lines: int, counter_mode: CounterMode):
@@ -107,9 +107,13 @@ class TimingMetadataMap:
                 break
             size = -(-size // TREE_ARITY)
         self.total_lines = cursor
-        #: Memoised leaf-index -> root path (paths repeat heavily: adjacent
-        #: metadata lines share all but the lowest tree levels).
-        self._tree_path_cache: dict = {}
+        #: Tree geometry as (base, clamp) pairs, leaf-most level first:
+        #: level ``k`` of a leaf's path is ``base + min(index, clamp)`` with
+        #: ``index`` the leaf index divided by ``TREE_ARITY ** (k + 1)``.
+        self.tree_levels: Tuple[Tuple[int, int], ...] = tuple(
+            (base, size - 1)
+            for base, size in zip(self.tree_level_bases, self.tree_level_sizes)
+        )
 
     def counter_line(self, data_line: int) -> int:
         """Counter line covering a data line."""
@@ -134,15 +138,14 @@ class TimingMetadataMap:
         return self._tree_path(index)
 
     def _tree_path(self, leaf_index: int) -> List[int]:
-        path = self._tree_path_cache.get(leaf_index)
-        if path is not None:
-            return path
+        # Computed per call, never memoised: a per-leaf memo grows one list
+        # per distinct leaf for the whole cell, and the arithmetic is a
+        # handful of integer ops per level.
         path = []
         index = leaf_index
-        for base, size in zip(self.tree_level_bases, self.tree_level_sizes):
+        for base, clamp in self.tree_levels:
             index //= TREE_ARITY
-            path.append(base + min(index, size - 1))
-        self._tree_path_cache[leaf_index] = path
+            path.append(base + (index if index < clamp else clamp))
         return path
 
 
@@ -526,14 +529,10 @@ class SecureTimingEngine:
         counters_in_llc = design.counters_in_llc
         separate_mac = design.mac_location is MacLocation.SEPARATE
         macs_in_llc = design.macs_in_llc
-        # Tree geometry as (base, clamp) pairs: the walk computes each
-        # level's address as it descends instead of materialising the full
-        # memoised path — break-on-hit means most of a full path is wasted
-        # work, and at large footprints the memo never hits anyway.
-        tree_levels = tuple(
-            (base, size - 1)
-            for base, size in zip(map_.tree_level_bases, map_.tree_level_sizes)
-        )
+        # The walk computes each level's address as it descends instead of
+        # materialising the full path — break-on-hit means most of a full
+        # path is wasted work.
+        tree_levels = map_.tree_levels
         arity = TREE_ARITY
         batch = self._batch
         batch_append = batch.append
@@ -730,10 +729,7 @@ class SecureTimingEngine:
         parity_on_write = design.parity_write_on_data_write
         lotecc_rmw = design.lotecc_parity_rmw
         lotecc_coalesced = design.lotecc_write_coalescing
-        tree_levels = tuple(
-            (base, size - 1)
-            for base, size in zip(map_.tree_level_bases, map_.tree_level_sizes)
-        )
+        tree_levels = map_.tree_levels
         arity = TREE_ARITY
         batch = self._batch
         batch_append = batch.append
@@ -1009,10 +1005,7 @@ class SecureTimingEngine:
         mac_llc_fill = (
             design.mac_location is MacLocation.SEPARATE and design.macs_in_llc
         )
-        tree_levels = tuple(
-            (base, size - 1)
-            for base, size in zip(map_.tree_level_bases, map_.tree_level_sizes)
-        )
+        tree_levels = map_.tree_levels
         arity = TREE_ARITY
         absent = ABSENT
 

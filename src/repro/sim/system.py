@@ -232,9 +232,9 @@ class SystemSimulator:
         warm_metadata = self.engine.fast_warm or self.engine.warm_miss_metadata
         absent = ABSENT
         for trace in traces:
-            # Columnar iteration: plain (gap, is_write, line) ints — the
-            # warmup replay skips TraceRecord construction entirely.
-            for _gap, is_write, line in trace.iter_accesses():
+            # Columnar iteration: plain (is_write, line) ints from typed
+            # buffers — no TraceRecord and no list of any column.
+            for is_write, line in trace.iter_accesses():
                 ways = llc_sets[line & llc_mask]
                 tag = line >> llc_shift
                 prev = ways.pop(tag, absent)

@@ -12,10 +12,7 @@ import hashlib
 import random
 from typing import Iterable, List, Sequence, TypeVar
 
-try:  # numpy is optional at the API level; vectorised callers gate on it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image ships numpy
-    _np = None
+import numpy as _np
 
 _T = TypeVar("_T")
 
@@ -194,12 +191,9 @@ class DeterministicRng:
     def peek_raw_words(self, count: int):
         """The next ``count`` raw 32-bit words, without consuming them.
 
-        Requires numpy (returns None when unavailable). Vectorised
-        decoders peek a budget of words, decode, then commit the exact
-        number consumed via :meth:`advance_raw_words`.
+        Vectorised decoders peek a budget of words, decode, then commit
+        the exact number consumed via :meth:`advance_raw_words`.
         """
-        if _np is None:
-            return None
         return self._transplant().random_raw(count)
 
     def begin_raw_block(self, budget: int):
@@ -209,11 +203,8 @@ class DeterministicRng:
         ``budget`` 32-bit outputs (uint64 array) and ``handle`` is the
         generator that produced them, positioned ``budget`` words ahead.
         Pass the handle to :meth:`commit_raw_block` to consume the exact
-        prefix that was actually decoded. Requires numpy (returns
-        ``(None, None)`` when unavailable).
+        prefix that was actually decoded.
         """
-        if _np is None:
-            return None, None
         mt = self._transplant()
         return mt.random_raw(budget), mt
 

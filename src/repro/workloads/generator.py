@@ -40,15 +40,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
+import numpy as _np
+
 from repro.cpu.trace import MemoryOp, Trace, TraceRecord
 from repro.util.rng import DeterministicRng, derive_seed, mt_unit_floats
 from repro.util.units import CACHELINE_BYTES, KIB, MIB
 from repro.workloads.profiles import WorkloadProfile
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image ships numpy
-    _np = None
 
 #: Number of concurrent stride-1 streams for the sequential component.
 _NUM_STREAMS = 4
@@ -176,13 +173,8 @@ def generate_trace(
 ) -> Trace:
     """Batched trace generation, bit-identical to the reference.
 
-    See :func:`generate_trace_reference` for semantics. Falls back to the
-    reference loop when numpy is unavailable.
+    See :func:`generate_trace_reference` for semantics.
     """
-    if _np is None:
-        return generate_trace_reference(
-            profile, num_accesses, core_id, base_line, seed_salt, scale_divisor
-        )
     _check_args(num_accesses, scale_divisor)
     rng = DeterministicRng(derive_seed(profile.name, core_id, seed_salt))
 

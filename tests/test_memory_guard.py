@@ -1,0 +1,88 @@
+"""Guards against per-record Python objects in long-lived per-cell state.
+
+A default cell keeps each core's trace columns and the secure engine's
+metadata map alive for its whole run. Holding one boxed value or list per
+record or per leaf there costs tens of thousands of small allocations per
+cell, and that churn fragments the allocator: RSS then climbs cell after
+cell even though nothing leaks. These tests count the allocation blocks
+such structures leave live.
+"""
+
+import gc
+import sys
+import tracemalloc
+
+import numpy as np
+
+from repro.cpu.rob import AccessHandle, CoreModel
+from repro.cpu.trace import Trace
+from repro.secure.designs import CounterMode
+from repro.secure.timing_engine import TimingMetadataMap
+
+#: Live blocks a core may keep whatever its trace length: its own object,
+#: four column buffers, iterators, and the interpreter's tuple and float
+#: free lists, which hold up to a ROB's worth of freed in-flight entries.
+MAX_CORE_BLOCKS = 512
+#: Live blocks 100k metadata-path lookups may leave: none beyond noise.
+MAX_LOOKUP_BLOCKS = 64
+
+
+def traced_live_blocks(build):
+    """Run ``build()`` under tracemalloc.
+
+    Returns its result, the number of blocks it left live, and the top
+    allocation sites of those blocks (for the failure message).
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    ignore = (tracemalloc.Filter(False, tracemalloc.__file__),)
+    stats = snapshot.filter_traces(ignore).statistics("lineno")
+    top = "\n".join(str(stat) for stat in stats[:5])
+    return result, sum(stat.count for stat in stats), top
+
+
+def test_core_model_holds_no_per_record_objects():
+    count = 8_000
+    lines = (np.arange(count, dtype=np.int64) * 7919) % (1 << 22) + 1024
+    trace = Trace.from_arrays(lines % 5, lines % 4 == 0, lines, "guard")
+
+    def read(_line, cpu_time, _core):
+        return AccessHandle(cpu_time + 150.0)
+
+    def write(_line, _cpu_time, _core):
+        return None
+
+    def build_and_run():
+        core = CoreModel(0, trace, read, write)
+        while core.advance() is not None:
+            pass
+        return core
+
+    core, blocks, top = traced_live_blocks(build_and_run)
+    assert core.done
+    assert core.retired_count == trace.total_instructions
+    assert blocks <= MAX_CORE_BLOCKS, top
+
+
+def test_tree_path_lookups_leave_bounded_state():
+    metadata_map = TimingMetadataMap(1 << 20, CounterMode.MONOLITHIC)
+    leaves = 100_000
+    assert metadata_map.num_counter_lines >= leaves
+
+    base = metadata_map.counter_base
+    walk = metadata_map.tree_path_from_counter
+    last = walk(base + leaves - 1)
+    # The pymalloc block count, not tracemalloc: tracing 100k lookups'
+    # allocations would take most of a second.
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for leaf in range(leaves):
+        walk(base + leaf)
+    gc.collect()
+    assert sys.getallocatedblocks() - before <= MAX_LOOKUP_BLOCKS
+    assert walk(base + leaves - 1) == last

@@ -305,8 +305,10 @@ class TestExecutionStats:
             "busy_seconds",
             "span_seconds",
             "worker_utilisation",
+            "peak_rss_mib",
             "slowest_cells",
         }
+        assert payload["peak_rss_mib"] > 0
 
     def test_snapshot_and_reset(self):
         stats = ExecutionStats()

@@ -12,6 +12,13 @@ change and diff the tables.
     PYTHONPATH=src python tools/profile_run.py --micro controller_schedule
     PYTHONPATH=src python tools/profile_run.py --out cell.pstats   # for snakeviz etc.
 
+``--memory`` profiles allocations instead, without cProfile: it runs the
+cell under ``tracemalloc`` and prints the top-N source lines whose
+allocations are still live when ``SystemSimulator.run`` returns, with the
+live total and the traced peak of the whole cell::
+
+    PYTHONPATH=src python tools/profile_run.py --memory --design IVEC --top 15
+
 The cell runs in-process with the run cache disabled, so the profile
 measures simulation, not reuse or process-pool overhead.
 """
@@ -20,6 +27,7 @@ import argparse
 import cProfile
 import pstats
 import sys
+import tracemalloc
 
 from repro.perf.microbench import CASES
 from repro.secure.designs import ALL_DESIGNS, design_by_name
@@ -38,6 +46,52 @@ def profile_cell(design_name: str, workload: str, accesses: int) -> cProfile.Pro
     run_workload(design, workload, config)
     profiler.disable()
     return profiler
+
+
+def live_at_run_end(
+    design_name: str, workload: str, accesses: int
+) -> "tuple[tracemalloc.Snapshot, int]":
+    """Allocations live when one cell's ``SystemSimulator.run`` returns.
+
+    Returns that snapshot and the traced peak over the whole cell (trace
+    synthesis, warm-up, run and packaging), in bytes.
+    """
+    from repro.sim.system import SystemSimulator
+
+    design = design_by_name(design_name)
+    config = SystemConfig(accesses_per_core=accesses)
+    snapshots = []
+    run = SystemSimulator.run
+
+    def run_then_snapshot(self, *args, **kwargs):
+        result = run(self, *args, **kwargs)
+        snapshots.append(tracemalloc.take_snapshot())
+        return result
+
+    SystemSimulator.run = run_then_snapshot
+    tracemalloc.start()
+    try:
+        run_workload(design, workload, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        SystemSimulator.run = run
+    ignore = (tracemalloc.Filter(False, tracemalloc.__file__),)
+    return snapshots[-1].filter_traces(ignore), peak
+
+
+def print_memory(snapshot: tracemalloc.Snapshot, peak: int, top: int) -> None:
+    """The live total, the traced peak and the top-N live sites."""
+    stats = snapshot.statistics("lineno")
+    size = sum(stat.size for stat in stats)
+    blocks = sum(stat.count for stat in stats)
+    mib = 1024.0 * 1024.0
+    print(
+        "live at the end of SystemSimulator.run: %.2f MiB in %d blocks "
+        "(traced peak of the cell %.2f MiB)" % (size / mib, blocks, peak / mib)
+    )
+    for stat in stats[:top]:
+        print(stat)
 
 
 def profile_micro(case: str) -> cProfile.Profile:
@@ -72,13 +126,34 @@ def main() -> int:
         choices=sorted(CASES),
         help="profile this microbenchmark case instead of a grid cell",
     )
+    parser.add_argument(
+        "--memory",
+        action="store_true",
+        help="list the cell's live allocation sites instead of a cProfile table",
+    )
     parser.add_argument("--top", type=int, default=25, help="rows to print")
     parser.add_argument("--sort", default="cumulative", choices=SORT_KEYS)
     parser.add_argument(
         "--out", default=None, help="also dump raw pstats to this path"
     )
     args = parser.parse_args()
+    if args.memory and (args.micro or args.out):
+        parser.error("--memory profiles a cell; it takes neither --micro nor --out")
 
+    if args.memory:
+        print(
+            "allocations of cell %s/%s (%d accesses/core)"
+            % (args.design, args.workload, args.accesses),
+            flush=True,
+        )
+        from repro.parallel import overridden
+
+        with overridden(cache_enabled=False):
+            snapshot, peak = live_at_run_end(
+                args.design, args.workload, args.accesses
+            )
+        print_memory(snapshot, peak, args.top)
+        return 0
     if args.micro:
         print("profiling microbenchmark %r" % args.micro, flush=True)
         profiler = profile_micro(args.micro)
