@@ -6,9 +6,9 @@ deterministic hot-path workloads instead of each inventing its own.
 
 The case roster covers every per-event simulator path. CI gates four of
 them: ``controller_schedule`` (one epoch through the DRAM controller's
-FR-FCFS kernel), ``trace_generate`` (vectorised workload synthesis,
-measured against its retained scalar baseline ``trace_generate_reference``
-at the same profile and length), ``miss_expansion`` and ``rob_advance``.
+FR-FCFS kernel), ``trace_generate`` (block-streamed workload synthesis),
+``miss_expansion`` and ``rob_advance``. The trace generator's per-record
+oracle lives in ``tests/reference/``, so no case times it.
 """
 
 from repro.perf.microbench import CASES, MicroResult, run_all, run_case

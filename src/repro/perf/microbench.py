@@ -17,9 +17,8 @@ versions:
 * ``telemetry_record``  — counter/histogram recording through a registry
 * ``pool_dispatch``     — repeated small ``parallel_map`` fan-outs through
   the shared persistent pool (spawn amortisation + per-map round-trip)
-* ``trace_generate``    — vectorised workload-trace synthesis (sphinx3, 50k)
-* ``trace_generate_reference`` — the retained scalar trace generator on the
-  same profile/length, kept as the speedup baseline for ``trace_generate``
+* ``trace_generate``    — block-streamed workload-trace synthesis (sphinx3,
+  50k); its per-record oracle lives with the tests, not here
 
 Cases return their op count; the harness times them (best-of-N
 ``perf_counter``, garbage collection suspended per round as ``timeit``
@@ -235,36 +234,21 @@ def pool_dispatch() -> int:
     return total
 
 
-#: Profile/length for the trace-generation pair. The two cases must stay in
-#: lock-step so ``trace_generate`` / ``trace_generate_reference`` is a
-#: meaningful speedup ratio. 50k records keeps the vectorised working set
-#: near cache-resident while exposing the scalar path's per-record
-#: allocation/GC burden at production trace lengths — the asymmetry the
-#: columnar rewrite removes. sphinx3 exercises all three locality arms
-#: (sequential runs, hot-set draws, page bursts), so both generators walk
-#: their full dispatch rather than one specialised branch.
+#: Profile/length for trace generation. 50k records is a production-scale
+#: trace: it spans dozens of decode blocks. sphinx3 exercises all three
+#: locality arms (sequential runs, hot-set draws, page bursts), so the
+#: decoder walks its full dispatch rather than one specialised branch.
 _TRACE_BENCH_PROFILE = "sphinx3"
 _TRACE_BENCH_ACCESSES = 50_000
 
 
 def trace_generate() -> int:
-    """Vectorised trace synthesis (the production ``generate_trace`` path)."""
+    """Block-streamed trace synthesis (the production ``generate_trace``)."""
     from repro.workloads.generator import generate_trace
     from repro.workloads.profiles import profile_by_name
 
     profile = profile_by_name(_TRACE_BENCH_PROFILE)
     trace = generate_trace(profile, _TRACE_BENCH_ACCESSES)
-    return len(trace)
-
-
-def trace_generate_reference() -> int:
-    """Scalar trace synthesis — the baseline ``trace_generate`` is measured
-    against (same profile, length, and record stream)."""
-    from repro.workloads.generator import generate_trace_reference
-    from repro.workloads.profiles import profile_by_name
-
-    profile = profile_by_name(_TRACE_BENCH_PROFILE)
-    trace = generate_trace_reference(profile, _TRACE_BENCH_ACCESSES)
     return len(trace)
 
 
@@ -278,7 +262,6 @@ CASES: Dict[str, Callable[[], int]] = {
     "telemetry_record": telemetry_record,
     "pool_dispatch": pool_dispatch,
     "trace_generate": trace_generate,
-    "trace_generate_reference": trace_generate_reference,
 }
 
 

@@ -110,9 +110,10 @@ def sdc_estimate(
 
     ``error_fit`` = assumed corrected-error rate (paper: a conservative
     100 failures per billion hours). Collision chance per correction is
-    at most attempts x 2^-mac_bits (< 1e-18); multiplying gives an SDC FIT
-    around 1e-19 — thirteen orders of magnitude below Chipkill's SDC rate,
-    matching the paper's claim.
+    at most attempts x 2^-mac_bits = 16 x 2^-64 = 8.7e-19; multiplying by
+    the 100 corrections per billion hours gives an SDC FIT of 8.7e-17.
+    The paper quotes ~1e-19, which this arithmetic does not reproduce: it
+    is about 870x higher (EXPERIMENTS.md reports the ratio).
     """
     collision = max_reconstruction_attempts * (2.0 ** -mac_bits)
     return SdcEstimate(

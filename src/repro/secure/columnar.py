@@ -139,9 +139,8 @@ def design_uses_fast_path(design: SecureDesign) -> bool:
     Kept in one place so tests and docs can't drift from the engine: the
     fused path covers every design whose read walk is data + Bonsai
     counter chain + optional uncached MAC — i.e. everything except
-    MAC-tree designs (IVEC) and hypothetical cached-MAC configurations,
-    which stay on the scalar oracle.
+    MAC-tree designs (IVEC), which stay on the scalar engine.
     """
     from repro.secure.designs import TreeKind
 
-    return design.tree_kind is not TreeKind.MAC_TREE and not design.macs_cached
+    return design.tree_kind is not TreeKind.MAC_TREE

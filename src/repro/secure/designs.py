@@ -64,9 +64,9 @@ class SecureDesign:
     encrypted: bool
     mac_location: MacLocation
     counters_in_llc: bool
-    #: Table II "MAC caching": SGX/SGX_O cache MACs nowhere (every data
-    #: access pays a MAC memory access); IVEC caches them in the LLC.
-    macs_cached: bool
+    #: Table II "MAC caching": no design elides a MAC fetch — every data
+    #: access pays a MAC memory access. IVEC also keeps its MACs in the
+    #: LLC, where they displace data (see the IVEC modelling note).
     macs_in_llc: bool
     tree_kind: TreeKind
     counter_mode: CounterMode
@@ -106,7 +106,6 @@ NON_SECURE = SecureDesign(
     encrypted=False,
     mac_location=MacLocation.NONE,
     counters_in_llc=False,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.NONE,
     counter_mode=CounterMode.MONOLITHIC,
@@ -118,7 +117,6 @@ SGX = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=False,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -130,7 +128,6 @@ SGX_O = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -142,7 +139,6 @@ SYNERGY = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.ECC_CHIP,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -156,7 +152,6 @@ SYNERGY_DEDICATED = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.ECC_CHIP,
     counters_in_llc=False,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -170,7 +165,6 @@ SGX_O_SPLIT = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.SPLIT,
@@ -182,7 +176,6 @@ SYNERGY_SPLIT = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.ECC_CHIP,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.SPLIT,
@@ -199,15 +192,14 @@ SYNERGY_SPLIT = SecureDesign(
 #: *ineffective* at eliding fetches — the non-Bonsai tree keeps MACs
 #: untrusted until verified, so each access re-fetches its MAC while the
 #: cached copies still displace data (cf. Rogers et al. [14]). We model
-#: exactly that: ``macs_cached=False`` (fetch per access) with
-#: ``macs_in_llc=True`` (pollution), plus per-level Merkle update traffic
+#: exactly that: a MAC fetch per access, ``macs_in_llc=True``
+#: (pollution), plus per-level Merkle update traffic
 #: and serial root-ward verification latency.
 IVEC = SecureDesign(
     name="IVEC",
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=False,
-    macs_cached=False,
     macs_in_llc=True,
     tree_kind=TreeKind.MAC_TREE,
     counter_mode=CounterMode.SPLIT,
@@ -222,7 +214,6 @@ LOTECC = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -235,7 +226,6 @@ LOTECC_COALESCED = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -253,7 +243,6 @@ SYNERGY_CUSTOM = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.ECC_CHIP,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -268,7 +257,6 @@ CHIPKILL_SECURE = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -286,7 +274,6 @@ SGX_O_SPECULATIVE = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -299,7 +286,6 @@ SYNERGY_SPECULATIVE = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.ECC_CHIP,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,

@@ -178,12 +178,9 @@ class SecureTimingEngine:
         "_t_mac_tree_walk_depth",
         "_t_metadata_accesses",
         "_t_counter_hits",
-        "_t_mac_hits",
         "_c_counter_hits",
-        "_c_mac_hits",
         "_n_metadata_accesses",
         "_n_counter_hits",
-        "_n_mac_hits",
         "_synced_telemetry",
         "_tree_depth_acc",
         "_mac_tree_depth_acc",
@@ -223,16 +220,17 @@ class SecureTimingEngine:
         )
         self._t_metadata_accesses = registry.counter("secure.metadata_accesses")
         self._t_counter_hits = registry.counter("secure.counter_hits")
-        self._t_mac_hits = registry.counter("secure.mac_hits")
+        # No design caches its MACs, so nothing counts MAC hits; both
+        # counters stay so payloads and telemetry keep their keys at 0.
+        registry.counter("secure.mac_hits")
         self._c_counter_hits = self.stats.counter("counter_hits")
-        self._c_mac_hits = self.stats.counter("mac_hits")
+        self.stats.counter("mac_hits")
         # Deferred telemetry (see sync_telemetry): the per-access paths
         # bump plain ints / tally dicts; the registry objects are only
         # touched at snapshot time.
         self._n_metadata_accesses = 0
         self._n_counter_hits = 0
-        self._n_mac_hits = 0
-        self._synced_telemetry = [0, 0, 0]
+        self._synced_telemetry = [0, 0]
         self._tree_depth_acc: dict = {}
         self._mac_tree_depth_acc: dict = {}
         #: (origin, category, kind) -> bound accounting counter; built
@@ -414,9 +412,9 @@ class SecureTimingEngine:
         """
         self._deferred = True
         self._batching = True
-        if self._fast_expand is None and (
-            self.design.tree_kind is not TreeKind.MAC_TREE
-            and not self.design.macs_cached
+        if (
+            self._fast_expand is None
+            and self.design.tree_kind is not TreeKind.MAC_TREE
         ):
             # Order matters: the expansion closure binds the fused
             # writeback drain for its spill victims.
@@ -1096,15 +1094,9 @@ class SecureTimingEngine:
                     break
         if design.mac_location is MacLocation.SEPARATE:
             mac_line = self.map.mac_line(data_line)
-            walk_tree = design.tree_kind is TreeKind.MAC_TREE
-            if design.macs_cached:
-                mac = self.hierarchy.access_metadata(
-                    mac_line, is_write=is_write, use_llc=design.macs_in_llc
-                )
-                walk_tree = walk_tree and not mac.hit
-            elif design.macs_in_llc:
+            if design.macs_in_llc:
                 self.hierarchy.llc.fill(mac_line)
-            if walk_tree:
+            if design.tree_kind is TreeKind.MAC_TREE:
                 for tree_line in self.map.tree_path_from_mac(mac_line):
                     node = self.hierarchy.access_metadata(
                         tree_line, is_write=is_write, use_llc=design.macs_in_llc
@@ -1173,26 +1165,14 @@ class SecureTimingEngine:
     def _fetch_mac(self, data_line: int, when: int, core: int) -> None:
         design = self.design
         mac_line = self.map.mac_line(data_line)
-        if not design.macs_cached:
-            # Table II: SGX/SGX_O cache MACs nowhere — every data access
-            # pays a MAC memory access (the traffic Synergy eliminates).
-            # IVEC additionally *stores* its (untrusted) MACs in the LLC,
-            # displacing data without eliding the fetch (design note in
-            # repro.secure.designs.IVEC).
-            self._emit_read(mac_line, when, "mac", core)
-            if design.macs_in_llc:
-                self._handle_writeback(self.hierarchy.llc.fill(mac_line), when, core)
-            self._walk_mac_tree_read(mac_line, when, core)
-            return
-        result = self.hierarchy.access_metadata(
-            mac_line, is_write=False, use_llc=design.macs_in_llc
-        )
-        self._handle_writeback(result.writeback_address, when, core)
-        if result.hit:
-            self._c_mac_hits.value += 1
-            self._n_mac_hits += 1
-            return
+        # Table II: SGX/SGX_O cache MACs nowhere — every data access pays
+        # a MAC memory access (the traffic Synergy eliminates). IVEC
+        # additionally *stores* its (untrusted) MACs in the LLC, displacing
+        # data without eliding the fetch (design note in
+        # repro.secure.designs.IVEC).
         self._emit_read(mac_line, when, "mac", core)
+        if design.macs_in_llc:
+            self._handle_writeback(self.hierarchy.llc.fill(mac_line), when, core)
         self._walk_mac_tree_read(mac_line, when, core)
 
     def _walk_mac_tree_read(self, mac_line: int, when: int, core: int) -> None:
@@ -1228,10 +1208,8 @@ class SecureTimingEngine:
         synced = self._synced_telemetry
         self._t_metadata_accesses.inc(self._n_metadata_accesses - synced[0])
         self._t_counter_hits.inc(self._n_counter_hits - synced[1])
-        self._t_mac_hits.inc(self._n_mac_hits - synced[2])
         synced[0] = self._n_metadata_accesses
         synced[1] = self._n_counter_hits
-        synced[2] = self._n_mac_hits
         for acc, histogram in (
             (self._tree_depth_acc, self._t_tree_walk_depth),
             (self._mac_tree_depth_acc, self._t_mac_tree_walk_depth),
@@ -1299,20 +1277,10 @@ class SecureTimingEngine:
     def _update_mac(self, data_line: int, when: int, core: int) -> None:
         design = self.design
         mac_line = self.map.mac_line(data_line)
-        if not design.macs_cached:
-            # Uncached MAC update: one (masked) memory write per data write.
-            self._emit_write(mac_line, when, "mac", core)
-            if design.macs_in_llc:
-                self._handle_writeback(self.hierarchy.llc.fill(mac_line), when, core)
-            if design.tree_kind is not TreeKind.MAC_TREE:
-                return
-        else:
-            result = self.hierarchy.access_metadata(
-                mac_line, is_write=True, use_llc=design.macs_in_llc
-            )
-            self._handle_writeback(result.writeback_address, when, core)
-            if not result.hit:
-                self._emit_rmw_read(mac_line, when, "mac", core)
+        # Uncached MAC update: one (masked) memory write per data write.
+        self._emit_write(mac_line, when, "mac", core)
+        if design.macs_in_llc:
+            self._handle_writeback(self.hierarchy.llc.fill(mac_line), when, core)
         if design.tree_kind is TreeKind.MAC_TREE:
             # A Merkle tree of MACs must re-hash every level to the root on
             # each update — the write-amplification that makes the

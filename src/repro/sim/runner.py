@@ -47,7 +47,7 @@ from repro.telemetry import (
     cell_scope,
     get_tracer,
 )
-from repro.workloads.generator import clear_words_hints, generate_trace
+from repro.workloads.generator import generate_trace
 from repro.workloads.mixes import MIXES
 from repro.workloads.profiles import WorkloadProfile, profile_by_name
 
@@ -209,7 +209,6 @@ def _warm_key(
         design.encrypted,
         design.counters_in_llc,
         design.mac_location,
-        design.macs_cached,
         design.macs_in_llc,
         design.tree_kind,
         design.counter_mode,
@@ -342,7 +341,7 @@ _RUN_MEMO = BoundedBytesMemo(_run_memo_budget())
 
 
 def clear_run_memos() -> None:
-    """Drop the process's memos (traces, warm state, cell results, hints).
+    """Drop the process's memos: traces, warm state and cell results.
 
     Tests that assert on execution counts call this first; nothing in the
     memos is observable in results — cells are pure — so clearing is
@@ -351,7 +350,6 @@ def clear_run_memos() -> None:
     _TRACE_MEMO.clear()
     _WARM_MEMO.clear()
     _RUN_MEMO.clear()
-    clear_words_hints()
 
 
 def is_memoised(key: str) -> bool:

@@ -17,20 +17,6 @@ import numpy as _np
 _T = TypeVar("_T")
 
 
-def mt_unit_floats(words):
-    """Sliding-pair unit floats over a raw Mersenne-Twister word stream.
-
-    ``result[i]`` is exactly the float ``random.Random.random()`` would
-    produce from consecutive 32-bit words ``words[i], words[i+1]``:
-    ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53``. Computing every sliding
-    pair (length ``len(words) - 1``) lets a decoder that interleaves
-    float draws with single-word draws look up the float at any offset.
-    """
-    high = (words >> 5).astype(_np.float64)
-    low = (words >> 6).astype(_np.float64)
-    return (high[:-1] * 67108864.0 + low[1:]) / 9007199254740992.0
-
-
 def derive_seed(*components: object) -> int:
     """Derive a stable 64-bit seed from arbitrary printable components.
 
@@ -167,15 +153,13 @@ class DeterministicRng:
         """Pick one element with the given (unnormalised) weights."""
         return self._random.choices(list(options), weights=list(weights), k=1)[0]
 
-    # -- raw word-stream access (vectorised consumers) -------------------
-
-    def _transplant(self):
-        """numpy MT19937 generator cloned from the current CPython state.
+    def word_stream(self):
+        """numpy MT19937 that continues this generator's raw word stream.
 
         ``random.Random`` and ``numpy.random.MT19937`` implement the same
         Mersenne Twister; copying the 624-word key plus position makes the
-        numpy side emit exactly the 32-bit words the CPython side would,
-        across twist boundaries.
+        numpy side emit exactly the 32-bit words the CPython side would
+        draw next, across twist boundaries. This generator is not advanced.
         """
         state = self._random.getstate()
         mt = _np.random.MT19937()
@@ -187,67 +171,3 @@ class DeterministicRng:
             },
         }
         return mt
-
-    def peek_raw_words(self, count: int):
-        """The next ``count`` raw 32-bit words, without consuming them.
-
-        Vectorised decoders peek a budget of words, decode, then commit
-        the exact number consumed via :meth:`advance_raw_words`.
-        """
-        return self._transplant().random_raw(count)
-
-    def begin_raw_block(self, budget: int):
-        """Peek ``budget`` raw words plus a handle for exact commit.
-
-        Returns ``(words, handle)`` where ``words`` are the next
-        ``budget`` 32-bit outputs (uint64 array) and ``handle`` is the
-        generator that produced them, positioned ``budget`` words ahead.
-        Pass the handle to :meth:`commit_raw_block` to consume the exact
-        prefix that was actually decoded.
-        """
-        mt = self._transplant()
-        return mt.random_raw(budget), mt
-
-    def commit_raw_block(self, handle, budget: int, consumed: int) -> None:
-        """Consume ``consumed`` <= ``budget`` words of a peeked block.
-
-        Rewinds the handle's end-of-block state by the surplus when the
-        surplus stays within the current 624-word key block (always true
-        for an exact-budget peek), avoiding a second pass over the word
-        stream; otherwise falls back to :meth:`advance_raw_words`.
-        """
-        surplus = budget - consumed
-        inner = handle.state["state"]
-        position = int(inner["pos"]) - surplus
-        if position >= 0:
-            state = self._random.getstate()
-            self._random.setstate(
-                (
-                    state[0],
-                    tuple(int(word) for word in inner["key"]) + (position,),
-                    state[2],
-                )
-            )
-        else:
-            self.advance_raw_words(consumed)
-
-    def advance_raw_words(self, count: int) -> None:
-        """Consume exactly ``count`` raw words from the underlying stream.
-
-        Leaves this generator in the state the scalar path would reach
-        after drawing the same words, so scalar and vectorised consumers
-        interleave reproducibly.
-        """
-        if count <= 0:
-            return
-        state = self._random.getstate()
-        mt = self._transplant()
-        mt.random_raw(count)
-        inner = mt.state["state"]
-        self._random.setstate(
-            (
-                state[0],
-                tuple(int(word) for word in inner["key"]) + (int(inner["pos"]),),
-                state[2],
-            )
-        )

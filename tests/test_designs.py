@@ -25,12 +25,10 @@ class TestTableII:
         assert SGX.tree_kind is TreeKind.BONSAI_COUNTER
         assert SGX.counter_mode is CounterMode.MONOLITHIC
         assert not SGX.counters_in_llc
-        assert not SGX.macs_cached
         assert SGX.reliability is Reliability.SECDED
 
     def test_sgx_o_adds_llc_counters(self):
         assert SGX_O.counters_in_llc
-        assert not SGX_O.macs_cached
         assert SGX_O.reliability is Reliability.SECDED
 
     def test_synergy_matches_table(self):
@@ -45,7 +43,7 @@ class TestTableII:
         assert not IVEC.counters_in_llc
         # MACs live in the LLC (pollution) but are re-fetched per use —
         # see the modelling note on the IVEC descriptor.
-        assert IVEC.macs_in_llc and not IVEC.macs_cached
+        assert IVEC.macs_in_llc
         assert IVEC.serial_tree_verification
 
     def test_non_secure_has_no_metadata(self):
@@ -75,7 +73,6 @@ class TestValidation:
                 encrypted=True,
                 mac_location=MacLocation.SEPARATE,
                 counters_in_llc=False,
-                macs_cached=False,
                 macs_in_llc=False,
                 tree_kind=TreeKind.NONE,
                 counter_mode=CounterMode.MONOLITHIC,
@@ -89,7 +86,6 @@ class TestValidation:
                 encrypted=False,
                 mac_location=MacLocation.SEPARATE,
                 counters_in_llc=False,
-                macs_cached=False,
                 macs_in_llc=False,
                 tree_kind=TreeKind.NONE,
                 counter_mode=CounterMode.MONOLITHIC,

@@ -18,6 +18,8 @@ from repro.cpu.rob import AccessHandle, CoreModel
 from repro.cpu.trace import Trace
 from repro.secure.designs import CounterMode
 from repro.secure.timing_engine import TimingMetadataMap
+from repro.workloads.generator import generate_trace
+from repro.workloads.profiles import profile_by_name
 
 #: Live blocks a core may keep whatever its trace length: its own object,
 #: four column buffers, iterators, and the interpreter's tuple and float
@@ -25,6 +27,9 @@ from repro.secure.timing_engine import TimingMetadataMap
 MAX_CORE_BLOCKS = 512
 #: Live blocks 100k metadata-path lookups may leave: none beyond noise.
 MAX_LOOKUP_BLOCKS = 64
+#: Traced peak of one trace synthesis beyond its output columns. Streaming
+#: the word stream in fixed blocks keeps it flat in the trace length.
+MAX_SYNTHESIS_TRANSIENT = 1 << 20
 
 
 def traced_live_blocks(build):
@@ -86,3 +91,19 @@ def test_tree_path_lookups_leave_bounded_state():
     gc.collect()
     assert sys.getallocatedblocks() - before <= MAX_LOOKUP_BLOCKS
     assert walk(base + leaves - 1) == last
+
+
+def test_trace_synthesis_transient_is_bounded():
+    # sphinx3 takes all three locality arms.
+    profile = profile_by_name("sphinx3")
+    generate_trace(profile, 100)  # the first call's lazy imports
+    for count in (8_000, 40_000):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = generate_trace(profile, count)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = trace.gaps.nbytes + trace.ops.nbytes + trace.lines.nbytes
+        assert peak - columns <= MAX_SYNTHESIS_TRANSIENT, (count, peak, columns)

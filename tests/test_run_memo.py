@@ -95,15 +95,6 @@ class TestRunnerMemo:
         monkeypatch.setenv("REPRO_RUN_MEMO_BYTES", "not-a-number")
         assert runner._run_memo_budget() == runner.DEFAULT_RUN_MEMO_BYTES
 
-    def test_clear_run_memos_forgets_words_hints(self):
-        from repro.workloads import generator
-        from repro.workloads.profiles import profile_by_name
-
-        generator.generate_trace(profile_by_name("mcf"), 2_000)
-        assert generator._WORDS_HINT, "the exact-consumption hint is recorded"
-        runner.clear_run_memos()
-        assert not generator._WORDS_HINT
-
 
 def test_same_suite_twice_yields_equal_telemetry():
     """The aggregate a simulation produces is a function of the spec, not

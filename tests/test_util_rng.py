@@ -99,3 +99,10 @@ class TestDeterministicRng:
         rng = DeterministicRng(13)
         sample = rng.sample(range(100), 10)
         assert len(set(sample)) == 10
+
+    def test_word_stream_continues_the_raw_words(self):
+        rng = DeterministicRng(15)
+        rng.randint(0, 1000)
+        # 700 words cross a 624-word twist of the key block.
+        words = rng.word_stream().random_raw(700).tolist()
+        assert words == [rng.randbits(32) for _ in range(700)]

@@ -1,13 +1,14 @@
 """Workload profile and trace-generator tests."""
 
+import pathlib
+from collections import Counter
+
 import pytest
 
+from reference.trace_oracle import generate_trace_reference
 from repro.cpu.trace import MemoryOp
-from repro.workloads.generator import (
-    generate_trace,
-    generate_trace_reference,
-    rate_mode_traces,
-)
+from repro.workloads import generator
+from repro.workloads.generator import generate_trace, rate_mode_traces
 from repro.workloads.mixes import MIXES
 from repro.workloads.profiles import (
     ALL_WORKLOADS,
@@ -159,15 +160,16 @@ class TestGenerator:
 
 
 class TestVectorizedEquivalence:
-    """The batched generator must match the scalar reference bit-for-bit.
+    """The block decoder must match the per-record oracle bit-for-bit.
 
-    ``generate_trace`` decodes a peeked raw Mersenne-Twister word block
-    with numpy; ``generate_trace_reference`` is the original per-record
-    loop. Any record-level divergence silently changes every downstream
-    golden, so equality is checked record-for-record here across the
-    profile space, including the decoder's special-cased regions (no-gap
-    traces, pure branches, the run-accelerated sequential walk, tiny
-    footprints where the page count collapses to one).
+    ``generate_trace`` decodes the raw Mersenne-Twister word stream in
+    blocks with numpy; ``generate_trace_reference`` is the per-record loop
+    (``tests/reference/trace_oracle.py``). Any record-level divergence
+    silently changes every downstream golden, so equality is checked
+    record-for-record here across the profile space, including the
+    decoder's special-cased regions (no-gap traces, pure branches, the
+    run-accelerated sequential walk, tiny footprints where the page count
+    collapses to one) and records and state that cross block ends.
     """
 
     @staticmethod
@@ -225,3 +227,73 @@ class TestVectorizedEquivalence:
         profile = profile_by_name("milc")
         for count in (1, 2, 3, 5, 17):
             self._assert_identical(profile, count)
+
+    @pytest.mark.parametrize("name", ["sphinx3", "lbm", "mcf"])
+    def test_many_default_blocks(self, name):
+        # ~8-10 words per record: 20k records span about ten blocks.
+        self._assert_identical(profile_by_name(name), 20_000)
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        """Shrink blocks to a few dozen words and count the carried state.
+
+        Counts, per block, the state a block inherits from the one before
+        (a burst in progress, a page-window ring that fresh picks have
+        advanced, an active stream other than the first) and the records
+        whose bounded-draw rejection run crossed the block end (the scan
+        began below the decodable words and stopped in the sentinels).
+        """
+        monkeypatch.setattr(generator, "_BLOCK_WORDS", 40)
+        decoder = generator._BlockDecoder
+        real_feed, real_walk = decoder.feed, decoder._walk
+        seen = Counter()
+
+        def feed(self, fresh):
+            seen["burst"] += self.burst_left > 0
+            seen["ring"] += self.cursor != 0
+            seen["stream"] += self.active_stream != 0
+            real_feed(self, fresh)
+
+        def walk(self, codes_np, i53, valid):
+            offsets, d = real_walk(self, codes_np, i53, valid)
+            records, hot, switches, hits, fresh = offsets[:5]
+            last = records[-1] if records else -1
+            if d - (self.pre - 2) > valid:
+                # Where each bounded draw's scan starts, after the draw
+                # offset of the record that did not fit.
+                for side, start in ((hot, 3), (switches, 4), (hits, 4), (fresh, 4)):
+                    if side and side[-1] >= valid > last + start:
+                        seen["rejection"] += 1
+            return offsets, d
+
+        monkeypatch.setattr(decoder, "feed", feed)
+        monkeypatch.setattr(decoder, "_walk", walk)
+        return seen
+
+    @pytest.mark.parametrize(
+        "name, count", [("lbm", 3000), ("pr-twi", 1500), ("gobmk", 1500)]
+    )
+    def test_state_carried_across_small_blocks(self, small_blocks, name, count):
+        self._assert_identical(profile_by_name(name), count)
+
+    def test_every_carried_state_occurs(self, small_blocks):
+        # sphinx3 takes all three locality arms, with rejection-heavy
+        # bounded draws (half of the hot-set words reject).
+        self._assert_identical(profile_by_name("sphinx3"), 3000)
+        for case in ("burst", "ring", "stream", "rejection"):
+            assert small_blocks[case] > 0, case
+
+    def test_edge_profiles_in_small_blocks(self, small_blocks):
+        self.test_edge_profiles()
+
+    def test_production_code_has_no_oracle_twin(self):
+        # Neither an import of the oracle nor a second scalar generator.
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        offenders = [
+            str(path)
+            for path in sorted(src.rglob("*.py"))
+            if "import reference" in path.read_text()
+            or "from reference" in path.read_text()
+            or "generate_trace_reference" in path.read_text()
+        ]
+        assert offenders == []

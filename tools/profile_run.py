@@ -15,7 +15,9 @@ change and diff the tables.
 ``--memory`` profiles allocations instead, without cProfile: it runs the
 cell under ``tracemalloc`` and prints the top-N source lines whose
 allocations are still live when ``SystemSimulator.run`` returns, with the
-live total and the traced peak of the whole cell::
+live total, the traced peak of the whole cell and the largest traced peak
+of one of the cell's trace syntheses (above what was live when it
+began)::
 
     PYTHONPATH=src python tools/profile_run.py --memory --design IVEC --top 15
 
@@ -50,38 +52,60 @@ def profile_cell(design_name: str, workload: str, accesses: int) -> cProfile.Pro
 
 def live_at_run_end(
     design_name: str, workload: str, accesses: int
-) -> "tuple[tracemalloc.Snapshot, int]":
+) -> "tuple[tracemalloc.Snapshot, int, list]":
     """Allocations live when one cell's ``SystemSimulator.run`` returns.
 
-    Returns that snapshot and the traced peak over the whole cell (trace
-    synthesis, warm-up, run and packaging), in bytes.
+    Returns that snapshot, the traced peak over the whole cell (trace
+    synthesis, warm-up, run and packaging) and the traced peak of each
+    trace synthesis above what was live when it began, in bytes.
     """
+    from repro.sim import runner
     from repro.sim.system import SystemSimulator
 
     design = design_by_name(design_name)
     config = SystemConfig(accesses_per_core=accesses)
     snapshots = []
+    synthesis_peaks = []
+    cell_peak = 0
     run = SystemSimulator.run
+    generate = runner.generate_trace
 
     def run_then_snapshot(self, *args, **kwargs):
         result = run(self, *args, **kwargs)
         snapshots.append(tracemalloc.take_snapshot())
         return result
 
+    def generate_measured(*args, **kwargs):
+        # Restart the peak at this call, folding the cell's peak so far
+        # into ``cell_peak`` first.
+        nonlocal cell_peak
+        before, peak = tracemalloc.get_traced_memory()
+        cell_peak = max(cell_peak, peak)
+        tracemalloc.reset_peak()
+        trace = generate(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+        synthesis_peaks.append(peak - before)
+        cell_peak = max(cell_peak, peak)
+        return trace
+
     SystemSimulator.run = run_then_snapshot
+    runner.generate_trace = generate_measured
     tracemalloc.start()
     try:
         run_workload(design, workload, config)
-        peak = tracemalloc.get_traced_memory()[1]
+        cell_peak = max(cell_peak, tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
         SystemSimulator.run = run
+        runner.generate_trace = generate
     ignore = (tracemalloc.Filter(False, tracemalloc.__file__),)
-    return snapshots[-1].filter_traces(ignore), peak
+    return snapshots[-1].filter_traces(ignore), cell_peak, synthesis_peaks
 
 
-def print_memory(snapshot: tracemalloc.Snapshot, peak: int, top: int) -> None:
-    """The live total, the traced peak and the top-N live sites."""
+def print_memory(
+    snapshot: tracemalloc.Snapshot, peak: int, synthesis_peaks: list, top: int
+) -> None:
+    """The live total, the traced peaks and the top-N live sites."""
     stats = snapshot.statistics("lineno")
     size = sum(stat.size for stat in stats)
     blocks = sum(stat.count for stat in stats)
@@ -89,6 +113,11 @@ def print_memory(snapshot: tracemalloc.Snapshot, peak: int, top: int) -> None:
     print(
         "live at the end of SystemSimulator.run: %.2f MiB in %d blocks "
         "(traced peak of the cell %.2f MiB)" % (size / mib, blocks, peak / mib)
+    )
+    print(
+        "largest traced peak of one trace synthesis: %.2f MiB "
+        "(%d syntheses, output columns included)"
+        % (max(synthesis_peaks, default=0) / mib, len(synthesis_peaks))
     )
     for stat in stats[:top]:
         print(stat)
@@ -149,10 +178,10 @@ def main() -> int:
         from repro.parallel import overridden
 
         with overridden(cache_enabled=False):
-            snapshot, peak = live_at_run_end(
+            snapshot, peak, synthesis_peaks = live_at_run_end(
                 args.design, args.workload, args.accesses
             )
-        print_memory(snapshot, peak, args.top)
+        print_memory(snapshot, peak, synthesis_peaks, args.top)
         return 0
     if args.micro:
         print("profiling microbenchmark %r" % args.micro, flush=True)
