@@ -8,7 +8,7 @@ Python expression per miss. The stateful part — probing the metadata
 caches and emitting requests — cannot vectorize without changing LRU
 order, so it stays a per-miss loop: the engine's fused expansion for the
 common designs, and the retained scalar oracle for the interesting
-minority (MAC-tree designs, cached MACs, writeback chains).
+minority (the MAC-tree design IVEC, writeback chains).
 
 Consumers:
 
@@ -118,7 +118,7 @@ def expand_read_misses(
     out: List[List[int]] = []
     append = out.append
     if fast is None:
-        # Scalar-oracle designs (MAC tree, cached MACs): the numpy pass
+        # The scalar-oracle design (MAC tree, IVEC): the numpy pass
         # still ran, but the walk itself needs the oracle.
         expand = engine.expand_read_miss_deferred
         for line, at in zip(data_list, when_list):

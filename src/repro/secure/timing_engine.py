@@ -165,6 +165,22 @@ class ExpandedAccess:
     completions: List[Optional[int]] = field(default_factory=list)
 
 
+class _RunningCounts:
+    """The engine's two running telemetry counts (see ``sync_telemetry``).
+
+    A holder of its own, shared by the engine and its fused closures: the
+    engine stores the closures, so a closure that bumped the counts on the
+    engine would make every engine a reference cycle, left to the cyclic
+    collector after its cell returns.
+    """
+
+    __slots__ = ("metadata_accesses", "counter_hits")
+
+    def __init__(self) -> None:
+        self.metadata_accesses = 0
+        self.counter_hits = 0
+
+
 class SecureTimingEngine:
     """Expands data accesses into design-specific memory traffic."""
 
@@ -179,8 +195,7 @@ class SecureTimingEngine:
         "_t_metadata_accesses",
         "_t_counter_hits",
         "_c_counter_hits",
-        "_n_metadata_accesses",
-        "_n_counter_hits",
+        "_counts",
         "_synced_telemetry",
         "_tree_depth_acc",
         "_mac_tree_depth_acc",
@@ -228,8 +243,7 @@ class SecureTimingEngine:
         # Deferred telemetry (see sync_telemetry): the per-access paths
         # bump plain ints / tally dicts; the registry objects are only
         # touched at snapshot time.
-        self._n_metadata_accesses = 0
-        self._n_counter_hits = 0
+        self._counts = _RunningCounts()
         self._synced_telemetry = [0, 0]
         self._tree_depth_acc: dict = {}
         self._mac_tree_depth_acc: dict = {}
@@ -297,7 +311,7 @@ class SecureTimingEngine:
         # sign check on the per-request path).
         counter.value += 1
         if category != "data":
-            self._n_metadata_accesses += 1
+            self._counts.metadata_accesses += 1
 
     def _emit_read(self, line: int, when: int, category: str, core: int) -> None:
         """A gating read; only ever emitted inside a batch (every read
@@ -383,7 +397,7 @@ class SecureTimingEngine:
     @property
     def fast_expand(self):
         """The fused per-miss expansion, or None outside the fast-path
-        boundary (MAC-tree designs, cached MACs — the scalar oracle)."""
+        boundary (the MAC-tree design IVEC — the scalar oracle)."""
         return self._fast_expand
 
     @property
@@ -498,11 +512,13 @@ class SecureTimingEngine:
         accounting counters bind lazily through the same
         ``_account_counters`` table as the scalar path, and emissions
         append straight to the epoch batch. Writeback chains — the
-        "interesting minority" — still route through the scalar
-        ``writeback`` drain at exactly the point the scalar path would.
+        "interesting minority" — route through the fused writeback drain
+        at exactly the point the scalar path would call ``writeback``.
+        Neither closure references the engine, which stores them (see
+        ``_RunningCounts``).
 
         Only built for designs whose read walk is data + Bonsai counter
-        chain + optional uncached MAC; MAC-tree/cached-MAC designs keep
+        chain + optional uncached MAC; the MAC-tree design (IVEC) keeps
         the scalar oracle. Callers may pass precomputed ``counter_line``/
         ``mac_line`` (from the columnar numpy pass); -1 means compute.
         """
@@ -534,8 +550,10 @@ class SecureTimingEngine:
         arity = TREE_ARITY
         batch = self._batch
         batch_append = batch.append
-        handle_writeback = self._fast_writeback or self.writeback
+        handle_writeback = self._fast_writeback
         counter_hits = self._c_counter_hits
+        counts = self._counts
+        tree_depth_acc = self._tree_depth_acc
         stats_counter = self.stats.counter
         account = self._account_counters
         absent = ABSENT
@@ -613,7 +631,7 @@ class SecureTimingEngine:
                     md.hits += 1
                     ways[tag] = prev
                     counter_hits.value += 1
-                    self._n_counter_hits += 1
+                    counts.counter_hits += 1
                 else:
                     hit, wb = miss_probe(
                         counter_line, ways, tag, counters_in_llc
@@ -622,12 +640,12 @@ class SecureTimingEngine:
                         handle_writeback(wb, when, core)
                     if hit:
                         counter_hits.value += 1
-                        self._n_counter_hits += 1
+                        counts.counter_hits += 1
                     else:
                         if c_counter is None:
                             c_counter = bind("counter")
                         c_counter.value += 1
-                        self._n_metadata_accesses += 1
+                        counts.metadata_accesses += 1
                         blocking.append(len(batch))
                         batch_append((read, counter_line, when, "counter", core))
                         # Bonsai walk to the cached trust anchor (every
@@ -656,24 +674,23 @@ class SecureTimingEngine:
                             if hit:
                                 break
                             c_counter.value += 1
-                            self._n_metadata_accesses += 1
+                            counts.metadata_accesses += 1
                             blocking.append(len(batch))
                             batch_append(
                                 (read, tree_line, when, "counter", core)
                             )
                             depth += 1
-                        acc = self._tree_depth_acc
                         try:
-                            acc[depth] += 1
+                            tree_depth_acc[depth] += 1
                         except KeyError:
-                            acc[depth] = 1
+                            tree_depth_acc[depth] = 1
                 if separate_mac:
                     if mac_line < 0:
                         mac_line = mac_base + data_line // MAC_COVERAGE
                     if c_mac is None:
                         c_mac = bind("mac")
                     c_mac.value += 1
-                    self._n_metadata_accesses += 1
+                    counts.metadata_accesses += 1
                     blocking.append(len(batch))
                     batch_append((read, mac_line, when, "mac", core))
                     if macs_in_llc:
@@ -695,7 +712,9 @@ class SecureTimingEngine:
         probes perform exactly ``access_metadata(..., is_write=True)``'s
         transitions and stat bumps, including the pinned
         ``llc_wb or spill`` writeback quirk; chained victims re-enter the
-        same FIFO queue the scalar drain uses. Accounting counters bind
+        same FIFO queue the scalar drain uses. Nothing inside the drain
+        calls back out, so it needs no re-entrancy flag and reads no
+        engine state (see ``_RunningCounts``). Accounting counters bind
         lazily through ``_account_counters`` at the same first-use points
         as the scalar path, so stat-group ordering is preserved. Only
         valid in deferred mode, where ``_batching`` is permanently set and
@@ -739,7 +758,7 @@ class SecureTimingEngine:
         absent = ABSENT
         read = _READ
         write = _WRITE
-        engine = self
+        counts = self._counts
 
         def bind(origin_flag, category, kind):
             # Same lazy creation as _account: names and stat-group order
@@ -813,162 +832,134 @@ class SecureTimingEngine:
             if victim is None:
                 return
             queue_append(victim)
-            if engine._draining_writebacks:
-                return
-            engine._draining_writebacks = True
             n_meta = 0
-            try:
-                while queue:
-                    line = queue_popleft()
-                    if line < counter_base:
-                        # Data-region victim: full write-side expansion,
-                        # accounted as writeback-origin traffic.
-                        engine._in_writeback_path = True
-                        try:
-                            counter = cells.get("wd")
+            while queue:
+                line = queue_popleft()
+                if line < counter_base:
+                    # Data-region victim: full write-side expansion,
+                    # accounted as writeback-origin traffic.
+                    counter = cells.get("wd")
+                    if counter is None:
+                        counter = cells["wd"] = bind(True, "data", write)
+                    counter.value += 1
+                    batch_append((write, line, when, "data", core))
+                    if encrypted:
+                        counter_line = counter_base + line // counter_coverage
+                        hit, wb = md_probe_write(counter_line)
+                        if wb is not None:
+                            queue_append(wb)
+                        if not hit:
+                            counter = cells.get("wcr")
                             if counter is None:
-                                counter = cells["wd"] = bind(
-                                    True, "data", write
+                                counter = cells["wcr"] = bind(
+                                    True, "counter", read
                                 )
                             counter.value += 1
-                            batch_append((write, line, when, "data", core))
-                            if encrypted:
-                                counter_line = (
-                                    counter_base + line // counter_coverage
+                            n_meta += 1
+                            batch_append(
+                                (read, counter_line, when, "counter", core)
+                            )
+                        # Dirty every tree level to the root (the
+                        # write side has no break-on-hit).
+                        index = counter_line - counter_base
+                        for level_base, level_cap in tree_levels:
+                            index //= arity
+                            tree_line = level_base + (
+                                index if index < level_cap else level_cap
+                            )
+                            hit, wb = md_probe_write(tree_line)
+                            if wb is not None:
+                                queue_append(wb)
+                            if not hit:
+                                counter = cells.get("wcr")
+                                if counter is None:
+                                    counter = cells["wcr"] = bind(
+                                        True, "counter", read
+                                    )
+                                counter.value += 1
+                                n_meta += 1
+                                batch_append(
+                                    (read, tree_line, when, "counter", core)
                                 )
-                                hit, wb = md_probe_write(counter_line)
+                        if separate_mac:
+                            mac_line = mac_base + line // MAC_COVERAGE
+                            counter = cells.get("wmw")
+                            if counter is None:
+                                counter = cells["wmw"] = bind(
+                                    True, "mac", write
+                                )
+                            counter.value += 1
+                            n_meta += 1
+                            batch_append((write, mac_line, when, "mac", core))
+                            if macs_in_llc:
+                                wb = llc_fill(mac_line)
                                 if wb is not None:
                                     queue_append(wb)
-                                if not hit:
-                                    counter = cells.get("wcr")
-                                    if counter is None:
-                                        counter = cells["wcr"] = bind(
-                                            True, "counter", read
-                                        )
-                                    counter.value += 1
-                                    n_meta += 1
-                                    batch_append(
-                                        (read, counter_line, when,
-                                         "counter", core)
-                                    )
-                                # Dirty every tree level to the root (the
-                                # write side has no break-on-hit).
-                                index = counter_line - counter_base
-                                for level_base, level_cap in tree_levels:
-                                    index //= arity
-                                    tree_line = level_base + (
-                                        index
-                                        if index < level_cap
-                                        else level_cap
-                                    )
-                                    hit, wb = md_probe_write(tree_line)
-                                    if wb is not None:
-                                        queue_append(wb)
-                                    if not hit:
-                                        counter = cells.get("wcr")
-                                        if counter is None:
-                                            counter = cells["wcr"] = bind(
-                                                True, "counter", read
-                                            )
-                                        counter.value += 1
-                                        n_meta += 1
-                                        batch_append(
-                                            (read, tree_line, when,
-                                             "counter", core)
-                                        )
-                                if separate_mac:
-                                    mac_line = (
-                                        mac_base + line // MAC_COVERAGE
-                                    )
-                                    counter = cells.get("wmw")
-                                    if counter is None:
-                                        counter = cells["wmw"] = bind(
-                                            True, "mac", write
-                                        )
-                                    counter.value += 1
-                                    n_meta += 1
-                                    batch_append(
-                                        (write, mac_line, when, "mac", core)
-                                    )
-                                    if macs_in_llc:
-                                        wb = llc_fill(mac_line)
-                                        if wb is not None:
-                                            queue_append(wb)
-                            if parity_on_write:
-                                parity_line = (
-                                    parity_base + line // PARITY_COVERAGE
-                                )
-                                counter = cells.get("wpw")
-                                if counter is None:
-                                    counter = cells["wpw"] = bind(
-                                        True, "parity", write
-                                    )
-                                counter.value += 1
-                                n_meta += 1
-                                batch_append(
-                                    (write, parity_line, when,
-                                     "parity", core)
-                                )
-                            if lotecc_rmw:
-                                parity_line = (
-                                    parity_base + line // PARITY_COVERAGE
-                                )
-                                if not lotecc_coalesced:
-                                    counter = cells.get("wpr")
-                                    if counter is None:
-                                        counter = cells["wpr"] = bind(
-                                            True, "parity", read
-                                        )
-                                    counter.value += 1
-                                    n_meta += 1
-                                    batch_append(
-                                        (read, parity_line, when,
-                                         "parity", core)
-                                    )
-                                counter = cells.get("wpw")
-                                if counter is None:
-                                    counter = cells["wpw"] = bind(
-                                        True, "parity", write
-                                    )
-                                counter.value += 1
-                                n_meta += 1
-                                batch_append(
-                                    (write, parity_line, when,
-                                     "parity", core)
-                                )
-                        finally:
-                            engine._in_writeback_path = False
-                    else:
-                        # Metadata victim: classify by region, plain
-                        # memory write, demand-origin accounting (the
-                        # drain loop runs outside _in_writeback_path —
-                        # the scalar path's pinned behaviour).
-                        if line < mac_base:
-                            category = "counter"
-                            cell_key = "dcw"
-                        elif line < parity_base:
-                            category = "mac"
-                            cell_key = "dmw"
-                        elif line < tree_base:
-                            category = "parity"
-                            cell_key = "dpw"
-                        else:
-                            category = "counter"
-                            cell_key = "dcw"
-                        counter = cells.get(cell_key)
+                    if parity_on_write:
+                        parity_line = parity_base + line // PARITY_COVERAGE
+                        counter = cells.get("wpw")
                         if counter is None:
-                            counter = cells[cell_key] = bind(
-                                False, category, write
+                            counter = cells["wpw"] = bind(
+                                True, "parity", write
                             )
                         counter.value += 1
                         n_meta += 1
-                        batch_append((write, line, when, category, core))
-            finally:
-                engine._draining_writebacks = False
-                if n_meta:
-                    engine._n_metadata_accesses += n_meta
+                        batch_append(
+                            (write, parity_line, when, "parity", core)
+                        )
+                    if lotecc_rmw:
+                        parity_line = parity_base + line // PARITY_COVERAGE
+                        if not lotecc_coalesced:
+                            counter = cells.get("wpr")
+                            if counter is None:
+                                counter = cells["wpr"] = bind(
+                                    True, "parity", read
+                                )
+                            counter.value += 1
+                            n_meta += 1
+                            batch_append(
+                                (read, parity_line, when, "parity", core)
+                            )
+                        counter = cells.get("wpw")
+                        if counter is None:
+                            counter = cells["wpw"] = bind(
+                                True, "parity", write
+                            )
+                        counter.value += 1
+                        n_meta += 1
+                        batch_append(
+                            (write, parity_line, when, "parity", core)
+                        )
+                else:
+                    # Metadata victim: classify by region, plain
+                    # memory write, demand-origin accounting (the
+                    # drain loop runs outside _in_writeback_path —
+                    # the scalar path's pinned behaviour).
+                    if line < mac_base:
+                        category = "counter"
+                        cell_key = "dcw"
+                    elif line < parity_base:
+                        category = "mac"
+                        cell_key = "dmw"
+                    elif line < tree_base:
+                        category = "parity"
+                        cell_key = "dpw"
+                    else:
+                        category = "counter"
+                        cell_key = "dcw"
+                    counter = cells.get(cell_key)
+                    if counter is None:
+                        counter = cells[cell_key] = bind(
+                            False, category, write
+                        )
+                    counter.value += 1
+                    n_meta += 1
+                    batch_append((write, line, when, category, core))
+            if n_meta:
+                counts.metadata_accesses += n_meta
 
         return writeback_fast
+
 
     def _build_fast_warm(self):
         """Build the fused warmup metadata walk (fast-path designs only).
@@ -1140,7 +1131,7 @@ class SecureTimingEngine:
         self._handle_writeback(result.writeback_address, when, core)
         if result.hit:
             self._c_counter_hits.value += 1
-            self._n_counter_hits += 1
+            self._counts.counter_hits += 1
             return
         self._emit_read(counter_line, when, "counter", core)
         if design.tree_kind is not TreeKind.BONSAI_COUNTER:
@@ -1206,10 +1197,11 @@ class SecureTimingEngine:
         calls this before the snapshot.
         """
         synced = self._synced_telemetry
-        self._t_metadata_accesses.inc(self._n_metadata_accesses - synced[0])
-        self._t_counter_hits.inc(self._n_counter_hits - synced[1])
-        synced[0] = self._n_metadata_accesses
-        synced[1] = self._n_counter_hits
+        counts = self._counts
+        self._t_metadata_accesses.inc(counts.metadata_accesses - synced[0])
+        self._t_counter_hits.inc(counts.counter_hits - synced[1])
+        synced[0] = counts.metadata_accesses
+        synced[1] = counts.counter_hits
         for acc, histogram in (
             (self._tree_depth_acc, self._t_tree_walk_depth),
             (self._mac_tree_depth_acc, self._t_mac_tree_walk_depth),

@@ -64,7 +64,7 @@ def system_energy(
     """Compute the energy report for a completed simulation."""
     cpu_cycles = sim.cpu_cycles
     seconds = cpu_cycles / (params.cpu_clock_ghz * 1e9)
-    num_cores = len(sim.cores)
+    num_cores = sim.num_cores
 
     counts = sim.controller.activation_counts()
     traffic = sim.traffic()

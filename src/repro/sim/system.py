@@ -64,13 +64,13 @@ class SystemSimulator:
         # are tracked as indices into that epoch batch (see _resolve).
         self.engine.begin_deferred()
         self.stats = StatGroup("system")
-        self._traces = list(traces)
+        self._traces: Optional[List[Trace]] = list(traces)
         self._unresolved: List[Tuple[AccessHandle, List[int], float]] = []
-        self.cores = [
-            CoreModel(core_id, trace, self._read, self._write, config.core)
-            for core_id, trace in enumerate(traces)
-        ]
-        self.driver = MulticoreDriver(self.cores, self._resolve)
+        self.num_cores = len(traces)
+        #: Totals ``run`` leaves behind: instructions retired across all
+        #: cores, and wall-clock CPU cycles (the slowest core's retirement).
+        self.total_instructions = 0
+        self.cpu_cycles = 0.0
         self._mult = config.memory.cpu_clock_multiplier
         self._t_miss_latency = get_registry().histogram(
             "system.read_miss_latency_cpu", MISS_LATENCY_EDGES
@@ -227,8 +227,8 @@ class SystemSimulator:
         llc_assoc = self._llc_assoc
         encrypted = self.design.encrypted
         # Fast-path designs use the fused warm walk (same state
-        # transitions, stats skipped); MAC-tree/cached-MAC designs keep
-        # the scalar walk — the same oracle boundary as miss expansion.
+        # transitions, stats skipped); the MAC-tree design keeps the
+        # scalar walk — the same oracle boundary as miss expansion.
         warm_metadata = self.engine.fast_warm or self.engine.warm_miss_metadata
         absent = ABSENT
         for trace in traces:
@@ -251,27 +251,36 @@ class SystemSimulator:
         self.hierarchy.reset_fill_stats()
 
     def run(self, warmup_traces: Optional[List[Trace]] = None) -> "SystemSimulator":
-        """Drive the simulation to completion; returns self for chaining."""
+        """Drive the simulation to completion; returns self for chaining.
+
+        The cores and the driver live only for this call. Each core holds
+        the simulator's ``_read``/``_write`` and the driver its
+        ``_resolve``, so keeping them on ``self`` would make every finished
+        simulator a reference cycle that only the cyclic collector frees.
+        Left behind are plain totals: ``total_instructions``,
+        ``cpu_cycles`` and ``num_cores``. A simulator runs once.
+        """
+        traces = self._traces
+        if traces is None:
+            raise RuntimeError("SystemSimulator.run called twice")
+        self._traces = None
         if self.config.warm_caches and warmup_traces:
             self.warmup(warmup_traces)
-        self.driver.run()
+        cores = [
+            CoreModel(core_id, trace, self._read, self._write, self.config.core)
+            for core_id, trace in enumerate(traces)
+        ]
+        driver = MulticoreDriver(cores, self._resolve)
+        driver.run()
         self._resolve()  # flush any trailing posted writes
+        self.total_instructions = driver.total_instructions
+        self.cpu_cycles = driver.finish_time_cpu
         self.hierarchy.record_telemetry()
         self.controller.record_telemetry()
         self.engine.sync_telemetry()
         return self
 
     # -- results -----------------------------------------------------------
-
-    @property
-    def total_instructions(self) -> int:
-        """Instructions retired across all cores."""
-        return self.driver.total_instructions
-
-    @property
-    def cpu_cycles(self) -> float:
-        """Wall-clock CPU cycles (slowest core's retirement)."""
-        return self.driver.finish_time_cpu
 
     @property
     def ipc(self) -> float:

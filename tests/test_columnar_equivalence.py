@@ -128,7 +128,7 @@ def _drive(design, deferred, seed):
             "specs": list(controller._specs),
             "blocking": sorted(blocking_log),
             "stats": list(engine.stats.as_dict().items()),
-            "metadata_accesses": engine._n_metadata_accesses,
+            "metadata_accesses": engine._counts.metadata_accesses,
             "md_sets": [
                 list(ways.items())
                 for ways in hierarchy.metadata_cache._sets

@@ -1,23 +1,32 @@
-"""Guards against per-record Python objects in long-lived per-cell state.
+"""Guards on what a cell keeps alive, during its run and after it.
 
 A default cell keeps each core's trace columns and the secure engine's
 metadata map alive for its whole run. Holding one boxed value or list per
 record or per leaf there costs tens of thousands of small allocations per
-cell, and that churn fragments the allocator: RSS then climbs cell after
-cell even though nothing leaks. These tests count the allocation blocks
-such structures leave live.
+cell. After the run, the cell's simulator must go as soon as
+``run_workload`` returns, by reference counting alone. A single reference
+cycle in its object graph hands the whole simulator to the cyclic
+collector instead, and an in-process sweep of default cells never runs
+that collector's oldest generation: finished simulators then linger,
+freed late or never, and RSS climbs cell after cell. These tests count
+the allocation blocks long-lived structures leave live, and the objects a
+finished cell leaves to the cyclic collector.
 """
 
+import collections
 import gc
 import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.cpu.rob import AccessHandle, CoreModel
 from repro.cpu.trace import Trace
-from repro.secure.designs import CounterMode
+from repro.secure.designs import CounterMode, design_by_name
 from repro.secure.timing_engine import TimingMetadataMap
+from repro.sim.config import SystemConfig
+from repro.sim.runner import run_workload
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import profile_by_name
 
@@ -107,3 +116,26 @@ def test_trace_synthesis_transient_is_bounded():
             tracemalloc.stop()
         columns = trace.gaps.nbytes + trace.ops.nbytes + trace.lines.nbytes
         assert peak - columns <= MAX_SYNTHESIS_TRANSIENT, (count, peak, columns)
+
+
+# SGX_O takes the fused secure path, IVEC the scalar MAC-tree path and
+# Chipkill_Secure the lock-step channels.
+@pytest.mark.parametrize("design_name", ["SGX_O", "IVEC", "Chipkill_Secure"])
+def test_finished_cell_leaves_no_cyclic_garbage(design_name):
+    design = design_by_name(design_name)
+    config = SystemConfig(accesses_per_core=300)
+    run_workload(design, "mcf", config)  # the first call's lazy imports
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run_workload(design, "mcf", config)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        unreachable = gc.collect()
+        leftover = collections.Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[:]
+        if was_enabled:
+            gc.enable()
+    assert unreachable == 0, leftover.most_common(10)

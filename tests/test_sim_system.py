@@ -67,6 +67,19 @@ class TestEndToEnd:
         assert a.ipc == b.ipc
         assert a.traffic == b.traffic
 
+    def test_runs_once_and_keeps_plain_totals(self):
+        traces = [
+            generate_trace(profile_by_name("gcc"), 400, core_id=c, scale_divisor=16)
+            for c in range(2)
+        ]
+        config = SystemConfig(num_cores=2, accesses_per_core=400)
+        sim = SystemSimulator(SGX_O, traces, config).run()
+        assert sim.num_cores == 2
+        assert sim.total_instructions == sum(t.total_instructions for t in traces)
+        assert sim.cpu_cycles > 0
+        with pytest.raises(RuntimeError):
+            sim.run()
+
 
 class TestEnergy:
     def test_energy_positive(self, comparison):

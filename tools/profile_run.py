@@ -17,7 +17,10 @@ cell under ``tracemalloc`` and prints the top-N source lines whose
 allocations are still live when ``SystemSimulator.run`` returns, with the
 live total, the traced peak of the whole cell and the largest traced peak
 of one of the cell's trace syntheses (above what was live when it
-began)::
+began). It also counts the objects the finished cell left to the cyclic
+collector, with their most common types: a cell's simulator must be freed
+by reference counting the moment ``run_workload`` returns, so anything
+but 0 names a reference cycle::
 
     PYTHONPATH=src python tools/profile_run.py --memory --design IVEC --top 15
 
@@ -26,7 +29,9 @@ measures simulation, not reuse or process-pool overhead.
 """
 
 import argparse
+import collections
 import cProfile
+import gc
 import pstats
 import sys
 import tracemalloc
@@ -52,12 +57,14 @@ def profile_cell(design_name: str, workload: str, accesses: int) -> cProfile.Pro
 
 def live_at_run_end(
     design_name: str, workload: str, accesses: int
-) -> "tuple[tracemalloc.Snapshot, int, list]":
+) -> "tuple[tracemalloc.Snapshot, int, list, collections.Counter]":
     """Allocations live when one cell's ``SystemSimulator.run`` returns.
 
     Returns that snapshot, the traced peak over the whole cell (trace
-    synthesis, warm-up, run and packaging) and the traced peak of each
-    trace synthesis above what was live when it began, in bytes.
+    synthesis, warm-up, run and packaging), the traced peak of each
+    trace synthesis above what was live when it began, in bytes, and the
+    types of the objects the cyclic collector found unreachable once the
+    cell had returned (the cell runs with that collector disabled).
     """
     from repro.sim import runner
     from repro.sim.system import SystemSimulator
@@ -90,6 +97,9 @@ def live_at_run_end(
 
     SystemSimulator.run = run_then_snapshot
     runner.generate_trace = generate_measured
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
     tracemalloc.start()
     try:
         run_workload(design, workload, config)
@@ -98,14 +108,26 @@ def live_at_run_end(
         tracemalloc.stop()
         SystemSimulator.run = run
         runner.generate_trace = generate
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        cyclic = collections.Counter(type(obj).__name__ for obj in gc.garbage)
+        gc.set_debug(0)
+        del gc.garbage[:]
+        if gc_was_enabled:
+            gc.enable()
     ignore = (tracemalloc.Filter(False, tracemalloc.__file__),)
-    return snapshots[-1].filter_traces(ignore), cell_peak, synthesis_peaks
+    return snapshots[-1].filter_traces(ignore), cell_peak, synthesis_peaks, cyclic
 
 
 def print_memory(
-    snapshot: tracemalloc.Snapshot, peak: int, synthesis_peaks: list, top: int
+    snapshot: tracemalloc.Snapshot,
+    peak: int,
+    synthesis_peaks: list,
+    cyclic: collections.Counter,
+    top: int,
 ) -> None:
-    """The live total, the traced peaks and the top-N live sites."""
+    """The live total, the traced peaks, the cyclic garbage and the top-N
+    live sites."""
     stats = snapshot.statistics("lineno")
     size = sum(stat.size for stat in stats)
     blocks = sum(stat.count for stat in stats)
@@ -118,6 +140,16 @@ def print_memory(
         "largest traced peak of one trace synthesis: %.2f MiB "
         "(%d syntheses, output columns included)"
         % (max(synthesis_peaks, default=0) / mib, len(synthesis_peaks))
+    )
+    print(
+        "left to the cyclic collector by the finished cell: %d objects%s"
+        % (
+            sum(cyclic.values()),
+            "".join(
+                "%s %s %d" % ("," if index else ":", name, count)
+                for index, (name, count) in enumerate(cyclic.most_common(8))
+            ),
+        )
     )
     for stat in stats[:top]:
         print(stat)
@@ -178,10 +210,10 @@ def main() -> int:
         from repro.parallel import overridden
 
         with overridden(cache_enabled=False):
-            snapshot, peak, synthesis_peaks = live_at_run_end(
+            snapshot, peak, synthesis_peaks, cyclic = live_at_run_end(
                 args.design, args.workload, args.accesses
             )
-        print_memory(snapshot, peak, synthesis_peaks, args.top)
+        print_memory(snapshot, peak, synthesis_peaks, cyclic, args.top)
         return 0
     if args.micro:
         print("profiling microbenchmark %r" % args.micro, flush=True)
