@@ -23,7 +23,7 @@ from repro.analysis.sanitizer import ENV_VAR as SANITIZE_ENV, configure_sanitize
 from repro.harness.experiments import EXPERIMENTS, run_experiment, run_spec
 from repro.harness.spec import GRID_EXPERIMENT, ExperimentSpec, SpecError
 from repro.harness.report import render_execution_stats, render_metrics_summary
-from repro.parallel import EXECUTION_STATS, default_jobs
+from repro.parallel import EXECUTION_STATS, ExecutionStats, default_jobs
 from repro.telemetry import (
     TELEMETRY_AGGREGATE,
     configure,
@@ -151,9 +151,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     TELEMETRY_AGGREGATE.reset()
+    # EXECUTION_STATS is reset per experiment for its summary line; the
+    # whole run (prefetch included) accumulates here for --metrics-out.
+    run_stats = ExecutionStats()
     plan_summary = None
     if args.experiment == "all":
         plan_summary = _prefetch(names, args, cache)
+        run_stats.absorb(EXECUTION_STATS)
     for name in names:
         print("=" * 72)
         print("Experiment:", name)
@@ -165,6 +169,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if EXECUTION_STATS.cells_executed or EXECUTION_STATS.cache_hits:
             print(render_execution_stats(EXECUTION_STATS))
         print()
+        run_stats.absorb(EXECUTION_STATS)
     if TELEMETRY_AGGREGATE:
         print(render_metrics_summary(TELEMETRY_AGGREGATE))
         print()
@@ -176,7 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "scale": args.scale,
                 "jobs": args.jobs,
                 "plan": plan_summary,
-                "execution": EXECUTION_STATS.as_dict(),
+                "execution": run_stats.as_dict(),
             },
         )
         print("[metrics written to %s]" % path)

@@ -87,10 +87,11 @@ class CellSpec:
 
 
 # ---------------------------------------------------------------------------
-# Cell enumeration: one source per experiment that fans out grid cells.
-# Table/arithmetic experiments (table1-3, sdc, correction_latency,
-# selfcheck) and the internally-sharded Monte-Carlo figure (fig11)
-# contribute none — they are cheap or already fanned out.
+# Cell enumeration: one source per experiment that runs timing-plane cells.
+# Table/arithmetic experiments (table1-3, sdc, correction_latency) and the
+# internally-sharded Monte-Carlo figure (fig11) contribute none: they run
+# no timing cell or already fan out. selfcheck contributes its three
+# timing-check cells, at their own fixed size whatever the scale.
 # ---------------------------------------------------------------------------
 
 
@@ -148,6 +149,17 @@ def _cells_fig17(scale: Scale) -> List[CellSpec]:
     return _grid([SGX_O, LOTECC, LOTECC_COALESCED, SYNERGY], scale)
 
 
+def _cells_selfcheck(scale: Scale) -> List[CellSpec]:
+    from repro.harness.selfcheck import timing_grid
+
+    designs, workloads, config = timing_grid()
+    return [
+        CellSpec(design, workload, config)
+        for design in designs
+        for workload in workloads
+    ]
+
+
 #: experiment name -> cell source. Must stay in lock-step with the figure
 #: functions in ``harness.experiments`` — the drift guard is the
 #: assembly-executes-zero-cells test in ``tests/test_plan.py``.
@@ -161,6 +173,7 @@ CELL_SOURCES: Dict[str, Callable[[Scale], List[CellSpec]]] = {
     "fig14": _cells_fig14,
     "fig16": _cells_fig16,
     "fig17": _cells_fig17,
+    "selfcheck": _cells_selfcheck,
 }
 
 

@@ -53,16 +53,24 @@ def _check_attack_detection() -> None:
     raise AssertionError("multi-chip tamper not detected")
 
 
-def _check_performance_ordering() -> None:
+def timing_grid() -> Tuple[List[object], List[str], object]:
+    """The timing-plane check's grid: ``(designs, workloads, config)``.
+
+    ``harness.plan`` registers these cells too, so a planned ``all`` run
+    simulates them in its prefetch fan-out and the check assembles from
+    the memo or the run cache.
+    """
     from repro.secure.designs import SGX, SGX_O, SYNERGY
     from repro.sim.config import SystemConfig
-    from repro.sim.runner import run_workload
 
-    config = SystemConfig(accesses_per_core=1_200)
-    ipc = {
-        design.name: run_workload(design, "mcf", config).ipc
-        for design in (SGX, SGX_O, SYNERGY)
-    }
+    return [SGX, SGX_O, SYNERGY], ["mcf"], SystemConfig(accesses_per_core=1_200)
+
+
+def _check_performance_ordering() -> None:
+    from repro.sim.runner import run_suite
+
+    table = run_suite(*timing_grid())
+    ipc = {result.design: result.ipc for result in table.results}
     if not ipc["Synergy"] > ipc["SGX_O"] > ipc["SGX"]:
         raise AssertionError("design ordering broken: %r" % ipc)
 

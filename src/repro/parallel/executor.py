@@ -21,6 +21,7 @@ standard ``ProcessPoolExecutor`` contract).
 
 from __future__ import annotations
 
+import resource
 import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
@@ -32,12 +33,22 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-def _timed_call(task: Tuple[Callable[[_T], _R], _T]) -> Tuple[_R, float]:
-    """Worker-side wrapper: run one cell and report its wall time."""
+def _timed_call(
+    task: Tuple[Callable[[_T], _R], _T]
+) -> Tuple[_R, float, int]:
+    """Worker-side wrapper: run one cell; report its wall time and the
+    running process's peak resident set (``ru_maxrss``, KiB on Linux).
+
+    A pool worker is reaped only when the pool shuts down, so its peak
+    reaches the parent's ``RUSAGE_CHILDREN`` late or, for a live pool,
+    not at all; shipping it with each result keeps ``peak_rss_mib``
+    whole.
+    """
     fn, item = task
     started = time.perf_counter()
     result = fn(item)
-    return result, time.perf_counter() - started
+    elapsed = time.perf_counter() - started
+    return result, elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def parallel_map(
@@ -69,9 +80,9 @@ def parallel_map(
     span_started = time.perf_counter()
     outputs: List[_R] = []
 
-    def land(result: _R, elapsed: float) -> None:
+    def land(result: _R, elapsed: float, peak_kib: int) -> None:
         index = len(outputs)
-        stats.record_cell(labels[index], elapsed)
+        stats.record_cell(labels[index], elapsed, peak_kib)
         outputs.append(result)
         if progress is not None:
             progress(index, labels[index], result, elapsed)
@@ -86,10 +97,8 @@ def parallel_map(
                 pool = get_pool(workers, stats=stats)
                 stats.record_pool_map()
                 try:
-                    for result, elapsed in pool.map(
-                        _timed_call, tasks[len(outputs):]
-                    ):
-                        land(result, elapsed)
+                    for outcome in pool.map(_timed_call, tasks[len(outputs):]):
+                        land(*outcome)
                     break
                 except BrokenProcessPool:
                     discard_pool(pool)

@@ -12,7 +12,8 @@ not the cell-scoped one — because these numbers describe the *harness*
 (wall clocks, pool spans), which must never leak into the deterministic
 per-cell snapshots attached to cached results. The same holds for the
 process's peak resident set (``peak_rss_mib``): it depends on the host
-and the allocator, so it is read only when a summary is rendered.
+and the allocator, so it is read only when a summary is rendered, with
+the peaks pool workers report alongside their cells.
 """
 
 from __future__ import annotations
@@ -45,12 +46,33 @@ class ExecutionStats:
         self.cell_times: List[Tuple[str, float]] = []
         #: wall-clock spans of the fan-out calls and the jobs they used
         self.map_spans: List[Tuple[int, float]] = []
+        #: largest ``ru_maxrss`` (KiB) a process reported with its cell
+        self._cell_peak_kib = 0
 
     def reset(self) -> None:
         """Zero all counters (the CLI resets between experiments)."""
         self._registry.reset()
         self.cell_times = []
         self.map_spans = []
+        self._cell_peak_kib = 0
+
+    def absorb(self, other: "ExecutionStats") -> None:
+        """Add ``other``'s counts, timings and cell peak to this collector.
+
+        The CLI resets the process collector per experiment and absorbs
+        each one into a whole-run collector, so ``--metrics-out`` describes
+        the prefetch and every experiment, not only the last one.
+        """
+        for name, metric in other._registry:
+            mine = self._registry[name]
+            if metric.kind == "timer":
+                mine.count += metric.count
+                mine.total_seconds += metric.total_seconds
+            else:
+                mine.inc(metric.value)
+        self.cell_times += other.cell_times
+        self.map_spans += other.map_spans
+        self._cell_peak_kib = max(self._cell_peak_kib, other._cell_peak_kib)
 
     # -- recording (called by runcache / executor) --------------------------
 
@@ -73,9 +95,12 @@ class ExecutionStats:
         if count:
             self._memo_evictions.inc(count)
 
-    def record_cell(self, label: str, seconds: float) -> None:
+    def record_cell(self, label: str, seconds: float, peak_kib: int = 0) -> None:
+        """One executed cell: its wall time and, when the executing
+        process reported it, that process's ``ru_maxrss`` in KiB."""
         self.cell_times.append((label, seconds))
         self._cell_timer.record(seconds)
+        self._cell_peak_kib = max(self._cell_peak_kib, peak_kib)
 
     def record_map(self, jobs: int, span_seconds: float) -> None:
         self.map_spans.append((jobs, span_seconds))
@@ -171,17 +196,28 @@ class ExecutionStats:
         return min(1.0, self.busy_seconds / capacity)
 
     @property
-    def peak_rss_mib(self) -> float:
-        """Peak resident set of this process and its reaped children, MiB.
+    def cell_peak_rss_mib(self) -> float:
+        """Largest peak resident set a cell's process reported, MiB.
 
-        The larger ``ru_maxrss`` (KiB on Linux) of the two, as the
-        end-to-end benchmark measures it: pool workers and service job
-        children count once they have been reaped.
+        Pool workers report theirs with each result, so this covers
+        workers that are still alive (see ``executor._timed_call``).
+        """
+        return self._cell_peak_kib / 1024.0
+
+    @property
+    def peak_rss_mib(self) -> float:
+        """Peak resident set of this process, its children and its
+        workers, MiB.
+
+        The largest ``ru_maxrss`` (KiB on Linux) of this process, its
+        reaped children (service job children, shut-down pools) and every
+        process that ran a recorded cell: live pool workers count too.
         """
         return (
             max(
                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
                 resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+                self._cell_peak_kib,
             )
             / 1024.0
         )

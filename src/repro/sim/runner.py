@@ -14,9 +14,10 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from array import array
 from collections import OrderedDict
+from itertools import chain, islice
 from typing import (
-    Any,
     Callable,
     Dict,
     Iterable,
@@ -179,11 +180,40 @@ def _traces_for(
 #: traces, cache geometry, the design flags that steer the metadata walk):
 #: designs sharing those flags reach byte-identical cache dictionaries, so
 #: grid runs restore the snapshot instead of replaying the warm traces.
-#: Snapshot dicts are private copies — the restore copies them into the
-#: simulator's own set dictionaries (preserving insertion order, which
-#: *is* the LRU state).
+#: Each snapshot is packed into flat columns, one triple per cache (see
+#: :func:`_pack_sets`), so it holds no per-set dict and no tag int objects
+#: once the simulator that produced it is gone.
 _WARM_MEMO_MAX = 64
-_WARM_MEMO: Dict[Tuple[object, ...], Any] = {}
+
+#: One cache's packed state: per-set way counts, the tags of every set in
+#: LRU-to-MRU order, and one dirty byte per tag.
+PackedSets = Tuple[bytes, "array[int]", bytes]
+
+_WARM_MEMO: Dict[Tuple[object, ...], Tuple[PackedSets, PackedSets]] = {}
+
+
+def _pack_sets(sets: List[Dict[int, bool]]) -> PackedSets:
+    """Pack a cache's per-set ``tag -> dirty`` dicts into flat columns.
+
+    Way counts are single bytes: a set holds at most its associativity.
+    """
+    return (
+        bytes(map(len, sets)),
+        array("q", chain.from_iterable(sets)),
+        bytes(chain.from_iterable(map(dict.values, sets))),
+    )
+
+
+def _restore_sets(sets: List[Dict[int, bool]], packed: PackedSets) -> None:
+    """Refill empty per-set dicts from :func:`_pack_sets` columns.
+
+    Entries go back in their packed (insertion) order, which *is* the LRU
+    state, so the restored caches are identical to the packed ones.
+    """
+    sizes, tags, dirty = packed
+    entries = zip(tags, map(bool, dirty))
+    for ways, size in zip(sets, sizes):
+        ways.update(islice(entries, size))
 
 
 def _warm_key(
@@ -233,18 +263,13 @@ def _warm_simulator(
         sim.warmup(warmup_traces)
         if len(memo) >= _WARM_MEMO_MAX:
             memo.clear()
-        memo[key] = (
-            [dict(ways) for ways in llc_sets],
-            [dict(ways) for ways in md_sets],
-        )
+        memo[key] = (_pack_sets(llc_sets), _pack_sets(md_sets))
         return
-    # Fresh caches are empty, so update() reproduces the snapshot's
+    # Fresh caches are empty, so the restore reproduces the snapshot's
     # entries in insertion order — bit-identical LRU state. Stats stay
     # zero, exactly where warmup's trailing resets would leave them.
-    for ways, snapshot in zip(llc_sets, cached[0]):
-        ways.update(snapshot)
-    for ways, snapshot in zip(md_sets, cached[1]):
-        ways.update(snapshot)
+    _restore_sets(llc_sets, cached[0])
+    _restore_sets(md_sets, cached[1])
 
 
 #: Default byte budget for the cell-result memo below. Serialized cells are

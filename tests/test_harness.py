@@ -96,3 +96,32 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    def test_metrics_out_execution_covers_the_whole_run(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        import json
+
+        from repro.harness import cli
+        from repro.harness.experiments import EXPERIMENTS
+        from repro.sim.runner import clear_run_memos
+
+        # selfcheck's timing cells are planned (the prefetch runs them),
+        # and table3, which runs last, executes nothing.
+        names = ("selfcheck", "table3")
+        monkeypatch.setattr(
+            cli, "EXPERIMENTS", {name: EXPERIMENTS[name] for name in names}
+        )
+        clear_run_memos()
+        path = tmp_path / "metrics.json"
+        argv = ["all", "--no-cache", "--jobs", "1", "--metrics-out", str(path)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        run = json.loads(path.read_text())["run"]
+        assert run["plan"]["cells_pending"] == 3
+        execution = run["execution"]
+        # The prefetch's 3 cells plus the reliability check's mc: slices.
+        assert execution["cells_executed"] > run["plan"]["cells_pending"]
+        assert execution["busy_seconds"] > 0
+        assert execution["worker_utilisation"] > 0
+        assert execution["peak_rss_mib"] > 0

@@ -26,7 +26,9 @@ from repro.cpu.trace import Trace
 from repro.secure.designs import CounterMode, design_by_name
 from repro.secure.timing_engine import TimingMetadataMap
 from repro.sim.config import SystemConfig
+from repro.sim import runner
 from repro.sim.runner import run_workload
+from repro.sim.system import SystemSimulator
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import profile_by_name
 
@@ -39,6 +41,10 @@ MAX_LOOKUP_BLOCKS = 64
 #: Traced peak of one trace synthesis beyond its output columns. Streaming
 #: the word stream in fixed blocks keeps it flat in the trace length.
 MAX_SYNTHESIS_TRANSIENT = 1 << 20
+#: Traced bytes one quick-scale warm-memo snapshot may keep alive once its
+#: simulator is gone: packed columns (~80 KiB), not per-set dict copies
+#: holding their own tag ints (~620 KiB).
+MAX_WARM_SNAPSHOT = 128 << 10
 
 
 def traced_live_blocks(build):
@@ -139,3 +145,30 @@ def test_finished_cell_leaves_no_cyclic_garbage(design_name):
         if was_enabled:
             gc.enable()
     assert unreachable == 0, leftover.most_common(10)
+
+
+def test_warm_snapshot_is_packed():
+    design = design_by_name("SGX_O")
+    config = SystemConfig(accesses_per_core=3_000)  # the quick scale
+    label, traces = runner._traces_for("mcf", config, "trace")
+    _label, warm = runner._traces_for("mcf", config, "warmup")
+    runner._WARM_MEMO.clear()
+    # The first call's lazy imports and interpreter caches, untraced.
+    runner._warm_simulator(
+        SystemSimulator(design, traces, config), design, label, config, warm
+    )
+    runner._WARM_MEMO.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        # The simulator dies with the call: what stays is the snapshot.
+        runner._warm_simulator(
+            SystemSimulator(design, traces, config), design, label, config, warm
+        )
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        runner._WARM_MEMO.clear()
+    assert kept <= MAX_WARM_SNAPSHOT, kept

@@ -24,6 +24,7 @@ from repro.parallel import (
     parallel_map,
     resolve_cache,
     resolve_jobs,
+    shutdown_pool,
 )
 from repro.reliability.montecarlo import (
     MonteCarloConfig,
@@ -46,6 +47,15 @@ def _square(value):
     return value * value
 
 
+def _touch_mib(mib):
+    """Write one byte per page of ``mib`` MiB; return this process's peak."""
+    import resource
+
+    block = bytearray(mib << 20)
+    block[::4096] = b"\x01" * len(range(0, len(block), 4096))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 class TestParallelMap:
     def test_serial_matches_parallel_order(self):
         items = list(range(12))
@@ -63,6 +73,20 @@ class TestParallelMap:
         assert [label for label, _ in stats.cell_times] == ["a", "b", "c"]
         assert stats.span_seconds >= 0
         assert 0 <= stats.worker_utilisation <= 1
+
+
+    def test_peak_rss_counts_live_pool_workers(self):
+        # Pool workers are reaped only at shutdown, so their peaks must
+        # ride back with the cells while the pool is still alive.
+        shutdown_pool()
+        stats = ExecutionStats()
+        try:
+            peaks_kib = parallel_map(_touch_mib, [48, 48], jobs=2, stats=stats)
+            assert max(peaks_kib) >= 32 * 1024
+            assert stats.cell_peak_rss_mib * 1024 == max(peaks_kib)
+            assert stats.peak_rss_mib >= stats.cell_peak_rss_mib
+        finally:
+            shutdown_pool()
 
 
 class TestRunSuiteGolden:

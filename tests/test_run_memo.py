@@ -7,7 +7,11 @@ simulation per process"):
 * the cell-result memo is LRU-by-bytes bounded, with evictions counted
   into ``exec.memo_evictions``;
 * memos are perf-only: clearing them changes nothing a run reports.
+* a warm-state snapshot restores exactly the caches a fresh warm-up
+  builds.
 """
+
+import pytest
 
 from repro.parallel import EXECUTION_STATS
 from repro.sim import runner
@@ -118,3 +122,63 @@ def test_same_suite_twice_yields_equal_telemetry():
     TELEMETRY_AGGREGATE.reset()
     assert first == second
     assert first["groups"], "the run must have recorded telemetry"
+
+
+def _quick_config():
+    from repro.harness.scales import QUICK
+    from repro.sim.config import SystemConfig
+
+    return SystemConfig(accesses_per_core=QUICK.accesses_per_core)
+
+
+def _warm_flag_classes():
+    """One design per distinct warm-memo key at quick scale: the designs
+    in a class share their post-warm-up cache state."""
+    from repro.secure.designs import ALL_DESIGNS
+
+    config = _quick_config()
+    classes = {}
+    for design in ALL_DESIGNS:
+        classes.setdefault(runner._warm_key(design, "mcf", config, None), design)
+    return list(classes.values())
+
+
+def _cache_sets(sim):
+    """Every LLC and metadata set as its (tag, dirty, dirty's type) list,
+    in LRU order."""
+    return [
+        [
+            [(tag, dirty, type(dirty)) for tag, dirty in ways.items()]
+            for ways in cache._sets
+        ]
+        for cache in (sim.hierarchy.llc, sim.hierarchy.metadata_cache)
+    ]
+
+
+@pytest.mark.parametrize(
+    "design", _warm_flag_classes(), ids=lambda design: design.name
+)
+def test_restored_warm_state_equals_a_fresh_warmup(design):
+    from repro.sim.system import SystemSimulator
+
+    config = _quick_config()
+    label, traces = runner._traces_for("mcf", config, "trace")
+    _label, warm = runner._traces_for("mcf", config, "warmup")
+    fresh = SystemSimulator(design, traces, config)
+    fresh.warmup(warm)
+    expected = _cache_sets(fresh)
+    del fresh
+
+    runner._WARM_MEMO.clear()
+    # The first simulator misses the memo: it warms up and packs its state.
+    runner._warm_simulator(
+        SystemSimulator(design, traces, config), design, label, config, warm
+    )
+    assert len(runner._WARM_MEMO) == 1
+    restored = SystemSimulator(design, traces, config)
+    runner._warm_simulator(restored, design, label, config, warm)
+    runner._WARM_MEMO.clear()
+    # Same tags in the same (LRU) order with the same dirty bits, set by set.
+    assert _cache_sets(restored) == expected
+    assert any(ways for ways in expected[0]), "LLC left cold"
+    assert restored.hierarchy.llc.hits == restored.hierarchy.llc.misses == 0

@@ -12,8 +12,11 @@ change and diff the tables.
     PYTHONPATH=src python tools/profile_run.py --micro controller_schedule
     PYTHONPATH=src python tools/profile_run.py --out cell.pstats   # for snakeviz etc.
 
-``--memory`` profiles allocations instead, without cProfile: it runs the
-cell under ``tracemalloc`` and prints the top-N source lines whose
+``--memory`` profiles allocations instead, without cProfile: it first
+runs one small untraced warm-up cell of the same design and workload, so
+the first call's lazy imports (``numpy.random`` and others) do not count
+as the cell's memory, clears the runner's memos, then runs the cell under
+``tracemalloc`` and prints the top-N source lines whose
 allocations are still live when ``SystemSimulator.run`` returns, with the
 live total, the traced peak of the whole cell and the largest traced peak
 of one of the cell's trace syntheses (above what was live when it
@@ -42,6 +45,8 @@ from repro.sim.config import SystemConfig
 from repro.sim.runner import run_workload
 
 SORT_KEYS = ("cumulative", "tottime", "calls")
+#: Accesses per core of ``--memory``'s untraced warm-up cell.
+WARMUP_ACCESSES = 300
 
 
 def profile_cell(design_name: str, workload: str, accesses: int) -> cProfile.Profile:
@@ -95,6 +100,10 @@ def live_at_run_end(
         cell_peak = max(cell_peak, peak)
         return trace
 
+    # One untraced cell imports what the first call imports lazily; the
+    # cleared memos make the traced cell synthesise and warm up afresh.
+    run_workload(design, workload, SystemConfig(accesses_per_core=WARMUP_ACCESSES))
+    runner.clear_run_memos()
     SystemSimulator.run = run_then_snapshot
     runner.generate_trace = generate_measured
     gc_was_enabled = gc.isenabled()
@@ -203,8 +212,9 @@ def main() -> int:
 
     if args.memory:
         print(
-            "allocations of cell %s/%s (%d accesses/core)"
-            % (args.design, args.workload, args.accesses),
+            "allocations of cell %s/%s (%d accesses/core), traced after one "
+            "untraced warm-up cell (%d accesses/core) that takes the lazy "
+            "imports" % (args.design, args.workload, args.accesses, WARMUP_ACCESSES),
             flush=True,
         )
         from repro.parallel import overridden
