@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache.setassoc import (
-    ABSENT as _ABSENT_DIRTY,
     HIT,
     MISS_CLEAN,
     CacheAccessResult,
@@ -119,37 +118,6 @@ class CacheHierarchy:
         if writeback is None:
             return MISS_CLEAN
         return CacheAccessResult(hit=False, writeback_address=writeback)
-
-    def access_metadata_many(
-        self, line_addresses, is_write: bool, use_llc: bool
-    ) -> "list":
-        """Batched :meth:`access_metadata` over a column of line addresses.
-
-        The dedicated-hit majority is handled with the dict probe inlined
-        (pop + MRU reinsert + hit count — bit-identical to the scalar
-        path); misses fall through to the scalar method, whose dedicated
-        probe re-runs from the unchanged state the failed pop left behind.
-        Results are positionally parallel to ``line_addresses``.
-        """
-        cache = self.metadata_cache
-        sets = cache._sets
-        mask = cache._set_mask
-        shift = cache._set_shift
-        absent = _ABSENT_DIRTY
-        scalar = self.access_metadata
-        results = []
-        append = results.append
-        for line in line_addresses:
-            ways = sets[line & mask]
-            tag = line >> shift
-            prev = ways.pop(tag, absent)
-            if prev is not absent:
-                cache.hits += 1
-                ways[tag] = True if is_write else prev
-                append(HIT)
-            else:
-                append(scalar(line, is_write, use_llc))
-        return results
 
     # -- introspection ----------------------------------------------------
 

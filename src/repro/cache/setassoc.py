@@ -40,7 +40,7 @@ MISS_CLEAN = CacheAccessResult(hit=False)
 
 #: Sentinel distinguishing "tag absent" from a clean (False) dirty bit.
 #: Public under ``ABSENT`` for fused hot paths that inline the dict probe
-#: (the secure engine's columnar expansion, the system's warmup replay).
+#: (the secure engine's fused walks, the system's warmup replay).
 _ABSENT = object()
 ABSENT = _ABSENT
 

@@ -11,9 +11,8 @@ versions:
   kernel scheduling it to completion (the production DRAM path)
 * ``rob_advance``       — trace-driven core fetch/retire with resolved reads
 * ``miss_expansion``    — secure-engine metadata expansion of LLC misses
-  (the production epoch-deferred fused path; ``miss_expansion_batch`` is
-  the columnar numpy-batch driver, ``miss_expansion_reference`` the
-  retained scalar oracle they are measured against)
+  (Synergy through the production fused path, flushed per epoch); its
+  scalar oracle lives with the tests, not here
 * ``telemetry_record``  — counter/histogram recording through a registry
 * ``pool_dispatch``     — repeated small ``parallel_map`` fan-outs through
   the shared persistent pool (spawn amortisation + per-map round-trip)
@@ -116,26 +115,21 @@ def rob_advance() -> int:
     return len(trace)
 
 
-def _make_expansion_engine():
+def miss_expansion() -> int:
+    """Secure-engine metadata expansion (Synergy) — the production path.
+
+    The fused expansion with a flush every 64 misses, mirroring how
+    ``SystemSimulator`` drives the engine (expansions buffer per epoch,
+    one ``enqueue_batch`` flush at resolve)."""
     from repro.cache.hierarchy import CacheHierarchy
     from repro.dram.controller import MemoryController
     from repro.dram.timing import MemoryConfig
     from repro.secure.designs import SYNERGY
     from repro.secure.timing_engine import SecureTimingEngine
 
-    hierarchy = CacheHierarchy()
-    controller = MemoryController(MemoryConfig())
-    return SecureTimingEngine(SYNERGY, hierarchy, controller, 1 << 24)
-
-
-def miss_expansion() -> int:
-    """Secure-engine metadata expansion (Synergy) — the production path.
-
-    The epoch-deferred fused expansion with a flush every 64 misses,
-    mirroring how ``SystemSimulator`` drives the engine (expansions
-    buffer per epoch, one ``enqueue_batch`` flush at resolve)."""
-    engine = _make_expansion_engine()
-    engine.begin_deferred()
+    engine = SecureTimingEngine(
+        SYNERGY, CacheHierarchy(), MemoryController(MemoryConfig()), 1 << 24
+    )
     stream = _addresses(10_000, 1 << 22, seed=53)
     expand = engine.expand_read_miss_deferred
     flush = engine.flush_epoch
@@ -149,42 +143,6 @@ def miss_expansion() -> int:
             flush()
             pending = 0
     flush()
-    return len(stream)
-
-
-def miss_expansion_batch() -> int:
-    """Columnar batch expansion: numpy address pass + fused per-miss walk.
-
-    The ``secure.columnar.expand_read_misses`` driver over 1024-miss
-    batches — the upper bound the per-epoch path converges to as epochs
-    widen."""
-    from repro.secure.columnar import expand_read_misses
-
-    engine = _make_expansion_engine()
-    engine.begin_deferred()
-    stream = _addresses(10_000, 1 << 22, seed=53)
-    flush = engine.flush_epoch
-    when = 0
-    for start in range(0, len(stream), 1024):
-        chunk = stream[start : start + 1024]
-        expand_read_misses(
-            engine, chunk, whens=range(when, when + 10 * len(chunk), 10)
-        )
-        when += 10 * len(chunk)
-        flush()
-    return len(stream)
-
-
-def miss_expansion_reference() -> int:
-    """The retained scalar-oracle expansion on the same miss stream —
-    the baseline ``miss_expansion`` is measured against."""
-    engine = _make_expansion_engine()
-    stream = _addresses(10_000, 1 << 22, seed=53)
-    expand = engine.expand_read_miss
-    when = 0
-    for line in stream:
-        expand(line, when, 0)
-        when += 10
     return len(stream)
 
 
@@ -257,8 +215,6 @@ CASES: Dict[str, Callable[[], int]] = {
     "controller_schedule": controller_schedule,
     "rob_advance": rob_advance,
     "miss_expansion": miss_expansion,
-    "miss_expansion_batch": miss_expansion_batch,
-    "miss_expansion_reference": miss_expansion_reference,
     "telemetry_record": telemetry_record,
     "pool_dispatch": pool_dispatch,
     "trace_generate": trace_generate,

@@ -16,7 +16,10 @@ Functional plane:
 Timing plane:
 
 * :mod:`repro.secure.designs` — Table II design descriptors.
-* :mod:`repro.secure.timing_engine` — per-design metadata traffic expansion.
+* :mod:`repro.secure.timing_engine` — per-design metadata traffic
+  expansion: one fused read, writeback and warm-up walk for every design
+  (Bonsai counter tree and IVEC's MAC tree alike), whose scalar oracle is
+  ``tests/reference/secure_oracle.py``.
 """
 
 from repro.secure.errors import (

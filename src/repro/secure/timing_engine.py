@@ -4,8 +4,8 @@ For every LLC data miss or writeback, the engine consults the design
 descriptor and the cache hierarchy and emits the memory requests the design
 would need: counter fetches with a tree walk, MAC fetches (or none, for
 Synergy), parity updates, plus writebacks of evicted dirty metadata. The
-read path returns the set of requests whose completion gates the data
-(verification needs data + counter chain + MAC).
+read path returns the requests whose completion gates the data
+(verification needs data + counter chain + MAC), as epoch-batch indices.
 
 This is where the paper's central performance claim becomes mechanical:
 SGX_O pays a MAC access per data access; Synergy does not, because the MAC
@@ -15,7 +15,6 @@ split counters, IVEC's MAC tree, LOT-ECC parity RMW) is configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.analysis.sanitizer import get_sanitizer
@@ -149,22 +148,6 @@ class TimingMetadataMap:
         return path
 
 
-@dataclass
-class ExpandedAccess:
-    """Requests generated for one data access.
-
-    ``completions`` holds one completion slot per request the access
-    enqueued (filled by the controller's next ``process``); ``blocking``
-    lists the slot indices that gate the read's completion (data +
-    verification metadata) — the rest only consume bandwidth. Invariant:
-    ``blocking[0]`` is always the data line itself — speculative designs
-    (§VII-B) complete on it alone.
-    """
-
-    blocking: List[int] = field(default_factory=list)
-    completions: List[Optional[int]] = field(default_factory=list)
-
-
 class _RunningCounts:
     """The engine's two running telemetry counts (see ``sync_telemetry``).
 
@@ -182,7 +165,21 @@ class _RunningCounts:
 
 
 class SecureTimingEngine:
-    """Expands data accesses into design-specific memory traffic."""
+    """Expands data accesses into design-specific memory traffic.
+
+    Every emission buffers into one per-epoch spec batch that
+    :meth:`flush_epoch` enqueues in a single ``enqueue_batch`` call at the
+    resolve boundary. The engine is the only request producer and the
+    batch keeps emission order, so request content, arbitration order and
+    sequence numbers are those of serial enqueues; a read miss's gating
+    requests come back as batch indices, because their completions are
+    only known after the controller's next ``process``.
+
+    The walks are three closures built once per engine (see the
+    ``_build_fast_*`` docstrings), the same for every design. Their scalar
+    oracle, one method per metadata step, lives with the tests
+    (``tests/reference/secure_oracle.py``).
+    """
 
     __slots__ = (
         "design",
@@ -201,12 +198,7 @@ class SecureTimingEngine:
         "_mac_tree_depth_acc",
         "_account_counters",
         "_writeback_queue",
-        "_draining_writebacks",
-        "_in_writeback_path",
         "_batch",
-        "_batch_blocking",
-        "_batching",
-        "_deferred",
         "_fast_expand",
         "_fast_warm",
         "_fast_writeback",
@@ -253,238 +245,69 @@ class SecureTimingEngine:
         from collections import deque
 
         self._writeback_queue = deque()
-        self._draining_writebacks = False
-        self._in_writeback_path = False
-        # Emission batch: while an expansion is in flight, emitted request
-        # specs buffer here and flush through ``enqueue_batch`` in one call
-        # (same order, same sequence numbers as one-by-one enqueues).
-        # ``_batch_blocking`` holds the batch indices that gate the read.
+        #: The epoch batch: every spec emitted since the last flush_epoch.
         self._batch: List = []
-        self._batch_blocking: List[int] = []
-        self._batching = False
-        # Epoch-deferred mode (see begin_deferred): the batch persists
-        # across expansions and flushes once per resolve epoch.
-        self._deferred = False
-        self._fast_expand = None
-        self._fast_warm = None
-        self._fast_writeback = None
         self._sanitizer = get_sanitizer()
         # True means "no spot-check pending" — primed per epoch only when
         # a sanitizer is attached, so the hot path pays one bool test.
         self._san_epoch_checked = self._sanitizer is None
+        # Order matters: the expansion closure binds the fused writeback
+        # drain for its spill victims.
+        self._fast_writeback = self._build_fast_writeback()
+        self._fast_expand = self._build_fast_expand()
+        self._fast_warm = self._build_fast_warm()
 
     # ------------------------------------------------------------------
-
-    def _classify_writeback(self, line_address: int) -> str:
-        """Traffic category of an evicted line by its region."""
-        map_ = self.map
-        if line_address < map_.counter_base:
-            return "data"
-        if line_address < map_.mac_base:
-            return "counter"
-        if line_address < map_.parity_base:
-            return "mac"
-        if line_address < map_.tree_level_bases[0]:
-            return "parity"
-        return "counter"  # tree lines group with counters (Fig. 9)
-
-    @property
-    def _origin(self) -> str:
-        """Whether traffic being emitted serves a demand read or a writeback.
-
-        The paper's Fig. 9 splits traffic by what *triggered* it (the reads
-        chart vs the writes chart), not by the physical direction — e.g. the
-        read half of a counter RMW on the write path belongs to the writes
-        chart. The engine tracks the trigger here.
-        """
-        return "writeback" if self._in_writeback_path else "demand"
-
-    def _account(self, category: str, kind: RequestKind) -> None:
-        key = (self._in_writeback_path, category, kind)
-        counter = self._account_counters.get(key)
-        if counter is None:
-            counter = self.stats.counter(
-                "%s_%s_%s" % (self._origin, category, kind.value)
-            )
-            self._account_counters[key] = counter
-        # Unit increment: bump the slot directly (skips Counter.add's
-        # sign check on the per-request path).
-        counter.value += 1
-        if category != "data":
-            self._counts.metadata_accesses += 1
-
-    def _emit_read(self, line: int, when: int, category: str, core: int) -> None:
-        """A gating read; only ever emitted inside a batch (every read
-        expansion batches), its batch index recorded as blocking."""
-        self._account(category, _READ)
-        self._batch_blocking.append(len(self._batch))
-        self._batch.append((_READ, line, when, category, core))
-
-    def _emit_rmw_read(self, line: int, when: int, category: str, core: int) -> None:
-        """A posted read (RMW fetch) that gates nothing."""
-        self._account(category, _READ)
-        if self._batching:
-            self._batch.append((_READ, line, when, category, core))
-        else:
-            self.controller.enqueue(_READ, line, when, category, core)
-
-    def _emit_write(self, line: int, when: int, category: str, core: int) -> None:
-        self._account(category, _WRITE)
-        if self._batching:
-            self._batch.append((_WRITE, line, when, category, core))
-        else:
-            self.controller.enqueue(_WRITE, line, when, category, core)
-
-    def _flush_batch(self, out: Optional[ExpandedAccess]) -> None:
-        """Enqueue the buffered specs in emission order; hand ``out`` the
-        completion slots and the recorded gating batch indices."""
-        self._batching = False
-        batch = self._batch
-        if not batch:
-            del self._batch_blocking[:]
-            return
-        slots = self.controller.enqueue_batch(batch)
-        if out is not None:
-            out.completions = slots
-            out.blocking = list(self._batch_blocking)
-        del batch[:]
-        del self._batch_blocking[:]
-
-    def writeback(self, victim: Optional[int], when: int, core: int) -> None:
-        """Handle an evicted dirty line of *any* region.
-
-        Metadata victims are plain memory writes; data victims need the full
-        write-side metadata expansion (counter bump, MAC/parity update).
-        Eviction chains (a data writeback dirties a counter line whose fill
-        evicts another data line, ...) are drained iteratively.
-        """
-        if victim is None:
-            return
-        self._writeback_queue.append(victim)
-        if self._draining_writebacks:
-            return
-        self._draining_writebacks = True
-        top = not self._batching
-        if top:
-            self._batching = True
-        try:
-            while self._writeback_queue:
-                line = self._writeback_queue.popleft()
-                if line < self.map.counter_base:
-                    self.expand_data_writeback(line, when, core)
-                else:
-                    self._emit_write(
-                        line, when, self._classify_writeback(line), core
-                    )
-        finally:
-            self._draining_writebacks = False
-            if top:
-                self._flush_batch(None)
-
-    # Backwards-compatible internal alias used by the fetch/update paths.
-    def _handle_writeback(self, victim: Optional[int], when: int, core: int) -> None:
-        self.writeback(victim, when, core)
-
-    # ------------------------------------------------------------------
-    # Epoch-deferred emission mode (the columnar timing plane)
-    # ------------------------------------------------------------------
-
-    @property
-    def deferred(self) -> bool:
-        """Whether the engine is in epoch-deferred emission mode."""
-        return self._deferred
-
-    @property
-    def fast_expand(self):
-        """The fused per-miss expansion, or None outside the fast-path
-        boundary (the MAC-tree design IVEC — the scalar oracle)."""
-        return self._fast_expand
-
-    @property
-    def fast_warm(self):
-        """The fused warm-metadata walk, or None outside the fast-path
-        boundary (same boundary as :attr:`fast_expand`)."""
-        return self._fast_warm
-
-    @property
-    def fast_writeback(self):
-        """The fused writeback drain, or None outside the fast-path
-        boundary (same boundary as :attr:`fast_expand`)."""
-        return self._fast_writeback
-
-    def begin_deferred(self) -> None:
-        """Enter epoch-deferred emission mode.
-
-        Emissions stop flushing per expansion and instead buffer into one
-        per-epoch spec batch that :meth:`flush_epoch` enqueues in a single
-        ``enqueue_batch`` call at the resolve boundary. The engine is the
-        only request producer and the batch preserves emission order, so
-        request content, arbitration order and sequence numbers are
-        identical to the scalar engine's immediate enqueues — blocking
-        requests are returned as batch indices because their completions
-        are only read after the controller's next ``process``.
-        """
-        self._deferred = True
-        self._batching = True
-        if (
-            self._fast_expand is None
-            and self.design.tree_kind is not TreeKind.MAC_TREE
-        ):
-            # Order matters: the expansion closure binds the fused
-            # writeback drain for its spill victims.
-            self._fast_writeback = self._build_fast_writeback()
-            self._fast_expand = self._build_fast_expand()
-            self._fast_warm = self._build_fast_warm()
 
     def expand_read_miss_deferred(
         self, data_line: int, when: int, core: int
     ) -> List[int]:
-        """Deferred-mode read-miss expansion; returns epoch-batch indices.
+        """Expand one LLC read miss; returns its gating epoch-batch indices.
 
         The indices resolve against the completion slots returned by the
-        next :meth:`flush_epoch`; index 0 is always the data line itself (the
-        ``ExpandedAccess.blocking[0]`` invariant, preserved for
-        speculative designs).
+        next :meth:`flush_epoch`. Index 0 is always the data read itself:
+        speculative designs (§VII-B) complete on it alone.
         """
         if self._san_epoch_checked:
-            fast = self._fast_expand
-            if fast is not None:
-                return fast(data_line, when, core, -1, -1)
-            return self._expand_deferred_generic(data_line, when, core)
+            return self._fast_expand(data_line, when, core)
         # Sampled sanitizer spot-check: first expansion of each epoch.
         self._san_epoch_checked = True
         base = len(self._batch)
-        fast = self._fast_expand
-        if fast is not None:
-            blocking = fast(data_line, when, core, -1, -1)
-        else:
-            blocking = self._expand_deferred_generic(data_line, when, core)
+        blocking = self._fast_expand(data_line, when, core)
         self._sanitizer.check_expansion_batch(
             self, data_line, when, core, base, blocking
         )
         return blocking
 
-    def _expand_deferred_generic(
-        self, data_line: int, when: int, core: int
-    ) -> List[int]:
-        """Scalar-oracle fallback inside deferred mode.
+    def writeback(self, victim: Optional[int], when: int, core: int) -> None:
+        """Expand an evicted dirty line of *any* region (``None`` is a no-op).
 
-        Runs the verbatim scalar expansion; because ``_batching`` stays
-        set, its emissions buffer into the epoch batch and the per-call
-        flush is skipped. ``_emit_read`` recorded the absolute batch
-        indices of the gating requests.
+        Metadata victims are plain memory writes; data victims need the full
+        write-side metadata expansion (counter bump, MAC/parity update).
+        Eviction chains (a data writeback dirties a counter line whose fill
+        evicts another data line, ...) are drained iteratively. Emissions
+        join the epoch batch.
         """
-        self.expand_read_miss(data_line, when, core)
-        blocking = list(self._batch_blocking)
-        del self._batch_blocking[:]
-        return blocking
+        self._fast_writeback(victim, when, core)
+
+    def warm_miss_metadata(self, data_line: int, is_write: bool) -> None:
+        """Warm the metadata caches for one LLC data miss, with no traffic.
+
+        Warm-up replays accesses through the caches to reach steady state
+        before timing measurement — the paper's 1B-instruction slices run
+        with warm caches; short synthetic traces must not measure an LLC
+        that never filled (see DESIGN.md). The system's warm-up loop
+        inlines the LLC data probe and calls this on misses of encrypted
+        designs.
+        """
+        self._fast_warm(data_line, is_write)
 
     def flush_epoch(self) -> List[Optional[int]]:
         """Enqueue the buffered epoch batch; returns its completion slots.
 
         Called by the system simulator at each resolve boundary, before
         ``controller.process`` fills the slots. Sequence order is batch
-        order — identical to the scalar engine's serial enqueues.
+        order — identical to serial enqueues.
         """
         batch = self._batch
         if not batch:
@@ -502,25 +325,48 @@ class SecureTimingEngine:
         del batch[:]
         return slots
 
+    def sync_telemetry(self) -> None:
+        """Publish the deferred telemetry into the registry objects.
+
+        Counters publish the delta since the last sync (watermarked, so
+        instances sharing a registry counter each contribute their own
+        events); histogram tallies flush weight-batched — all integer
+        observations, so batching is bit-exact. ``SystemSimulator.run``
+        calls this before the snapshot.
+        """
+        synced = self._synced_telemetry
+        counts = self._counts
+        self._t_metadata_accesses.inc(counts.metadata_accesses - synced[0])
+        self._t_counter_hits.inc(counts.counter_hits - synced[1])
+        synced[0] = counts.metadata_accesses
+        synced[1] = counts.counter_hits
+        for acc, histogram in (
+            (self._tree_depth_acc, self._t_tree_walk_depth),
+            (self._mac_tree_depth_acc, self._t_mac_tree_walk_depth),
+        ):
+            for value, weight in acc.items():
+                histogram.record(value, weight)
+            acc.clear()
+
+    # ------------------------------------------------------------------
+    # The fused walks
+    # ------------------------------------------------------------------
+
     def _build_fast_expand(self):
         """Build the fused read-miss expansion closure.
 
-        One closure call replaces the scalar path's ~10 frames per miss:
-        the dedicated/LLC dict probes of ``CacheHierarchy.access_metadata``
-        and ``SetAssociativeCache.access`` are inlined (including the
-        pinned ``llc_result.writeback_address or spill_writeback`` quirk),
-        accounting counters bind lazily through the same
-        ``_account_counters`` table as the scalar path, and emissions
-        append straight to the epoch batch. Writeback chains — the
-        "interesting minority" — route through the fused writeback drain
-        at exactly the point the scalar path would call ``writeback``.
+        One closure call per miss: the dedicated/LLC dict probes of
+        ``CacheHierarchy.access_metadata`` and ``SetAssociativeCache.access``
+        are inlined (including the pinned ``llc_result.writeback_address or
+        spill_writeback`` quirk), accounting counters bind lazily through
+        the ``_account_counters`` table, and emissions append straight to
+        the epoch batch. The walk: the data read; the counter line, and on
+        a miss the break-on-hit Bonsai walk to the cached trust anchor; the
+        separate MAC with its optional LLC fill, then the break-on-hit
+        MAC-tree walk (IVEC: the MAC is a tree member). Writeback chains
+        route through the fused writeback drain at the point they arise.
         Neither closure references the engine, which stores them (see
         ``_RunningCounts``).
-
-        Only built for designs whose read walk is data + Bonsai counter
-        chain + optional uncached MAC; the MAC-tree design (IVEC) keeps
-        the scalar oracle. Callers may pass precomputed ``counter_line``/
-        ``mac_line`` (from the columnar numpy pass); -1 means compute.
         """
         design = self.design
         map_ = self.map
@@ -541,11 +387,10 @@ class SecureTimingEngine:
         mac_base = map_.mac_base
         encrypted = design.encrypted
         counters_in_llc = design.counters_in_llc
+        bonsai = design.tree_kind is TreeKind.BONSAI_COUNTER
+        mac_tree = design.tree_kind is TreeKind.MAC_TREE
         separate_mac = design.mac_location is MacLocation.SEPARATE
         macs_in_llc = design.macs_in_llc
-        # The walk computes each level's address as it descends instead of
-        # materialising the full path — break-on-hit means most of a full
-        # path is wasted work.
         tree_levels = map_.tree_levels
         arity = TREE_ARITY
         batch = self._batch
@@ -554,6 +399,7 @@ class SecureTimingEngine:
         counter_hits = self._c_counter_hits
         counts = self._counts
         tree_depth_acc = self._tree_depth_acc
+        mac_tree_depth_acc = self._mac_tree_depth_acc
         stats_counter = self.stats.counter
         account = self._account_counters
         absent = ABSENT
@@ -561,8 +407,9 @@ class SecureTimingEngine:
         c_data = c_counter = c_mac = None
 
         def bind(category: str):
-            # Lazy bind through the scalar path's table so a fused run
-            # creates exactly the counters a scalar run would.
+            # Lazy bind through the shared table: a counter exists once
+            # its first request is emitted, so stat-group order is
+            # first-use order.
             key = (False, category, read)
             counter = account.get(key)
             if counter is None:
@@ -614,111 +461,129 @@ class SecureTimingEngine:
             # exactly as access_metadata computes its writeback.
             return False, llc_wb or spill
 
-        def expand_fast(data_line, when, core, counter_line, mac_line):
+        def walk(index, use_llc, category, counter, depth_acc, blocking, when, core):
+            # Break-on-hit walk from just above leaf ``index`` toward the
+            # cached trust anchor; every uncached level is a gating read.
+            # Each level's address is computed on the way up instead of
+            # materialising the full path: most walks stop early.
+            depth = 0
+            for level_base, level_cap in tree_levels:
+                index //= arity
+                tree_line = level_base + (index if index < level_cap else level_cap)
+                ways = md_sets[tree_line & md_mask]
+                tag = tree_line >> md_shift
+                prev = ways.pop(tag, absent)
+                if prev is not absent:
+                    md.hits += 1
+                    ways[tag] = prev
+                    break
+                hit, wb = miss_probe(tree_line, ways, tag, use_llc)
+                if wb is not None:
+                    handle_writeback(wb, when, core)
+                if hit:
+                    break
+                blocking.append(len(batch))
+                batch_append((read, tree_line, when, category, core))
+                depth += 1
+            counter.value += depth
+            counts.metadata_accesses += depth
+            try:
+                depth_acc[depth] += 1
+            except KeyError:
+                depth_acc[depth] = 1
+
+        def expand_fast(data_line, when, core):
             nonlocal c_data, c_counter, c_mac
             if c_data is None:
                 c_data = bind("data")
             c_data.value += 1
             blocking = [len(batch)]
             batch_append((read, data_line, when, "data", core))
-            if encrypted:
-                if counter_line < 0:
-                    counter_line = counter_base + data_line // counter_coverage
-                ways = md_sets[counter_line & md_mask]
-                tag = counter_line >> md_shift
-                prev = ways.pop(tag, absent)
-                if prev is not absent:
-                    md.hits += 1
-                    ways[tag] = prev
+            if not encrypted:
+                return blocking
+            counter_line = counter_base + data_line // counter_coverage
+            ways = md_sets[counter_line & md_mask]
+            tag = counter_line >> md_shift
+            prev = ways.pop(tag, absent)
+            if prev is not absent:
+                md.hits += 1
+                ways[tag] = prev
+                counter_hits.value += 1
+                counts.counter_hits += 1
+            else:
+                hit, wb = miss_probe(counter_line, ways, tag, counters_in_llc)
+                if wb is not None:
+                    handle_writeback(wb, when, core)
+                if hit:
                     counter_hits.value += 1
                     counts.counter_hits += 1
                 else:
-                    hit, wb = miss_probe(
-                        counter_line, ways, tag, counters_in_llc
-                    )
-                    if wb is not None:
-                        handle_writeback(wb, when, core)
-                    if hit:
-                        counter_hits.value += 1
-                        counts.counter_hits += 1
-                    else:
-                        if c_counter is None:
-                            c_counter = bind("counter")
-                        c_counter.value += 1
-                        counts.metadata_accesses += 1
-                        blocking.append(len(batch))
-                        batch_append((read, counter_line, when, "counter", core))
-                        # Bonsai walk to the cached trust anchor (every
-                        # encrypted fast-path design is Bonsai). Same
-                        # per-level arithmetic as _tree_path, one level
-                        # at a time.
-                        depth = 0
-                        index = counter_line - counter_base
-                        for level_base, level_cap in tree_levels:
-                            index //= arity
-                            tree_line = level_base + (
-                                index if index < level_cap else level_cap
-                            )
-                            tree_ways = md_sets[tree_line & md_mask]
-                            tree_tag = tree_line >> md_shift
-                            tree_prev = tree_ways.pop(tree_tag, absent)
-                            if tree_prev is not absent:
-                                md.hits += 1
-                                tree_ways[tree_tag] = tree_prev
-                                break
-                            hit, wb = miss_probe(
-                                tree_line, tree_ways, tree_tag, counters_in_llc
-                            )
-                            if wb is not None:
-                                handle_writeback(wb, when, core)
-                            if hit:
-                                break
-                            c_counter.value += 1
-                            counts.metadata_accesses += 1
-                            blocking.append(len(batch))
-                            batch_append(
-                                (read, tree_line, when, "counter", core)
-                            )
-                            depth += 1
-                        try:
-                            tree_depth_acc[depth] += 1
-                        except KeyError:
-                            tree_depth_acc[depth] = 1
-                if separate_mac:
-                    if mac_line < 0:
-                        mac_line = mac_base + data_line // MAC_COVERAGE
-                    if c_mac is None:
-                        c_mac = bind("mac")
-                    c_mac.value += 1
+                    if c_counter is None:
+                        c_counter = bind("counter")
+                    c_counter.value += 1
                     counts.metadata_accesses += 1
                     blocking.append(len(batch))
-                    batch_append((read, mac_line, when, "mac", core))
-                    if macs_in_llc:
-                        wb = llc_fill(mac_line)
-                        if wb is not None:
-                            handle_writeback(wb, when, core)
+                    batch_append((read, counter_line, when, "counter", core))
+                    if bonsai:
+                        walk(
+                            data_line // counter_coverage,
+                            counters_in_llc,
+                            "counter",
+                            c_counter,
+                            tree_depth_acc,
+                            blocking,
+                            when,
+                            core,
+                        )
+            if separate_mac:
+                # Table II: SGX/SGX_O cache MACs nowhere — every data
+                # access pays a MAC memory access (the traffic Synergy
+                # eliminates). IVEC also *stores* its (untrusted) MACs in
+                # the LLC, displacing data without eliding the fetch
+                # (design note in repro.secure.designs.IVEC).
+                mac_index = data_line // MAC_COVERAGE
+                mac_line = mac_base + mac_index
+                if c_mac is None:
+                    c_mac = bind("mac")
+                c_mac.value += 1
+                counts.metadata_accesses += 1
+                blocking.append(len(batch))
+                batch_append((read, mac_line, when, "mac", core))
+                if macs_in_llc:
+                    wb = llc_fill(mac_line)
+                    if wb is not None:
+                        handle_writeback(wb, when, core)
+                if mac_tree:
+                    walk(
+                        mac_index,
+                        macs_in_llc,
+                        "mac",
+                        c_mac,
+                        mac_tree_depth_acc,
+                        blocking,
+                        when,
+                        core,
+                    )
             return blocking
 
         return expand_fast
 
     def _build_fast_writeback(self):
-        """Build the fused writeback drain (fast-path designs only).
+        """Build the fused writeback drain.
 
-        Replays :meth:`writeback`'s iterative chain drain with the
-        write-side metadata walk inlined: the data write, the counter-line
-        RMW probe, the full-path Bonsai dirty walk (every level updates —
-        no break-on-hit on the write side), the uncached-MAC write and the
-        parity write, all appending straight to the epoch batch. Cache
-        probes perform exactly ``access_metadata(..., is_write=True)``'s
-        transitions and stat bumps, including the pinned
-        ``llc_wb or spill`` writeback quirk; chained victims re-enter the
-        same FIFO queue the scalar drain uses. Nothing inside the drain
-        calls back out, so it needs no re-entrancy flag and reads no
-        engine state (see ``_RunningCounts``). Accounting counters bind
-        lazily through ``_account_counters`` at the same first-use points
-        as the scalar path, so stat-group ordering is preserved. Only
-        valid in deferred mode, where ``_batching`` is permanently set and
-        the scalar drain's trailing flush is a no-op.
+        An iterative FIFO drain of eviction chains with the write-side
+        metadata walk inlined: the data write, the counter-line RMW probe,
+        the full-path Bonsai dirty walk (every level updates — no
+        break-on-hit on the write side), the uncached-MAC write with its
+        optional LLC fill and full-path MAC-tree dirty walk, and the parity
+        write, all appending straight to the epoch batch. Cache probes
+        perform exactly ``access_metadata(..., is_write=True)``'s
+        transitions and stat bumps, including the pinned ``llc_wb or
+        spill`` writeback quirk; chained victims re-enter the FIFO queue.
+        Nothing inside the drain calls back out, so it needs no re-entrancy
+        flag and reads no engine state (see ``_RunningCounts``). Accounting
+        counters bind lazily through ``_account_counters`` at their first
+        use, so stat-group order is first-use order.
         """
         design = self.design
         map_ = self.map
@@ -741,6 +606,8 @@ class SecureTimingEngine:
         tree_base = map_.tree_level_bases[0]
         encrypted = design.encrypted
         counters_in_llc = design.counters_in_llc
+        bonsai = design.tree_kind is TreeKind.BONSAI_COUNTER
+        mac_tree = design.tree_kind is TreeKind.MAC_TREE
         separate_mac = design.mac_location is MacLocation.SEPARATE
         macs_in_llc = design.macs_in_llc
         parity_on_write = design.parity_write_on_data_write
@@ -761,8 +628,8 @@ class SecureTimingEngine:
         counts = self._counts
 
         def bind(origin_flag, category, kind):
-            # Same lazy creation as _account: names and stat-group order
-            # match the scalar path's first-use points exactly.
+            # Lazy creation under the "<origin>_<category>_<kind>" name;
+            # origin_flag is True for writeback-triggered traffic.
             key = (origin_flag, category, kind)
             counter = account.get(key)
             if counter is None:
@@ -780,7 +647,7 @@ class SecureTimingEngine:
         # Lazily-bound accounting counters (write-path first-use order).
         cells = {}
 
-        def md_probe_write(line):
+        def md_probe_write(line, use_llc):
             # access_metadata(line, is_write=True, use_llc) with the dict
             # probes inlined; returns (hit, writeback address or None).
             ways = md_sets[line & md_mask]
@@ -800,7 +667,7 @@ class SecureTimingEngine:
                     md.dirty_evictions += 1
                     dedicated_wb = (victim_tag << md_shift) | (line & md_mask)
             ways[tag] = True
-            if not counters_in_llc:
+            if not use_llc:
                 return False, dedicated_wb
             llc_ways = llc_sets[line & llc_mask]
             llc_tag = line >> llc_shift
@@ -828,6 +695,27 @@ class SecureTimingEngine:
             # Pinned quirk (see access_metadata): `or`, not `is None`.
             return False, llc_wb or spill
 
+        def dirty_walk(index, use_llc, category, cell_key, when, core):
+            # Dirty every level from just above leaf ``index`` to the root
+            # (each level's counter or hash changes); uncached levels are
+            # fetched for the read-modify-write. Returns the RMW reads.
+            misses = 0
+            for level_base, level_cap in tree_levels:
+                index //= arity
+                tree_line = level_base + (index if index < level_cap else level_cap)
+                hit, wb = md_probe_write(tree_line, use_llc)
+                if wb is not None:
+                    queue_append(wb)
+                if not hit:
+                    misses += 1
+                    batch_append((read, tree_line, when, category, core))
+            if misses:
+                counter = cells.get(cell_key)
+                if counter is None:
+                    counter = cells[cell_key] = bind(True, category, read)
+                counter.value += misses
+            return misses
+
         def writeback_fast(victim, when, core):
             if victim is None:
                 return
@@ -845,10 +733,12 @@ class SecureTimingEngine:
                     batch_append((write, line, when, "data", core))
                     if encrypted:
                         counter_line = counter_base + line // counter_coverage
-                        hit, wb = md_probe_write(counter_line)
+                        hit, wb = md_probe_write(counter_line, counters_in_llc)
                         if wb is not None:
                             queue_append(wb)
                         if not hit:
+                            # RMW: the counter line is fetched before
+                            # its bump.
                             counter = cells.get("wcr")
                             if counter is None:
                                 counter = cells["wcr"] = bind(
@@ -859,30 +749,20 @@ class SecureTimingEngine:
                             batch_append(
                                 (read, counter_line, when, "counter", core)
                             )
-                        # Dirty every tree level to the root (the
-                        # write side has no break-on-hit).
-                        index = counter_line - counter_base
-                        for level_base, level_cap in tree_levels:
-                            index //= arity
-                            tree_line = level_base + (
-                                index if index < level_cap else level_cap
+                        if bonsai:
+                            n_meta += dirty_walk(
+                                line // counter_coverage,
+                                counters_in_llc,
+                                "counter",
+                                "wcr",
+                                when,
+                                core,
                             )
-                            hit, wb = md_probe_write(tree_line)
-                            if wb is not None:
-                                queue_append(wb)
-                            if not hit:
-                                counter = cells.get("wcr")
-                                if counter is None:
-                                    counter = cells["wcr"] = bind(
-                                        True, "counter", read
-                                    )
-                                counter.value += 1
-                                n_meta += 1
-                                batch_append(
-                                    (read, tree_line, when, "counter", core)
-                                )
                         if separate_mac:
-                            mac_line = mac_base + line // MAC_COVERAGE
+                            # Uncached MAC update: one (masked) memory
+                            # write per data write.
+                            mac_index = line // MAC_COVERAGE
+                            mac_line = mac_base + mac_index
                             counter = cells.get("wmw")
                             if counter is None:
                                 counter = cells["wmw"] = bind(
@@ -895,7 +775,17 @@ class SecureTimingEngine:
                                 wb = llc_fill(mac_line)
                                 if wb is not None:
                                     queue_append(wb)
+                            if mac_tree:
+                                # A Merkle tree of MACs re-hashes every
+                                # level to the root on each update — the
+                                # write amplification that makes the
+                                # non-Bonsai structure expensive (§VII-A1).
+                                n_meta += dirty_walk(
+                                    mac_index, macs_in_llc, "mac", "wmr", when, core
+                                )
                     if parity_on_write:
+                        # Synergy: one parity write per data write, computed
+                        # from the written line itself (no read).
                         parity_line = parity_base + line // PARITY_COVERAGE
                         counter = cells.get("wpw")
                         if counter is None:
@@ -910,6 +800,7 @@ class SecureTimingEngine:
                     if lotecc_rmw:
                         parity_line = parity_base + line // PARITY_COVERAGE
                         if not lotecc_coalesced:
+                            # Tier-2 parity needs its old contents: RMW.
                             counter = cells.get("wpr")
                             if counter is None:
                                 counter = cells["wpr"] = bind(
@@ -931,10 +822,10 @@ class SecureTimingEngine:
                             (write, parity_line, when, "parity", core)
                         )
                 else:
-                    # Metadata victim: classify by region, plain
-                    # memory write, demand-origin accounting (the
-                    # drain loop runs outside _in_writeback_path —
-                    # the scalar path's pinned behaviour).
+                    # Metadata victim: classify by region, plain memory
+                    # write, demand-origin accounting (the scalar oracle's
+                    # pinned behaviour: its drain loop runs outside the
+                    # writeback-origin flag).
                     if line < mac_base:
                         category = "counter"
                         cell_key = "dcw"
@@ -945,6 +836,7 @@ class SecureTimingEngine:
                         category = "parity"
                         cell_key = "dpw"
                     else:
+                        # Tree lines group with counters (Fig. 9).
                         category = "counter"
                         cell_key = "dcw"
                     counter = cells.get(cell_key)
@@ -960,18 +852,17 @@ class SecureTimingEngine:
 
         return writeback_fast
 
-
     def _build_fast_warm(self):
-        """Build the fused warmup metadata walk (fast-path designs only).
+        """Build the fused warm-up metadata walk.
 
-        Performs exactly the cache-state transitions of
-        :meth:`warm_miss_metadata` — dedicated/LLC dict probes with
-        ``is_write``-honouring dirty bits, victim spills, break-on-hit
-        Bonsai walk — with every stat bump skipped (legal only in warmup:
+        Performs exactly the cache-state transitions of the scalar warm
+        walk — dedicated/LLC dict probes with ``is_write``-honouring dirty
+        bits, victim spills, break-on-hit Bonsai and MAC-tree walks — with
+        every stat bump skipped (legal only in warm-up:
         ``SystemSimulator.warmup`` resets all of them afterwards) and
-        memory writebacks dropped (warmup generates no DRAM traffic).
+        memory writebacks dropped (warm-up generates no DRAM traffic).
         Dirty dedicated victims still spill into the LLC when the design
-        backs metadata there, because that *is* cache state.
+        backs that metadata there, because that *is* cache state.
         """
         design = self.design
         map_ = self.map
@@ -991,14 +882,15 @@ class SecureTimingEngine:
         counter_coverage = map_.counter_coverage
         mac_base = map_.mac_base
         counters_in_llc = design.counters_in_llc
-        mac_llc_fill = (
-            design.mac_location is MacLocation.SEPARATE and design.macs_in_llc
-        )
+        bonsai = design.tree_kind is TreeKind.BONSAI_COUNTER
+        mac_tree = design.tree_kind is TreeKind.MAC_TREE
+        separate_mac = design.mac_location is MacLocation.SEPARATE
+        macs_in_llc = design.macs_in_llc
         tree_levels = map_.tree_levels
         arity = TREE_ARITY
         absent = ABSENT
 
-        def warm_probe(line, is_write):
+        def warm_probe(line, is_write, use_llc):
             # access_metadata's state transitions, stats-free: dedicated
             # probe, optional LLC layer, dirty-victim spill. Returns hit.
             ways = md_sets[line & md_mask]
@@ -1013,7 +905,7 @@ class SecureTimingEngine:
                 if ways.pop(victim_tag):
                     victim = (victim_tag << md_shift) | (line & md_mask)
             ways[tag] = is_write
-            if not counters_in_llc:
+            if not use_llc:
                 return False
             llc_ways = llc_sets[line & llc_mask]
             llc_tag = line >> llc_shift
@@ -1030,257 +922,24 @@ class SecureTimingEngine:
                 llc_fill(victim, True)
             return False
 
+        def warm_walk(index, is_write, use_llc):
+            # Break-on-hit walk toward the cached anchor.
+            for level_base, level_cap in tree_levels:
+                index //= arity
+                tree_line = level_base + (index if index < level_cap else level_cap)
+                if warm_probe(tree_line, is_write, use_llc):
+                    break
+
         def warm_fast(data_line, is_write):
-            counter_line = counter_base + data_line // counter_coverage
-            if not warm_probe(counter_line, is_write):
-                # Bonsai walk toward the cached anchor (every fast-path
-                # encrypted design is Bonsai), break on first hit.
-                index = counter_line - counter_base
-                for level_base, level_cap in tree_levels:
-                    index //= arity
-                    tree_line = level_base + (
-                        index if index < level_cap else level_cap
-                    )
-                    if warm_probe(tree_line, is_write):
-                        break
-            if mac_llc_fill:
-                llc_fill(mac_base + data_line // MAC_COVERAGE)
+            counter_index = data_line // counter_coverage
+            hit = warm_probe(counter_base + counter_index, is_write, counters_in_llc)
+            if not hit and bonsai:
+                warm_walk(counter_index, is_write, counters_in_llc)
+            if separate_mac:
+                mac_index = data_line // MAC_COVERAGE
+                if macs_in_llc:
+                    llc_fill(mac_base + mac_index)
+                if mac_tree:
+                    warm_walk(mac_index, is_write, macs_in_llc)
 
         return warm_fast
-
-    # ------------------------------------------------------------------
-    # Cache warmup (no DRAM traffic)
-    # ------------------------------------------------------------------
-
-    def warm_data_access(self, data_line: int, is_write: bool) -> None:
-        """Replay one access through the caches without any memory traffic.
-
-        Used to reach cache steady state before timing measurement — the
-        paper's 1B-instruction slices run with warm caches; short synthetic
-        traces must not measure an LLC that never filled (see DESIGN.md).
-        """
-        result = self.hierarchy.access_data(data_line, is_write)
-        if result.hit or not self.design.encrypted:
-            return
-        self.warm_miss_metadata(data_line, is_write)
-
-    def warm_miss_metadata(self, data_line: int, is_write: bool) -> None:
-        """The metadata half of :meth:`warm_data_access` (post-LLC-miss).
-
-        Split out so the system's fused warmup loop — which inlines the
-        LLC probe itself — can invoke just the metadata walk on misses of
-        encrypted designs.
-        """
-        design = self.design
-        counter_line = self.map.counter_line(data_line)
-        chain = self.hierarchy.access_metadata(
-            counter_line, is_write=is_write, use_llc=design.counters_in_llc
-        )
-        if not chain.hit and design.tree_kind is TreeKind.BONSAI_COUNTER:
-            for tree_line in self.map.tree_path_from_counter(counter_line):
-                node = self.hierarchy.access_metadata(
-                    tree_line, is_write=is_write, use_llc=design.counters_in_llc
-                )
-                if node.hit:
-                    break
-        if design.mac_location is MacLocation.SEPARATE:
-            mac_line = self.map.mac_line(data_line)
-            if design.macs_in_llc:
-                self.hierarchy.llc.fill(mac_line)
-            if design.tree_kind is TreeKind.MAC_TREE:
-                for tree_line in self.map.tree_path_from_mac(mac_line):
-                    node = self.hierarchy.access_metadata(
-                        tree_line, is_write=is_write, use_llc=design.macs_in_llc
-                    )
-                    if node.hit:
-                        break
-
-    # ------------------------------------------------------------------
-    # Read path (LLC data miss)
-    # ------------------------------------------------------------------
-
-    def expand_read_miss(self, data_line: int, when: int, core: int) -> ExpandedAccess:
-        """Generate the memory traffic for one LLC read miss.
-
-        Emissions (including any triggered writeback chains) buffer into
-        one ``enqueue_batch`` flush — same requests, order and sequence
-        numbers as serial enqueues, minus the per-call overhead.
-        """
-        design = self.design
-        out = ExpandedAccess()
-        top = not self._batching
-        if top:
-            self._batching = True
-        try:
-            self._emit_read(data_line, when, "data", core)
-            if design.encrypted:
-                self._fetch_counter_chain(data_line, when, core)
-                if design.mac_location is MacLocation.SEPARATE:
-                    self._fetch_mac(data_line, when, core)
-        finally:
-            if top:
-                self._flush_batch(out)
-        return out
-
-    def _fetch_counter_chain(self, data_line: int, when: int, core: int) -> None:
-        design = self.design
-        counter_line = self.map.counter_line(data_line)
-        result = self.hierarchy.access_metadata(
-            counter_line, is_write=False, use_llc=design.counters_in_llc
-        )
-        self._handle_writeback(result.writeback_address, when, core)
-        if result.hit:
-            self._c_counter_hits.value += 1
-            self._counts.counter_hits += 1
-            return
-        self._emit_read(counter_line, when, "counter", core)
-        if design.tree_kind is not TreeKind.BONSAI_COUNTER:
-            return
-        # Walk the counter tree until a cached level (trust anchor).
-        depth = 0
-        for tree_line in self.map.tree_path_from_counter(counter_line):
-            node = self.hierarchy.access_metadata(
-                tree_line, is_write=False, use_llc=design.counters_in_llc
-            )
-            self._handle_writeback(node.writeback_address, when, core)
-            if node.hit:
-                break
-            self._emit_read(tree_line, when, "counter", core)
-            depth += 1
-        acc = self._tree_depth_acc
-        try:
-            acc[depth] += 1
-        except KeyError:
-            acc[depth] = 1
-
-    def _fetch_mac(self, data_line: int, when: int, core: int) -> None:
-        design = self.design
-        mac_line = self.map.mac_line(data_line)
-        # Table II: SGX/SGX_O cache MACs nowhere — every data access pays
-        # a MAC memory access (the traffic Synergy eliminates). IVEC
-        # additionally *stores* its (untrusted) MACs in the LLC, displacing
-        # data without eliding the fetch (design note in
-        # repro.secure.designs.IVEC).
-        self._emit_read(mac_line, when, "mac", core)
-        if design.macs_in_llc:
-            self._handle_writeback(self.hierarchy.llc.fill(mac_line), when, core)
-        self._walk_mac_tree_read(mac_line, when, core)
-
-    def _walk_mac_tree_read(self, mac_line: int, when: int, core: int) -> None:
-        """IVEC read path: the MAC is a tree member — walk the MAC tree."""
-        design = self.design
-        if design.tree_kind is not TreeKind.MAC_TREE:
-            return
-        depth = 0
-        for tree_line in self.map.tree_path_from_mac(mac_line):
-            node = self.hierarchy.access_metadata(
-                tree_line, is_write=False, use_llc=design.macs_in_llc
-            )
-            self._handle_writeback(node.writeback_address, when, core)
-            if node.hit:
-                break
-            self._emit_read(tree_line, when, "mac", core)
-            depth += 1
-        acc = self._mac_tree_depth_acc
-        try:
-            acc[depth] += 1
-        except KeyError:
-            acc[depth] = 1
-
-    def sync_telemetry(self) -> None:
-        """Publish the deferred telemetry into the registry objects.
-
-        Counters publish the delta since the last sync (watermarked, so
-        instances sharing a registry counter each contribute their own
-        events); histogram tallies flush weight-batched — all integer
-        observations, so batching is bit-exact. ``SystemSimulator.run``
-        calls this before the snapshot.
-        """
-        synced = self._synced_telemetry
-        counts = self._counts
-        self._t_metadata_accesses.inc(counts.metadata_accesses - synced[0])
-        self._t_counter_hits.inc(counts.counter_hits - synced[1])
-        synced[0] = counts.metadata_accesses
-        synced[1] = counts.counter_hits
-        for acc, histogram in (
-            (self._tree_depth_acc, self._t_tree_walk_depth),
-            (self._mac_tree_depth_acc, self._t_mac_tree_walk_depth),
-        ):
-            for value, weight in acc.items():
-                histogram.record(value, weight)
-            acc.clear()
-
-    # ------------------------------------------------------------------
-    # Write path (LLC dirty-data eviction = memory write)
-    # ------------------------------------------------------------------
-
-    def expand_data_writeback(self, data_line: int, when: int, core: int) -> None:
-        """Generate the (posted) traffic for one data writeback."""
-        design = self.design
-        was_writeback = self._in_writeback_path
-        self._in_writeback_path = True
-        try:
-            self._expand_data_writeback(data_line, when, core)
-        finally:
-            self._in_writeback_path = was_writeback
-
-    def _expand_data_writeback(self, data_line: int, when: int, core: int) -> None:
-        design = self.design
-        self._emit_write(data_line, when, "data", core)
-        if design.encrypted:
-            self._update_counter_chain(data_line, when, core)
-            if design.mac_location is MacLocation.SEPARATE:
-                self._update_mac(data_line, when, core)
-        if design.parity_write_on_data_write:
-            # Synergy: the parity region sees one write per data write;
-            # the new parity is computed from the written line itself so no
-            # read is needed (ParityP updated via DIMM-internal masking).
-            self._emit_write(self.map.parity_line(data_line), when, "parity", core)
-        if design.lotecc_parity_rmw:
-            parity_line = self.map.parity_line(data_line)
-            if not design.lotecc_write_coalescing:
-                # Tier-2 parity needs old contents: read-modify-write.
-                self._emit_rmw_read(parity_line, when, "parity", core)
-            self._emit_write(parity_line, when, "parity", core)
-
-    def _update_counter_chain(self, data_line: int, when: int, core: int) -> None:
-        design = self.design
-        counter_line = self.map.counter_line(data_line)
-        result = self.hierarchy.access_metadata(
-            counter_line, is_write=True, use_llc=design.counters_in_llc
-        )
-        self._handle_writeback(result.writeback_address, when, core)
-        if not result.hit:
-            # RMW: must fetch the counter line before bumping it.
-            self._emit_rmw_read(counter_line, when, "counter", core)
-        if design.tree_kind is not TreeKind.BONSAI_COUNTER:
-            return
-        # Updates dirty *every* level up to the root (each level's counter
-        # increments); cached levels cost no traffic but uncached ones must
-        # be fetched for the read-modify-write.
-        for tree_line in self.map.tree_path_from_counter(counter_line):
-            node = self.hierarchy.access_metadata(
-                tree_line, is_write=True, use_llc=design.counters_in_llc
-            )
-            self._handle_writeback(node.writeback_address, when, core)
-            if not node.hit:
-                self._emit_rmw_read(tree_line, when, "counter", core)
-
-    def _update_mac(self, data_line: int, when: int, core: int) -> None:
-        design = self.design
-        mac_line = self.map.mac_line(data_line)
-        # Uncached MAC update: one (masked) memory write per data write.
-        self._emit_write(mac_line, when, "mac", core)
-        if design.macs_in_llc:
-            self._handle_writeback(self.hierarchy.llc.fill(mac_line), when, core)
-        if design.tree_kind is TreeKind.MAC_TREE:
-            # A Merkle tree of MACs must re-hash every level to the root on
-            # each update — the write-amplification that makes the
-            # non-Bonsai structure expensive (§VII-A1).
-            for tree_line in self.map.tree_path_from_mac(mac_line):
-                node = self.hierarchy.access_metadata(
-                    tree_line, is_write=True, use_llc=design.macs_in_llc
-                )
-                self._handle_writeback(node.writeback_address, when, core)
-                if not node.hit:
-                    self._emit_rmw_read(tree_line, when, "mac", core)

@@ -56,13 +56,12 @@ class SystemSimulator:
             )
         self.controller = MemoryController(memory_config)
         self.hierarchy = CacheHierarchy(config.scaled_caches())
+        # The engine buffers every emission of an epoch and flushes once
+        # at the resolve boundary; blocking sets are tracked as indices
+        # into that epoch batch (see _resolve).
         self.engine = SecureTimingEngine(
             design, self.hierarchy, self.controller, config.num_data_lines
         )
-        # Columnar timing plane: the engine buffers every emission of an
-        # epoch and flushes once at the resolve boundary; blocking sets
-        # are tracked as indices into that epoch batch (see _resolve).
-        self.engine.begin_deferred()
         self.stats = StatGroup("system")
         self._traces: Optional[List[Trace]] = list(traces)
         self._unresolved: List[Tuple[AccessHandle, List[int], float]] = []
@@ -93,10 +92,7 @@ class SystemSimulator:
         self._llc_shift = llc._set_shift
         self._llc_assoc = llc.associativity
         self._expand_miss = self.engine.expand_read_miss_deferred
-        # Dirty-data evictions route through the fused writeback drain on
-        # fast-path designs; the scalar drain elsewhere (same boundary as
-        # miss expansion).
-        self._writeback = self.engine.fast_writeback or self.engine.writeback
+        self._writeback = self.engine.writeback
 
     # ------------------------------------------------------------------
     # Core-facing memory interface
@@ -226,10 +222,7 @@ class SystemSimulator:
         llc_shift = self._llc_shift
         llc_assoc = self._llc_assoc
         encrypted = self.design.encrypted
-        # Fast-path designs use the fused warm walk (same state
-        # transitions, stats skipped); the MAC-tree design keeps the
-        # scalar walk — the same oracle boundary as miss expansion.
-        warm_metadata = self.engine.fast_warm or self.engine.warm_miss_metadata
+        warm_metadata = self.engine.warm_miss_metadata
         absent = ABSENT
         for trace in traces:
             # Columnar iteration: plain (is_write, line) ints from typed

@@ -15,10 +15,12 @@ from repro.analysis import (
 )
 from repro.analysis.linter import violations_to_baseline, write_baseline
 from repro.analysis.sanitizer import (
+    Sanitizer,
     SanitizerError,
     get_sanitizer,
     sanitized,
 )
+from repro.cache.hierarchy import CacheConfig, CacheHierarchy
 from repro.core.cacheline_codec import (
     data_line_parity,
     encode_counter_line,
@@ -31,8 +33,12 @@ from repro.dram.controller import MemoryController, RequestKind
 from repro.dram.timing import MemoryConfig
 from repro.secure.counter_tree import CounterTree
 from repro.secure.counters import COUNTERS_PER_LINE
+from repro.secure.designs import IVEC, SGX_O
 from repro.secure.mac import LineMacCalculator
 from repro.secure.metadata_layout import MetadataLayout
+from repro.secure.timing_engine import SecureTimingEngine
+from repro.sim.config import SystemConfig
+from repro.sim.runner import clear_run_memos, run_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -553,3 +559,85 @@ class TestSchedulerIndexSanitizer:
             controller.channels[0].open_rows[0] += 1
             with pytest.raises(SanitizerError, match="open-row table"):
                 controller.process()
+
+
+# ---------------------------------------------------------------------------
+# Sanitizer: secure-engine miss expansion
+
+
+class TestExpansionSanitizer:
+    """``check_expansion_batch``: the spot-check of the first fused
+    read-miss expansion of each epoch."""
+
+    @pytest.mark.parametrize("design", [IVEC, SGX_O], ids=lambda d: d.name)
+    def test_clean_cell_passes(self, design, monkeypatch):
+        checked = []
+        check = Sanitizer.check_expansion_batch
+
+        def counting(sanitizer, engine, data_line, *rest):
+            checked.append(data_line)
+            check(sanitizer, engine, data_line, *rest)
+
+        monkeypatch.setattr(Sanitizer, "check_expansion_batch", counting)
+        clear_run_memos()
+        with sanitized() as sanitizer:
+            result = run_workload(
+                design, "mcf", SystemConfig(accesses_per_core=300)
+            )
+        assert checked, "no expansion was spot-checked"
+        assert sanitizer.last_check
+        assert result.ipc > 0
+
+    @staticmethod
+    def _cold_expansion(design):
+        """An engine after one spot-checked cold read miss of line 0
+        (at memory time 5, for core 1); returns it and the gating
+        indices."""
+        engine = SecureTimingEngine(
+            design,
+            CacheHierarchy(
+                CacheConfig(llc_bytes=512 * 64, metadata_bytes=64 * 64)
+            ),
+            MemoryController(MemoryConfig()),
+            1 << 20,
+        )
+        return engine, engine.expand_read_miss_deferred(0, 5, 1)
+
+    def test_mac_tree_line_off_its_path_is_caught(self):
+        with sanitized() as sanitizer:
+            engine, blocking = self._cold_expansion(IVEC)
+            assert sanitizer.last_check == "expansion_batch"
+            batch = engine._batch
+            index = blocking[-1]
+            kind, line, when, category, core = batch[index]
+            assert category == "mac"
+            assert line in engine.map.tree_path_from_mac(engine.map.mac_line(0))
+            # A MAC-tree node of a far leaf is on no path line 0 verifies.
+            far = engine.map.mac_line(1 << 19)
+            batch[index] = (
+                kind,
+                engine.map.tree_path_from_mac(far)[0],
+                when,
+                category,
+                core,
+            )
+            with pytest.raises(SanitizerError, match="MAC-tree path"):
+                sanitizer.check_expansion_batch(engine, 0, 5, 1, 0, blocking)
+
+    def test_counter_line_off_its_chain_is_caught(self):
+        with sanitized() as sanitizer:
+            engine, blocking = self._cold_expansion(SGX_O)
+            assert sanitizer.last_check == "expansion_batch"
+            batch = engine._batch
+            index = blocking[1]
+            kind, line, when, category, core = batch[index]
+            assert (category, line) == ("counter", engine.map.counter_line(0))
+            batch[index] = (
+                kind,
+                engine.map.counter_line(1 << 19),
+                when,
+                category,
+                core,
+            )
+            with pytest.raises(SanitizerError, match="tree path"):
+                sanitizer.check_expansion_batch(engine, 0, 5, 1, 0, blocking)

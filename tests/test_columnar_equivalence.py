@@ -1,11 +1,11 @@
-"""Randomized scalar-vs-vector equivalence for the columnar timing plane.
+"""Randomized scalar-vs-fused equivalence for the secure timing plane.
 
-The epoch-deferred engine (``begin_deferred`` + fused fast paths) must be
-bit-identical to the scalar oracle for *every* design in
-``secure/designs.py`` — not just the golden grid's subset. These tests
-drive one scalar and one deferred engine with the same pseudo-random
-access stream (an LCG, so failures reproduce exactly) and compare every
-observable:
+The production engine (fused closures, one epoch batch) must be
+bit-identical to the scalar oracle in ``tests/reference/secure_oracle.py``
+for *every* design in ``secure/designs.py`` — not just the golden grid's
+subset. These tests drive one scalar and one production engine with the
+same pseudo-random access stream (an LCG, so failures reproduce exactly)
+and compare every observable:
 
 * the controller's pending epoch — every buffered spec (kind, line,
   arrival, category, core) in enqueue order, i.e. with its **sequence
@@ -15,8 +15,8 @@ observable:
 * both cache's full set dictionaries — entry order *is* LRU state;
 * the per-engine telemetry snapshot.
 
-The warm phase exercises ``fast_warm`` against ``warm_miss_metadata``
-under the same post-warmup reset contract the system simulator applies.
+The warm phase exercises both engines' ``warm_miss_metadata`` under the
+same post-warmup reset contract the system simulator applies.
 
 A second class pins the Monte-Carlo shard kernel
 (``simulate_shards_batched``): one pass over every shard equals any
@@ -39,6 +39,8 @@ from repro.secure.designs import ALL_DESIGNS
 from repro.secure.timing_engine import SecureTimingEngine
 from repro.telemetry import cell_scope
 
+from reference.secure_oracle import ScalarSecureTimingEngine
+
 #: Small caches so a short stream still produces evictions, dirty spills
 #: and metadata-cache misses (the interesting transitions).
 _CACHES = CacheConfig(llc_bytes=64 * 1024, metadata_bytes=8 * 1024)
@@ -55,23 +57,21 @@ def _lcg_stream(seed):
         yield state
 
 
-def _drive(design, deferred, seed):
+def _drive(design, deferred, seed, num_data_lines=_NUM_DATA_LINES):
     """Run one engine over the shared stream; return its observables."""
     with cell_scope(cell="equiv:%s:%s" % (design.name, deferred)) as registry:
         controller = MemoryController(MemoryConfig())
         hierarchy = CacheHierarchy(_CACHES)
-        engine = SecureTimingEngine(
-            design, hierarchy, controller, _NUM_DATA_LINES
+        engine_class = (
+            SecureTimingEngine if deferred else ScalarSecureTimingEngine
         )
+        engine = engine_class(design, hierarchy, controller, num_data_lines)
         if deferred:
-            engine.begin_deferred()
             expand = engine.expand_read_miss_deferred
-            handle_writeback = engine.fast_writeback or engine.writeback
-            warm = engine.fast_warm or engine.warm_miss_metadata
         else:
             expand = engine.expand_read_miss
-            handle_writeback = engine.writeback
-            warm = engine.warm_miss_metadata
+        handle_writeback = engine.writeback
+        warm = engine.warm_miss_metadata
 
         stream = _lcg_stream(seed)
 
@@ -85,7 +85,7 @@ def _drive(design, deferred, seed):
         if design.encrypted:
             for index in range(_WARM_EVENTS):
                 value = next(stream)
-                warm(value % _NUM_DATA_LINES, index % 3 == 0)
+                warm(value % num_data_lines, index % 3 == 0)
         hierarchy.llc.reset_stats()
         hierarchy.metadata_cache.reset_stats()
         hierarchy.reset_fill_stats()
@@ -97,7 +97,7 @@ def _drive(design, deferred, seed):
         pending = []  # (event_index, indices) awaiting this epoch's flush
         for index in range(_MEASURED_EVENTS):
             value = next(stream)
-            line = value % _NUM_DATA_LINES
+            line = value % num_data_lines
             when = 2 + index * 3
             core = value % 4
             if index % 5 == 4:
@@ -156,7 +156,7 @@ def _drive(design, deferred, seed):
     "design", ALL_DESIGNS, ids=[d.name for d in ALL_DESIGNS]
 )
 def test_deferred_engine_matches_scalar_oracle(design):
-    """Every design: columnar/deferred run == scalar run, bit for bit."""
+    """Every design: production (fused) run == scalar run, bit for bit."""
     scalar = _drive(design, deferred=False, seed=0xC0FFEE)
     vector = _drive(design, deferred=True, seed=0xC0FFEE)
     for key in scalar:
@@ -167,13 +167,35 @@ def test_deferred_engine_matches_scalar_oracle(design):
 
 @pytest.mark.parametrize("seed", [1, 2018, 0x5EED])
 def test_deferred_equivalence_seed_sweep(seed):
-    """Fast-path boundary designs stay equivalent across seeds."""
-    from repro.secure.designs import LOTECC, SGX_O, SYNERGY
+    """Each walk shape stays equivalent across seeds: Bonsai with an
+    uncached MAC, ECC-chip MAC, parity RMW, IVEC's MAC tree and split
+    counters."""
+    from repro.secure.designs import IVEC, LOTECC, SGX_O, SGX_O_SPLIT, SYNERGY
 
-    for design in (SGX_O, SYNERGY, LOTECC):
+    for design in (SGX_O, SYNERGY, LOTECC, IVEC, SGX_O_SPLIT):
         scalar = _drive(design, deferred=False, seed=seed)
         vector = _drive(design, deferred=True, seed=seed)
         assert vector == scalar, design.name
+
+
+@pytest.mark.parametrize("design_name", ["IVEC", "SGX_O", "SGX"])
+def test_deep_walks_match_scalar_oracle(design_name):
+    """A footprint far beyond the caches: most walks miss several tree
+    levels (demand MAC-tree reads for IVEC, deep Bonsai walks otherwise)
+    and most writebacks fetch several levels for their RMW."""
+    from repro.secure.designs import design_by_name
+
+    design = design_by_name(design_name)
+    scalar = _drive(design, deferred=False, seed=7, num_data_lines=1 << 20)
+    vector = _drive(design, deferred=True, seed=7, num_data_lines=1 << 20)
+    assert vector == scalar, design.name
+    stats = dict(vector["stats"])
+    reads = stats["demand_data_read"]
+    if design is design_by_name("IVEC"):
+        assert stats["demand_mac_read"] > 2 * reads
+        assert stats["writeback_mac_read"] > stats["writeback_data_write"]
+    else:
+        assert stats["demand_counter_read"] > 2 * reads
 
 
 def _sliced(scheme, config, shards, pieces):

@@ -124,8 +124,8 @@ def test_trace_synthesis_transient_is_bounded():
         assert peak - columns <= MAX_SYNTHESIS_TRANSIENT, (count, peak, columns)
 
 
-# SGX_O takes the fused secure path, IVEC the scalar MAC-tree path and
-# Chipkill_Secure the lock-step channels.
+# SGX_O takes the Bonsai walk with an uncached MAC, IVEC the MAC-tree walk
+# and Chipkill_Secure the lock-step channels.
 @pytest.mark.parametrize("design_name", ["SGX_O", "IVEC", "Chipkill_Secure"])
 def test_finished_cell_leaves_no_cyclic_garbage(design_name):
     design = design_by_name(design_name)

@@ -25,6 +25,20 @@ def make_engine(design, num_data_lines=1 << 20):
     return engine, controller
 
 
+def read_miss(engine, line, when=0):
+    """Expand one LLC read miss and flush its epoch; returns the gating
+    epoch-batch indices (traffic counts at enqueue)."""
+    blocking = engine.expand_read_miss_deferred(line, when, 0)
+    engine.flush_epoch()
+    return blocking
+
+
+def write_back(engine, victim):
+    """Drain one evicted line through the writeback path and flush."""
+    engine.writeback(victim, 0, 0)
+    engine.flush_epoch()
+
+
 class TestTimingMetadataMap:
     def test_region_ordering(self):
         metadata_map = TimingMetadataMap(1 << 20, CounterMode.MONOLITHIC)
@@ -58,13 +72,13 @@ class TestTimingMetadataMap:
 class TestReadExpansion:
     def test_non_secure_single_request(self):
         engine, controller = make_engine(NON_SECURE)
-        out = engine.expand_read_miss(0, 0, 0)
-        assert len(out.blocking) == 1
+        blocking = read_miss(engine, 0)
+        assert len(blocking) == 1
         assert controller.traffic_by_category() == {"data_read": 1}
 
     def test_sgx_o_adds_counter_chain_and_mac(self):
         engine, controller = make_engine(SGX_O)
-        engine.expand_read_miss(0, 0, 0)
+        read_miss(engine, 0)
         traffic = controller.traffic_by_category()
         assert traffic["data_read"] == 1
         assert traffic["mac_read"] == 1
@@ -72,76 +86,103 @@ class TestReadExpansion:
 
     def test_synergy_has_no_mac_traffic(self):
         engine, controller = make_engine(SYNERGY)
-        engine.expand_read_miss(0, 0, 0)
+        read_miss(engine, 0)
         traffic = controller.traffic_by_category()
         assert "mac_read" not in traffic
 
     def test_mac_always_fetched_when_uncached(self):
         engine, controller = make_engine(SGX_O)
-        engine.expand_read_miss(0, 0, 0)
-        engine.expand_read_miss(0, 1, 0)
+        read_miss(engine, 0)
+        read_miss(engine, 0, when=1)
         assert controller.traffic_by_category()["mac_read"] == 2
 
     def test_counter_cached_after_first_access(self):
         engine, controller = make_engine(SGX_O)
-        engine.expand_read_miss(0, 0, 0)
+        read_miss(engine, 0)
         first = controller.traffic_by_category().get("counter_read", 0)
-        engine.expand_read_miss(1, 1, 0)  # same counter line
+        read_miss(engine, 1, when=1)  # same counter line
         second = controller.traffic_by_category().get("counter_read", 0)
         assert second == first
 
     def test_ivec_walks_mac_tree(self):
         engine, controller = make_engine(IVEC)
-        engine.expand_read_miss(0, 0, 0)
+        read_miss(engine, 0)
         traffic = controller.traffic_by_category()
         # MAC line + at least one MAC-tree level on a cold walk.
         assert traffic["mac_read"] >= 2
+
+    def test_ivec_cold_read_gates_on_every_mac_tree_level(self):
+        engine, controller = make_engine(IVEC)
+        blocking = read_miss(engine, 0)
+        depth = len(engine.map.tree_level_sizes)
+        traffic = controller.traffic_by_category()
+        # No Bonsai walk: the counter line alone, then the MAC and its
+        # whole cold MAC-tree path, every request gating the read.
+        assert traffic == {
+            "data_read": 1,
+            "counter_read": 1,
+            "mac_read": 1 + depth,
+        }
+        assert len(blocking) == 2 + 1 + depth
+        assert blocking[0] == 0
 
 
 class TestWriteExpansion:
     def test_synergy_parity_write(self):
         engine, controller = make_engine(SYNERGY)
-        engine.expand_data_writeback(0, 0, 0)
+        write_back(engine, 0)
         traffic = controller.traffic_by_category()
         assert traffic["data_write"] == 1
         assert traffic["parity_write"] == 1
 
     def test_sgx_o_mac_update(self):
         engine, controller = make_engine(SGX_O)
-        engine.expand_data_writeback(0, 0, 0)
+        write_back(engine, 0)
         traffic = controller.traffic_by_category()
         assert traffic["mac_write"] == 1
         assert "parity_write" not in traffic
 
     def test_lotecc_parity_rmw(self):
         engine, controller = make_engine(LOTECC)
-        engine.expand_data_writeback(0, 0, 0)
+        write_back(engine, 0)
         traffic = controller.traffic_by_category()
         assert traffic["parity_read"] == 1
         assert traffic["parity_write"] == 1
 
     def test_lotecc_coalescing_drops_read(self):
         engine, controller = make_engine(LOTECC_COALESCED)
-        engine.expand_data_writeback(0, 0, 0)
+        write_back(engine, 0)
         traffic = controller.traffic_by_category()
         assert "parity_read" not in traffic
         assert traffic["parity_write"] == 1
 
     def test_counter_rmw_on_write_miss(self):
         engine, controller = make_engine(SGX_O)
-        engine.expand_data_writeback(0, 0, 0)
+        write_back(engine, 0)
         assert controller.traffic_by_category()["counter_read"] >= 1
 
     def test_non_secure_write_is_single(self):
         engine, controller = make_engine(NON_SECURE)
-        engine.expand_data_writeback(0, 0, 0)
+        write_back(engine, 0)
         assert controller.traffic_by_category() == {"data_write": 1}
+
+    def test_ivec_cold_writeback_rmw_reads_every_mac_tree_level(self):
+        engine, controller = make_engine(IVEC)
+        write_back(engine, 0)
+        traffic = controller.traffic_by_category()
+        # A MAC-tree update re-hashes every level to the root: a cold
+        # path is one read-modify-write fetch per level.
+        assert traffic["mac_read"] == len(engine.map.tree_level_sizes)
+        assert traffic["mac_write"] == 1
+        assert traffic["counter_read"] == 1  # counter RMW, no Bonsai walk
+        stats = engine.stats.as_dict()
+        assert stats["writeback_mac_read"] == len(engine.map.tree_level_sizes)
 
 
 class TestWritebackDispatch:
     def test_data_victim_gets_full_expansion(self):
         engine, controller = make_engine(SYNERGY)
-        engine.writeback(5, 0, 0)
+        write_back(engine, 5)
         traffic = controller.traffic_by_category()
         assert traffic["data_write"] == 1
         assert traffic["parity_write"] == 1
@@ -149,18 +190,18 @@ class TestWritebackDispatch:
     def test_metadata_victim_plain_write(self):
         engine, controller = make_engine(SYNERGY)
         counter_line = engine.map.counter_line(0)
-        engine.writeback(counter_line, 0, 0)
+        write_back(engine, counter_line)
         assert controller.traffic_by_category() == {"counter_write": 1}
 
     def test_tree_victim_classified_as_counter(self):
         engine, controller = make_engine(SYNERGY)
         tree_line = engine.map.tree_level_bases[0]
-        engine.writeback(tree_line, 0, 0)
+        write_back(engine, tree_line)
         assert controller.traffic_by_category() == {"counter_write": 1}
 
     def test_none_is_noop(self):
         engine, controller = make_engine(SYNERGY)
-        engine.writeback(None, 0, 0)
+        write_back(engine, None)
         assert controller.traffic_by_category() == {}
 
 
@@ -168,16 +209,27 @@ class TestWarmPath:
     def test_warm_generates_no_traffic(self):
         engine, controller = make_engine(SGX_O)
         for line in range(50):
-            engine.warm_data_access(line, is_write=False)
+            engine.warm_miss_metadata(line, is_write=False)
+        engine.flush_epoch()
         assert controller.traffic_by_category() == {}
 
     def test_warm_fills_caches(self):
         engine, controller = make_engine(SGX_O)
-        engine.warm_data_access(0, is_write=False)
-        engine.expand_read_miss(8, 0, 0)  # shares nothing with line 0...
+        engine.warm_miss_metadata(0, is_write=False)
+        read_miss(engine, 8)  # shares nothing with line 0...
         # but line 0's counter line covers lines 0-7; line 8 differs.
         engine2, controller2 = make_engine(SGX_O)
-        engine2.warm_data_access(0, is_write=False)
-        engine2.expand_read_miss(1, 0, 0)  # same counter line as 0
+        engine2.warm_miss_metadata(0, is_write=False)
+        read_miss(engine2, 1)  # same counter line as 0
         t1 = controller2.traffic_by_category()
         assert t1.get("counter_read", 0) == 0  # warmed counter line hits
+
+    def test_ivec_warm_walk_anchors_the_mac_tree(self):
+        engine, controller = make_engine(IVEC)
+        engine.warm_miss_metadata(0, is_write=False)
+        read_miss(engine, 0)
+        traffic = controller.traffic_by_category()
+        # The warm walk cached the MAC tree's first level, so the read
+        # pays the MAC fetch alone: no MAC-tree level is fetched.
+        assert traffic["mac_read"] == 1
+        assert "counter_read" not in traffic

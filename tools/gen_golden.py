@@ -34,8 +34,8 @@ from repro.sim.runner import run_suite
 #: The grid the fixture pins: every design variant (plain, Bonsai counter
 #: tree, split counters, MAC tree, parity RMW, speculative verification,
 #: chipkill lock-step) x two workload personalities. Covering the full
-#: roster keeps the columnar fast paths and the scalar-oracle fallback
-#: honest for designs the figures do not exercise.
+#: roster keeps the fused expansion walks honest for designs the figures
+#: do not exercise.
 GOLDEN_DESIGNS = tuple(ALL_DESIGNS)
 GOLDEN_WORKLOADS = ("mcf", "lbm")
 GOLDEN_ACCESSES_PER_CORE = 3_000
