@@ -20,7 +20,12 @@ import time
 from typing import List, Optional
 
 from repro.analysis.sanitizer import ENV_VAR as SANITIZE_ENV, configure_sanitizer
-from repro.harness.experiments import EXPERIMENTS, run_experiment, run_spec
+from repro.harness.experiments import (
+    ALL_EXPERIMENTS,
+    EXPERIMENTS,
+    run_experiment,
+    run_spec,
+)
 from repro.harness.spec import GRID_EXPERIMENT, ExperimentSpec, SpecError
 from repro.harness.report import render_execution_stats, render_metrics_summary
 from repro.parallel import EXECUTION_STATS, ExecutionStats, default_jobs
@@ -44,8 +49,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS) + ["all", GRID_EXPERIMENT, "serve"],
-        help="which table/figure to regenerate; 'grid' runs an ad-hoc "
-        "design x workload IPC grid; 'serve' starts the job service",
+        help="which table/figure/ablation to regenerate; 'all' runs the "
+        "paper's tables and figures; 'grid' runs an ad-hoc design x "
+        "workload IPC grid; 'serve' starts the job service",
     )
     parser.add_argument(
         "--scale",
@@ -149,7 +155,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiment == GRID_EXPERIMENT:
         return _grid(args, cache)
 
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    # Filtered through the registry, so a narrowed registry narrows "all".
+    names = (
+        [name for name in ALL_EXPERIMENTS if name in EXPERIMENTS]
+        if args.experiment == "all"
+        else [args.experiment]
+    )
     TELEMETRY_AGGREGATE.reset()
     # EXECUTION_STATS is reset per experiment for its summary line; the
     # whole run (prefetch included) accumulates here for --metrics-out.

@@ -1,14 +1,15 @@
-"""One entry point per table/figure of the paper's evaluation.
+"""One entry point per table, figure and ablation of the paper's evaluation.
 
 Every function prints paper-style rows and returns the raw numbers, so the
-same code serves the CLI, the pytest benchmarks, and EXPERIMENTS.md. Paper
+same code serves the CLI, the job service, and EXPERIMENTS.md. Paper
 reference values appear in each docstring; the reproduction targets the
 *shape* (orderings, ratios, crossovers), not absolute IPC.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.parallel import overridden
 from repro.harness.report import render_series, render_table
@@ -31,6 +32,7 @@ from repro.reliability.schemes import (
 )
 from repro.secure.designs import (
     ALL_DESIGNS,
+    CHIPKILL_SECURE,
     design_by_name,
     IVEC,
     LOTECC,
@@ -38,11 +40,15 @@ from repro.secure.designs import (
     NON_SECURE,
     SGX,
     SGX_O,
+    SGX_O_SPECULATIVE,
     SGX_O_SPLIT,
     SYNERGY,
+    SYNERGY_CUSTOM,
     SYNERGY_DEDICATED,
+    SYNERGY_SPECULATIVE,
     SYNERGY_SPLIT,
 )
+from repro.secure.metadata_layout import MetadataLayout
 from repro.sim.config import SystemConfig
 from repro.sim.results import ResultTable
 from repro.sim.runner import run_suite
@@ -233,22 +239,30 @@ def fig10(scale: object = None, quiet: bool = False) -> Dict[str, Dict[str, floa
 # ---------------------------------------------------------------------------
 
 
+_RELIABILITY_SCHEMES = (SECDED_SCHEME, CHIPKILL_SCHEME, SYNERGY_SCHEME)
+
+
+def _reliability(config: MonteCarloConfig) -> Dict[str, float]:
+    """P(system failure) of Fig. 11's three schemes under ``config``, and
+    how far below SECDED's each stronger scheme lies (``ratio_<name>``)."""
+    out = {
+        scheme.name: simulate_failure_probability(scheme, config)
+        for scheme in _RELIABILITY_SCHEMES
+    }
+    secded = out["SECDED"]
+    for name in ("Chipkill", "Synergy"):
+        out["ratio_" + name] = secded / max(out[name], 1e-12)
+    return out
+
+
 def fig11(scale: object = None, quiet: bool = False) -> Dict[str, float]:
     """Fig. 11: P(system failure, 7y): Chipkill 37x and Synergy 185x below SECDED."""
     scale = resolve_scale(scale)
-    config = MonteCarloConfig(devices=scale.mc_devices)
-    out: Dict[str, float] = {}
-    for scheme in (SECDED_SCHEME, CHIPKILL_SCHEME, SYNERGY_SCHEME):
-        out[scheme.name] = simulate_failure_probability(scheme, config)
-    secded = out["SECDED"]
-    ratios = {
-        "Chipkill": secded / max(out["Chipkill"], 1e-12),
-        "Synergy": secded / max(out["Synergy"], 1e-12),
-    }
+    out = _reliability(MonteCarloConfig(devices=scale.mc_devices))
     if not quiet:
         rows = [
-            [name, "%.3e" % prob, "%.0fx" % (secded / max(prob, 1e-12))]
-            for name, prob in out.items()
+            [name, "%.3e" % out[name], "%.0fx" % out.get("ratio_" + name, 1.0)]
+            for name in (scheme.name for scheme in _RELIABILITY_SCHEMES)
         ]
         print(
             render_table(
@@ -257,7 +271,6 @@ def fig11(scale: object = None, quiet: bool = False) -> Dict[str, float]:
                 "Figure 11 (paper: Chipkill 37x, Synergy 185x)",
             )
         )
-    out.update({"ratio_" + k: v for k, v in ratios.items()})
     return out
 
 
@@ -543,6 +556,223 @@ def ablation_correction_latency(quiet: bool = False) -> Dict[str, float]:
     return out
 
 
+def _suite_table(scale: Scale, designs) -> ResultTable:
+    """An ablation grid: the scale's workload suite (no mixes), two channels."""
+    return run_suite(designs, workload_suite(scale.suite), _config(scale))
+
+
+def chipkill_perf(scale: object = None, quiet: bool = False) -> Dict[str, float]:
+    """Fig. 1b / §II-B: lock-stepped Chipkill slows down; Synergy speeds up.
+
+    Chipkill on x8 DIMMs lock-steps two channels, halving channel-level
+    parallelism. Synergy tolerates a chip failure on a single channel, so
+    its reliability comes with a speedup rather than Chipkill's slowdown.
+    """
+    scale = resolve_scale(scale)
+    table = _suite_table(scale, [SGX_O, CHIPKILL_SECURE, SYNERGY])
+    out = {
+        name: table.gmean_speedup(name, "SGX_O")
+        for name in ("Chipkill_Secure", "Synergy")
+    }
+    if not quiet:
+        print(
+            render_table(
+                ["design", "gmean speedup vs SGX_O"],
+                [[name, "%.3f" % value] for name, value in out.items()],
+                "Chipkill performance ablation: lock-step vs single-channel",
+            )
+        )
+    return out
+
+
+def custom_dimm(
+    scale: object = None, quiet: bool = False
+) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """§VI-B: a 16-byte-metadata DIMM co-locates MAC and parity with data.
+
+    Returns the gmean speedups vs SGX_O and the parity writes per
+    kilo-instruction summed over the suite: Synergy_Custom should meet or
+    beat Synergy with zero parity traffic.
+    """
+    scale = resolve_scale(scale)
+    table = _suite_table(scale, [SGX_O, SYNERGY, SYNERGY_CUSTOM])
+    names = ("Synergy", "Synergy_Custom")
+    speedups = {name: table.gmean_speedup(name, "SGX_O") for name in names}
+    parity_apki = {
+        name: sum(
+            table.get(name, w).traffic_per_kilo_instruction().get("parity_write", 0)
+            for w in table.workloads()
+        )
+        for name in names
+    }
+    if not quiet:
+        print(
+            render_table(
+                ["design", "gmean speedup vs SGX_O", "parity writes/ki (sum)"],
+                [
+                    [name, "%.3f" % speedups[name], "%.1f" % parity_apki[name]]
+                    for name in names
+                ],
+                "Custom-DIMM ablation (§VI-B): co-locating MAC + parity",
+            )
+        )
+    return speedups, parity_apki
+
+
+def speculation(scale: object = None, quiet: bool = False) -> Dict[str, float]:
+    """§VII-B: Synergy composed with PoisonIvy-style speculation.
+
+    Speculation hides verification latency; Synergy removes verification
+    bandwidth. On bandwidth-bound workloads Synergy's gain should survive
+    speculation nearly intact.
+    """
+    scale = resolve_scale(scale)
+    table = _suite_table(
+        scale, [SGX_O, SYNERGY, SGX_O_SPECULATIVE, SYNERGY_SPECULATIVE]
+    )
+    out = {
+        "synergy_gain_precise": table.gmean_speedup("Synergy", "SGX_O"),
+        "synergy_gain_speculative": table.gmean_speedup(
+            "Synergy_Spec", "SGX_O_Spec"
+        ),
+        "speculation_gain_baseline": table.gmean_speedup("SGX_O_Spec", "SGX_O"),
+    }
+    if not quiet:
+        print(
+            render_table(
+                ["quantity", "gmean speedup"],
+                [[k, "%.3f" % v] for k, v in out.items()],
+                "Speculation ablation (§VII-B): latency hiding vs bandwidth saving",
+            )
+        )
+    return out
+
+
+#: Scrub intervals of the sensitivity sweep: 6 h, a day, a week.
+_SCRUB_HOURS = (6.0, 24.0, 24.0 * 7)
+
+
+def scrub_sensitivity(
+    scale: object = None, quiet: bool = False
+) -> List[Dict[str, float]]:
+    """Fig. 11's ratios across scrub intervals (6 h, 24 h, 1 week).
+
+    The scrub interval sets how long transient faults linger and can pair
+    up with other faults; the paper's ordering should hold at every one.
+    """
+    scale = resolve_scale(scale)
+    base = MonteCarloConfig(devices=scale.mc_devices)
+    rows = []
+    for hours in _SCRUB_HOURS:
+        probs = _reliability(replace(base, scrub_interval_hours=hours))
+        rows.append(
+            {
+                "scrub_hours": hours,
+                "secded": probs["SECDED"],
+                "chipkill_ratio": probs["ratio_Chipkill"],
+                "synergy_ratio": probs["ratio_Synergy"],
+            }
+        )
+    if not quiet:
+        print(
+            render_table(
+                ["scrub (h)", "P(SECDED)", "Chipkill x", "Synergy x"],
+                [
+                    [
+                        "%.0f" % r["scrub_hours"],
+                        "%.2e" % r["secded"],
+                        "%.0f" % r["chipkill_ratio"],
+                        "%.0f" % r["synergy_ratio"],
+                    ]
+                    for r in rows
+                ],
+                "Scrub-interval sensitivity (Fig. 11 robustness)",
+            )
+        )
+    return rows
+
+
+def tree_arity(quiet: bool = False) -> List[Dict[str, float]]:
+    """Integrity-tree arity: depth and storage overhead at 2/4/8/16-ary.
+
+    The trade that motivates SGX's (and the paper's) 8-ary tree: higher
+    arity gives a shallower tree with a smaller overhead.
+    """
+    rows = []
+    for arity in (2, 4, 8, 16):
+        layout = MetadataLayout(1 << 18, arity=arity)
+        overheads = layout.storage_overheads()
+        rows.append(
+            {
+                "arity": arity,
+                "tree_depth": layout.tree_depth,
+                "tree_overhead": overheads["tree"],
+                "counter_overhead": overheads["counters"],
+            }
+        )
+    if not quiet:
+        print(
+            render_table(
+                ["arity", "tree depth", "tree overhead", "counter overhead"],
+                [
+                    [
+                        r["arity"],
+                        r["tree_depth"],
+                        "%.4f" % r["tree_overhead"],
+                        "%.4f" % r["counter_overhead"],
+                    ]
+                    for r in rows
+                ],
+                "Tree arity ablation",
+            )
+        )
+    return rows
+
+
+def reconstruction(quiet: bool = False) -> Dict[str, object]:
+    """§III-B: the worst-case data-line correction against its budget.
+
+    Data and parity sit on the same failed chip, so garbage stored parity
+    forces the full first round, then a second round with the parity
+    rebuilt from ParityP and the overlap hint. The attempts spent must
+    stay within the 16-recomputation budget §IV-B's analysis relies on.
+    """
+    from repro.core.cacheline_codec import data_line_parity, encode_data_line
+    from repro.core.reconstruction import MAX_DATA_ATTEMPTS, ReconstructionEngine
+    from repro.crypto.keys import ProcessorKeys
+    from repro.secure.mac import LineMacCalculator
+
+    mac_calc = LineMacCalculator(ProcessorKeys(b"bench").make_mac())
+    engine = ReconstructionEngine(mac_calc)
+    ciphertext = bytes(range(64))
+    lanes = encode_data_line(ciphertext, mac_calc.data_mac(0, 1, ciphertext))
+    corrupted = list(lanes)
+    corrupted[6] = b"\xff" * 8
+    outcome = engine.correct_data_line(
+        0,
+        corrupted,
+        1,
+        b"\x00" * 8,
+        rebuilt_parity=data_line_parity(lanes),
+        overlap_chip=6,
+    )
+    out: Dict[str, object] = {
+        "corrected": outcome is not None,
+        "faulty_chip": outcome.faulty_chip if outcome else None,
+        "attempts": outcome.attempts if outcome else None,
+        "budget": MAX_DATA_ATTEMPTS,
+    }
+    if not quiet:
+        print(
+            render_table(
+                ["quantity", "value"],
+                [[k, v] for k, v in out.items()],
+                "Worst-case reconstruction (paper: <= 16 MAC recomputations)",
+            )
+        )
+    return out
+
+
 def selfcheck_experiment(quiet: bool = False) -> Dict[str, str]:
     """Installation self-check (crypto vectors + all three planes)."""
     from repro.harness.selfcheck import selfcheck
@@ -644,10 +874,35 @@ EXPERIMENTS = {
     "table3": table3,
     "sdc": ablation_sdc,
     "correction_latency": ablation_correction_latency,
+    "chipkill_perf": chipkill_perf,
+    "custom_dimm": custom_dimm,
+    "speculation": speculation,
+    "scrub_sensitivity": scrub_sensitivity,
+    "tree_arity": tree_arity,
+    "reconstruction": reconstruction,
 }
 
+#: What ``all`` runs, in name order: the paper's tables and figures, the
+#: two §IV ablations and the self-check. The other ablations run by name.
+ALL_EXPERIMENTS: Tuple[str, ...] = (
+    "correction_latency",
+    "fig10", "fig11", "fig12", "fig13", "fig14", "fig16", "fig17",
+    "fig6", "fig8", "fig9",
+    "sdc", "selfcheck",
+    "table1", "table2", "table3",
+)
+
 #: Experiments that take no scale argument (pure tables/arithmetic).
-UNSCALED = {"table1", "table2", "table3", "sdc", "correction_latency", "selfcheck"}
+UNSCALED = {
+    "table1",
+    "table2",
+    "table3",
+    "sdc",
+    "correction_latency",
+    "selfcheck",
+    "tree_arity",
+    "reconstruction",
+}
 
 
 def run_spec(
@@ -695,10 +950,10 @@ def run_experiment(
 
     A thin wrapper that normalises ``(name, scale)`` into an
     :class:`ExperimentSpec` and defers to :func:`run_spec`, so the CLI,
-    ``tools/run_experiments.py``, ``tools/bench_snapshot.py`` and the
-    experiment service all execute requests through one validated path.
+    ``tools/run_experiments.py`` and the experiment service all execute
+    requests through one validated path.
 
-    ``name="all"`` runs every registered experiment through the whole-run
+    ``name="all"`` runs :data:`ALL_EXPERIMENTS` through the whole-run
     planner (one globally-deduped fan-out, then per-figure assembly).
     """
     if name == "all":

@@ -25,8 +25,8 @@ The planner turns the run inside out:
    the legacy path (cells are pure functions of their key, and hits
    round-trip through the same JSON payloads).
 
-Under the invariant sanitizer the planner stands down entirely: sanitize
-runs exist to recompute every cell through the full legacy path.
+Under the invariant sanitizer the planner plans but dispatches nothing:
+sanitize runs exist to recompute every cell through the full legacy path.
 """
 
 from __future__ import annotations
@@ -247,21 +247,12 @@ def execute_cells(
     (requested/unique/pending counts, jobs) for reporting; results land
     in the memo and run cache, where the figures then find them.
 
-    Under the sanitizer this is a no-op: sanitize runs must recompute
-    every cell through ``run_suite``'s checked path.
+    Under the sanitizer the pending cells are counted but not dispatched:
+    sanitize runs must recompute every cell through ``run_suite``'s
+    checked path.
     """
     jobs = resolve_jobs(jobs)
     unique = _unique(cells)
-    summary: Dict[str, object] = {
-        "cells_requested": len(cells),
-        "cells_unique": len(unique),
-        "cells_deduped": len(cells) - len(unique),
-        "cells_pending": 0,
-        "jobs": jobs,
-    }
-    if get_sanitizer() is not None:
-        summary["skipped"] = "sanitizer"
-        return summary
     run_cache = resolve_cache(cache)
     pending = []
     for cell in unique:
@@ -269,8 +260,16 @@ def execute_cells(
         if is_memoised(key) or (run_cache is not None and run_cache.has(key)):
             continue
         pending.append(cell)
-    summary["cells_pending"] = len(pending)
-    if pending:
+    summary: Dict[str, object] = {
+        "cells_requested": len(cells),
+        "cells_unique": len(unique),
+        "cells_deduped": len(cells) - len(unique),
+        "cells_pending": len(pending),
+        "jobs": jobs,
+    }
+    if get_sanitizer() is not None:
+        summary["skipped"] = "sanitizer"
+    elif pending:
         run_cells(
             [cell.task() for cell in pending],
             labels=[cell.label for cell in pending],
@@ -302,17 +301,17 @@ def run_all_experiments(
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
 ) -> Dict[str, object]:
-    """Run every registered experiment, planner-prefetched.
+    """Run :data:`~repro.harness.experiments.ALL_EXPERIMENTS`, prefetched.
 
     The ``run_experiment("all")`` entry point: plans and dispatches the
     global unique-cell list once, then assembles each figure in name
     order. Returns ``{name: output}`` plus a ``"plan"`` summary entry.
     """
-    from repro.harness.experiments import EXPERIMENTS, run_experiment
+    from repro.harness.experiments import ALL_EXPERIMENTS, run_experiment
     from repro.parallel import overridden
 
     scale = resolve_scale(scale)
-    names = sorted(EXPERIMENTS)
+    names = ALL_EXPERIMENTS
     changes: Dict[str, object] = {}
     if jobs is not None:
         changes["jobs"] = max(1, int(jobs))

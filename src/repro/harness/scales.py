@@ -4,7 +4,7 @@ The paper simulates 1B-instruction slices and a billion device-lifetimes;
 pure Python cannot, so every experiment accepts a :class:`Scale`:
 
 * ``quick`` — smoke-level: 3 workloads, tiny traces; seconds per figure.
-  This is what the pytest benchmarks use.
+  This is what CI's quick-grid runs and the ablation tests use.
 * ``default`` — representative workload subset, medium traces; a couple of
   minutes per performance figure. EXPERIMENTS.md numbers use this.
 * ``full`` — all 29 workloads + 6 mixes, long traces, 10M Monte-Carlo

@@ -21,15 +21,29 @@ versions:
 
 Cases return their op count; the harness times them (best-of-N
 ``perf_counter``, garbage collection suspended per round as ``timeit``
-does) and reports microseconds per op. Consumed by the pytest wrappers in
-``benchmarks/micro`` and by ``tools/bench_snapshot.py``.
+does) and reports microseconds per op. ``tools/profile_run.py --micro``
+profiles one case.
+
+The CLI times each case in a fresh interpreter (``--case`` alone times
+one case in this one). It is also CI's regression gate: with
+``--baseline`` it fails when a gated case runs more than 25% slower per
+op than the baseline snapshot's ``micro`` section, or when any case runs
+no ops::
+
+    PYTHONPATH=src python -m repro.perf.microbench --repeats 40 \
+        --baseline BENCH_PR6.json > micro.json
 """
 
 from __future__ import annotations
 
+import json
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Sequence
 
 #: LCG constants (glibc); enough quality for address-stream mixing.
 _LCG_A = 1103515245
@@ -177,8 +191,7 @@ def pool_dispatch() -> int:
     Times what a whole-grid run amortises: many small ``parallel_map``
     fan-outs dispatched into the *same* warm pool (spawn paid once, on
     the first map, inside the timed region — exactly the cost the
-    per-call executor used to pay on every map). Serial-path comparison
-    comes from the per-op numbers at jobs=1 in ``bench_snapshot``."""
+    per-call executor used to pay on every map)."""
     from repro.parallel import parallel_map, shutdown_pool
 
     maps = 20
@@ -281,33 +294,163 @@ def run_case(name: str, repeats: int = 3) -> MicroResult:
     return MicroResult(name, ops, best or 0.0)
 
 
-def run_all(repeats: int = 3) -> List[MicroResult]:
-    """Time every case in name order."""
-    return [run_case(name, repeats) for name in sorted(CASES)]
+# ---------------------------------------------------------------------------
+# Regression gate
+# ---------------------------------------------------------------------------
+
+#: The cases the gate fails on: the ones earlier changes deliberately
+#: optimised (the DRAM epoch kernel, the fused miss expansion, the
+#: batch-advance ROB and block-streamed trace synthesis). The others are
+#: too noisy on shared runners to gate on, so they only warn.
+GATED_CASES = ("controller_schedule", "miss_expansion", "rob_advance", "trace_generate")
+
+#: Slower per op than the baseline by more than this ratio warns, and
+#: fails the gate for a gated case.
+REGRESSION_RATIO = 1.25
 
 
-def _main(argv: "List[str] | None" = None) -> int:
-    """CLI: time one case (or all) and print a JSON payload map.
+def time_fresh(names: Sequence[str], repeats: int) -> Dict[str, Dict[str, float]]:
+    """Time each case in its own pristine interpreter.
 
-    Exists so harnesses can time each case in a *pristine* interpreter:
-    in-process timings are sensitive to what the host process imported
-    first — module volume shifts the allocator layout the vectorised
-    cases stream through, inflating their per-op time by tens of percent
-    (see ``tools/bench_snapshot.py``, which shells out here per case).
+    In-process timings are sensitive to what the host process imported
+    first: module volume shifts the allocator layout the vectorised cases
+    stream through, inflating their per-op time by tens of percent. One
+    ``python -m repro.perf.microbench --case NAME`` per case makes the
+    numbers a property of the case.
+    """
+    section: Dict[str, Dict[str, float]] = {}
+    for name in names:
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.perf.microbench",
+                "--case", name, "--repeats", str(repeats),
+            ],
+            check=True, capture_output=True, text=True,
+        )
+        section.update(json.loads(result.stdout))
+    return section
+
+
+def verdict(
+    current: Dict[str, Dict[str, float]], baseline: Dict[str, Dict[str, float]]
+) -> Dict[str, object]:
+    """Compare per-op times with a baseline ``micro`` section.
+
+    Returns the ratio (current / baseline) of every case in both, the
+    cases that fail (gated, slower than :data:`REGRESSION_RATIO`) or warn
+    (ungated, as slow), the ``new`` cases the baseline lacks and the
+    baseline cases that were ``not_run``. A case that ran no ops fails,
+    gated or not and baselined or not: its per-op time reads 0, which
+    would otherwise pass as a speedup. Only ``failed`` fails the gate.
+    """
+    ratios = {}
+    failed = {name for name, payload in current.items() if payload["ops"] <= 0}
+    warned = []
+    for name in sorted(set(current) & set(baseline)):
+        ratio = current[name]["per_op_us"] / baseline[name]["per_op_us"]
+        ratios[name] = ratio
+        if ratio > REGRESSION_RATIO and name not in failed:
+            if name in GATED_CASES:
+                failed.add(name)
+            else:
+                warned.append(name)
+    return {
+        "ratios": ratios,
+        "failed": sorted(failed),
+        "warned": warned,
+        "new": sorted(set(current) - set(baseline)),
+        "not_run": sorted(set(baseline) - set(current)),
+    }
+
+
+def gate(
+    baseline_path: str, names: Sequence[str], repeats: int
+) -> Dict[str, object]:
+    """Time ``names`` fresh, compare with the baseline, report to stderr.
+
+    Returns the JSON report: this run's ``micro`` section (the shape of
+    the baseline's, so a report can serve as a later baseline), both
+    sides' provenance and the :func:`verdict`.
+    """
+    with open(baseline_path) as handle:
+        snapshot = json.load(handle)
+    current = time_fresh(names, repeats)
+    result = verdict(current, snapshot["micro"])
+    report = {
+        "micro": current,
+        "baseline": {
+            "path": baseline_path,
+            **{key: snapshot.get(key) for key in ("python", "code_fingerprint", "timestamp")},
+        },
+        "host": {"python": platform.python_version(), "cpu_count": os.cpu_count()},
+        **result,
+    }
+    _print_report(report)
+    return report
+
+
+def _print_report(report: Dict) -> None:
+    base = report["baseline"]
+    host = report["host"]
+    lines = [
+        "baseline %s: python %s, code %s, taken %s"
+        % (base["path"], base["python"], base["code_fingerprint"], base["timestamp"]),
+        "this host: python %s, %s CPU(s)" % (host["python"], host["cpu_count"]),
+    ]
+    for name, ratio in report["ratios"].items():
+        flag = ""
+        if report["micro"][name]["ops"] <= 0:
+            flag = "  FAIL: ran no ops"
+        elif name in report["failed"]:
+            flag = "  FAIL: slower than %.2fx" % REGRESSION_RATIO
+        elif name in report["warned"]:
+            flag = "  WARN: slower than %.2fx" % REGRESSION_RATIO
+        lines.append(
+            "  %-24s %8.3f us/op (%.2fx)%s"
+            % (name, report["micro"][name]["per_op_us"], ratio, flag)
+        )
+    lines += ["  %-24s (new case)" % name for name in report["new"]]
+    lines += ["  %-24s (in the baseline, not run)" % name for name in report["not_run"]]
+    if report["failed"]:
+        lines.append(
+            "FAIL: gated case(s) slower than %.2fx, or case(s) that ran no ops: %s"
+            % (REGRESSION_RATIO, ", ".join(report["failed"]))
+        )
+    print("\n".join(lines), file=sys.stderr)
+
+
+def _main(argv: Optional[List[str]] = None) -> int:
+    """CLI: time the cases and print a JSON payload map.
+
+    Every case runs in a fresh interpreter; ``--case`` alone times that
+    one case in this interpreter (the fresh-interpreter path shells out
+    here once per case). ``--baseline`` adds the gate's comparison.
     """
     import argparse
-    import json
 
     parser = argparse.ArgumentParser(description=_main.__doc__)
     parser.add_argument("--case", choices=sorted(CASES), default=None)
     parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args(argv)
-    results = (
-        [run_case(args.case, args.repeats)]
-        if args.case
-        else run_all(args.repeats)
+    parser.add_argument(
+        "--baseline",
+        default=None,
+        metavar="PATH",
+        help="print the JSON report and exit 1 if a gated case (%s) is more "
+        "than %.0f%% slower per op than this snapshot's micro section, or if "
+        "any case ran no ops"
+        % (", ".join(GATED_CASES), 100 * (REGRESSION_RATIO - 1)),
     )
-    print(json.dumps({r.name: r.to_payload() for r in results}))
+    args = parser.parse_args(argv)
+    if args.case and not args.baseline:
+        result = run_case(args.case, args.repeats)
+        print(json.dumps({result.name: result.to_payload()}))
+        return 0
+    names = [args.case] if args.case else sorted(CASES)
+    if args.baseline:
+        report = gate(args.baseline, names, args.repeats)
+        print(json.dumps(report, indent=2))
+        return 1 if report["failed"] else 0
+    print(json.dumps(time_fresh(names, args.repeats)))
     return 0
 
 

@@ -91,6 +91,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert "Table III" in captured.out
 
+    def test_cli_lists_the_ablations(self, capsys):
+        from repro.harness.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        for name in (
+            "chipkill_perf",
+            "custom_dimm",
+            "speculation",
+            "scrub_sensitivity",
+            "tree_arity",
+            "reconstruction",
+        ):
+            assert name in usage
+
     def test_cli_rejects_unknown(self):
         from repro.harness.cli import main
 

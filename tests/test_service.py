@@ -530,6 +530,19 @@ def test_service_bytes_equal_an_in_process_run(service_factory):
     assert client.stats()["service"]["runs"] == len(specs)
 
 
+def test_ablations_run_by_name(service_factory):
+    """Ablations are registered experiments: the service runs them by
+    name, with the bytes of an in-process run."""
+    _service, client = service_factory()
+    for name in ("tree_arity", "reconstruction"):
+        ticket = client.submit({"experiment": name})
+        assert ticket["disposition"] == "accepted"
+        expected = canonical_result_bytes(
+            run_spec(ExperimentSpec(experiment=name), quiet=True)
+        )
+        assert client.result_bytes(ticket["id"], max_wait_s=60.0) == expected
+
+
 @pytest.mark.skipif(
     sanitizer_enabled(), reason="the sanitizer turns the run memo off"
 )

@@ -7,10 +7,11 @@ Used to produce the paper-vs-measured numbers recorded in EXPERIMENTS.md:
     python tools/run_experiments.py default out.json --jobs 4 --no-cache
     python tools/run_experiments.py --figure fig8 --scale quick --metrics-out m.json
 
-``--figure`` (repeatable) restricts the run to named experiments; the
-default remains "run everything". ``--metrics-out`` / ``--trace-out``
-additionally dump the merged telemetry snapshot and the event trace
-(see repro.telemetry; REPRO_METRICS / REPRO_TRACE are the env defaults).
+``--figure`` (repeatable) names the experiments to run, ablations
+included; the default runs what ``synergy-repro all`` runs.
+``--metrics-out`` / ``--trace-out`` additionally dump the merged
+telemetry snapshot and the event trace (see repro.telemetry;
+REPRO_METRICS / REPRO_TRACE are the env defaults).
 """
 
 import argparse
@@ -18,7 +19,7 @@ import json
 import sys
 import time
 
-from repro.harness.experiments import EXPERIMENTS, run_experiment
+from repro.harness.experiments import ALL_EXPERIMENTS, EXPERIMENTS, run_experiment
 from repro.parallel import EXECUTION_STATS
 from repro.telemetry import (
     TELEMETRY_AGGREGATE,
@@ -44,7 +45,7 @@ def main() -> int:
         default=None,
         metavar="NAME",
         choices=sorted(EXPERIMENTS),
-        help="run only this experiment (repeatable; default: all)",
+        help="run this experiment (repeatable; default: what 'all' runs)",
     )
     parser.add_argument(
         "--jobs", type=int, default=None, help="worker processes for fan-out"
@@ -68,7 +69,7 @@ def main() -> int:
     args = parser.parse_args()
 
     scale = args.scale or args.scale_arg or "default"
-    names = args.figure or sorted(EXPERIMENTS)
+    names = args.figure or list(ALL_EXPERIMENTS)
     if args.trace_out:
         configure_tracer(enabled=True, run_id="+".join(names))
 
