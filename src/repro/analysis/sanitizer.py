@@ -251,9 +251,11 @@ class Sanitizer:
         would: the first gating request is the data line itself, every
         gating spec is a READ stamped with this miss's time and core, and
         each metadata address matches an independent recomputation from
-        ``TimingMetadataMap`` (counter line, a prefix of the tree path,
-        MAC line). The counter line must be resident in the dedicated
-        metadata cache afterwards — the expansion just touched it."""
+        the engine's ``MetadataLayout`` (counter line, a prefix of its tree
+        path, MAC line, a prefix of the MAC-tree path). The counter line
+        must be resident in the dedicated metadata cache afterwards — the
+        expansion just touched it — unless its set has no more ways than
+        the tree-path lines that share it."""
         self._enter("expansion_batch")
         from repro.dram.controller import RequestKind
 
@@ -269,14 +271,14 @@ class Sanitizer:
                 f"expansion: blocking indices {list(blocking)} not strictly "
                 f"increasing within the epoch batch of {len(batch)} [{where}]"
             )
-        map_ = engine.map
+        layout = engine.layout
         design = engine.design
-        counter_line = map_.counter_line(data_line)
-        mac_line = map_.mac_line(data_line)
+        counter_line = layout.counter_line(data_line)
+        mac_line = layout.mac_line(data_line)
         counter_ok = {counter_line}
-        counter_ok.update(map_.tree_path_from_counter(counter_line))
+        counter_ok.update(layout.tree_path(counter_line - layout.counter_base))
         mac_ok = {mac_line}
-        mac_ok.update(map_.tree_path_from_mac(mac_line))
+        mac_ok.update(layout.tree_path(mac_line - layout.mac_base))
         for index in blocking:
             kind, line, at, category, who = batch[index]
             if kind is not RequestKind.READ or at != when or who != core:
@@ -303,8 +305,19 @@ class Sanitizer:
                         f"expansion: mac read {line:#x} is neither the MAC "
                         f"line {mac_line:#x} nor on its MAC-tree path [{where}]"
                     )
-        if design.encrypted and not engine.hierarchy.metadata_cache.probe(
-            counter_line
+        # The tree walks fill the metadata cache after the counter line; a
+        # set they can fill on their own may have evicted it again.
+        metadata_cache = engine.hierarchy.metadata_cache
+        sets = metadata_cache.num_sets
+        rivals = sum(
+            1
+            for line in (counter_ok | mac_ok) - {counter_line, mac_line}
+            if line % sets == counter_line % sets
+        )
+        if (
+            design.encrypted
+            and rivals < metadata_cache.associativity
+            and not metadata_cache.probe(counter_line)
         ):
             self._fail(
                 f"expansion: counter line {counter_line:#x} absent from the "

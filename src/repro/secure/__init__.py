@@ -1,9 +1,15 @@
 """Secure-memory machinery: metadata layout, counters, MACs, integrity trees.
 
-Functional plane:
+Both planes:
 
 * :mod:`repro.secure.metadata_layout` — where counters, MACs, parities and
-  integrity-tree levels live in the physical line address space.
+  integrity-tree levels live in the physical line address space. The
+  functional memories and the timing engine read it alike, and
+  ``tests/reference/test_cross_plane.py`` checks the engine's metadata
+  traffic against the functional memories' DIMM accesses.
+
+Functional plane:
+
 * :mod:`repro.secure.counters` — counter-line packing (8 x 56-bit counters +
   64-bit MAC, one counter and one MAC byte per chip) and the split-counter
   compression model.

@@ -188,14 +188,21 @@ class BaselineSecureMemory:
     # Verified counter walk (SGX behaviour: mismatch == attack)
     # ------------------------------------------------------------------
 
-    def fetch_verified_counters(self, address: int) -> List[int]:
+    def fetch_verified_counters(
+        self, address: int, verified: Optional[Dict[int, List[int]]] = None
+    ) -> List[int]:
         """Counters of a counter/tree line, verified up to the root.
 
         Recursive walk: a cached line is trusted; otherwise verify this
         line's MAC under its parent's (recursively verified) covering
         counter. Any mismatch is an attack — the baseline has no correction
-        story beyond SECDED, which already ran during the load.
+        story beyond SECDED, which already ran during the load. ``verified``,
+        when given, collects every line the walk trusts and answers repeats
+        from it, so a write verifies its whole chain with one read per
+        level even when the metadata cache cannot hold the chain.
         """
+        if verified is not None and address in verified:
+            return verified[address]
         cached = self.tree.cache.lookup(address)
         if cached is not None:
             return cached
@@ -204,7 +211,8 @@ class BaselineSecureMemory:
         if parent_address == -1:
             parent_value = self.tree.root
         else:
-            parent_value = self.fetch_verified_counters(parent_address)[parent_slot]
+            parent = self.fetch_verified_counters(parent_address, verified)
+            parent_value = parent[parent_slot]
         if mac is None:
             # Fresh line: parent slot must still be zero for consistency.
             if parent_value != 0:
@@ -216,6 +224,8 @@ class BaselineSecureMemory:
             if expected != mac:
                 raise AttackDetected("counter line MAC mismatch", address)
         self.tree.cache.insert(address, counters)
+        if verified is not None:
+            verified[address] = counters
         return counters
 
     # ------------------------------------------------------------------
@@ -242,8 +252,10 @@ class BaselineSecureMemory:
             raise ValueError("data lines are %d bytes" % CACHELINE_BYTES)
         self.stats.counter("writes").add()
         chain = self.layout.verification_chain(data_line)
+        verified: Dict[int, List[int]] = {}
         trusted = {
-            address: self.fetch_verified_counters(address) for address, _ in chain
+            address: self.fetch_verified_counters(address, verified)
+            for address, _ in chain
         }
         counter = self.tree.bump_chain(chain, trusted)
         ciphertext = self.cipher.encrypt(data_line, counter, plaintext)

@@ -1,14 +1,22 @@
-"""Physical placement of security and reliability metadata.
+"""Physical placement of security and reliability metadata, for both planes.
 
 One flat line-address space holds, in order: program data, encryption
 counters, data MACs (baseline designs only — Synergy keeps MACs in the ECC
 chip), Synergy parities, and the integrity-tree levels bottom-up. Storage
 overheads match Section IV-A of the paper: counters 12.5%, MACs 12.5%,
-parity 12.5%, tree ~1.8% for an 8-ary tree.
+parity 12.5%, tree ~1.8% for an 8-ary tree. The functional memories and the
+timing engine read every metadata address from this one class; the timing
+plane's DRAM address mapper interleaves metadata lines over channels and
+banks like data lines.
 
-The tree is a Bonsai-style counter tree: its leaves are the encryption
-counter lines; each tree line covers ``arity`` child lines; the counter that
-verifies the single top-level line lives on-chip (the root of trust).
+A counter line covers ``arity`` data lines with monolithic counters and 64
+with split counters (the design's ``CounterMode``); MAC and parity lines
+always cover ``arity``. The tree is a Bonsai-style counter tree: its leaves
+are the encryption counter lines; each tree line covers ``arity`` child
+lines; the counter that verifies the single top-level line lives on-chip
+(the root of trust). One tree region, sized over max(counter lines, MAC
+lines), serves both that tree and IVEC's Merkle tree over the MAC lines, so
+it is deeper than split counters alone need (DESIGN.md, "Model decisions").
 """
 
 from __future__ import annotations
@@ -16,7 +24,13 @@ from __future__ import annotations
 import enum
 from typing import List, Tuple
 
+from repro.secure.designs import CounterMode
 from repro.util.units import is_power_of_two
+
+#: Data lines one split-counter line covers: one major counter shared by 64
+#: minors, the default of ``repro.secure.counters.SplitCounterConfig``
+#: (whose import would pull the ECC codecs into every timing run).
+SPLIT_COUNTER_LINES = 64
 
 #: Sentinel parent address meaning "verified by the on-chip root register".
 ROOT_PARENT = -1
@@ -42,11 +56,15 @@ class MetadataLayout:
     arity:
         Fan-out of the counter tree and of every per-line metadata grouping
         (8 in the paper: 8 counters / MACs / parities per 64-byte line).
+    counter_mode:
+        Monolithic counters cover ``arity`` data lines per counter line,
+        split counters 64 (Fig. 13).
     """
 
     __slots__ = (
         "num_data_lines",
         "arity",
+        "counter_coverage",
         "num_counter_lines",
         "num_mac_lines",
         "num_parity_lines",
@@ -59,7 +77,12 @@ class MetadataLayout:
         "total_lines",
     )
 
-    def __init__(self, num_data_lines: int, arity: int = 8):
+    def __init__(
+        self,
+        num_data_lines: int,
+        arity: int = 8,
+        counter_mode: CounterMode = CounterMode.MONOLITHIC,
+    ):
         if not is_power_of_two(num_data_lines):
             raise ValueError("num_data_lines must be a power of two")
         if num_data_lines < arity:
@@ -68,8 +91,13 @@ class MetadataLayout:
             raise ValueError("arity must be at least 2")
         self.num_data_lines = num_data_lines
         self.arity = arity
+        self.counter_coverage = (
+            SPLIT_COUNTER_LINES if counter_mode is CounterMode.SPLIT else arity
+        )
 
-        self.num_counter_lines = self._ceil_div(num_data_lines, arity)
+        self.num_counter_lines = self._ceil_div(
+            num_data_lines, self.counter_coverage
+        )
         self.num_mac_lines = self._ceil_div(num_data_lines, arity)
         self.num_parity_lines = self._ceil_div(num_data_lines, arity)
 
@@ -78,9 +106,12 @@ class MetadataLayout:
         self.parity_base = self.mac_base + self.num_mac_lines
         self.tree_base = self.parity_base + self.num_parity_lines
 
-        # Tree levels, bottom (level 0, covering counter lines) to top.
+        # Tree levels, bottom (level 0, covering the leaves) to top. Level k
+        # holds ceil(leaves / arity^(k+1)) lines, so every in-range leaf's
+        # index at level k is below that level's size.
+        leaves = max(self.num_counter_lines, self.num_mac_lines)
         self.tree_level_sizes: List[int] = []
-        level_size = self._ceil_div(self.num_counter_lines, arity)
+        level_size = self._ceil_div(leaves, arity)
         while True:
             self.tree_level_sizes.append(level_size)
             if level_size == 1:
@@ -127,12 +158,12 @@ class MetadataLayout:
     def counter_line(self, data_line: int) -> int:
         """Address of the counter line covering ``data_line``."""
         self._check_data(data_line)
-        return self.counter_base + data_line // self.arity
+        return self.counter_base + data_line // self.counter_coverage
 
     def counter_slot(self, data_line: int) -> int:
-        """Slot (0..arity-1) of ``data_line``'s counter within its line."""
+        """Slot of ``data_line``'s counter within its counter line."""
         self._check_data(data_line)
-        return data_line % self.arity
+        return data_line % self.counter_coverage
 
     def mac_line(self, data_line: int) -> int:
         """Address of the MAC line covering ``data_line`` (baseline designs)."""
@@ -186,6 +217,21 @@ class MetadataLayout:
                 index % self.arity,
             )
         raise ValueError("%s lines have no tree parent" % region.value)
+
+    def tree_path(self, leaf_index: int) -> List[int]:
+        """Tree line addresses from just above leaf ``leaf_index`` to the top.
+
+        Leaves are counter lines, or MAC lines for IVEC's Merkle tree, each
+        indexed from its region's base. Computed per call, never memoised:
+        a per-leaf memo would grow one list per distinct leaf, and the
+        arithmetic is two integer ops per level.
+        """
+        arity = self.arity
+        path = []
+        for base in self.tree_level_bases:
+            leaf_index //= arity
+            path.append(base + leaf_index)
+        return path
 
     def verification_chain(self, data_line: int) -> List[Tuple[int, int]]:
         """The (line, slot) chain from the counter line up to the root.

@@ -15,18 +15,14 @@ split counters, IVEC's MAC tree, LOT-ECC parity RMW) is configuration.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.setassoc import ABSENT
 from repro.dram.controller import MemoryController, RequestKind
-from repro.secure.designs import (
-    CounterMode,
-    MacLocation,
-    SecureDesign,
-    TreeKind,
-)
+from repro.secure.designs import MacLocation, SecureDesign, TreeKind
+from repro.secure.metadata_layout import MetadataLayout
 from repro.telemetry import get_registry
 from repro.util.stats import StatGroup
 
@@ -34,118 +30,9 @@ from repro.util.stats import StatGroup
 #: the first node above the leaf), deep enough for any arity-8 tree here.
 TREE_DEPTH_EDGES = (0, 1, 2, 3, 4, 5, 6, 7, 8)
 
-#: Tree fan-out (counters per line for monolithic; tags per line for MAC tree).
-TREE_ARITY = 8
-#: Data lines covered per counter line.
-MONOLITHIC_COVERAGE = 8
-SPLIT_COVERAGE = 64
-#: Data lines covered per MAC line / parity line.
-MAC_COVERAGE = 8
-PARITY_COVERAGE = 8
-
 #: Enum members bound once — the expansion paths touch these per request.
 _READ = RequestKind.READ
 _WRITE = RequestKind.WRITE
-
-
-class TimingMetadataMap:
-    """Metadata line addresses for the timing plane.
-
-    Regions are laid out above the data region in a flat line-address space;
-    the DRAM address mapper interleaves them over channels/banks like any
-    other lines (metadata shares the memory system with data, as in the
-    paper's organisation).
-    """
-
-    __slots__ = (
-        "num_data_lines",
-        "counter_coverage",
-        "counter_base",
-        "num_counter_lines",
-        "mac_base",
-        "num_mac_lines",
-        "parity_base",
-        "num_parity_lines",
-        "tree_level_bases",
-        "tree_level_sizes",
-        "total_lines",
-        "tree_levels",
-    )
-
-    def __init__(self, num_data_lines: int, counter_mode: CounterMode):
-        self.num_data_lines = num_data_lines
-        self.counter_coverage = (
-            SPLIT_COVERAGE if counter_mode is CounterMode.SPLIT else MONOLITHIC_COVERAGE
-        )
-        cursor = num_data_lines
-
-        self.counter_base = cursor
-        self.num_counter_lines = -(-num_data_lines // self.counter_coverage)
-        cursor += self.num_counter_lines
-
-        self.mac_base = cursor
-        self.num_mac_lines = -(-num_data_lines // MAC_COVERAGE)
-        cursor += self.num_mac_lines
-
-        self.parity_base = cursor
-        self.num_parity_lines = -(-num_data_lines // PARITY_COVERAGE)
-        cursor += self.num_parity_lines
-
-        # Tree levels above the counter lines (Bonsai) — also reused as the
-        # MAC-tree levels above MAC lines (IVEC), sized for whichever is
-        # larger so one region serves both.
-        leaves = max(self.num_counter_lines, self.num_mac_lines)
-        self.tree_level_bases: List[int] = []
-        self.tree_level_sizes: List[int] = []
-        size = -(-leaves // TREE_ARITY)
-        while True:
-            self.tree_level_bases.append(cursor)
-            self.tree_level_sizes.append(size)
-            cursor += size
-            if size == 1:
-                break
-            size = -(-size // TREE_ARITY)
-        self.total_lines = cursor
-        #: Tree geometry as (base, clamp) pairs, leaf-most level first:
-        #: level ``k`` of a leaf's path is ``base + min(index, clamp)`` with
-        #: ``index`` the leaf index divided by ``TREE_ARITY ** (k + 1)``.
-        self.tree_levels: Tuple[Tuple[int, int], ...] = tuple(
-            (base, size - 1)
-            for base, size in zip(self.tree_level_bases, self.tree_level_sizes)
-        )
-
-    def counter_line(self, data_line: int) -> int:
-        """Counter line covering a data line."""
-        return self.counter_base + data_line // self.counter_coverage
-
-    def mac_line(self, data_line: int) -> int:
-        """MAC line covering a data line (separate-MAC designs)."""
-        return self.mac_base + data_line // MAC_COVERAGE
-
-    def parity_line(self, data_line: int) -> int:
-        """Parity line covering a data line (Synergy / LOT-ECC tier 2)."""
-        return self.parity_base + data_line // PARITY_COVERAGE
-
-    def tree_path_from_counter(self, counter_line: int) -> List[int]:
-        """Tree line addresses from just above a counter line to the root."""
-        index = counter_line - self.counter_base
-        return self._tree_path(index)
-
-    def tree_path_from_mac(self, mac_line: int) -> List[int]:
-        """MAC-tree line addresses from just above a MAC line to the root."""
-        index = mac_line - self.mac_base
-        return self._tree_path(index)
-
-    def _tree_path(self, leaf_index: int) -> List[int]:
-        # Computed per call, never memoised: a per-leaf memo grows one list
-        # per distinct leaf for the whole cell, and the arithmetic is a
-        # handful of integer ops per level.
-        path = []
-        index = leaf_index
-        for base, clamp in self.tree_levels:
-            index //= TREE_ARITY
-            path.append(base + (index if index < clamp else clamp))
-        return path
 
 
 class _RunningCounts:
@@ -185,7 +72,7 @@ class SecureTimingEngine:
         "design",
         "hierarchy",
         "controller",
-        "map",
+        "layout",
         "stats",
         "_t_tree_walk_depth",
         "_t_mac_tree_walk_depth",
@@ -216,7 +103,9 @@ class SecureTimingEngine:
         self.design = design
         self.hierarchy = hierarchy
         self.controller = controller
-        self.map = TimingMetadataMap(num_data_lines, design.counter_mode)
+        self.layout = MetadataLayout(
+            num_data_lines, counter_mode=design.counter_mode
+        )
         self.stats = StatGroup("secure_engine_%s" % design.name)
         registry = get_registry()
         self._t_tree_walk_depth = registry.histogram(
@@ -369,7 +258,7 @@ class SecureTimingEngine:
         ``_RunningCounts``).
         """
         design = self.design
-        map_ = self.map
+        layout = self.layout
         hierarchy = self.hierarchy
         md = hierarchy.metadata_cache
         md_sets = md._sets
@@ -382,17 +271,17 @@ class SecureTimingEngine:
         llc_shift = llc._set_shift
         llc_assoc = llc.associativity
         llc_fill = llc.fill
-        counter_base = map_.counter_base
-        counter_coverage = map_.counter_coverage
-        mac_base = map_.mac_base
+        counter_base = layout.counter_base
+        counter_coverage = layout.counter_coverage
+        mac_base = layout.mac_base
         encrypted = design.encrypted
         counters_in_llc = design.counters_in_llc
         bonsai = design.tree_kind is TreeKind.BONSAI_COUNTER
         mac_tree = design.tree_kind is TreeKind.MAC_TREE
         separate_mac = design.mac_location is MacLocation.SEPARATE
         macs_in_llc = design.macs_in_llc
-        tree_levels = map_.tree_levels
-        arity = TREE_ARITY
+        tree_bases = layout.tree_level_bases
+        arity = layout.arity
         batch = self._batch
         batch_append = batch.append
         handle_writeback = self._fast_writeback
@@ -467,9 +356,9 @@ class SecureTimingEngine:
             # Each level's address is computed on the way up instead of
             # materialising the full path: most walks stop early.
             depth = 0
-            for level_base, level_cap in tree_levels:
+            for level_base in tree_bases:
                 index //= arity
-                tree_line = level_base + (index if index < level_cap else level_cap)
+                tree_line = level_base + index
                 ways = md_sets[tree_line & md_mask]
                 tag = tree_line >> md_shift
                 prev = ways.pop(tag, absent)
@@ -541,7 +430,7 @@ class SecureTimingEngine:
                 # eliminates). IVEC also *stores* its (untrusted) MACs in
                 # the LLC, displacing data without eliding the fetch
                 # (design note in repro.secure.designs.IVEC).
-                mac_index = data_line // MAC_COVERAGE
+                mac_index = data_line // arity
                 mac_line = mac_base + mac_index
                 if c_mac is None:
                     c_mac = bind("mac")
@@ -586,7 +475,7 @@ class SecureTimingEngine:
         use, so stat-group order is first-use order.
         """
         design = self.design
-        map_ = self.map
+        layout = self.layout
         hierarchy = self.hierarchy
         md = hierarchy.metadata_cache
         md_sets = md._sets
@@ -599,11 +488,11 @@ class SecureTimingEngine:
         llc_shift = llc._set_shift
         llc_assoc = llc.associativity
         llc_fill = llc.fill
-        counter_base = map_.counter_base
-        counter_coverage = map_.counter_coverage
-        mac_base = map_.mac_base
-        parity_base = map_.parity_base
-        tree_base = map_.tree_level_bases[0]
+        counter_base = layout.counter_base
+        counter_coverage = layout.counter_coverage
+        mac_base = layout.mac_base
+        parity_base = layout.parity_base
+        tree_base = layout.tree_base
         encrypted = design.encrypted
         counters_in_llc = design.counters_in_llc
         bonsai = design.tree_kind is TreeKind.BONSAI_COUNTER
@@ -613,8 +502,8 @@ class SecureTimingEngine:
         parity_on_write = design.parity_write_on_data_write
         lotecc_rmw = design.lotecc_parity_rmw
         lotecc_coalesced = design.lotecc_write_coalescing
-        tree_levels = map_.tree_levels
-        arity = TREE_ARITY
+        tree_bases = layout.tree_level_bases
+        arity = layout.arity
         batch = self._batch
         batch_append = batch.append
         queue = self._writeback_queue
@@ -700,9 +589,9 @@ class SecureTimingEngine:
             # (each level's counter or hash changes); uncached levels are
             # fetched for the read-modify-write. Returns the RMW reads.
             misses = 0
-            for level_base, level_cap in tree_levels:
+            for level_base in tree_bases:
                 index //= arity
-                tree_line = level_base + (index if index < level_cap else level_cap)
+                tree_line = level_base + index
                 hit, wb = md_probe_write(tree_line, use_llc)
                 if wb is not None:
                     queue_append(wb)
@@ -761,7 +650,7 @@ class SecureTimingEngine:
                         if separate_mac:
                             # Uncached MAC update: one (masked) memory
                             # write per data write.
-                            mac_index = line // MAC_COVERAGE
+                            mac_index = line // arity
                             mac_line = mac_base + mac_index
                             counter = cells.get("wmw")
                             if counter is None:
@@ -786,7 +675,7 @@ class SecureTimingEngine:
                     if parity_on_write:
                         # Synergy: one parity write per data write, computed
                         # from the written line itself (no read).
-                        parity_line = parity_base + line // PARITY_COVERAGE
+                        parity_line = parity_base + line // arity
                         counter = cells.get("wpw")
                         if counter is None:
                             counter = cells["wpw"] = bind(
@@ -798,7 +687,7 @@ class SecureTimingEngine:
                             (write, parity_line, when, "parity", core)
                         )
                     if lotecc_rmw:
-                        parity_line = parity_base + line // PARITY_COVERAGE
+                        parity_line = parity_base + line // arity
                         if not lotecc_coalesced:
                             # Tier-2 parity needs its old contents: RMW.
                             counter = cells.get("wpr")
@@ -865,7 +754,7 @@ class SecureTimingEngine:
         backs that metadata there, because that *is* cache state.
         """
         design = self.design
-        map_ = self.map
+        layout = self.layout
         hierarchy = self.hierarchy
         md = hierarchy.metadata_cache
         md_sets = md._sets
@@ -878,16 +767,16 @@ class SecureTimingEngine:
         llc_shift = llc._set_shift
         llc_assoc = llc.associativity
         llc_fill = llc.fill
-        counter_base = map_.counter_base
-        counter_coverage = map_.counter_coverage
-        mac_base = map_.mac_base
+        counter_base = layout.counter_base
+        counter_coverage = layout.counter_coverage
+        mac_base = layout.mac_base
         counters_in_llc = design.counters_in_llc
         bonsai = design.tree_kind is TreeKind.BONSAI_COUNTER
         mac_tree = design.tree_kind is TreeKind.MAC_TREE
         separate_mac = design.mac_location is MacLocation.SEPARATE
         macs_in_llc = design.macs_in_llc
-        tree_levels = map_.tree_levels
-        arity = TREE_ARITY
+        tree_bases = layout.tree_level_bases
+        arity = layout.arity
         absent = ABSENT
 
         def warm_probe(line, is_write, use_llc):
@@ -924,9 +813,9 @@ class SecureTimingEngine:
 
         def warm_walk(index, is_write, use_llc):
             # Break-on-hit walk toward the cached anchor.
-            for level_base, level_cap in tree_levels:
+            for level_base in tree_bases:
                 index //= arity
-                tree_line = level_base + (index if index < level_cap else level_cap)
+                tree_line = level_base + index
                 if warm_probe(tree_line, is_write, use_llc):
                     break
 
@@ -936,7 +825,7 @@ class SecureTimingEngine:
             if not hit and bonsai:
                 warm_walk(counter_index, is_write, counters_in_llc)
             if separate_mac:
-                mac_index = data_line // MAC_COVERAGE
+                mac_index = data_line // arity
                 if macs_in_llc:
                     llc_fill(mac_base + mac_index)
                 if mac_tree:

@@ -23,7 +23,9 @@ class SystemConfig:
     core: CoreParams = field(default_factory=CoreParams)
     caches: CacheConfig = field(default_factory=CacheConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
-    #: data region size (lines) shared by all cores' footprints
+    #: data region size (lines) shared by all cores' footprints; every
+    #: trace line must lie in [0, num_data_lines), because the lines above
+    #: it hold metadata (``SystemSimulator`` rejects a trace that does not)
     num_data_lines: int = 1 << 24
     #: per-core footprint offset spacing (lines)
     lines_per_core: int = 1 << 22

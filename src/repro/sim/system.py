@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.setassoc import ABSENT
 from repro.cpu.multicore import MulticoreDriver
@@ -31,6 +33,26 @@ from repro.util.stats import StatGroup
 MISS_LATENCY_EDGES = (64, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 4096)
 
 
+def _check_data_region(traces: List[Trace], num_data_lines: int) -> None:
+    """Reject a trace that touches a line outside the data region.
+
+    The secure engine maps every line at or above ``num_data_lines`` to
+    metadata, so such an access would silently read or write counters,
+    MACs or tree nodes. One max per core's line column, not a per-access
+    test.
+    """
+    for core, trace in enumerate(traces):
+        lines = trace.lines
+        if not len(lines):
+            continue
+        highest = int(np.max(lines))
+        if highest >= num_data_lines:
+            raise ValueError(
+                "core %d: trace line %#x is outside the data region "
+                "(num_data_lines = %#x)" % (core, highest, num_data_lines)
+            )
+
+
 class SystemSimulator:
     """One design running one set of per-core traces to completion."""
 
@@ -42,6 +64,7 @@ class SystemSimulator:
     ):
         if not traces:
             raise ValueError("need at least one trace")
+        _check_data_region(traces, config.num_data_lines)
         self.design = design
         self.config = config
         memory_config = config.memory
@@ -176,7 +199,7 @@ class SystemSimulator:
         if self.design.serial_tree_verification:
             # Non-Bonsai Merkle tree: one serial hash per level up to the
             # root before the data may be consumed (Fig. 16 mechanism).
-            verify *= 1 + len(self.engine.map.tree_level_sizes)
+            verify *= 1 + self.engine.layout.tree_depth
         speculative = self.design.speculative_verification
         llc_latency = self._llc_latency
         mult = self._mult
@@ -213,6 +236,7 @@ class SystemSimulator:
         reach steady-state occupancy without pre-loading the measured
         accesses themselves.
         """
+        _check_data_region(traces, self.config.num_data_lines)
         # Fused replay: the LLC probe is inlined with every stat bump
         # skipped — legal only here, because reset_stats/reset_fill_stats
         # below zero every counter warmup would have touched. Metadata

@@ -9,7 +9,7 @@ enqueue at once or buffer into one ``enqueue_batch`` flush per expansion.
 ``repro.secure.timing_engine`` fuses the same walks into three closures.
 
 :class:`ScalarSecureTimingEngine` subclasses the production engine, so the
-metadata map, the stats group, the registry counters, the accounting
+metadata layout, the stats group, the registry counters, the accounting
 table and ``sync_telemetry`` are shared: ``tests/test_columnar_equivalence.py``
 drives both engines with one access stream and compares specs, blocking
 sets, stats (in insertion order), cache sets and telemetry.
@@ -73,14 +73,14 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
 
     def _classify_writeback(self, line_address: int) -> str:
         """Traffic category of an evicted line by its region."""
-        map_ = self.map
-        if line_address < map_.counter_base:
+        layout = self.layout
+        if line_address < layout.counter_base:
             return "data"
-        if line_address < map_.mac_base:
+        if line_address < layout.mac_base:
             return "counter"
-        if line_address < map_.parity_base:
+        if line_address < layout.parity_base:
             return "mac"
-        if line_address < map_.tree_level_bases[0]:
+        if line_address < layout.tree_base:
             return "parity"
         return "counter"  # tree lines group with counters (Fig. 9)
 
@@ -166,7 +166,7 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
         try:
             while self._writeback_queue:
                 line = self._writeback_queue.popleft()
-                if line < self.map.counter_base:
+                if line < self.layout.counter_base:
                     self.expand_data_writeback(line, when, core)
                 else:
                     self._emit_write(
@@ -205,23 +205,24 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
         encrypted designs.
         """
         design = self.design
-        counter_line = self.map.counter_line(data_line)
+        counter_line = self.layout.counter_line(data_line)
         chain = self.hierarchy.access_metadata(
             counter_line, is_write=is_write, use_llc=design.counters_in_llc
         )
         if not chain.hit and design.tree_kind is TreeKind.BONSAI_COUNTER:
-            for tree_line in self.map.tree_path_from_counter(counter_line):
+            leaf = counter_line - self.layout.counter_base
+            for tree_line in self.layout.tree_path(leaf):
                 node = self.hierarchy.access_metadata(
                     tree_line, is_write=is_write, use_llc=design.counters_in_llc
                 )
                 if node.hit:
                     break
         if design.mac_location is MacLocation.SEPARATE:
-            mac_line = self.map.mac_line(data_line)
+            mac_line = self.layout.mac_line(data_line)
             if design.macs_in_llc:
                 self.hierarchy.llc.fill(mac_line)
             if design.tree_kind is TreeKind.MAC_TREE:
-                for tree_line in self.map.tree_path_from_mac(mac_line):
+                for tree_line in self.layout.tree_path(mac_line - self.layout.mac_base):
                     node = self.hierarchy.access_metadata(
                         tree_line, is_write=is_write, use_llc=design.macs_in_llc
                     )
@@ -257,7 +258,7 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
 
     def _fetch_counter_chain(self, data_line: int, when: int, core: int) -> None:
         design = self.design
-        counter_line = self.map.counter_line(data_line)
+        counter_line = self.layout.counter_line(data_line)
         result = self.hierarchy.access_metadata(
             counter_line, is_write=False, use_llc=design.counters_in_llc
         )
@@ -271,7 +272,7 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
             return
         # Walk the counter tree until a cached level (trust anchor).
         depth = 0
-        for tree_line in self.map.tree_path_from_counter(counter_line):
+        for tree_line in self.layout.tree_path(counter_line - self.layout.counter_base):
             node = self.hierarchy.access_metadata(
                 tree_line, is_write=False, use_llc=design.counters_in_llc
             )
@@ -288,7 +289,7 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
 
     def _fetch_mac(self, data_line: int, when: int, core: int) -> None:
         design = self.design
-        mac_line = self.map.mac_line(data_line)
+        mac_line = self.layout.mac_line(data_line)
         # Table II: SGX/SGX_O cache MACs nowhere — every data access pays
         # a MAC memory access (the traffic Synergy eliminates). IVEC
         # additionally *stores* its (untrusted) MACs in the LLC, displacing
@@ -305,7 +306,7 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
         if design.tree_kind is not TreeKind.MAC_TREE:
             return
         depth = 0
-        for tree_line in self.map.tree_path_from_mac(mac_line):
+        for tree_line in self.layout.tree_path(mac_line - self.layout.mac_base):
             node = self.hierarchy.access_metadata(
                 tree_line, is_write=False, use_llc=design.macs_in_llc
             )
@@ -346,9 +347,9 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
             # Synergy: the parity region sees one write per data write;
             # the new parity is computed from the written line itself so no
             # read is needed (ParityP updated via DIMM-internal masking).
-            self._emit_write(self.map.parity_line(data_line), when, "parity", core)
+            self._emit_write(self.layout.parity_line(data_line), when, "parity", core)
         if design.lotecc_parity_rmw:
-            parity_line = self.map.parity_line(data_line)
+            parity_line = self.layout.parity_line(data_line)
             if not design.lotecc_write_coalescing:
                 # Tier-2 parity needs old contents: read-modify-write.
                 self._emit_rmw_read(parity_line, when, "parity", core)
@@ -356,7 +357,7 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
 
     def _update_counter_chain(self, data_line: int, when: int, core: int) -> None:
         design = self.design
-        counter_line = self.map.counter_line(data_line)
+        counter_line = self.layout.counter_line(data_line)
         result = self.hierarchy.access_metadata(
             counter_line, is_write=True, use_llc=design.counters_in_llc
         )
@@ -369,7 +370,7 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
         # Updates dirty *every* level up to the root (each level's counter
         # increments); cached levels cost no traffic but uncached ones must
         # be fetched for the read-modify-write.
-        for tree_line in self.map.tree_path_from_counter(counter_line):
+        for tree_line in self.layout.tree_path(counter_line - self.layout.counter_base):
             node = self.hierarchy.access_metadata(
                 tree_line, is_write=True, use_llc=design.counters_in_llc
             )
@@ -379,7 +380,7 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
 
     def _update_mac(self, data_line: int, when: int, core: int) -> None:
         design = self.design
-        mac_line = self.map.mac_line(data_line)
+        mac_line = self.layout.mac_line(data_line)
         # Uncached MAC update: one (masked) memory write per data write.
         self._emit_write(mac_line, when, "mac", core)
         if design.macs_in_llc:
@@ -388,7 +389,7 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
             # A Merkle tree of MACs must re-hash every level to the root on
             # each update — the write-amplification that makes the
             # non-Bonsai structure expensive (§VII-A1).
-            for tree_line in self.map.tree_path_from_mac(mac_line):
+            for tree_line in self.layout.tree_path(mac_line - self.layout.mac_base):
                 node = self.hierarchy.access_metadata(
                     tree_line, is_write=True, use_llc=design.macs_in_llc
                 )

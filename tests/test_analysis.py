@@ -611,18 +611,49 @@ class TestExpansionSanitizer:
             index = blocking[-1]
             kind, line, when, category, core = batch[index]
             assert category == "mac"
-            assert line in engine.map.tree_path_from_mac(engine.map.mac_line(0))
+            layout = engine.layout
+            assert line in layout.tree_path(0)
             # A MAC-tree node of a far leaf is on no path line 0 verifies.
-            far = engine.map.mac_line(1 << 19)
+            far = layout.mac_line(1 << 19) - layout.mac_base
             batch[index] = (
                 kind,
-                engine.map.tree_path_from_mac(far)[0],
+                layout.tree_path(far)[0],
                 when,
                 category,
                 core,
             )
             with pytest.raises(SanitizerError, match="MAC-tree path"):
                 sanitizer.check_expansion_batch(engine, 0, 5, 1, 0, blocking)
+
+    def test_evicted_counter_line_is_caught(self):
+        with sanitized() as sanitizer:
+            engine, blocking = self._cold_expansion(SGX_O)
+            engine.hierarchy.metadata_cache.invalidate(
+                engine.layout.counter_line(0)
+            )
+            with pytest.raises(SanitizerError, match="absent from the dedicated"):
+                sanitizer.check_expansion_batch(engine, 0, 5, 1, 0, blocking)
+
+    def test_walk_may_evict_counter_line_from_a_one_line_cache(self):
+        with sanitized() as sanitizer:
+            engine = SecureTimingEngine(
+                SGX_O,
+                CacheHierarchy(
+                    CacheConfig(
+                        llc_bytes=64,
+                        llc_associativity=1,
+                        metadata_bytes=64,
+                        metadata_associativity=1,
+                    )
+                ),
+                MemoryController(MemoryConfig()),
+                1 << 20,
+            )
+            engine.expand_read_miss_deferred(0, 5, 1)
+            assert sanitizer.last_check == "expansion_batch"
+            assert not engine.hierarchy.metadata_cache.probe(
+                engine.layout.counter_line(0)
+            )
 
     def test_counter_line_off_its_chain_is_caught(self):
         with sanitized() as sanitizer:
@@ -631,10 +662,10 @@ class TestExpansionSanitizer:
             batch = engine._batch
             index = blocking[1]
             kind, line, when, category, core = batch[index]
-            assert (category, line) == ("counter", engine.map.counter_line(0))
+            assert (category, line) == ("counter", engine.layout.counter_line(0))
             batch[index] = (
                 kind,
-                engine.map.counter_line(1 << 19),
+                engine.layout.counter_line(1 << 19),
                 when,
                 category,
                 core,

@@ -24,7 +24,7 @@ import pytest
 from repro.cpu.rob import AccessHandle, CoreModel
 from repro.cpu.trace import Trace
 from repro.secure.designs import CounterMode, design_by_name
-from repro.secure.timing_engine import TimingMetadataMap
+from repro.secure.metadata_layout import MetadataLayout
 from repro.sim.config import SystemConfig
 from repro.sim import runner
 from repro.sim.runner import run_workload
@@ -90,22 +90,21 @@ def test_core_model_holds_no_per_record_objects():
 
 
 def test_tree_path_lookups_leave_bounded_state():
-    metadata_map = TimingMetadataMap(1 << 20, CounterMode.MONOLITHIC)
+    layout = MetadataLayout(1 << 20, counter_mode=CounterMode.MONOLITHIC)
     leaves = 100_000
-    assert metadata_map.num_counter_lines >= leaves
+    assert layout.num_counter_lines >= leaves
 
-    base = metadata_map.counter_base
-    walk = metadata_map.tree_path_from_counter
-    last = walk(base + leaves - 1)
+    walk = layout.tree_path
+    last = walk(leaves - 1)
     # The pymalloc block count, not tracemalloc: tracing 100k lookups'
     # allocations would take most of a second.
     gc.collect()
     before = sys.getallocatedblocks()
     for leaf in range(leaves):
-        walk(base + leaf)
+        walk(leaf)
     gc.collect()
     assert sys.getallocatedblocks() - before <= MAX_LOOKUP_BLOCKS
-    assert walk(base + leaves - 1) == last
+    assert walk(leaves - 1) == last
 
 
 def test_trace_synthesis_transient_is_bounded():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.secure.counters import SplitCounterConfig
+from repro.secure.designs import CounterMode
 from repro.secure.metadata_layout import ROOT_PARENT, MetadataLayout, Region
 
 
@@ -131,6 +133,73 @@ class TestTreeNavigation:
             layout.tree_line(0, 100)
 
 
+class TestCounterModes:
+    """The layout both planes read: the timing engine builds it from the
+    design's ``CounterMode`` at 2^20 data lines."""
+
+    def test_region_ordering(self):
+        layout = MetadataLayout(1 << 20, counter_mode=CounterMode.MONOLITHIC)
+        assert layout.counter_base == 1 << 20
+        assert layout.mac_base > layout.counter_base
+        assert layout.parity_base > layout.mac_base
+        assert layout.tree_level_bases[0] > layout.parity_base
+
+    def test_monolithic_coverage(self):
+        layout = MetadataLayout(1 << 20, counter_mode=CounterMode.MONOLITHIC)
+        assert layout.counter_line(0) == layout.counter_line(7)
+        assert layout.counter_line(8) == layout.counter_line(0) + 1
+
+    def test_split_coverage(self):
+        layout = MetadataLayout(1 << 20, counter_mode=CounterMode.SPLIT)
+        assert layout.counter_coverage == SplitCounterConfig().coverage
+        assert layout.counter_line(0) == layout.counter_line(63)
+        assert layout.counter_line(64) == layout.counter_line(0) + 1
+        assert layout.num_counter_lines == (1 << 20) // 64
+
+    def test_split_tree_sized_over_mac_lines(self):
+        # One tree region serves the Bonsai tree and IVEC's MAC tree, so
+        # it covers the (more numerous) MAC lines under split counters.
+        split = MetadataLayout(1 << 20, counter_mode=CounterMode.SPLIT)
+        monolithic = MetadataLayout(1 << 20)
+        assert split.tree_level_sizes == monolithic.tree_level_sizes
+
+    def test_tree_path_reaches_root(self):
+        layout = MetadataLayout(1 << 20, counter_mode=CounterMode.MONOLITHIC)
+        path = layout.tree_path(0)
+        assert len(path) == layout.tree_depth
+        assert path[-1] == layout.tree_level_bases[-1]
+
+    def test_tree_path_distinct_levels(self):
+        layout = MetadataLayout(1 << 20, counter_mode=CounterMode.MONOLITHIC)
+        path = layout.tree_path(100)
+        assert len(set(path)) == len(path)
+        assert [layout.tree_level_of(line) for line in path] == list(
+            range(layout.tree_depth)
+        )
+
+    @pytest.mark.parametrize("log_lines", [12, 18, 20, 24])
+    def test_chain_is_counter_line_plus_tree_path(self, log_lines):
+        layout = MetadataLayout(1 << log_lines)
+        last = layout.num_data_lines - 1
+        for data_line in (0, 1, 8, 12345 % layout.num_data_lines, last):
+            counter_line = layout.counter_line(data_line)
+            path = layout.tree_path(counter_line - layout.counter_base)
+            chain = [line for line, _slot in layout.verification_chain(data_line)]
+            assert chain == [counter_line] + path
+
+    @pytest.mark.parametrize("mode", list(CounterMode))
+    @pytest.mark.parametrize("log_lines", [3, 6, 12, 18, 24, 26])
+    def test_last_leaves_stay_inside_every_level(self, mode, log_lines):
+        # The walks compute ``base + leaf // arity^(k+1)`` with no clamp:
+        # the last counter and MAC leaf must index inside every level.
+        layout = MetadataLayout(1 << log_lines, counter_mode=mode)
+        for leaves in (layout.num_counter_lines, layout.num_mac_lines):
+            path = layout.tree_path(leaves - 1)
+            for level, line in enumerate(path):
+                base = layout.tree_level_bases[level]
+                assert base <= line < base + layout.tree_level_sizes[level]
+
+
 class TestStorageOverheads:
     def test_matches_paper_section_iv(self):
         overheads = MetadataLayout(1 << 18).storage_overheads()
@@ -139,3 +208,10 @@ class TestStorageOverheads:
         assert overheads["parity"] == pytest.approx(0.125)
         # 8-ary tree converges to ~1/56 ~ 1.8%.
         assert 0.015 < overheads["tree"] < 0.02
+
+    def test_split_counter_overhead(self):
+        overheads = MetadataLayout(
+            1 << 18, counter_mode=CounterMode.SPLIT
+        ).storage_overheads()
+        assert overheads["counters"] == pytest.approx(1 / 64)
+        assert overheads["macs"] == pytest.approx(0.125)

@@ -13,9 +13,8 @@ from repro.secure.designs import (
     SGX,
     SGX_O,
     SYNERGY,
-    CounterMode,
 )
-from repro.secure.timing_engine import SecureTimingEngine, TimingMetadataMap
+from repro.secure.timing_engine import SecureTimingEngine
 
 
 def make_engine(design, num_data_lines=1 << 20):
@@ -37,36 +36,6 @@ def write_back(engine, victim):
     """Drain one evicted line through the writeback path and flush."""
     engine.writeback(victim, 0, 0)
     engine.flush_epoch()
-
-
-class TestTimingMetadataMap:
-    def test_region_ordering(self):
-        metadata_map = TimingMetadataMap(1 << 20, CounterMode.MONOLITHIC)
-        assert metadata_map.counter_base == 1 << 20
-        assert metadata_map.mac_base > metadata_map.counter_base
-        assert metadata_map.parity_base > metadata_map.mac_base
-        assert metadata_map.tree_level_bases[0] > metadata_map.parity_base
-
-    def test_monolithic_coverage(self):
-        metadata_map = TimingMetadataMap(1 << 20, CounterMode.MONOLITHIC)
-        assert metadata_map.counter_line(0) == metadata_map.counter_line(7)
-        assert metadata_map.counter_line(8) == metadata_map.counter_line(0) + 1
-
-    def test_split_coverage(self):
-        metadata_map = TimingMetadataMap(1 << 20, CounterMode.SPLIT)
-        assert metadata_map.counter_line(0) == metadata_map.counter_line(63)
-        assert metadata_map.num_counter_lines == (1 << 20) // 64
-
-    def test_tree_path_reaches_root(self):
-        metadata_map = TimingMetadataMap(1 << 20, CounterMode.MONOLITHIC)
-        path = metadata_map.tree_path_from_counter(metadata_map.counter_base)
-        assert len(path) == len(metadata_map.tree_level_sizes)
-        assert path[-1] == metadata_map.tree_level_bases[-1]
-
-    def test_tree_path_distinct_levels(self):
-        metadata_map = TimingMetadataMap(1 << 20, CounterMode.MONOLITHIC)
-        path = metadata_map.tree_path_from_counter(metadata_map.counter_base + 100)
-        assert len(set(path)) == len(path)
 
 
 class TestReadExpansion:
@@ -114,7 +83,7 @@ class TestReadExpansion:
     def test_ivec_cold_read_gates_on_every_mac_tree_level(self):
         engine, controller = make_engine(IVEC)
         blocking = read_miss(engine, 0)
-        depth = len(engine.map.tree_level_sizes)
+        depth = engine.layout.tree_depth
         traffic = controller.traffic_by_category()
         # No Bonsai walk: the counter line alone, then the MAC and its
         # whole cold MAC-tree path, every request gating the read.
@@ -172,11 +141,11 @@ class TestWriteExpansion:
         traffic = controller.traffic_by_category()
         # A MAC-tree update re-hashes every level to the root: a cold
         # path is one read-modify-write fetch per level.
-        assert traffic["mac_read"] == len(engine.map.tree_level_sizes)
+        assert traffic["mac_read"] == engine.layout.tree_depth
         assert traffic["mac_write"] == 1
         assert traffic["counter_read"] == 1  # counter RMW, no Bonsai walk
         stats = engine.stats.as_dict()
-        assert stats["writeback_mac_read"] == len(engine.map.tree_level_sizes)
+        assert stats["writeback_mac_read"] == engine.layout.tree_depth
 
 
 class TestWritebackDispatch:
@@ -189,13 +158,13 @@ class TestWritebackDispatch:
 
     def test_metadata_victim_plain_write(self):
         engine, controller = make_engine(SYNERGY)
-        counter_line = engine.map.counter_line(0)
+        counter_line = engine.layout.counter_line(0)
         write_back(engine, counter_line)
         assert controller.traffic_by_category() == {"counter_write": 1}
 
     def test_tree_victim_classified_as_counter(self):
         engine, controller = make_engine(SYNERGY)
-        tree_line = engine.map.tree_level_bases[0]
+        tree_line = engine.layout.tree_level_bases[0]
         write_back(engine, tree_line)
         assert controller.traffic_by_category() == {"counter_write": 1}
 

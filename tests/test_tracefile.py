@@ -100,3 +100,22 @@ class TestFileIo:
         config = SystemConfig(num_cores=1, accesses_per_core=300)
         sim = SystemSimulator(SYNERGY, [loaded], config).run()
         assert sim.total_instructions == Trace(list(trace)).total_instructions
+
+    def test_trace_outside_data_region_is_rejected(self, tmp_path):
+        # Lines at or above num_data_lines are metadata addresses: a data
+        # writeback there would land in the counter region unannounced.
+        from repro.secure.designs import SGX_O
+        from repro.sim.config import SystemConfig
+        from repro.sim.system import SystemSimulator
+
+        config = SystemConfig(num_cores=2, warm_caches=False)
+        base = config.num_data_lines
+        path = tmp_path / "high.trace"
+        path.write_text(
+            "".join("3 W %#x\n" % (base + 8 * i) for i in range(30))
+        )
+        inside = Trace([TraceRecord(3, MemoryOp.READ, base - 1)])
+        highest = base + 8 * 29
+        with pytest.raises(ValueError, match="core 1.*%#x.*%#x" % (highest, base)):
+            SystemSimulator(SGX_O, [inside, load_trace(path)], config)
+        SystemSimulator(SGX_O, [inside], config)
