@@ -5,7 +5,7 @@ Examples::
     synergy-repro fig8                        # headline performance figure
     synergy-repro fig8 --jobs 4               # fan grid cells over 4 processes
     synergy-repro fig11 --scale full          # reliability, full Monte-Carlo
-    synergy-repro all --scale quick --no-cache  # everything, no result reuse
+    synergy-repro all --scale quick --no-cache  # everything, no cross-run reuse
     synergy-repro grid --designs SGX_O,Synergy --seeds 1,2  # ad-hoc IPC grid
     synergy-repro serve --port 8642 --jobs 4  # long-running job service
 """
@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.analysis.sanitizer import ENV_VAR as SANITIZE_ENV, configure_sanitizer
@@ -26,6 +27,7 @@ from repro.harness.experiments import (
     run_experiment,
     run_spec,
 )
+from repro.harness.plan import run_scoped_cache
 from repro.harness.spec import GRID_EXPERIMENT, ExperimentSpec, SpecError
 from repro.harness.report import render_execution_stats, render_metrics_summary
 from repro.parallel import EXECUTION_STATS, ExecutionStats, default_jobs
@@ -70,7 +72,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="ignore and do not populate the on-disk run cache",
+        help="reuse no result: ignore and do not populate the on-disk run "
+        "cache ('all' keeps its cells in a temporary run cache for that run "
+        "only, so it still simulates each unique cell once)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -166,21 +170,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     # whole run (prefetch included) accumulates here for --metrics-out.
     run_stats = ExecutionStats()
     plan_summary = None
-    if args.experiment == "all":
-        plan_summary = _prefetch(names, args, cache)
-        run_stats.absorb(EXECUTION_STATS)
-    for name in names:
-        print("=" * 72)
-        print("Experiment:", name)
-        print("=" * 72)
-        EXECUTION_STATS.reset()
-        started = time.perf_counter()
-        run_experiment(name, scale=args.scale, jobs=args.jobs, cache=cache)
-        print("[%s finished in %.1fs]" % (name, time.perf_counter() - started))
-        if EXECUTION_STATS.cells_executed or EXECUTION_STATS.cache_hits:
-            print(render_execution_stats(EXECUTION_STATS))
-        print()
-        run_stats.absorb(EXECUTION_STATS)
+    planned = args.experiment == "all"
+    with run_scoped_cache(cache) if planned else nullcontext(cache) as cache:
+        if planned:
+            plan_summary = _prefetch(names, args, cache)
+            run_stats.absorb(EXECUTION_STATS)
+        for name in names:
+            print("=" * 72)
+            print("Experiment:", name)
+            print("=" * 72)
+            EXECUTION_STATS.reset()
+            started = time.perf_counter()
+            run_experiment(name, scale=args.scale, jobs=args.jobs, cache=cache)
+            print("[%s finished in %.1fs]" % (name, time.perf_counter() - started))
+            if EXECUTION_STATS.cells_executed or EXECUTION_STATS.cache_hits:
+                print(render_execution_stats(EXECUTION_STATS))
+            print()
+            run_stats.absorb(EXECUTION_STATS)
     if TELEMETRY_AGGREGATE:
         print(render_metrics_summary(TELEMETRY_AGGREGATE))
         print()

@@ -8,6 +8,7 @@ reference values appear in each docstring; the reproduction targets the
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -809,23 +810,27 @@ def grid_experiment(
     baseline = named[0].name
     runs: Dict[str, Dict[str, object]] = {}
     seed_list = tuple(seeds) or (None,)
-    if len(seed_list) > 1:
-        # Multi-seed sweeps repeat the same design x workload grid once
-        # per seed: prefetch the union in one planner fan-out so every
-        # per-seed run_suite below assembles from warm hits instead of
-        # paying its own pool spin-up and straggler tail.
-        from repro.harness.plan import CellSpec, execute_cells
+    planned = len(seed_list) > 1
+    # Multi-seed sweeps repeat the same design x workload grid once per
+    # seed: prefetch the union in one planner fan-out so every per-seed
+    # run_suite below assembles from warm hits instead of paying its own
+    # pool spin-up and straggler tail.
+    from repro.harness.plan import CellSpec, execute_cells, run_scoped_cache
 
-        execute_cells(
-            [
-                CellSpec(design, workload, config, seed=seed)
-                for seed in seed_list
-                for design in named
-                for workload in workloads
-            ]
-        )
-    for seed in seed_list:
-        table = run_suite(named, workloads, config, seed=seed)
+    with run_scoped_cache() if planned else contextlib.nullcontext():
+        if planned:
+            execute_cells(
+                [
+                    CellSpec(design, workload, config, seed=seed)
+                    for seed in seed_list
+                    for design in named
+                    for workload in workloads
+                ]
+            )
+        tables = [
+            run_suite(named, workloads, config, seed=seed) for seed in seed_list
+        ]
+    for seed, table in zip(seed_list, tables):
         run_label = "default" if seed is None else "seed=%d" % seed
         speedups = {
             design.name: table.gmean_speedup(design.name, baseline)

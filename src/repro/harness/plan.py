@@ -14,16 +14,21 @@ The planner turns the run inside out:
    :class:`CellSpec` records whose identity is exactly the run-cache key
    (``sim.runner.cell_key``).
 2. **Dedup** — cells are merged across experiments into one unique work
-   list (first-request order), and cells already present in the runner's
-   memo or the on-disk cache are dropped via *silent* probes (no
-   hit/miss counting: the assembly phase owns the counters).
+   list (first-request order), and cells already in the run cache are
+   dropped via *silent* probes (no hit/miss counting: the assembly phase
+   owns the counters).
 3. **Dispatch** — the remaining cells run in a *single* fan-out through
    the persistent pool, in first-request order; ``chunksize=1`` dynamic
    scheduling hands each worker the next cell as it frees up.
 4. **Assemble** — the figures then run unchanged; every grid cell they
-   request is a memo/cache hit, so their outputs are bit-identical to
+   request is a run-cache hit, so their outputs are bit-identical to
    the legacy path (cells are pure functions of their key, and hits
    round-trip through the same JSON payloads).
+
+The run cache is where prefetched cells wait for assembly, so a planned
+run with caching off keeps them in a temporary run cache that lives only
+for that run (:func:`run_scoped_cache`): each unique cell is still
+simulated once, and nothing outlives the run.
 
 Under the invariant sanitizer the planner plans but dispatches nothing:
 sanitize runs exist to recompute every cell through the full legacy path.
@@ -31,12 +36,23 @@ sanitize runs exist to recompute every cell through the full legacy path.
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.harness.scales import Scale, resolve_scale
-from repro.parallel import resolve_cache, resolve_jobs
+from repro.parallel import get_context, overridden, resolve_cache, resolve_jobs
 from repro.secure.designs import (
     IVEC,
     LOTECC,
@@ -52,7 +68,7 @@ from repro.secure.designs import (
 )
 from repro.sim.config import SystemConfig
 from repro.sim.energy import SystemEnergyParams
-from repro.sim.runner import cell_key, is_memoised, run_cells
+from repro.sim.runner import cell_key, run_cells
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -241,11 +257,14 @@ def execute_cells(
 ) -> Dict[str, object]:
     """Dedup ``cells`` and run the not-yet-cached ones in one fan-out.
 
-    Pending cells go out in first-request order. The memo and disk probes
-    are silent (a memo peek / ``RunCache.has``), so the assembly phase's
-    hit/miss counters match the legacy path. Returns a summary dict
-    (requested/unique/pending counts, jobs) for reporting; results land
-    in the memo and run cache, where the figures then find them.
+    Pending cells go out in first-request order. The run-cache probes are
+    silent (``RunCache.has``), so the assembly phase's hit/miss counters
+    match the legacy path. Returns a summary dict (requested/unique/
+    pending counts, jobs) for reporting; results land in the run cache,
+    where the figures then find them. With no run cache there is nowhere
+    to keep them, so nothing is dispatched: each figure simulates its own
+    cells (:func:`run_scoped_cache` gives a planned run a cache of its
+    own instead).
 
     Under the sanitizer the pending cells are counted but not dispatched:
     sanitize runs must recompute every cell through ``run_suite``'s
@@ -256,8 +275,7 @@ def execute_cells(
     run_cache = resolve_cache(cache)
     pending = []
     for cell in unique:
-        key = cell.key()
-        if is_memoised(key) or (run_cache is not None and run_cache.has(key)):
+        if run_cache is not None and run_cache.has(cell.key()):
             continue
         pending.append(cell)
     summary: Dict[str, object] = {
@@ -269,12 +287,14 @@ def execute_cells(
     }
     if get_sanitizer() is not None:
         summary["skipped"] = "sanitizer"
+    elif run_cache is None:
+        summary["skipped"] = "no run cache"
     elif pending:
         run_cells(
             [cell.task() for cell in pending],
             labels=[cell.label for cell in pending],
             jobs=jobs,
-            cache=run_cache if run_cache is not None else False,
+            cache=run_cache,
         )
     return summary
 
@@ -295,6 +315,29 @@ def execute_plan(
     }
 
 
+@contextlib.contextmanager
+def run_scoped_cache(
+    cache: Optional[bool] = None,
+) -> Iterator[Optional[bool]]:
+    """Give a planned run a run cache even when caching is off.
+
+    ``cache`` is the caller's cache argument (``None``: the context's
+    policy). With caching on, the block runs unchanged and gets ``cache``
+    back. With caching off, the block runs against a fresh temporary run
+    cache, removed when the block exits, and gets ``None`` back, so the
+    calls inside must not turn caching off again. The prefetch then
+    simulates each unique cell once and the figures assemble from it,
+    while no result reaches, or comes from, any other run.
+    """
+    enabled = get_context().cache_enabled if cache is None else bool(cache)
+    if enabled:
+        yield cache
+        return
+    with tempfile.TemporaryDirectory(prefix="synergy-repro-run-") as root:
+        with overridden(cache_enabled=True, cache_dir=root):
+            yield None
+
+
 def run_all_experiments(
     scale: object = None,
     quiet: bool = True,
@@ -306,9 +349,10 @@ def run_all_experiments(
     The ``run_experiment("all")`` entry point: plans and dispatches the
     global unique-cell list once, then assembles each figure in name
     order. Returns ``{name: output}`` plus a ``"plan"`` summary entry.
+    With caching off the run keeps its cells in a temporary run cache
+    (:func:`run_scoped_cache`).
     """
     from repro.harness.experiments import ALL_EXPERIMENTS, run_experiment
-    from repro.parallel import overridden
 
     scale = resolve_scale(scale)
     names = ALL_EXPERIMENTS
@@ -318,7 +362,7 @@ def run_all_experiments(
     if cache is not None:
         changes["cache_enabled"] = bool(cache)
     out: Dict[str, object] = {}
-    with overridden(**changes):
+    with overridden(**changes), run_scoped_cache():
         out["plan"] = execute_plan(plan_experiments(names, scale))
         for name in names:
             out[name] = run_experiment(name, scale=scale, quiet=quiet)

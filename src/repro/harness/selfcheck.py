@@ -58,7 +58,7 @@ def timing_grid() -> Tuple[List[object], List[str], object]:
 
     ``harness.plan`` registers these cells too, so a planned ``all`` run
     simulates them in its prefetch fan-out and the check assembles from
-    the memo or the run cache.
+    the run cache.
     """
     from repro.secure.designs import SGX, SGX_O, SYNERGY
     from repro.sim.config import SystemConfig

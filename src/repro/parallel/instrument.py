@@ -34,7 +34,6 @@ class ExecutionStats:
         self._corrupt = self._registry.counter("exec.cache_corrupt")
         self._evictions = self._registry.counter("exec.cache_evictions")
         self._write_errors = self._registry.counter("exec.cache_write_errors")
-        self._memo_evictions = self._registry.counter("exec.memo_evictions")
         self._pool_spawns = self._registry.counter("exec.pool_spawns")
         self._pool_maps = self._registry.counter("exec.pool_maps")
         self._cell_retries = self._registry.counter("exec.cell_retries")
@@ -91,10 +90,6 @@ class ExecutionStats:
     def record_cache_write_error(self, label: str = "") -> None:
         self._write_errors.inc()
 
-    def record_memo_evictions(self, count: int = 1) -> None:
-        if count:
-            self._memo_evictions.inc(count)
-
     def record_cell(self, label: str, seconds: float, peak_kib: int = 0) -> None:
         """One executed cell: its wall time and, when the executing
         process reported it, that process's ``ru_maxrss`` in KiB."""
@@ -146,11 +141,6 @@ class ExecutionStats:
     def cache_write_errors(self) -> int:
         """Cache writes that failed (unwritable root); the run went on."""
         return int(self._write_errors.value)
-
-    @property
-    def memo_evictions(self) -> int:
-        """In-memory cell-memo entries evicted by its byte budget."""
-        return int(self._memo_evictions.value)
 
     @property
     def pool_spawns(self) -> int:
@@ -238,7 +228,6 @@ class ExecutionStats:
             "cache_corrupt": self.cache_corrupt,
             "cache_evictions": self.cache_evictions,
             "cache_write_errors": self.cache_write_errors,
-            "memo_evictions": self.memo_evictions,
             "pool_spawns": self.pool_spawns,
             "pool_maps": self.pool_maps,
             "pool_spawn_seconds": round(self.pool_spawn_seconds, 3),

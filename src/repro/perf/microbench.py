@@ -21,8 +21,11 @@ versions:
 
 Cases return their op count; the harness times them (best-of-N
 ``perf_counter``, garbage collection suspended per round as ``timeit``
-does) and reports microseconds per op. ``tools/profile_run.py --micro``
-profiles one case.
+does) and reports microseconds per op. Next to each time it reports the
+case's Python function calls per op, counted by one extra cProfile run:
+a count repeats exactly from run to run, so it can explain a time that
+host noise hides. It is reported, never gated. ``tools/profile_run.py
+--micro`` profiles one case.
 
 The CLI times each case in a fresh interpreter (``--case`` alone times
 one case in this one). It is also CI's regression gate: with
@@ -41,7 +44,7 @@ import os
 import platform
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -241,11 +244,13 @@ CASES: Dict[str, Callable[[], int]] = {
 
 @dataclass(frozen=True)
 class MicroResult:
-    """Best-of-N timing of one case."""
+    """Best-of-N timing of one case, and its call count when taken."""
 
     name: str
     ops: int
     best_s: float
+    #: Python function calls of one run (:func:`count_calls`), if counted.
+    calls: Optional[int] = None
 
     @property
     def per_op_us(self) -> float:
@@ -254,11 +259,14 @@ class MicroResult:
 
     def to_payload(self) -> Dict[str, float]:
         """JSON-ready summary."""
-        return {
+        payload = {
             "ops": self.ops,
             "best_s": self.best_s,
             "per_op_us": self.per_op_us,
         }
+        if self.calls is not None:
+            payload["calls_per_op"] = self.calls / self.ops if self.ops else 0.0
+        return payload
 
 
 def run_case(name: str, repeats: int = 3) -> MicroResult:
@@ -292,6 +300,21 @@ def run_case(name: str, repeats: int = 3) -> MicroResult:
         if was_enabled:
             gc.enable()
     return MicroResult(name, ops, best or 0.0)
+
+
+def count_calls(name: str) -> int:
+    """Python function calls (builtins included) one run of a case makes.
+
+    Counted by cProfile, after the timed rounds have taken the case's lazy
+    imports, so the count is the case's steady-state work. Only
+    ``pool_dispatch``, whose parent waits on its workers, may vary.
+    """
+    import cProfile
+    import pstats
+
+    profiler = cProfile.Profile()
+    profiler.runcall(CASES[name])
+    return pstats.Stats(profiler).total_calls
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +428,26 @@ def _print_report(report: Dict) -> None:
             flag = "  FAIL: slower than %.2fx" % REGRESSION_RATIO
         elif name in report["warned"]:
             flag = "  WARN: slower than %.2fx" % REGRESSION_RATIO
+        payload = report["micro"][name]
         lines.append(
-            "  %-24s %8.3f us/op (%.2fx)%s"
-            % (name, report["micro"][name]["per_op_us"], ratio, flag)
+            "  %-24s %8.3f us/op (%.2fx) %9.1f calls/op%s"
+            % (
+                name,
+                payload["per_op_us"],
+                ratio,
+                payload.get("calls_per_op", 0.0),
+                flag,
+            )
         )
-    lines += ["  %-24s (new case)" % name for name in report["new"]]
+    lines += [
+        "  %-24s %8.3f us/op (new case) %9.1f calls/op"
+        % (
+            name,
+            report["micro"][name]["per_op_us"],
+            report["micro"][name].get("calls_per_op", 0.0),
+        )
+        for name in report["new"]
+    ]
     lines += ["  %-24s (in the baseline, not run)" % name for name in report["not_run"]]
     if report["failed"]:
         lines.append(
@@ -423,8 +461,9 @@ def _main(argv: Optional[List[str]] = None) -> int:
     """CLI: time the cases and print a JSON payload map.
 
     Every case runs in a fresh interpreter; ``--case`` alone times that
-    one case in this interpreter (the fresh-interpreter path shells out
-    here once per case). ``--baseline`` adds the gate's comparison.
+    one case in this interpreter and then counts its calls (the
+    fresh-interpreter path shells out here once per case).
+    ``--baseline`` adds the gate's comparison.
     """
     import argparse
 
@@ -443,6 +482,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.case and not args.baseline:
         result = run_case(args.case, args.repeats)
+        result = replace(result, calls=count_calls(args.case))
         print(json.dumps({result.name: result.to_payload()}))
         return 0
     names = [args.case] if args.case else sorted(CASES)

@@ -6,16 +6,14 @@ so cells run across a process pool (``jobs``) and bit-identical results
 merge in grid order regardless of completion order. Finished cells are
 stored in the content-addressed run cache (see ``repro.parallel.runcache``)
 and reused across figures — the SGX_O baseline recurs in Figs. 8/9/10/13/14
-but is simulated once per code version.
+but is simulated once per code version. The run cache is the only tier of
+cell results: with caching off (``cache=False``), no result is reused.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
-import os
 from array import array
-from collections import OrderedDict
 from itertools import chain, islice
 from typing import (
     Callable,
@@ -30,12 +28,7 @@ from typing import (
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.cpu.trace import Trace
-from repro.parallel import (
-    EXECUTION_STATS,
-    parallel_map,
-    resolve_cache,
-    resolve_jobs,
-)
+from repro.parallel import parallel_map, resolve_cache, resolve_jobs
 from repro.parallel.runcache import RunCache, cache_key
 from repro.secure.designs import SecureDesign
 from repro.sim.config import SystemConfig
@@ -272,121 +265,17 @@ def _warm_simulator(
     _restore_sets(md_sets, cached[1])
 
 
-#: Default byte budget for the cell-result memo below. Serialized cells are
-#: a few KiB of JSON, so this retains thousands of cells while bounding a
-#: long-lived process. Overridable via ``REPRO_RUN_MEMO_BYTES``.
-DEFAULT_RUN_MEMO_BYTES = 32 * 1024 * 1024
-
-
-def _run_memo_budget() -> int:
-    value = os.environ.get("REPRO_RUN_MEMO_BYTES", "")
-    if value:
-        try:
-            return max(0, int(value))
-        except ValueError:
-            return DEFAULT_RUN_MEMO_BYTES
-    return DEFAULT_RUN_MEMO_BYTES
-
-
-class BoundedBytesMemo:
-    """A string-to-string LRU memo bounded by approximate byte size.
-
-    Sizes are approximated as ``len(key) + len(value)`` (the values are
-    ASCII-dominated JSON, so characters ~ bytes). ``put`` evicts from the
-    least-recently-used end until the budget holds and returns how many
-    entries were evicted, so callers can count evictions into their stats.
-    A budget of 0 disables the memo entirely (every ``get`` misses).
-    """
-
-    __slots__ = ("max_bytes", "used_bytes", "evictions", "_entries")
-
-    def __init__(self, max_bytes: int = DEFAULT_RUN_MEMO_BYTES) -> None:
-        self.max_bytes = max(0, int(max_bytes))
-        self.used_bytes = 0
-        #: Lifetime eviction count (mirrors ``exec.memo_evictions``).
-        self.evictions = 0
-        self._entries: "OrderedDict[str, str]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def get(self, key: str) -> Optional[str]:
-        """The memoised value (refreshing its recency), or None."""
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
-
-    def put(self, key: str, value: str) -> int:
-        """Store ``key -> value``; returns the number of entries evicted."""
-        if self.max_bytes <= 0:
-            return 0
-        size = len(key) + len(value)
-        if size > self.max_bytes:
-            # A single over-budget entry can never be retained; storing it
-            # would immediately evict everything including itself.
-            return 0
-        previous = self._entries.pop(key, None)
-        if previous is not None:
-            self.used_bytes -= len(key) + len(previous)
-        self._entries[key] = value
-        self.used_bytes += size
-        evicted = 0
-        while self.used_bytes > self.max_bytes and self._entries:
-            old_key, old_value = self._entries.popitem(last=False)
-            self.used_bytes -= len(old_key) + len(old_value)
-            evicted += 1
-        self.evictions += evicted
-        return evicted
-
-    def clear(self) -> None:
-        """Drop every entry (eviction counters are lifetime, kept)."""
-        self._entries.clear()
-        self.used_bytes = 0
-
-
-#: The in-memory L1 in front of the persistent run cache, keyed by the same
-#: content address. The evaluation figures share grid cells wholesale (the
-#: SGX_O/SGX/Synergy baseline grid recurs in Figs. 8/9/10, Fig. 12's
-#: two-channel leg, and Fig. 13's monolithic leg), and each cell is a pure
-#: function of its key — so within one process the second figure replays
-#: the first figure's result instead of re-simulating. Unlike the disk cache
-#: this cannot go stale (it dies with the process and never spans a code
-#: version), so it stays on even when the persistent cache is disabled, and
-#: a forked child may safely reuse what it inherits. Values are JSON
-#: strings: hits round-trip through ``json.loads`` so every consumer sees
-#: the same payload types as a disk-cache hit, and no two figures share
-#: mutable result state. The byte budget bounds long-lived processes that
-#: stream unbounded distinct specs through it; each eviction is counted as
-#: ``exec.memo_evictions``.
-_RUN_MEMO = BoundedBytesMemo(_run_memo_budget())
-
-
 def clear_run_memos() -> None:
-    """Drop the process's memos: traces, warm state and cell results.
+    """Drop the process's memos: generated traces and warm cache state.
 
-    Tests that assert on execution counts call this first; nothing in the
+    Benchmarks and tests that time cold cells call this first; nothing in the
     memos is observable in results — cells are pure — so clearing is
-    always safe, merely slower.
+    always safe, merely slower. Cell results are never memoised in
+    memory: the run cache (``repro.parallel.runcache``) is their only
+    tier, so ``cache=False`` reuses no result.
     """
     _TRACE_MEMO.clear()
     _WARM_MEMO.clear()
-    _RUN_MEMO.clear()
-
-
-def is_memoised(key: str) -> bool:
-    """Whether the cell-result memo holds ``key`` (the planner's probe)."""
-    return _RUN_MEMO.get(key) is not None
-
-
-def _memo_put(key: str, serialized: str) -> None:
-    """Store one cell in the memo, counting any LRU evictions."""
-    evicted = _RUN_MEMO.put(key, serialized)
-    if evicted:
-        EXECUTION_STATS.record_memo_evictions(evicted)
 
 
 def run_workload(
@@ -453,14 +342,19 @@ def _workload_label(workload: Union[str, WorkloadProfile]) -> str:
     return workload if isinstance(workload, str) else workload.name
 
 
-def _cell_key(
+def cell_key(
     design: SecureDesign,
     workload: Union[str, WorkloadProfile],
     config: SystemConfig,
-    energy_params: Optional[SystemEnergyParams],
+    energy_params: Optional[SystemEnergyParams] = None,
     seed: Optional[int] = None,
 ) -> str:
-    """Content address of one grid cell (see repro.parallel.runcache)."""
+    """Content address of one grid cell (see repro.parallel.runcache).
+
+    Exactly the key ``run_suite`` consults and the whole-run planner
+    dedups on, so a cell the planner executed is a guaranteed run-cache
+    hit when a figure later assembles it.
+    """
     return cache_key(
         "run_workload",
         design=design,
@@ -469,37 +363,6 @@ def _cell_key(
         energy=energy_params or SystemEnergyParams(),
         seed=seed,
     )
-
-
-def cell_key(
-    design: SecureDesign,
-    workload: Union[str, WorkloadProfile],
-    config: SystemConfig,
-    energy_params: Optional[SystemEnergyParams] = None,
-    seed: Optional[int] = None,
-) -> str:
-    """Public cell identity — what the whole-run planner dedups on.
-
-    Exactly the key ``run_suite`` consults, so a cell the planner executed
-    is a guaranteed memo/cache hit when a figure later assembles it.
-    """
-    return _cell_key(design, workload, config, energy_params, seed)
-
-
-def _store_result(
-    run_cache: Optional[RunCache],
-    memo_on: bool,
-    key: Optional[str],
-    result: RunResult,
-) -> None:
-    """Persist one executed cell: disk entry plus the in-process memo."""
-    if key is None:
-        return
-    payload = result.to_payload()
-    if run_cache is not None:
-        run_cache.put(key, payload)
-    if memo_on:
-        _memo_put(key, json.dumps(payload))
 
 
 def _run_cell(
@@ -568,28 +431,14 @@ def run_suite(
 
     cells = [(design, workload) for design in designs for workload in workloads]
     total = len(cells)
-    # The in-process memo stands down under the sanitizer: sanitize runs
-    # recompute every cell so check_cached_payload exercises the full path.
-    memo_on = get_sanitizer() is None
     finished = {}
     hits = []
     pending = []
     for design, workload in cells:
         label = "%s/%s" % (design.name, _workload_label(workload))
-        key = (
-            _cell_key(design, workload, config, energy_params, seed)
-            if run_cache is not None or memo_on
-            else None
-        )
-        if key is not None and memo_on:
-            serialized = _RUN_MEMO.get(key)
-            if serialized is not None:
-                EXECUTION_STATS.record_cache_hit(label)
-                result = RunResult.from_payload(json.loads(serialized))
-                finished[(design, workload)] = result
-                hits.append((label, result))
-                continue
-        if key is not None and run_cache is not None:
+        key = None
+        if run_cache is not None:
+            key = cell_key(design, workload, config, energy_params, seed)
             payload = run_cache.get(key, label=label)
             if payload is not None:
                 sanitizer = get_sanitizer()
@@ -601,8 +450,6 @@ def run_suite(
                             d, w, config, energy_params, seed
                         ).to_payload(),
                     )
-                else:
-                    _memo_put(key, json.dumps(payload))
                 result = RunResult.from_payload(payload)
                 finished[(design, workload)] = result
                 hits.append((label, result))
@@ -639,7 +486,8 @@ def run_suite(
         )
         for (cell, key, _label), result in zip(pending, results):
             finished[cell] = result
-            _store_result(run_cache, memo_on, key, result)
+            if run_cache is not None:
+                run_cache.put(key, result.to_payload())
 
     table = ResultTable()
     for cell in cells:
@@ -657,14 +505,14 @@ def run_cells(
     jobs: Optional[int] = None,
     cache: Union[None, bool, str, RunCache] = None,
 ) -> List[RunResult]:
-    """Execute grid cells *as given* and populate the memo + run cache.
+    """Execute grid cells *as given* and populate the run cache.
 
     The whole-run planner's dispatch primitive: unlike :func:`run_suite`
     this neither probes nor dedups — the planner already did both — it
     fans the tasks (``(design, workload, config, energy_params, seed)``
     tuples) over ``jobs`` workers in the order supplied, stores each
-    result exactly as ``run_suite`` would (disk entry plus in-process
-    memo), and returns results in submission order.
+    result in the run cache exactly as ``run_suite`` would, and returns
+    results in submission order.
 
     Per-cell completion is streamed through the
     :func:`cell_progress` hook as ``cell`` events (``planned: True``), so
@@ -675,7 +523,6 @@ def run_cells(
         return []
     jobs = resolve_jobs(jobs)
     run_cache = resolve_cache(cache)
-    memo_on = get_sanitizer() is None
     if labels is None:
         labels = [
             "%s/%s" % (task[0].name, _workload_label(task[1])) for task in tasks
@@ -695,7 +542,7 @@ def run_cells(
         labels=labels,
         progress=on_cell if hook is not None else None,
     )
-    for task, result in zip(tasks, results):
-        key = _cell_key(*task) if run_cache is not None or memo_on else None
-        _store_result(run_cache, memo_on, key, result)
+    if run_cache is not None:
+        for task, result in zip(tasks, results):
+            run_cache.put(cell_key(*task), result.to_payload())
     return results

@@ -121,7 +121,6 @@ class TestCli:
 
         from repro.harness import cli
         from repro.harness.experiments import EXPERIMENTS
-        from repro.sim.runner import clear_run_memos
 
         # selfcheck's timing cells are planned (the prefetch runs them),
         # and table3, which runs last, executes nothing.
@@ -129,7 +128,6 @@ class TestCli:
         monkeypatch.setattr(
             cli, "EXPERIMENTS", {name: EXPERIMENTS[name] for name in names}
         )
-        clear_run_memos()
         path = tmp_path / "metrics.json"
         argv = ["all", "--no-cache", "--jobs", "1", "--metrics-out", str(path)]
         assert cli.main(argv) == 0

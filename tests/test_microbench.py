@@ -6,7 +6,12 @@ import os
 import subprocess
 import sys
 
-from repro.perf.microbench import GATED_CASES, REGRESSION_RATIO, verdict
+from repro.perf.microbench import (
+    GATED_CASES,
+    REGRESSION_RATIO,
+    count_calls,
+    verdict,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -82,9 +87,18 @@ def test_gate_cli_against_a_temporary_baseline(tmp_path):
     assert completed.returncode == 0, completed.stderr
     report = json.loads(completed.stdout)
     assert report["micro"]["telemetry_record"]["ops"] > 0
+    # Each op is an ``inc`` or a ``record`` call: at least one call per op.
+    assert report["micro"]["telemetry_record"]["calls_per_op"] >= 1.0
     assert report["ratios"]["telemetry_record"] < 1.0
     assert report["not_run"] == ["miss_expansion"]
     assert report["baseline"]["code_fingerprint"] == "f00d"
     assert report["host"]["cpu_count"] >= 1
     # The provenance of both sides is printed next to the verdict.
     assert "f00d" in completed.stderr and "CPU(s)" in completed.stderr
+    assert "calls/op" in completed.stderr
+
+
+def test_call_counts_repeat_exactly():
+    # Unlike a timing, a count has no host noise to average out.
+    count_calls("telemetry_record")  # takes the case's lazy imports
+    assert count_calls("telemetry_record") == count_calls("telemetry_record")

@@ -35,7 +35,7 @@ from repro.reliability.schemes import SECDED_SCHEME, SYNERGY_SCHEME
 from repro.secure.designs import SGX_O, SYNERGY
 from repro.sim.config import SystemConfig
 from repro.sim.results import ResultTable, RunResult
-from repro.sim.runner import cell_key, clear_run_memos, run_suite
+from repro.sim.runner import cell_key, run_suite
 
 #: Tiny grid: big enough to exercise warm-up, caches and both designs,
 #: small enough that the golden comparison runs twice in seconds.
@@ -93,10 +93,13 @@ class TestRunSuiteGolden:
     """The ISSUE's golden test: jobs=1 vs jobs=4 bit-identical."""
 
     @pytest.fixture(scope="class")
-    def tables(self):
+    def tables(self, one_pool_map):
         with overridden(cache_enabled=False):
             serial = run_suite([SGX_O, SYNERGY], ["mcf", "pr-web"], TINY, jobs=1)
-            pooled = run_suite([SGX_O, SYNERGY], ["mcf", "pr-web"], TINY, jobs=4)
+            with one_pool_map(4):
+                pooled = run_suite(
+                    [SGX_O, SYNERGY], ["mcf", "pr-web"], TINY, jobs=4
+                )
         return serial, pooled
 
     def test_identical_run_results(self, tables):
@@ -173,10 +176,8 @@ class TestRunCache:
         assert stats.cache_hits == 1 and stats.cache_corrupt == 0
 
     def test_flipped_digit_in_warm_cache_is_recomputed(self, tmp_path):
-        clear_run_memos()
         with overridden(cache_enabled=False):
             clean = run_suite([SGX_O], ["mcf"], TINY).results[0].to_payload()
-        clear_run_memos()
         with overridden(cache_enabled=True, cache_dir=str(tmp_path)):
             run_suite([SGX_O], ["mcf"], TINY)
             path = RunCache(str(tmp_path)).path_for(cell_key(SGX_O, "mcf", TINY))
@@ -186,7 +187,6 @@ class TestRunCache:
             flipped = str((int(digit.group(1)) + 1) % 10)
             with open(path, "w") as handle:
                 handle.write(raw[: digit.start(1)] + flipped + raw[digit.end(1) :])
-            clear_run_memos()
             EXECUTION_STATS.reset()
             again = run_suite([SGX_O], ["mcf"], TINY).results[0].to_payload()
         assert again == clean
@@ -212,9 +212,6 @@ class TestRunCache:
         assert len(code_fingerprint()) == 16
 
     def test_run_suite_reuses_cells(self, tmp_path):
-        # Start from empty process-local memos so the cold run actually
-        # executes and the warm run exercises a cache/memo hit.
-        clear_run_memos()
         with overridden(cache_enabled=True, cache_dir=str(tmp_path)):
             EXECUTION_STATS.reset()
             cold = run_suite([SGX_O], ["mcf"], TINY)
@@ -227,6 +224,17 @@ class TestRunCache:
         assert dataclasses.asdict(cold.results[0]) == dataclasses.asdict(
             warm.results[0]
         )
+
+    def test_cache_off_reuses_no_result(self):
+        # The run cache is the only tier of cell results: with it off, a
+        # repeated cell is simulated again, never replayed from memory.
+        with overridden(cache_enabled=False):
+            EXECUTION_STATS.reset()
+            first = run_suite([SGX_O], ["mcf"], TINY)
+            second = run_suite([SGX_O], ["mcf"], TINY)
+            assert EXECUTION_STATS.cells_executed == 2
+            assert EXECUTION_STATS.cache_hits == 0
+        assert first.results[0].to_payload() == second.results[0].to_payload()
 
     def test_montecarlo_caches_probability(self, tmp_path):
         with overridden(cache_enabled=True, cache_dir=str(tmp_path)):
@@ -262,10 +270,8 @@ class TestRunCache:
         # A root that is a regular file fails every write (NotADirectoryError).
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")
-        clear_run_memos()
         with overridden(cache_enabled=False):
             clean = run_suite([SGX_O], ["mcf"], TINY)
-        clear_run_memos()
         EXECUTION_STATS.reset()
         with overridden(cache_enabled=True, cache_dir=str(blocker)):
             degraded = run_suite([SGX_O], ["mcf"], TINY)

@@ -90,16 +90,17 @@ def test_serial_grid_bit_identical(fixture, serial_payloads):
             )
 
 
-def test_process_pool_bit_identical(fixture):
+def test_process_pool_bit_identical(fixture, one_pool_map):
     """jobs=4: pool workers reproduce the serial bytes (subset of the grid)."""
     designs = list(gen_golden.GOLDEN_DESIGNS)[2:4]  # SGX_O, Synergy
-    table = run_suite(
-        designs,
-        gen_golden.GOLDEN_WORKLOADS,
-        gen_golden.golden_config(),
-        jobs=4,
-        cache=False,
-    )
+    with one_pool_map(len(designs) * len(gen_golden.GOLDEN_WORKLOADS)):
+        table = run_suite(
+            designs,
+            gen_golden.GOLDEN_WORKLOADS,
+            gen_golden.golden_config(),
+            jobs=4,
+            cache=False,
+        )
     for result in table.results:
         cell = "%s/%s" % (result.design, result.workload)
         assert result.to_payload() == fixture["cells"][cell], cell

@@ -9,7 +9,9 @@ The contracts under test:
 * after a planned prefetch, assembling a planned figure executes *zero*
   cells — the drift guard that keeps ``CELL_SOURCES`` in lock-step with
   the figure functions;
-* the planner's memo and disk probes are silent and skip warm cells;
+* with caching off, a planned run keeps its cells in a run cache of its
+  own: each unique cell runs once, and the figures are byte-identical;
+* the planner's run-cache probes are silent and skip warm cells;
 * the persistent pool is reused across maps, grows by respawn, survives
   only in the process that spawned it, shuts down idempotently, and is
   replaced once mid-map when a worker dies.
@@ -35,6 +37,7 @@ from repro.harness.plan import (
     execute_cells,
     execute_plan,
     plan_experiments,
+    run_scoped_cache,
 )
 from repro.harness.scales import QUICK, Scale
 from repro.parallel import (
@@ -43,6 +46,7 @@ from repro.parallel import (
     RunCache,
     active_pool,
     cache_key,
+    get_context,
     get_pool,
     overridden,
     parallel_map,
@@ -138,7 +142,6 @@ class TestExecutePlan:
 
     @requires_planner
     def test_execute_cells_dedups_adhoc_lists(self, tmp_path):
-        clear_run_memos()
         cells = [
             CellSpec(design, workload, TINY_CONFIG)
             for design in (SGX_O, SGX_O, SYNERGY)
@@ -149,21 +152,47 @@ class TestExecutePlan:
             assert summary["cells_requested"] == 3
             assert summary["cells_unique"] == 2
             assert summary["cells_pending"] == 2
-            # Everything is now warm: a re-run dispatches nothing.
-            again = execute_cells(cells)
-            assert again["cells_pending"] == 0
-            # With the memo gone, the silent disk probe finds the entries:
-            # nothing runs and no hit/miss is counted.
-            clear_run_memos()
+            # Everything is now warm: the silent run-cache probe finds the
+            # entries, so nothing runs and no hit/miss is counted.
             counters = (EXECUTION_STATS.cache_hits, EXECUTION_STATS.cache_misses)
             executed = EXECUTION_STATS.cells_executed
-            disk = execute_cells(cells)
-            assert disk["cells_pending"] == 0
+            again = execute_cells(cells)
+            assert again["cells_pending"] == 0
             assert EXECUTION_STATS.cells_executed == executed
             assert (
                 EXECUTION_STATS.cache_hits,
                 EXECUTION_STATS.cache_misses,
             ) == counters
+
+    @requires_planner
+    def test_uncached_multi_seed_grid_runs_each_cell_once(self, tmp_path):
+        from repro.harness.experiments import grid_experiment
+
+        def sweep():
+            return grid_experiment(
+                TINY, designs=("SGX_O", "Synergy"), seeds=(1, 2), quiet=True
+            )
+
+        cells = 2 * 2 * len(_workloads(TINY))
+        with overridden(cache_enabled=False, jobs=1):
+            EXECUTION_STATS.reset()
+            uncached = sweep()
+            # One prefetch of the union, then every seed assembles from the
+            # sweep's own run cache.
+            assert EXECUTION_STATS.cells_executed == cells
+            assert EXECUTION_STATS.cache_hits == cells
+        with overridden(cache_enabled=True, cache_dir=str(tmp_path), jobs=1):
+            assert sweep() == uncached
+
+    @requires_planner
+    def test_no_run_cache_dispatches_nothing(self):
+        # Prefetched cells would have nowhere to wait for assembly.
+        executed = EXECUTION_STATS.cells_executed
+        with overridden(cache_enabled=False, jobs=1):
+            summary = execute_cells([CellSpec(SGX_O, "mcf", TINY_CONFIG)])
+        assert summary["skipped"] == "no run cache"
+        assert summary["cells_pending"] == 1
+        assert EXECUTION_STATS.cells_executed == executed
 
 
 def _timing_cells_executed() -> int:
@@ -182,17 +211,24 @@ def _digest(payload) -> str:
     ).hexdigest()
 
 
-def _assemble(scale):
-    """Run every experiment exactly as the 'all' loop would; digest each."""
+def _assemble(scale, executed=None):
+    """Run every experiment exactly as the 'all' loop would; digest each.
+
+    ``executed``, when given, receives each experiment's count of timing
+    cells executed during its assembly.
+    """
     digests = {}
     for name in ALL_NAMES:
         function = EXPERIMENTS[name]
+        before = _timing_cells_executed()
         payload = (
             function(quiet=True)
             if name in UNSCALED
             else function(scale, quiet=True)
         )
         digests[name] = _digest(payload)
+        if executed is not None:
+            executed[name] = _timing_cells_executed() - before
     return digests
 
 
@@ -220,25 +256,27 @@ class TestPlannedLegacyEquivalence:
             ):
                 plan = plan_experiments(ALL_NAMES, TINY)
                 summary = execute_plan(plan)
-                executed_during_assembly = {}
-                digests = {}
-                for name in ALL_NAMES:
-                    function = EXPERIMENTS[name]
-                    before = _timing_cells_executed()
-                    payload = (
-                        function(quiet=True)
-                        if name in UNSCALED
-                        else function(TINY, quiet=True)
-                    )
-                    digests[name] = _digest(payload)
-                    executed_during_assembly[name] = (
-                        _timing_cells_executed() - before
-                    )
+                executed = {}
                 out["planned%d" % jobs] = {
-                    "digests": digests,
+                    "digests": _assemble(TINY, executed),
                     "summary": summary,
-                    "executed": executed_during_assembly,
+                    "executed": executed,
                 }
+        # Caching off: the run keeps its cells in a run cache of its own.
+        with overridden(cache_enabled=False, jobs=1), run_scoped_cache():
+            plan = plan_experiments(ALL_NAMES, TINY)
+            before = _timing_cells_executed()
+            summary = execute_plan(plan)
+            prefetched = _timing_cells_executed() - before
+            executed = {}
+            out["uncached"] = {
+                "digests": _assemble(TINY, executed),
+                "plan": plan,
+                "summary": summary,
+                "prefetched": prefetched,
+                "executed": executed,
+                "root": get_context().cache_dir,
+            }
         shutdown_pool()
         return out
 
@@ -251,6 +289,15 @@ class TestPlannedLegacyEquivalence:
         summary = legs[leg]["summary"]
         assert summary["cells_pending"] == summary["cells_unique"]
         assert summary["cells_unique"] < summary["cells_requested"]
+
+    def test_uncached_run_simulates_each_unique_cell_once(self, legs):
+        uncached = legs["uncached"]
+        assert uncached["summary"]["cells_pending"] == uncached["plan"].unique
+        assert uncached["prefetched"] == uncached["plan"].unique
+        assert sum(uncached["executed"].values()) == 0, uncached["executed"]
+        assert uncached["digests"] == legs["planned1"]["digests"]
+        # The run's cache went with the run.
+        assert not os.path.exists(uncached["root"])
 
     @pytest.mark.parametrize("leg", ["planned1", "planned4"])
     def test_assembly_executes_zero_planned_cells(self, legs, leg):

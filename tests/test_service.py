@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.analysis.sanitizer import sanitizer_enabled
 from repro.harness import experiments as experiments_module
 from repro.harness.experiments import run_spec
 from repro.harness.spec import ExperimentSpec
@@ -543,18 +542,16 @@ def test_ablations_run_by_name(service_factory):
         assert client.result_bytes(ticket["id"], max_wait_s=60.0) == expected
 
 
-@pytest.mark.skipif(
-    sanitizer_enabled(), reason="the sanitizer turns the run memo off"
-)
 def test_job_child_inherits_the_parents_warm_memos(service_factory, tmp_path):
-    """A job child starts from the memos it inherits at fork: a spec this
-    process already simulated replays there from memory, byte-identical."""
+    """A job child starts from the trace and warm-state memos it inherits
+    at fork. They save work, never results: with caching off the child
+    simulates every cell of a spec this process already ran, and its
+    bytes equal the in-process run."""
     spec = ExperimentSpec.from_payload(_QUICK_GRID)
     clear_run_memos()
     with overridden(cache_enabled=False):
         expected = canonical_result_bytes(run_spec(spec, quiet=True))
-        # With the cell cache off in the child too, its only source of
-        # cached cells is the memo it inherited.
+        # Caching is off in the child too: no layer may replay a cell.
         _service, client = service_factory(
             workers=1, cache_dir=str(tmp_path / "fresh-cache")
         )
@@ -563,7 +560,7 @@ def test_job_child_inherits_the_parents_warm_memos(service_factory, tmp_path):
     assert client.result_bytes(ticket["id"], max_wait_s=120.0) == expected
     events = client.stream_events(ticket["id"], poll_wait_s=1.0, max_wait_s=30.0)
     cells = [event for event in events if event["kind"] == "cell"]
-    assert cells and all(cell["cached"] for cell in cells)
+    assert cells and not any(cell["cached"] for cell in cells)
     assert client.stats()["service"]["runs"] == 1
 
 

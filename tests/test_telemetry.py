@@ -296,7 +296,6 @@ class TestExecutionStats:
             "cache_corrupt",
             "cache_evictions",
             "cache_write_errors",
-            "memo_evictions",
             "pool_spawns",
             "pool_maps",
             "pool_spawn_seconds",
@@ -345,7 +344,7 @@ class TestDeterminism:
         kinds = {payload["kind"] for payload in result.telemetry.values()}
         assert "timer" not in kinds
 
-    def test_jobs_do_not_change_results_or_aggregate(self):
+    def test_jobs_do_not_change_results_or_aggregate(self, one_pool_map):
         TELEMETRY_AGGREGATE.reset()
         serial = run_suite([SGX, SYNERGY], ["lbm"], TINY, jobs=1, cache=False)
         serial_agg = {
@@ -353,7 +352,10 @@ class TestDeterminism:
             for name, snap in TELEMETRY_AGGREGATE.groups().items()
         }
         TELEMETRY_AGGREGATE.reset()
-        pooled = run_suite([SGX, SYNERGY], ["lbm"], TINY, jobs=4, cache=False)
+        with one_pool_map(2):
+            pooled = run_suite(
+                [SGX, SYNERGY], ["lbm"], TINY, jobs=4, cache=False
+            )
         pooled_agg = {
             name: snap.to_payload()
             for name, snap in TELEMETRY_AGGREGATE.groups().items()

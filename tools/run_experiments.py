@@ -20,6 +20,7 @@ import sys
 import time
 
 from repro.harness.experiments import ALL_EXPERIMENTS, EXPERIMENTS, run_experiment
+from repro.harness.plan import run_scoped_cache
 from repro.parallel import EXECUTION_STATS
 from repro.telemetry import (
     TELEMETRY_AGGREGATE,
@@ -51,7 +52,10 @@ def main() -> int:
         "--jobs", type=int, default=None, help="worker processes for fan-out"
     )
     parser.add_argument(
-        "--no-cache", action="store_true", help="disable the on-disk run cache"
+        "--no-cache",
+        action="store_true",
+        help="reuse no result from another run: the experiments share a "
+        "temporary run cache that is removed when the batch ends",
     )
     parser.add_argument(
         "--metrics-out",
@@ -73,26 +77,26 @@ def main() -> int:
     if args.trace_out:
         configure_tracer(enabled=True, run_id="+".join(names))
 
-    cache = False if args.no_cache else None
     results = {"scale": scale}
     overall = TelemetryAggregate()
-    for name in names:
-        EXECUTION_STATS.reset()
-        TELEMETRY_AGGREGATE.reset()
-        started = time.time()  # lint-ok: D101 run provenance, not simulated time
-        value = run_experiment(
-            name, scale=scale, quiet=True, jobs=args.jobs, cache=cache
-        )
-        elapsed = time.time() - started  # lint-ok: D101 run provenance, not simulated time
-        results[name] = {
-            "result": _jsonable(value),
-            "seconds": round(elapsed, 1),
-            "execution": EXECUTION_STATS.as_dict(),
-            "metrics": TELEMETRY_AGGREGATE.headlines(),
-        }
-        for group, snap in TELEMETRY_AGGREGATE.groups().items():
-            overall.add(group, snap)
-        print("%s done in %.1fs" % (name, elapsed), flush=True)
+    with run_scoped_cache(False if args.no_cache else None) as cache:
+        for name in names:
+            EXECUTION_STATS.reset()
+            TELEMETRY_AGGREGATE.reset()
+            started = time.time()  # lint-ok: D101 run provenance, not simulated time
+            value = run_experiment(
+                name, scale=scale, quiet=True, jobs=args.jobs, cache=cache
+            )
+            elapsed = time.time() - started  # lint-ok: D101 run provenance, not simulated time
+            results[name] = {
+                "result": _jsonable(value),
+                "seconds": round(elapsed, 1),
+                "execution": EXECUTION_STATS.as_dict(),
+                "metrics": TELEMETRY_AGGREGATE.headlines(),
+            }
+            for group, snap in TELEMETRY_AGGREGATE.groups().items():
+                overall.add(group, snap)
+            print("%s done in %.1fs" % (name, elapsed), flush=True)
     with open(args.output, "w") as handle:
         json.dump(results, handle, indent=2)
     print("wrote", args.output)
