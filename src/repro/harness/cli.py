@@ -125,7 +125,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=0,
         metavar="MB",
         help="(serve only) LRU-evict the run cache down to this size "
-        "after each job (0 = unlimited)",
+        "after each job (0 = unlimited); repeats revive from the run cache, "
+        "so a repeat of an evicted spec simulates again",
     )
     parser.add_argument(
         "--workers",

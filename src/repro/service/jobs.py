@@ -2,18 +2,20 @@
 
 One :class:`JobManager` owns every job the service knows about. Jobs are
 keyed by :meth:`ExperimentSpec.cache_key` — the same content address the
-run cache uses — which gives the three-tier dedup ladder every submission
+run cache uses — which gives the two-rung dedup ladder every submission
 walks down:
 
-1. **coalesce**: an identical spec already queued/running gains a
-   subscriber instead of a second simulation;
-2. **memory**: an identical spec that completed recently returns the
-   retained job (and its exact result bytes) instantly;
-3. **disk**: the spec-level run-cache entry revives into a completed job
-   without touching the simulator.
+1. **coalesce**: an identical spec already queued/running, with no cancel
+   pending, gains a subscriber instead of a second simulation;
+2. **revive**: the spec-level run-cache entry, written before a job leaves
+   the in-flight table, revives into a finished job without touching the
+   simulator.
 
-Only a submission that misses all three tiers enqueues work. All state
-mutation happens on the event-loop thread (bridge threads marshal through
+Only a submission that misses both rungs enqueues work, so with caching
+off every repeat of a finished spec simulates again. The id index keeps
+every job for status and event lookups; finished jobs leave it
+oldest-first beyond :data:`MAX_FINISHED_JOBS`. All state mutation happens
+on the event-loop thread (bridge threads marshal through
 ``call_soon_threadsafe``), so none of this needs locks.
 """
 
@@ -22,8 +24,8 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections import OrderedDict
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.harness.spec import ExperimentSpec
 from repro.parallel.runcache import RunCache, canonical_bytes
@@ -36,9 +38,11 @@ DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
 
-#: States in which a submission may coalesce onto an existing job.
-_INFLIGHT_STATES = (QUEUED, RUNNING)
 _TERMINAL_STATES = (DONE, FAILED, CANCELLED)
+
+#: How many finished jobs (done, revived, failed or cancelled) the id index
+#: keeps for status and event lookups; in-flight jobs are never dropped.
+MAX_FINISHED_JOBS = 256
 
 #: Submission dispositions (reported to the client).
 ACCEPTED = "accepted"
@@ -114,7 +118,6 @@ class Job:
         self.events: List[Dict[str, object]] = []
         self.result_bytes: Optional[bytes] = None
         self.error: Optional[str] = None
-        self.cancel_requested = False
         #: Set from the HTTP handler, checked from the bridge thread — a
         #: plain bool is not a safe cross-thread flag, an Event is.
         self._cancel_event = threading.Event()
@@ -128,11 +131,11 @@ class Job:
     # -- cross-thread cancellation flag --------------------------------------
 
     def request_cancel(self) -> None:
-        self.cancel_requested = True
         self._cancel_event.set()
 
-    def cancel_flag_set(self) -> bool:
-        """Bridge-thread view of the cancel flag."""
+    @property
+    def cancel_requested(self) -> bool:
+        """The cancel flag, safe to read from any thread."""
         return self._cancel_event.is_set()
 
     # -- loop-thread state transitions ---------------------------------------
@@ -247,24 +250,22 @@ class Job:
 
 
 class JobManager:
-    """Owns jobs, coalesces submissions, retains completed results."""
+    """Owns jobs, coalesces submissions, revives cached results."""
 
     def __init__(
         self,
         stats: Optional[ServiceStats] = None,
         run_cache: Optional[RunCache] = None,
-        max_done_jobs: int = 256,
     ) -> None:
         self.stats = stats if stats is not None else ServiceStats()
         self.run_cache = run_cache
-        self.max_done_jobs = max(1, int(max_done_jobs))
         self.queue: "asyncio.Queue[Job]" = asyncio.Queue()
-        #: key -> queued/running job (the coalescing tier).
+        #: key -> queued/running job (the coalescing rung).
         self._inflight: Dict[str, Job] = {}
-        #: key -> completed job, LRU-bounded (the in-memory result tier).
-        self._completed: "OrderedDict[str, Job]" = OrderedDict()
-        #: id -> job, for status/event lookups; pruned with ``_completed``.
+        #: id -> job, for status/event lookups: every job from creation.
         self._jobs: Dict[str, Job] = {}
+        #: Finished jobs in the order they finished; bounds ``_jobs``.
+        self._finished: Deque[Job] = deque()
         self._counter = 0
 
     # -- submission -----------------------------------------------------------
@@ -280,17 +281,10 @@ class JobManager:
         self.stats.submissions.inc()
 
         inflight = self._inflight.get(key)
-        if inflight is not None and inflight.state in _INFLIGHT_STATES:
+        if inflight is not None and not inflight.cancel_requested:
             inflight.subscribers += 1
             self.stats.coalesced.inc()
             return inflight, COALESCED
-
-        completed = self._completed.get(key)
-        if completed is not None and completed.state == DONE:
-            self._completed.move_to_end(key)
-            completed.subscribers += 1
-            self.stats.result_cache_hits.inc()
-            return completed, CACHED
 
         if self.run_cache is not None:
             cached_payload = self.run_cache.get(
@@ -303,7 +297,7 @@ class JobManager:
                 job.finish(canonical_result_bytes(cached_payload))
                 job.record_event("done", {"cached": True})
                 self.stats.result_cache_hits.inc()
-                self._retain(job)
+                self._retire(job)
                 return job, CACHED
 
         job = self._new_job(spec, key)
@@ -323,9 +317,6 @@ class JobManager:
     def get(self, job_id: str) -> Optional[Job]:
         return self._jobs.get(job_id)
 
-    def jobs(self) -> List[Job]:
-        return list(self._jobs.values())
-
     # -- worker-side transitions (called on the loop thread) -------------------
 
     def record_progress(self, job: Job, event: Mapping[str, object]) -> None:
@@ -344,27 +335,27 @@ class JobManager:
         job.finish(result)
         job.record_event("done", {"cached": False})
         self.stats.completed.inc()
-        self._inflight.pop(job.key, None)
-        self._retain(job)
+        self._retire(job)
 
     def fail(self, job: Job, error: str) -> None:
         job.fail(error)
         job.record_event("failed", {"error": error})
         self.stats.failed.inc()
-        self._inflight.pop(job.key, None)
+        self._retire(job)
 
     def finalize_cancel(self, job: Job) -> None:
         job.mark_cancelled()
         job.record_event("cancelled", {})
         self.stats.cancelled.inc()
-        self._inflight.pop(job.key, None)
+        self._retire(job)
 
     def cancel(self, job_id: str) -> Optional[Job]:
         """Request cancellation; queued jobs cancel immediately.
 
         A running job's bridge thread sees the flag within one poll (~50
         ms) and terminates the job's child process. Cancellation applies
-        to the *job*, i.e. every coalesced subscriber.
+        to the *job*, i.e. every coalesced subscriber; a later identical
+        submission starts a fresh job instead of joining this one.
         """
         job = self._jobs.get(job_id)
         if job is None:
@@ -376,10 +367,10 @@ class JobManager:
             self.finalize_cancel(job)
         return job
 
-    def _retain(self, job: Job) -> None:
-        self._completed[job.key] = job
-        self._completed.move_to_end(job.key)
-        while len(self._completed) > self.max_done_jobs:
-            _key, evicted = self._completed.popitem(last=False)
-            if evicted.id != job.id:
-                self._jobs.pop(evicted.id, None)
+    def _retire(self, job: Job) -> None:
+        """Take a finished job out of flight and bound the id index."""
+        if self._inflight.get(job.key) is job:
+            del self._inflight[job.key]
+        self._finished.append(job)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            self._jobs.pop(self._finished.popleft().id, None)

@@ -26,7 +26,12 @@ from repro.service.worker import WorkerBridge
 
 @dataclasses.dataclass
 class ServiceConfig:
-    """Knobs for one service instance."""
+    """Knobs for one service instance.
+
+    Results have one reuse tier, the run cache: a repeat of a finished spec
+    revives from it, so with ``cache=False`` (or a budget smaller than one
+    result) every repeat simulates again.
+    """
 
     host: str = "127.0.0.1"
     #: 0 lets the OS pick a free port (the bound port is reported back).
@@ -42,8 +47,6 @@ class ServiceConfig:
     cache: bool = True
     #: Cache root; ``None`` -> the execution context's cache dir.
     cache_dir: Optional[str] = None
-    #: How many completed jobs to retain in memory for instant re-serves.
-    max_done_jobs: int = 256
 
 
 class ExperimentService:
@@ -56,11 +59,7 @@ class ExperimentService:
         if self.config.cache:
             root = self.config.cache_dir or get_context().cache_dir
             run_cache = RunCache(root)
-        self.manager = JobManager(
-            stats=self.stats,
-            run_cache=run_cache,
-            max_done_jobs=self.config.max_done_jobs,
-        )
+        self.manager = JobManager(stats=self.stats, run_cache=run_cache)
         self.worker = WorkerBridge(
             self.manager,
             spec_jobs=self.config.spec_jobs,
@@ -80,7 +79,6 @@ class ExperimentService:
                 "spec_jobs": self.config.spec_jobs,
                 "workers": self.worker.workers,
                 "cache_budget_bytes": self.config.cache_budget_bytes,
-                "max_done_jobs": self.config.max_done_jobs,
             }
         }
 

@@ -147,7 +147,7 @@ class WorkerBridge:
         bridge's stop flag) is seen, and :class:`ChildExited` if the child
         dies without a result.
         """
-        if job.cancel_flag_set():
+        if job.cancel_requested:
             raise JobCancelled(job.id)
         ctx = multiprocessing.get_context("fork")
         conn, child_conn = ctx.Pipe(duplex=False)
@@ -176,7 +176,7 @@ class WorkerBridge:
             # than terminating) lets it shut down any pool it started.
             child.join()
             conn.close()
-        if job.cancel_flag_set():
+        if job.cancel_requested:
             raise JobCancelled(job.id)
         if self.manager.run_cache is not None:
             self.manager.run_cache.put(job.key, payload)
@@ -191,7 +191,7 @@ class WorkerBridge:
     ) -> object:
         """Forward the child's progress events until its result arrives."""
         while True:
-            if job.cancel_flag_set() or self._stopping.is_set():
+            if job.cancel_requested or self._stopping.is_set():
                 raise JobCancelled(job.id)
             if not conn.poll(_CHILD_POLL_S):
                 # A sibling forked mid-spawn may hold a copy of this pipe's

@@ -83,7 +83,11 @@ class TestParallelMap:
         try:
             peaks_kib = parallel_map(_touch_mib, [48, 48], jobs=2, stats=stats)
             assert max(peaks_kib) >= 32 * 1024
-            assert stats.cell_peak_rss_mib * 1024 == max(peaks_kib)
+            # The executor reads ru_maxrss again after the cell returns, and
+            # the kernel syncs RSS counters in batches, so its reading may
+            # exceed the cell's own but never fall below it.
+            assert max(peaks_kib) <= stats.cell_peak_rss_mib * 1024
+            assert stats.cell_peak_rss_mib >= 48  # each worker touched 48 MiB
             assert stats.peak_rss_mib >= stats.cell_peak_rss_mib
         finally:
             shutdown_pool()

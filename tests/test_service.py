@@ -23,8 +23,10 @@ from repro.harness.spec import ExperimentSpec
 from repro.parallel import get_context, get_pool, overridden, shutdown_pool
 from repro.parallel.instrument import ExecutionStats
 from repro.parallel.runcache import RunCache
+from repro.service import jobs as jobs_module
 from repro.service import (
     ExperimentService,
+    JobManager,
     ServiceClient,
     ServiceConfig,
     ServiceError,
@@ -114,7 +116,7 @@ def test_concurrent_identical_submissions_coalesce(
     assert len(set(payloads)) == 1, "subscribers saw divergent bytes"
     assert client.stats()["service"]["runs"] == 1, "coalescing still ran twice"
 
-    # After completion, the same spec is served from memory, not re-run.
+    # After completion, the same spec revives from the run cache, not re-run.
     again = client.submit(spec)
     assert again["disposition"] == "cached"
     assert (
@@ -142,6 +144,72 @@ def test_fresh_and_cache_revived_results_are_byte_identical(service_factory):
     revived = second_client.result_bytes(revived_ticket["id"], max_wait_s=30.0)
     assert revived == fresh
     assert second_client.stats()["service"]["runs"] == 0
+
+
+def test_uncached_service_reuses_no_result(service_factory):
+    # With caching off there is no result tier: a repeat of a finished
+    # spec simulates again, with the same bytes.
+    _service, client = service_factory(cache=False)
+    first = client.submit({"experiment": "table1"})
+    assert first["disposition"] == "accepted"
+    fresh = client.result_bytes(first["id"], max_wait_s=60.0)
+    again = client.submit({"experiment": "table1"})
+    assert again["disposition"] == "accepted"
+    assert client.result_bytes(again["id"], max_wait_s=60.0) == fresh
+    stats = client.stats()["service"]
+    assert stats["runs"] == 2
+    assert stats["result_cache_hits"] == 0
+
+
+def test_submission_never_joins_a_job_whose_cancel_is_pending():
+    manager = JobManager()
+    spec = {"experiment": "table1"}
+    old, disposition = manager.submit(spec)
+    assert disposition == "accepted"
+    manager.start(old)
+    manager.cancel(old.id)
+    assert old.state == "running" and old.cancel_requested
+
+    # The old job is on its way out: the next submission gets a new one.
+    fresh, disposition = manager.submit(spec)
+    assert disposition == "accepted"
+    assert fresh.id != old.id
+
+    # The old job's end must not unregister the new one.
+    manager.finalize_cancel(old)
+    assert old.state == "cancelled"
+    joined, disposition = manager.submit(spec)
+    assert disposition == "coalesced"
+    assert joined is fresh
+
+
+def test_job_index_drops_finished_jobs_oldest_first(monkeypatch):
+    monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 2)
+    manager = JobManager()
+    queued, _ = manager.submit({"experiment": "table1"})
+
+    failed, _ = manager.submit({"experiment": "table2"})
+    manager.start(failed)
+    manager.fail(failed, "boom")
+    cancelled, _ = manager.submit({"experiment": "table3"})
+    manager.cancel(cancelled.id)
+    done, _ = manager.submit({"experiment": "sdc"})
+    manager.start(done)
+    manager.finish(done, b"{}")
+    # Three finished jobs, room for two: the oldest to finish leaves.
+    assert manager.get(failed.id) is None
+    assert manager.get(cancelled.id) is cancelled
+    assert manager.get(done.id) is done
+
+    later, _ = manager.submit({"experiment": "correction_latency"})
+    manager.start(later)
+    manager.finish(later, b"{}")
+    assert manager.get(cancelled.id) is None
+    assert manager.get(done.id) is done
+    assert manager.get(later.id) is later
+    # However many jobs finish, a queued one stays findable.
+    assert manager.get(queued.id) is queued
+    assert queued.state == "queued"
 
 
 def test_cancel_mid_job(service_factory, slow_experiment):
@@ -516,30 +584,41 @@ _QUICK_GRID = {
 def test_service_bytes_equal_an_in_process_run(service_factory):
     """A job's bytes, simulated in a forked child, equal the canonical
     bytes of the same spec run in this process."""
-    _service, client = service_factory(workers=2)
     specs = [{"experiment": "table1"}, {"experiment": "sdc"}, _QUICK_GRID]
-    tickets = [client.submit(spec) for spec in specs]
-    assert [t["disposition"] for t in tickets] == ["accepted"] * len(specs)
-    for spec, ticket in zip(specs, tickets):
-        with overridden(cache_enabled=False):
-            expected = canonical_result_bytes(
+    # In-process runs finish before the service forks anything: a child
+    # forked while this thread holds a module's import lock deadlocks.
+    with overridden(cache_enabled=False):
+        expected = [
+            canonical_result_bytes(
                 run_spec(ExperimentSpec.from_payload(spec), quiet=True)
             )
-        assert client.result_bytes(ticket["id"], max_wait_s=120.0) == expected
+            for spec in specs
+        ]
+    _service, client = service_factory(workers=2)
+    tickets = [client.submit(spec) for spec in specs]
+    assert [t["disposition"] for t in tickets] == ["accepted"] * len(specs)
+    for ticket, raw in zip(tickets, expected):
+        assert client.result_bytes(ticket["id"], max_wait_s=120.0) == raw
     assert client.stats()["service"]["runs"] == len(specs)
 
 
 def test_ablations_run_by_name(service_factory):
     """Ablations are registered experiments: the service runs them by
     name, with the bytes of an in-process run."""
+    names = ("tree_arity", "reconstruction")
+    # In-process runs first, as in the test above: no fork may overlap them.
+    with overridden(cache_enabled=False):
+        expected = [
+            canonical_result_bytes(
+                run_spec(ExperimentSpec(experiment=name), quiet=True)
+            )
+            for name in names
+        ]
     _service, client = service_factory()
-    for name in ("tree_arity", "reconstruction"):
+    for name, raw in zip(names, expected):
         ticket = client.submit({"experiment": name})
         assert ticket["disposition"] == "accepted"
-        expected = canonical_result_bytes(
-            run_spec(ExperimentSpec(experiment=name), quiet=True)
-        )
-        assert client.result_bytes(ticket["id"], max_wait_s=60.0) == expected
+        assert client.result_bytes(ticket["id"], max_wait_s=60.0) == raw
 
 
 def test_job_child_inherits_the_parents_warm_memos(service_factory, tmp_path):
@@ -706,11 +785,14 @@ def test_service_eviction_end_to_end(service_factory):
     # A tiny budget forces eviction after each completed job.
     service, client = service_factory(cache_budget_bytes=1)
     ticket = client.submit({"experiment": "table1"})
-    client.result_bytes(ticket["id"], max_wait_s=60.0)
+    first = client.result_bytes(ticket["id"], max_wait_s=60.0)
     ticket2 = client.submit({"experiment": "sdc"})
     client.result_bytes(ticket2["id"], max_wait_s=60.0)
     stats = client.stats()
     assert stats["cache"]["size_bytes"] <= 1 or stats["cache"]["entries"] == 0
-    # Results still serve from the in-memory tier after disk eviction.
+    # The run cache is the only result tier: an evicted spec runs again,
+    # with the same bytes.
     again = client.submit({"experiment": "table1"})
-    assert again["disposition"] == "cached"
+    assert again["disposition"] == "accepted"
+    assert client.result_bytes(again["id"], max_wait_s=60.0) == first
+    assert client.stats()["service"]["runs"] == 3

@@ -11,7 +11,7 @@ an in-process one on an ephemeral port by default, or an external one via
   throughput (distinct simulations retired / wall second — the number the
   worker pool actually moves);
 * the dedup ladder: how many submissions ran a simulation vs coalesced
-  onto an in-flight one vs were served from a completed result;
+  onto an in-flight one vs were revived from the run cache;
 * byte-identity: every subscriber to the same spec key must receive the
   exact same result bytes (SHA-256 compared).
 
