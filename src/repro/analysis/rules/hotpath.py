@@ -193,17 +193,17 @@ class AttrOutsideInitRule(Rule):
 
 
 #: Telemetry lookups that must not run per loop iteration.  The deferred
-#: pattern (PR 3) binds the registry/tracer once in __init__ or before the
-#: loop and bumps plain ints inside it.
-_TELEMETRY_LOOKUPS = {"get_registry", "get_tracer"}
+#: pattern binds the registry once in __init__ or before the loop and bumps
+#: plain ints inside it.
+_TELEMETRY_LOOKUPS = {"get_registry"}
 
 
 class TelemetryInLoopRule(Rule):
     rule_id = "P203"
     title = "telemetry lookup inside an inner loop"
     rationale = (
-        "get_registry()/get_tracer() inside a per-event loop re-resolves "
-        "telemetry every iteration; bind it once outside the loop and use "
+        "get_registry() inside a per-event loop re-resolves the active "
+        "registry every iteration; bind it once outside the loop and use "
         "the deferred-accumulator pattern (plain ints reconciled in "
         "sync_telemetry/record_telemetry)."
     )

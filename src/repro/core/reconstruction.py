@@ -25,7 +25,7 @@ from repro.core.cacheline_codec import counter_line_candidates, decode_data_line
 from repro.dimm.geometry import DATA_CHIPS, ECC_CHIP, TOTAL_CHIPS
 from repro.ecc.parity import xor_parity
 from repro.secure.mac import LineMacCalculator
-from repro.telemetry import get_registry, get_tracer
+from repro.telemetry import get_registry
 from repro.util.stats import StatGroup
 
 #: Budget caps from Section IV-A.
@@ -79,7 +79,6 @@ class ReconstructionEngine:
         (already trusted) parent counter. Returns None if nothing verifies.
         """
         attempts = 0
-        tracer = get_tracer()
         candidates = counter_line_candidates(lanes)
         for position, (chip, counters, mac) in enumerate(candidates):
             attempts += 1
@@ -99,12 +98,6 @@ class ReconstructionEngine:
                 self.stats.histogram("counter_attempts").record(attempts)
                 self._t_corrections.inc()
                 self._t_attempts.record(attempts)
-                tracer.emit(
-                    "reconstruction",
-                    line_type="counter",
-                    chip=chip,
-                    attempts=attempts,
-                )
                 return ReconstructionOutcome(chip, repaired, attempts)
         self.stats.counter("counter_failures").add()
         self._t_failures.inc()
@@ -143,7 +136,6 @@ class ReconstructionEngine:
         total stays within the paper's 16-recomputation budget.
         """
         attempts = 0
-        tracer = get_tracer()
         for use_rebuilt, active_parity in self._parity_choices(parity, rebuilt_parity):
             order = [ECC_CHIP] + list(range(DATA_CHIPS))
             if use_rebuilt and overlap_chip is not None:
@@ -171,13 +163,6 @@ class ReconstructionEngine:
                     self.stats.histogram("data_attempts").record(attempts)
                     self._t_corrections.inc()
                     self._t_attempts.record(attempts)
-                    tracer.emit(
-                        "reconstruction",
-                        line_type="data",
-                        chip=chip,
-                        attempts=attempts,
-                        rebuilt_parity=use_rebuilt,
-                    )
                     return ReconstructionOutcome(chip, repaired, attempts, use_rebuilt)
         self.stats.counter("data_failures").add()
         self._t_failures.inc()

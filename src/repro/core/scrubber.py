@@ -19,7 +19,7 @@ from typing import Dict, List
 
 from repro.core.synergy import SynergyMemory
 from repro.secure.errors import SecureMemoryError
-from repro.telemetry import get_registry, get_tracer
+from repro.telemetry import get_registry
 
 
 @dataclass
@@ -80,10 +80,4 @@ class MemoryScrubber:
         self._t_passes.inc()
         self._t_lines.inc(report.lines_scanned)
         self._t_corrections.inc(report.corrections)
-        get_tracer().emit(
-            "scrub_pass",
-            lines_scanned=report.lines_scanned,
-            corrections=report.corrections,
-            uncorrectable=len(report.uncorrectable_lines),
-        )
         return report

@@ -31,15 +31,7 @@ from repro.harness.plan import run_scoped_cache
 from repro.harness.spec import GRID_EXPERIMENT, ExperimentSpec, SpecError
 from repro.harness.report import render_execution_stats, render_metrics_summary
 from repro.parallel import EXECUTION_STATS, ExecutionStats, default_jobs
-from repro.telemetry import (
-    TELEMETRY_AGGREGATE,
-    configure,
-    configure_tracer,
-    get_tracer,
-    metrics_out_from_env,
-    trace_out_from_env,
-    write_metrics,
-)
+from repro.telemetry import TELEMETRY_AGGREGATE, write_metrics
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -78,23 +70,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--metrics-out",
-        default=metrics_out_from_env(),
         metavar="PATH",
-        help="write the merged telemetry snapshot as JSON "
-        "(default: a path in REPRO_METRICS, if set)",
-    )
-    parser.add_argument(
-        "--no-metrics",
-        action="store_true",
-        help="disable telemetry collection (same as REPRO_METRICS=0)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=trace_out_from_env(),
-        metavar="PATH",
-        help="enable event tracing and write it as JSONL "
-        "(per-process: use --jobs 1 for a complete simulation trace; "
-        "default: REPRO_TRACE, if set)",
+        help="write the merged telemetry snapshot as JSON",
     )
     parser.add_argument(
         "--designs",
@@ -149,10 +126,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Set the env var too so --jobs worker processes inherit the switch.
         os.environ[SANITIZE_ENV] = "1"
         configure_sanitizer(True)
-    if args.no_metrics:
-        configure(False)
-    if args.trace_out:
-        configure_tracer(enabled=True, run_id=args.experiment)
 
     cache = False if args.no_cache else None
     if args.experiment == "serve":
@@ -203,9 +176,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             },
         )
         print("[metrics written to %s]" % path)
-    if args.trace_out:
-        count = get_tracer().write_jsonl(args.trace_out)
-        print("[%d trace event(s) written to %s]" % (count, args.trace_out))
     return 0
 
 

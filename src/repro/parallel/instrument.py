@@ -28,7 +28,7 @@ class ExecutionStats:
     """Counters for one experiment's worth of cell executions."""
 
     def __init__(self) -> None:
-        self._registry = MetricsRegistry(enabled=True)
+        self._registry = MetricsRegistry()
         self._hits = self._registry.counter("exec.cache_hits")
         self._misses = self._registry.counter("exec.cache_misses")
         self._corrupt = self._registry.counter("exec.cache_corrupt")

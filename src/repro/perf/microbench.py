@@ -164,11 +164,11 @@ def miss_expansion() -> int:
 
 
 def telemetry_record() -> int:
-    """Counter increments + histogram records through an enabled registry."""
+    """Counter increments + histogram records through a scoped registry."""
     from repro.telemetry import scoped_registry
 
     iterations = 50_000
-    with scoped_registry(enabled=True) as registry:
+    with scoped_registry() as registry:
         counter = registry.counter("microbench.events")
         histogram = registry.histogram(
             "microbench.latency", (16, 32, 64, 128, 256, 512)

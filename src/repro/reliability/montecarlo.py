@@ -39,7 +39,7 @@ from repro.parallel.runcache import RunCache, cache_key
 from repro.reliability.faults import ChipGeometry, FaultInstance
 from repro.reliability.fitrates import FAULT_MODES
 from repro.reliability.schemes import ProtectionScheme
-from repro.telemetry import TELEMETRY_AGGREGATE, MetricsSnapshot, cell_scope
+from repro.telemetry import TELEMETRY_AGGREGATE, MetricsSnapshot, scoped_registry
 from repro.util.rng import ReseedableStream, derive_seed, derive_seeds
 from repro.util.units import HOURS_PER_YEAR
 
@@ -235,7 +235,7 @@ def simulate_shards_batched(
     results: List[Tuple[int, dict]] = []
     for shard_id, size in shards:
         shard_seed = derive_seed(config.seed, "mc-shard", shard_id)
-        with cell_scope(cell="mc:%s" % scheme.name, shard=shard_id) as registry:
+        with scoped_registry() as registry:
             failures = _shard_failures(scheme, config, sampler, shard_seed, size)
             registry.counter("mc.shards").inc()
             registry.counter("mc.devices").inc(size)

@@ -70,7 +70,7 @@ class ServiceStats:
     """
 
     def __init__(self) -> None:
-        self._registry = MetricsRegistry(enabled=True)
+        self._registry = MetricsRegistry()
         self.submissions = self._registry.counter("service.submissions")
         self.coalesced = self._registry.counter("service.coalesced")
         self.result_cache_hits = self._registry.counter(

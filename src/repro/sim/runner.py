@@ -35,12 +35,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.energy import SystemEnergyParams, system_energy
 from repro.sim.results import ResultTable, RunResult
 from repro.sim.system import SystemSimulator
-from repro.telemetry import (
-    TELEMETRY_AGGREGATE,
-    MetricsSnapshot,
-    cell_scope,
-    get_tracer,
-)
+from repro.telemetry import TELEMETRY_AGGREGATE, MetricsSnapshot, scoped_registry
 from repro.workloads.generator import generate_trace
 from repro.workloads.mixes import MIXES
 from repro.workloads.profiles import WorkloadProfile, profile_by_name
@@ -300,22 +295,12 @@ def run_workload(
     warmup_salt: object = "warmup" if seed is None else ("warmup", seed)
     label, traces = _traces_for(workload, config, trace_salt)
     _label, warmup_traces = _traces_for(workload, config, seed_salt=warmup_salt)
-    cell = "%s/%s" % (design.name, label)
-    tracer = get_tracer()
-    with cell_scope(cell=cell) as registry:
-        tracer.emit("cell_start", design=design.name, workload=label)
+    with scoped_registry() as registry:
         sim = SystemSimulator(design, traces, config)
         if config.warm_caches and warmup_traces:
             _warm_simulator(sim, design, label, config, warmup_traces, seed)
         sim.run()
         energy = system_energy(sim, energy_params or SystemEnergyParams())
-        tracer.emit(
-            "cell_end",
-            design=design.name,
-            workload=label,
-            ipc=sim.ipc,
-            cpu_cycles=sim.cpu_cycles,
-        )
         telemetry = registry.snapshot().deterministic().to_payload()
     return RunResult(
         design=design.name,

@@ -7,7 +7,9 @@ snapshot into the process's :data:`TELEMETRY_AGGREGATE`, grouped by
 design/scheme, always iterating cells in *grid order*: combined with the
 commutative snapshot merge this makes the aggregate a pure function of the
 set of cells, independent of worker count or completion order (the same
-guarantee ``ResultTable.merge()`` gives the simulation results).
+guarantee ``ResultTable.merge()`` gives the simulation results). Collection
+is always on, so a snapshot revived from the run cache carries the same
+metrics as the run that stored it.
 
 ``write_metrics`` is the one serialisation point shared by the CLI
 ``--metrics-out`` and ``tools/run_experiments.py``.
@@ -15,17 +17,11 @@ guarantee ``ResultTable.merge()`` gives the simulation results).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
-from repro.telemetry.registry import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    scoped_registry,
-)
-from repro.telemetry.trace import get_tracer
+from repro.telemetry.registry import MetricsSnapshot
 
 
 class TelemetryAggregate:
@@ -49,13 +45,10 @@ class TelemetryAggregate:
         """Merge one cell's snapshot into ``group`` and the global merge.
 
         ``snapshot`` may be a :class:`MetricsSnapshot` or its payload dict
-        (what cached cells and worker processes carry). Empty snapshots —
-        cells run with telemetry disabled — are ignored.
+        (what cached cells and worker processes carry).
         """
         if not isinstance(snapshot, MetricsSnapshot):
             snapshot = MetricsSnapshot.from_payload(snapshot)  # type: ignore[arg-type]
-        if not snapshot:
-            return
         existing = self._groups.get(group)
         self._groups[group] = (
             snapshot if existing is None else existing.merge(snapshot)
@@ -102,22 +95,6 @@ class TelemetryAggregate:
 #: The process's aggregate: the harness feeds it, and the CLI, the report
 #: layer and the tests read it.
 TELEMETRY_AGGREGATE = TelemetryAggregate()
-
-
-@contextlib.contextmanager
-def cell_scope(
-    cell: str = "", shard: Optional[int] = None
-) -> Iterator[MetricsRegistry]:
-    """Fresh metrics registry + trace context for one experiment cell.
-
-    Everything instrumented that is *constructed* inside the block records
-    into the yielded registry; the caller snapshots it to get exactly this
-    cell's metrics. Trace events emitted inside carry the cell/shard ids.
-    """
-    tracer = get_tracer()
-    with scoped_registry() as registry:
-        with tracer.context(cell=cell, shard=shard):
-            yield registry
 
 
 def write_metrics(

@@ -3,9 +3,6 @@
 Design constraints (see DESIGN.md, "Telemetry"):
 
 * zero dependencies — plain Python, importable from worker processes;
-* the disabled path must be a no-op cheap enough for simulator inner loops
-  (the null singletons at the bottom of this module are what a disabled
-  registry hands out — one attribute call, no branches, no allocation);
 * every metric must serialise to a JSON-able payload and *merge*
   commutatively, so per-cell snapshots taken in worker processes combine
   into the same aggregate no matter the completion order (the guarantee
@@ -305,75 +302,3 @@ def merge_payloads(
             "max": _merge_extremum(left["max"], right["max"], max),
         }
     raise ValueError("unknown metric kind %r" % (kind,))
-
-
-# ---------------------------------------------------------------------------
-# Null objects: what a disabled registry hands out. One shared instance per
-# type; every method is a no-op so instrumented hot loops pay one attribute
-# call and nothing else.
-# ---------------------------------------------------------------------------
-
-
-class _NullCounter:
-    __slots__ = ()  # all state is class-level; instances are shared singletons
-    kind = Counter.kind
-
-    def inc(self, amount: Number = 1) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    value = 0
-
-
-class _NullGauge:
-    __slots__ = ()  # all state is class-level; instances are shared singletons
-    kind = Gauge.kind
-
-    def set(self, value: Number) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    count = 0
-    mean = 0.0
-
-
-class _NullHistogram:
-    __slots__ = ()  # all state is class-level; instances are shared singletons
-    kind = Histogram.kind
-
-    def record(self, value: Number, weight: int = 1) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    count = 0
-    mean = 0.0
-
-
-class _NullTimer:
-    __slots__ = ()  # all state is class-level; instances are shared singletons
-    kind = Timer.kind
-
-    def record(self, seconds: float) -> None:
-        pass
-
-    @contextlib.contextmanager
-    def time(self):
-        yield self
-
-    def reset(self) -> None:
-        pass
-
-    count = 0
-    total_seconds = 0.0
-
-
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-NULL_TIMER = _NullTimer()

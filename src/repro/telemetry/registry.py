@@ -8,19 +8,15 @@ resolve to the same object, so any number of components can share a
 counter.
 
 ``run_workload`` / Monte-Carlo shard tasks push a *fresh* registry for the
-duration of one cell (:func:`cell_scope`), so the snapshot taken at the end
-contains exactly that cell's events — this is what makes snapshots safely
-attachable to cached cell results and mergeable across worker processes.
-
-Collection is on by default; set ``REPRO_METRICS=0`` (or call
-:func:`configure`) to disable it, in which case every registry hands out
-the shared null metrics and instrumented code paths become no-ops.
+duration of one cell (:func:`scoped_registry`), so the snapshot taken at the
+end contains exactly that cell's events — this is what makes snapshots
+safely attachable to cached cell results and mergeable across worker
+processes. Collection is always on.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.telemetry.metrics import (
@@ -28,35 +24,10 @@ from repro.telemetry.metrics import (
     DEFAULT_EDGES,
     Gauge,
     Histogram,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_TIMER,
     Number,
     Timer,
     merge_payloads,
 )
-
-_FALSEY = ("0", "false", "no", "off")
-
-
-def _env_enabled() -> bool:
-    """Collection default: on, unless ``REPRO_METRICS`` is falsey."""
-    return os.environ.get("REPRO_METRICS", "").lower() not in _FALSEY
-
-
-def metrics_out_from_env() -> Optional[str]:
-    """An output path carried in ``REPRO_METRICS``, if any.
-
-    ``REPRO_METRICS`` is tri-state: falsey disables collection, ``1``/
-    ``true``/empty enables it with no file, anything else is a path the
-    CLI writes the metrics snapshot to (the ``--metrics-out`` default).
-    """
-    value = os.environ.get("REPRO_METRICS", "")
-    if not value or value.lower() in _FALSEY + ("1", "true", "yes", "on"):
-        return None
-    return value
-
 
 class MetricsSnapshot:
     """An immutable-by-convention bag of serialised metrics.
@@ -187,33 +158,21 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """A named collection of live metrics.
+    """A named collection of live metrics."""
 
-    ``enabled=False`` makes every factory return the shared null metric, so
-    a disabled registry costs nothing at record sites and snapshots empty.
-    """
+    __slots__ = ("_metrics",)
 
-    __slots__ = (
-        "enabled",
-        "_metrics",
-    )
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
 
     # -- factories ----------------------------------------------------------
 
     def counter(self, name: str, description: str = "") -> Counter:
         """Create (or fetch) the counter ``name``."""
-        if not self.enabled:
-            return NULL_COUNTER
         return self._get_or_create(name, Counter, description)
 
     def gauge(self, name: str, description: str = "") -> Gauge:
         """Create (or fetch) the gauge ``name``."""
-        if not self.enabled:
-            return NULL_GAUGE
         return self._get_or_create(name, Gauge, description)
 
     def histogram(
@@ -223,8 +182,6 @@ class MetricsRegistry:
         description: str = "",
     ) -> Histogram:
         """Create (or fetch) the fixed-edge histogram ``name``."""
-        if not self.enabled:
-            return NULL_HISTOGRAM
         existing = self._metrics.get(name)
         if existing is not None:
             if not isinstance(existing, Histogram):
@@ -239,8 +196,6 @@ class MetricsRegistry:
 
     def timer(self, name: str, description: str = "") -> Timer:
         """Create (or fetch) the timer ``name``."""
-        if not self.enabled:
-            return NULL_TIMER
         return self._get_or_create(name, Timer, description)
 
     def _get_or_create(self, name: str, factory, description: str):
@@ -273,7 +228,7 @@ class MetricsRegistry:
             metric.reset()  # type: ignore[attr-defined]
 
     def snapshot(self) -> MetricsSnapshot:
-        """Serialise the current state (empty for a disabled registry)."""
+        """Serialise the current state."""
         return MetricsSnapshot(
             {
                 name: metric.to_payload()  # type: ignore[attr-defined]
@@ -287,56 +242,26 @@ class MetricsRegistry:
 # ---------------------------------------------------------------------------
 #
 # The bottom entry is the process-default registry; ``scoped_registry``
-# pushes and pops above it. The collection *enable* flag is configuration,
-# not run state: it only steers registries created afterwards.
+# pushes and pops above it.
 
-_COLLECTION_ENABLED: Optional[bool] = None
-_REGISTRY_STACK: List[MetricsRegistry] = []
-
-
-def collection_enabled() -> bool:
-    """Whether telemetry collection is on in this process."""
-    global _COLLECTION_ENABLED
-    if _COLLECTION_ENABLED is None:
-        _COLLECTION_ENABLED = _env_enabled()
-    return _COLLECTION_ENABLED
-
-
-def configure(enabled: bool) -> None:
-    """Turn collection on/off process-wide (CLI / tests).
-
-    Only affects registries created afterwards (including every subsequent
-    :func:`cell_scope`); the currently active registry is untouched.
-    """
-    global _COLLECTION_ENABLED
-    _COLLECTION_ENABLED = bool(enabled)
+_REGISTRY_STACK: List[MetricsRegistry] = [MetricsRegistry()]
 
 
 def get_registry() -> MetricsRegistry:
     """The active registry (process default, or the innermost scope)."""
-    stack = _REGISTRY_STACK
-    if not stack:
-        stack.append(MetricsRegistry(enabled=collection_enabled()))
-    return stack[-1]
+    return _REGISTRY_STACK[-1]
 
 
 @contextlib.contextmanager
-def scoped_registry(
-    enabled: Optional[bool] = None,
-) -> Iterator[MetricsRegistry]:
+def scoped_registry() -> Iterator[MetricsRegistry]:
     """Push a fresh registry for the duration of the block.
 
     Components constructed inside the block register into it; the caller
     snapshots it before (or after) the block exits. Scopes nest.
     """
-    if enabled is None:
-        enabled = collection_enabled()
-    stack = _REGISTRY_STACK
-    if not stack:
-        stack.append(MetricsRegistry(enabled=collection_enabled()))
-    registry = MetricsRegistry(enabled=enabled)
-    stack.append(registry)
+    registry = MetricsRegistry()
+    _REGISTRY_STACK.append(registry)
     try:
         yield registry
     finally:
-        stack.pop()
+        _REGISTRY_STACK.pop()

@@ -37,7 +37,7 @@ from repro.reliability.schemes import (
 )
 from repro.secure.designs import ALL_DESIGNS
 from repro.secure.timing_engine import SecureTimingEngine
-from repro.telemetry import cell_scope
+from repro.telemetry import scoped_registry
 
 from reference.secure_oracle import ScalarSecureTimingEngine
 
@@ -59,7 +59,7 @@ def _lcg_stream(seed):
 
 def _drive(design, deferred, seed, num_data_lines=_NUM_DATA_LINES):
     """Run one engine over the shared stream; return its observables."""
-    with cell_scope(cell="equiv:%s:%s" % (design.name, deferred)) as registry:
+    with scoped_registry() as registry:
         controller = MemoryController(MemoryConfig())
         hierarchy = CacheHierarchy(_CACHES)
         engine_class = (

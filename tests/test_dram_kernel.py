@@ -79,7 +79,7 @@ def replay(config, epochs):
     """Run both controllers over ``epochs``; return their observables."""
     observed = []
     for factory in (MemoryController, OracleController):
-        with scoped_registry(enabled=True) as registry:
+        with scoped_registry() as registry:
             controller = factory(config)
             completions = []
             for specs in epochs:

@@ -140,3 +140,27 @@ class TestCli:
         assert execution["busy_seconds"] > 0
         assert execution["worker_utilisation"] > 0
         assert execution["peak_rss_mib"] > 0
+
+    def test_warm_metrics_out_equals_the_cold_run(self, tmp_path, capsys):
+        """A run that revives every cell from the run cache writes the
+        same telemetry as the cold run that stored them."""
+        import json
+
+        from repro.harness.cli import main
+        from repro.parallel import overridden
+
+        cache_dir = str(tmp_path / "cache")
+        dumps = []
+        for leg in ("cold", "warm"):
+            path = tmp_path / ("%s.json" % leg)
+            with overridden(cache_enabled=True, cache_dir=cache_dir):
+                argv = ["selfcheck", "--jobs", "1", "--metrics-out", str(path)]
+                assert main(argv) == 0
+            capsys.readouterr()
+            dumps.append(json.loads(path.read_text()))
+        cold, warm = dumps
+        assert cold["run"]["execution"]["cells_executed"] > 0
+        assert warm["run"]["execution"]["cells_executed"] == 0
+        assert warm["run"]["execution"]["cache_hits"] > 0
+        assert cold["telemetry"]["groups"]
+        assert warm["telemetry"] == cold["telemetry"]

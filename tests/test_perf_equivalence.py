@@ -12,7 +12,6 @@ a fixture generated from the pre-optimization tree by
   telemetry snapshot **bit-identically**;
 * a process-pool run (``jobs=4``) produces the same bytes as the serial
   run for the cells it covers;
-* disabling telemetry collection changes no simulation result;
 * the Monte-Carlo reliability slice reproduces its failure counts.
 
 If one of these fails after a perf change, the change is wrong — fix the
@@ -29,8 +28,7 @@ from repro.reliability.montecarlo import (
     MonteCarloConfig,
     simulate_failure_probability,
 )
-from repro.sim.runner import run_suite, run_workload
-from repro.telemetry import collection_enabled, configure
+from repro.sim.runner import run_suite
 
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURE_PATH = os.path.join(_REPO, "tests", "data", "golden_perf.json")
@@ -104,26 +102,6 @@ def test_process_pool_bit_identical(fixture, one_pool_map):
     for result in table.results:
         cell = "%s/%s" % (result.design, result.workload)
         assert result.to_payload() == fixture["cells"][cell], cell
-
-
-def test_telemetry_disabled_same_results(fixture):
-    """Telemetry off must not perturb a single simulation observable."""
-    design = gen_golden.GOLDEN_DESIGNS[0]
-    workload = gen_golden.GOLDEN_WORKLOADS[0]
-    was_enabled = collection_enabled()
-    configure(False)
-    try:
-        result = run_workload(design, workload, gen_golden.golden_config())
-    finally:
-        configure(was_enabled)
-    cell = "%s/%s" % (result.design, result.workload)
-    golden = dict(fixture["cells"][cell])
-    payload = result.to_payload()
-    # The telemetry snapshot is legitimately empty when collection is off;
-    # everything else must match bit-for-bit.
-    golden.pop("telemetry")
-    payload.pop("telemetry")
-    assert payload == golden
 
 
 def test_montecarlo_failure_counts(fixture):

@@ -20,7 +20,13 @@ import pytest
 from repro.harness import experiments as experiments_module
 from repro.harness.experiments import run_spec
 from repro.harness.spec import ExperimentSpec
-from repro.parallel import get_context, get_pool, overridden, shutdown_pool
+from repro.parallel import (
+    get_context,
+    get_pool,
+    overridden,
+    parallel_map,
+    shutdown_pool,
+)
 from repro.parallel.instrument import ExecutionStats
 from repro.parallel.runcache import RunCache
 from repro.service import jobs as jobs_module
@@ -779,6 +785,108 @@ def test_ended_job_leaves_no_pool_worker_behind(
     else:
         service.stop_background()
     assert _survivors(workers) == []
+
+
+#: Fork-shared handles of the ``dying_experiment`` fixture. Its pool items
+#: run in workers forked from the job child, which is forked from this
+#: process, so they read these handles through inherited memory.
+_DYING = {}
+
+
+def _square_once_the_first_pool_died(value):
+    """Pool item of ``dying_experiment``: a worker of the first pool kills
+    itself; a worker of the fresh pool records its pid and blocks on the
+    gate (never set), until the job is cancelled."""
+    if _DYING["dies"].value:
+        pid = os.getpid()
+        if pid in _DYING["old"][:]:
+            os._exit(1)
+        with _DYING["fresh_count"].get_lock():
+            _DYING["fresh"][_DYING["fresh_count"].value] = pid
+            _DYING["fresh_count"].value += 1
+        _DYING["gate"].wait(60.0)
+    return value * value
+
+
+@pytest.fixture
+def dying_experiment(monkeypatch):
+    """Install a fake experiment whose ``parallel_map`` loses a worker.
+
+    While ``dies`` is set, the experiment first spawns the pool and records
+    its workers in ``old``; each of them then dies on its first item, so
+    ``parallel_map`` re-submits every item to a fresh pool, whose workers
+    record themselves in ``fresh`` and wait on ``gate``. With ``dies``
+    cleared the experiment is a plain ``jobs``-wide map of squares.
+    """
+    state = {
+        "dies": _FORK.Value("i", 1),
+        "old": _FORK.Array("i", 8),
+        "fresh": _FORK.Array("i", 8),
+        "fresh_count": _FORK.Value("i", 0),
+        "gate": _FORK.Event(),
+    }
+
+    def run_dying(quiet=True):
+        jobs = get_context().jobs
+        if state["dies"].value:
+            list(get_pool(jobs).map(abs, range(4)))  # fork the first pool
+            for index, worker in enumerate(multiprocessing.active_children()):
+                state["old"][index] = worker.pid
+        squares = parallel_map(
+            _square_once_the_first_pool_died, list(range(4)), jobs=jobs
+        )
+        return {"label": "dying", "squares": squares}
+
+    _DYING.update(state)
+    monkeypatch.setitem(experiments_module.EXPERIMENTS, "dyingtest", run_dying)
+    monkeypatch.setattr(
+        experiments_module,
+        "UNSCALED",
+        experiments_module.UNSCALED | {"dyingtest"},
+    )
+    # Never set ``gate``: the workers sleeping on it are killed by the
+    # cancel, and a multiprocessing Event.set() waits for every sleeper.
+    yield state
+    _DYING.clear()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
+def test_cancel_during_worker_death_retry(service_factory, dying_experiment):
+    """A jobs=2 job cancelled while ``parallel_map`` re-submits to a fresh
+    pool after a worker death ends cancelled, leaves no pool worker of
+    either pool behind, and its resubmission returns the clean-run bytes."""
+    spec = {"experiment": "dyingtest", "jobs": 2}
+    # In-process before the service forks anything (a child forked while
+    # this thread holds an import lock deadlocks): the bytes of a run with
+    # no worker death.
+    dying_experiment["dies"].value = 0
+    with overridden(cache_enabled=False):
+        clean = canonical_result_bytes(
+            run_spec(ExperimentSpec.from_payload(spec), quiet=True)
+        )
+    shutdown_pool()
+    dying_experiment["dies"].value = 1
+
+    _service, client = service_factory(workers=1)
+    ticket = client.submit(spec)
+    deadline = time.monotonic() + 60.0
+    while dying_experiment["fresh_count"].value < 2:
+        assert time.monotonic() < deadline, "the fresh pool never blocked"
+        time.sleep(0.05)
+    old = [pid for pid in dying_experiment["old"] if pid]
+    fresh = [pid for pid in dying_experiment["fresh"] if pid]
+    assert len(old) == 2 and len(fresh) == 2
+    assert not set(old) & set(fresh)
+
+    client.cancel(ticket["id"])
+    client.stream_events(ticket["id"], poll_wait_s=1.0, max_wait_s=30.0)
+    assert client.status(ticket["id"])["state"] == "cancelled"
+    assert _survivors(old + fresh) == []
+
+    dying_experiment["dies"].value = 0
+    again = client.submit(spec)
+    assert again["disposition"] == "accepted"
+    assert client.result_bytes(again["id"], max_wait_s=60.0) == clean
 
 
 def test_service_eviction_end_to_end(service_factory):

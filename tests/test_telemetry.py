@@ -1,9 +1,9 @@
-"""Telemetry subsystem: metric primitives, merging, tracing, determinism.
+"""Telemetry subsystem: metric primitives, merging, determinism.
 
 The load-bearing contracts: snapshot merging is order-independent (so
 worker completion order can never change an aggregate), telemetry is
-invisible to simulation results (on/off and jobs=1/jobs=4 produce the same
-numbers), and per-cell snapshots survive the run cache round-trip.
+invisible to simulation results (jobs=1/jobs=4 produce the same numbers),
+and per-cell snapshots survive the run cache round-trip.
 """
 
 import dataclasses
@@ -23,18 +23,14 @@ from repro.sim.runner import run_suite, run_workload
 from repro.telemetry import (
     TELEMETRY_AGGREGATE,
     Counter,
-    EventTracer,
     Gauge,
     Histogram,
     MetricsRegistry,
     MetricsSnapshot,
     TelemetryAggregate,
     Timer,
-    cell_scope,
-    configure,
     get_registry,
     merge_payloads,
-    read_jsonl,
     scoped_registry,
 )
 
@@ -43,11 +39,9 @@ TINY = SystemConfig(accesses_per_core=600)
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
-    """Collection on, aggregate empty, before and after every test."""
-    configure(True)
+    """Aggregate empty before and after every test."""
     TELEMETRY_AGGREGATE.reset()
     yield
-    configure(True)
     TELEMETRY_AGGREGATE.reset()
 
 
@@ -158,16 +152,6 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.gauge("x")
 
-    def test_disabled_registry_is_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("x")
-        counter.inc(5)  # must not raise, must not record
-        registry.histogram("h").record(3)
-        registry.gauge("g").set(1)
-        with registry.timer("t").time():
-            pass
-        assert not registry.snapshot()
-
     def test_scoped_registry_isolates(self):
         with scoped_registry() as outer:
             get_registry().counter("n").inc()
@@ -219,54 +203,12 @@ class TestSnapshot:
         assert snapshot.ratio("dram.row_hits", "dram.row_misses") == 0.75
         assert snapshot.headline()["row_buffer_hit_rate"] == 0.75
 
-    def test_aggregate_groups_and_ignores_empty(self):
+    def test_aggregate_groups(self):
         aggregate = TelemetryAggregate()
         aggregate.add("a", self._snap(x=1))
         aggregate.add("a", self._snap(x=2).to_payload())  # payload form
-        aggregate.add("b", MetricsSnapshot())  # empty: ignored
         assert list(aggregate.groups()) == ["a"]
         assert aggregate.overall().value("x") == 3
-
-
-# ---------------------------------------------------------------------------
-# Tracer
-# ---------------------------------------------------------------------------
-
-
-class TestTracer:
-    def test_disabled_emit_is_noop(self):
-        tracer = EventTracer(enabled=False)
-        tracer.emit("anything", x=1)
-        assert len(tracer) == 0
-
-    def test_context_stamps_events(self):
-        tracer = EventTracer(enabled=True, run_id="r")
-        with tracer.context(cell="SGX/lbm", shard=3):
-            tracer.emit("inner", n=1)
-        tracer.emit("outer")
-        inner, outer = tracer.events()
-        assert inner.cell == "SGX/lbm" and inner.shard == 3 and inner.run == "r"
-        assert outer.cell == "" and outer.shard is None
-
-    def test_ring_bound_and_dropped(self):
-        tracer = EventTracer(capacity=4, enabled=True)
-        for index in range(7):
-            tracer.emit("e", i=index)
-        assert len(tracer) == 4
-        assert tracer.dropped == 3
-        assert [event.data["i"] for event in tracer.events()] == [3, 4, 5, 6]
-
-    def test_jsonl_round_trip(self, tmp_path):
-        tracer = EventTracer(enabled=True, run_id="rt")
-        with tracer.context(cell="c", shard=1):
-            tracer.emit("first", value=42)
-        tracer.emit("second")
-        path = str(tmp_path / "trace.jsonl")
-        assert tracer.write_jsonl(path) == 2
-        revived = read_jsonl(path)
-        assert [e.to_payload() for e in revived] == [
-            e.to_payload() for e in tracer.events()
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +266,7 @@ class TestExecutionStats:
 # ---------------------------------------------------------------------------
 
 
-def _without_telemetry(result):
-    payload = dataclasses.asdict(result)
-    payload.pop("telemetry")
-    return payload
-
-
 class TestDeterminism:
-    def test_results_identical_with_telemetry_off(self):
-        enabled = run_workload(SYNERGY, "lbm", TINY)
-        assert enabled.telemetry  # snapshot actually collected
-        configure(False)
-        disabled = run_workload(SYNERGY, "lbm", TINY)
-        assert disabled.telemetry == {}
-        assert _without_telemetry(enabled) == _without_telemetry(disabled)
-
     def test_cell_snapshot_has_no_timers(self):
         result = run_workload(SGX, "lbm", TINY)
         kinds = {payload["kind"] for payload in result.telemetry.values()}
@@ -415,7 +343,7 @@ class TestDeterminism:
 class TestCellScope:
     def test_scope_snapshot_contains_only_cell_metrics(self):
         get_registry().counter("ambient").inc(100)
-        with cell_scope(cell="x") as registry:
+        with scoped_registry() as registry:
             get_registry().counter("inner").inc()
             snapshot = registry.snapshot()
         assert "inner" in snapshot

@@ -9,9 +9,8 @@ Used to produce the paper-vs-measured numbers recorded in EXPERIMENTS.md:
 
 ``--figure`` (repeatable) names the experiments to run, ablations
 included; the default runs what ``synergy-repro all`` runs.
-``--metrics-out`` / ``--trace-out`` additionally dump the merged
-telemetry snapshot and the event trace (see repro.telemetry;
-REPRO_METRICS / REPRO_TRACE are the env defaults).
+``--metrics-out`` additionally dumps the merged telemetry snapshot
+(see repro.telemetry).
 """
 
 import argparse
@@ -22,15 +21,7 @@ import time
 from repro.harness.experiments import ALL_EXPERIMENTS, EXPERIMENTS, run_experiment
 from repro.harness.plan import run_scoped_cache
 from repro.parallel import EXECUTION_STATS
-from repro.telemetry import (
-    TELEMETRY_AGGREGATE,
-    TelemetryAggregate,
-    configure_tracer,
-    get_tracer,
-    metrics_out_from_env,
-    trace_out_from_env,
-    write_metrics,
-)
+from repro.telemetry import TELEMETRY_AGGREGATE, TelemetryAggregate, write_metrics
 
 
 def main() -> int:
@@ -59,23 +50,13 @@ def main() -> int:
     )
     parser.add_argument(
         "--metrics-out",
-        default=metrics_out_from_env(),
         metavar="PATH",
         help="write the merged telemetry snapshot as JSON",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=trace_out_from_env(),
-        metavar="PATH",
-        help="enable event tracing and write it as JSONL (use --jobs 1 "
-        "for a complete simulation trace)",
     )
     args = parser.parse_args()
 
     scale = args.scale or args.scale_arg or "default"
     names = args.figure or list(ALL_EXPERIMENTS)
-    if args.trace_out:
-        configure_tracer(enabled=True, run_id="+".join(names))
 
     results = {"scale": scale}
     overall = TelemetryAggregate()
@@ -107,9 +88,6 @@ def main() -> int:
             aggregate=overall,
         )
         print("wrote", path)
-    if args.trace_out:
-        count = get_tracer().write_jsonl(args.trace_out)
-        print("wrote %s (%d events)" % (args.trace_out, count))
     return 0
 
 
