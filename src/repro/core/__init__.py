@@ -12,18 +12,17 @@
   (Section IV-A): after repeated corrections blame one chip, pre-correct
   that chip's lane so steady-state costs a single MAC computation.
 * :mod:`repro.core.synergy` — :class:`SynergyMemory`, the full co-design.
+
+Fig. 11's scrubbing is modelled in :mod:`repro.reliability`, not here.
 """
 
 from repro.core.failure_tracker import FaultyChipTracker
 from repro.core.reconstruction import ReconstructionEngine, ReconstructionOutcome
-from repro.core.scrubber import MemoryScrubber, ScrubReport
 from repro.core.synergy import SynergyMemory
 
 __all__ = [
     "FaultyChipTracker",
     "ReconstructionEngine",
     "ReconstructionOutcome",
-    "MemoryScrubber",
-    "ScrubReport",
     "SynergyMemory",
 ]

@@ -14,7 +14,6 @@ bytes on a conventional DIMM — or, under Synergy, the cacheline MAC.
 
 from repro.dimm.chips import SimulatedChip
 from repro.dimm.faults import ChipFault, FaultKind
-from repro.dimm.geometry import DimmGeometry
 from repro.dimm.module import EccDimm
 
-__all__ = ["SimulatedChip", "ChipFault", "FaultKind", "DimmGeometry", "EccDimm"]
+__all__ = ["SimulatedChip", "ChipFault", "FaultKind", "EccDimm"]

@@ -10,7 +10,6 @@ per-chip lanes is the foundation everything else builds on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.util.units import CACHELINE_BYTES
@@ -20,27 +19,6 @@ ECC_CHIP = 8
 TOTAL_CHIPS = 9
 BEATS = 8
 LANE_BYTES = BEATS  # one byte per beat -> 8 bytes per chip per line
-
-
-@dataclass(frozen=True)
-class DimmGeometry:
-    """Line capacity of one rank of the simulated DIMM."""
-
-    num_lines: int
-
-    def __post_init__(self) -> None:
-        if self.num_lines <= 0:
-            raise ValueError("num_lines must be positive")
-
-    @property
-    def data_bytes_per_line(self) -> int:
-        """Payload bytes per line (excluding the ECC chip lane)."""
-        return CACHELINE_BYTES
-
-    @property
-    def total_bytes_per_line(self) -> int:
-        """Payload plus ECC lane."""
-        return CACHELINE_BYTES + LANE_BYTES
 
 
 def split_into_lanes(data: bytes, ecc: bytes) -> List[bytes]:

@@ -10,7 +10,7 @@ a parity-of-parities (ParityP) in the ECC chip.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.util.bitops import bytes_xor
 
@@ -43,19 +43,3 @@ def reconstruct_missing(
         result = bytes_xor(result, contribution)
     return result
 
-
-def reconstruction_candidates(
-    contributions: Sequence[bytes], parity: bytes
-) -> List[List[bytes]]:
-    """All single-chip reconstruction hypotheses, in chip order.
-
-    Candidate i is the contribution list with entry i replaced by the value
-    the parity implies. The Synergy reconstruction engine walks this list,
-    re-verifying the MAC for each hypothesis (Fig. 5b).
-    """
-    candidates = []
-    for index in range(len(contributions)):
-        repaired = list(contributions)
-        repaired[index] = reconstruct_missing(contributions, parity, index)
-        candidates.append(repaired)
-    return candidates

@@ -529,18 +529,22 @@ def ablation_correction_latency(quiet: bool = False) -> Dict[str, float]:
     from repro.core.synergy import SynergyMemory
     from repro.dimm.faults import ChipFault, FaultKind
     from repro.secure.mac import MacBudget
+    from repro.telemetry import TELEMETRY_AGGREGATE, scoped_registry
 
-    memory = SynergyMemory(64, tracker_threshold=3)
-    for line in range(16):
-        memory.write(line, bytes([line]) * 64)
-    memory.dimm.inject_fault(5, ChipFault(FaultKind.WHOLE_CHIP, seed=9))
-    memory.tree.cache.clear()
+    # Its own registry scope, so --metrics-out reports the corrections.
+    with scoped_registry() as registry:
+        memory = SynergyMemory(64, tracker_threshold=3)
+        for line in range(16):
+            memory.write(line, bytes([line]) * 64)
+        memory.dimm.inject_fault(5, ChipFault(FaultKind.WHOLE_CHIP, seed=9))
+        memory.tree.cache.clear()
 
-    costs = []
-    for line in range(16):
-        with MacBudget(memory.mac_calc) as budget:
-            memory.read(line)
-        costs.append(budget.spent)
+        costs = []
+        for line in range(16):
+            with MacBudget(memory.mac_calc) as budget:
+                memory.read(line)
+            costs.append(budget.spent)
+    TELEMETRY_AGGREGATE.add("correction_latency", registry.snapshot().deterministic())
     out = {
         "first_access_macs": float(costs[0]),
         "steady_state_macs": float(costs[-1]),

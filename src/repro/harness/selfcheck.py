@@ -5,12 +5,19 @@ known-answer vectors, the functional plane corrects a chip kill and rejects
 tampering, the timing plane produces the paper's design ordering, and the
 reliability plane produces the paper's scheme ordering — the five facts a
 fresh checkout must get right before any experiment is worth running.
+
+Each functional-plane check builds its ``SynergyMemory`` in its own
+registry scope and adds the snapshot to ``TELEMETRY_AGGREGATE`` under the
+check's name, so ``--metrics-out`` reports its corrections and MAC
+computations.
 """
 
 from __future__ import annotations
 
 import traceback
 from typing import Callable, Dict, List, Tuple
+
+from repro.telemetry import TELEMETRY_AGGREGATE, scoped_registry
 
 
 def _check_crypto() -> None:
@@ -27,11 +34,14 @@ def _check_correction() -> None:
     from repro.core.synergy import SynergyMemory
     from repro.dimm.faults import ChipFault, FaultKind
 
-    memory = SynergyMemory(64)
-    memory.write(0, b"selfcheck".ljust(64, b"\x00"))
-    memory.dimm.inject_fault(4, ChipFault(FaultKind.WHOLE_CHIP, seed=1))
-    memory.tree.cache.clear()
-    if memory.read(0)[:9] != b"selfcheck":
+    with scoped_registry() as registry:
+        memory = SynergyMemory(64)
+        memory.write(0, b"selfcheck".ljust(64, b"\x00"))
+        memory.dimm.inject_fault(4, ChipFault(FaultKind.WHOLE_CHIP, seed=1))
+        memory.tree.cache.clear()
+        corrected = memory.read(0)[:9] == b"selfcheck"
+    TELEMETRY_AGGREGATE.add("selfcheck:correction", registry.snapshot().deterministic())
+    if not corrected:
         raise AssertionError("single-chip correction failed")
 
 
@@ -39,18 +49,24 @@ def _check_attack_detection() -> None:
     from repro.core.synergy import SynergyMemory
     from repro.secure.errors import AttackDetected
 
-    memory = SynergyMemory(64)
-    memory.write(0, b"victim".ljust(64, b"\x00"))
-    lanes = [bytearray(lane) for lane in memory.dimm.read_line(0)]
-    lanes[0][0] ^= 1
-    lanes[5][0] ^= 1
-    memory.dimm.write_line(0, [bytes(lane) for lane in lanes])
-    memory.tree.cache.clear()
-    try:
-        memory.read(0)
-    except AttackDetected:
-        return
-    raise AssertionError("multi-chip tamper not detected")
+    with scoped_registry() as registry:
+        memory = SynergyMemory(64)
+        memory.write(0, b"victim".ljust(64, b"\x00"))
+        lanes = [bytearray(lane) for lane in memory.dimm.read_line(0)]
+        lanes[0][0] ^= 1
+        lanes[5][0] ^= 1
+        memory.dimm.write_line(0, [bytes(lane) for lane in lanes])
+        memory.tree.cache.clear()
+        try:
+            memory.read(0)
+            detected = False
+        except AttackDetected:
+            detected = True
+    TELEMETRY_AGGREGATE.add(
+        "selfcheck:attack_detection", registry.snapshot().deterministic()
+    )
+    if not detected:
+        raise AssertionError("multi-chip tamper not detected")
 
 
 def timing_grid() -> Tuple[List[object], List[str], object]:

@@ -302,21 +302,3 @@ def simulate_failure_probability(
             {"probability": probability, "telemetry": telemetry.to_payload()},
         )
     return probability
-
-
-def failure_probability_series(
-    scheme: ProtectionScheme,
-    years: List[float],
-    config: MonteCarloConfig = MonteCarloConfig(),
-    jobs: Optional[int] = None,
-    cache: Union[None, bool, str, RunCache] = None,
-) -> List[float]:
-    """Failure probability at several lifetimes (for time-series plots)."""
-    from dataclasses import replace
-
-    return [
-        simulate_failure_probability(
-            scheme, replace(config, lifetime_years=y), jobs=jobs, cache=cache
-        )
-        for y in years
-    ]

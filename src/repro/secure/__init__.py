@@ -11,13 +11,15 @@ Both planes:
 Functional plane:
 
 * :mod:`repro.secure.counters` — counter-line packing (8 x 56-bit counters +
-  64-bit MAC, one counter and one MAC byte per chip) and the split-counter
-  compression model.
+  64-bit MAC, one counter and one MAC byte per chip).
 * :mod:`repro.secure.mac` — per-line-type MAC computations.
 * :mod:`repro.secure.counter_tree` — Bonsai-style 8-ary counter tree state.
 * :mod:`repro.secure.memory` — the baseline SGX-like secure memory over a
   SECDED ECC-DIMM (the paper's SGX / SGX_O functional reference).
-* :mod:`repro.secure.mac_tree` — the non-Bonsai Merkle MAC tree IVEC uses.
+
+IVEC's functional memory and its Merkle MAC tree are test oracles in
+``tests/reference/`` (``ivec_memory.py``, ``mac_tree.py``); the timing
+engine models IVEC's MAC-tree traffic.
 
 Timing plane:
 

@@ -1,4 +1,4 @@
-"""Counter-cacheline packing and the split-counter compression model.
+"""Counter-cacheline packing.
 
 Monolithic organisation (SGX, SGX_O, Synergy — Table II): a 64-byte counter
 line holds eight 56-bit write counters plus one 64-bit MAC, arranged so that
@@ -6,16 +6,12 @@ chip ``i`` supplies counter ``i`` (7 bytes) and byte ``i`` of the MAC
 (Fig. 7a). A failing chip therefore corrupts exactly one counter and one MAC
 byte — the property Synergy's ParityC reconstruction relies on.
 
-Split organisation (Yan et al., evaluated in Fig. 13): one 64-bit major
-counter per page shared by 64 lines with 7-bit per-line minors. We model its
-functional effect (counter value = major << 7 | minor, minor overflow bumps
-major and re-encrypts the page) and, for the timing plane, its 8x better
-counter-line coverage.
+The split organisation of Fig. 13 is a timing-plane coverage model only:
+``metadata_layout.SPLIT_COUNTER_LINES`` data lines per counter line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.ecc.parity import xor_parity
@@ -86,69 +82,3 @@ def counter_line_payload_bytes(counters: Sequence[int], mac: bytes) -> bytes:
     if len(payload) != CACHELINE_BYTES:
         raise AssertionError("counter line must be 64 bytes")
     return payload
-
-
-@dataclass(frozen=True)
-class SplitCounterConfig:
-    """Parameters of the split-counter organisation (Fig. 13 sensitivity).
-
-    ``lines_per_major`` lines share one major counter; each line keeps a
-    ``minor_bits``-wide minor. One 64-byte counter line then covers
-    ``lines_per_major`` data lines instead of 8 — the timing plane uses
-    ``coverage`` to size counter-region footprints and cacheability.
-    """
-
-    major_bits: int = 64
-    minor_bits: int = 7
-    lines_per_major: int = 64
-
-    @property
-    def coverage(self) -> int:
-        """Data lines covered by one 64-byte counter line."""
-        return self.lines_per_major
-
-    @property
-    def minor_limit(self) -> int:
-        """Writes before a minor overflows and forces a page re-encryption."""
-        return 1 << self.minor_bits
-
-
-class SplitCounterPage:
-    """Functional split-counter state for one page of lines.
-
-    Tracks a shared major and per-line minors; ``bump`` returns the effective
-    counter value for encryption plus the set of lines that must be
-    re-encrypted when a minor overflow rolls the major forward.
-    """
-
-    __slots__ = (
-        "config",
-        "major",
-        "minors",
-    )
-
-    def __init__(self, config: SplitCounterConfig = SplitCounterConfig()):
-        self.config = config
-        self.major = 0
-        self.minors = [0] * config.lines_per_major
-
-    def value(self, line_index: int) -> int:
-        """Effective counter for ``line_index`` (major||minor)."""
-        return (self.major << self.config.minor_bits) | self.minors[line_index]
-
-    def bump(self, line_index: int) -> Tuple[int, List[int]]:
-        """Increment the line's counter; returns (new value, lines to re-encrypt).
-
-        On minor overflow the major increments, every minor resets, and all
-        other lines of the page must be re-encrypted under their new
-        effective counters (the well-known split-counter write amplification).
-        """
-        if not 0 <= line_index < self.config.lines_per_major:
-            raise ValueError("line_index out of page")
-        self.minors[line_index] += 1
-        if self.minors[line_index] < self.config.minor_limit:
-            return self.value(line_index), []
-        self.major += 1
-        self.minors = [0] * self.config.lines_per_major
-        others = [i for i in range(self.config.lines_per_major) if i != line_index]
-        return self.value(line_index), others

@@ -27,9 +27,9 @@ from typing import List, Tuple
 from repro.secure.designs import CounterMode
 from repro.util.units import is_power_of_two
 
-#: Data lines one split-counter line covers: one major counter shared by 64
-#: minors, the default of ``repro.secure.counters.SplitCounterConfig``
-#: (whose import would pull the ECC codecs into every timing run).
+#: Data lines one split-counter line covers (Yan et al., Fig. 13): one
+#: 64-bit major counter shared by 64 lines with 7-bit per-line minors, so
+#: a counter line covers 64 data lines instead of the monolithic 8.
 SPLIT_COUNTER_LINES = 64
 
 #: Sentinel parent address meaning "verified by the on-chip root register".

@@ -12,9 +12,9 @@ The two pieces (see DESIGN.md, "Telemetry"):
 Instrumented layers: ``dram.controller`` (row-buffer hits, queue depth,
 latencies, write-drain bursts, activations), ``cache.setassoc``/``hierarchy``
 (per-level hit/miss, occupancy), ``secure.timing_engine``/``mac`` (tree-walk
-depth, metadata accesses, MAC computations), ``core.reconstruction``/
-``scrubber`` (candidate-chip attempts, scrub passes),
-``reliability.montecarlo`` (per-shard progress) and ``sim.system``
+depth, metadata accesses, MAC computations), ``core.reconstruction``
+(candidate-chip attempts, corrections), ``reliability.montecarlo``
+(per-shard progress) and ``sim.system``
 (read-miss service latency).
 """
 

@@ -673,21 +673,3 @@ class _BlockDecoder:
         )
         self.burst_page = int(page_of[-1])
         self.burst_next = int(offset[-1]) + 1
-
-
-def rate_mode_traces(
-    profile: WorkloadProfile,
-    num_accesses: int,
-    num_cores: int = 4,
-    lines_per_core: int = 1 << 22,
-) -> List[Trace]:
-    """Per-core traces for rate mode: same workload, disjoint footprints."""
-    return [
-        generate_trace(
-            profile,
-            num_accesses,
-            core_id=core,
-            base_line=core * lines_per_core,
-        )
-        for core in range(num_cores)
-    ]

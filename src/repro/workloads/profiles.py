@@ -123,8 +123,3 @@ def profile_by_name(name: str) -> WorkloadProfile:
         raise KeyError(
             "unknown workload %r; known: %s" % (name, ", ".join(sorted(_BY_NAME)))
         ) from None
-
-
-def memory_intensive(threshold_apki: float = 1.0) -> List[WorkloadProfile]:
-    """Profiles above an intensity threshold (paper: >1 per 1000 instr)."""
-    return [p for p in ALL_WORKLOADS if p.apki > threshold_apki]

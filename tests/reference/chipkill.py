@@ -10,7 +10,11 @@ beat) and detects double-symbol errors.
 
 This module applies the RS codec beat-wise over a 128-byte double-cacheline
 (two lock-stepped 64-byte lines), exposing encode / decode / chip-failure
-semantics to both the functional tests and the reliability simulator.
+semantics. It is a reference oracle: the timing plane models Chipkill's
+lock-step cost (``secure.designs.CHIPKILL_SECURE``) and the reliability
+plane its correction predicate (``reliability.schemes``), and neither runs
+a codec, so the decoder here is what a test can check those predicates
+against.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.ecc.reed_solomon import ReedSolomon, RsDecodeError
+from reference.reed_solomon import ReedSolomon, RsDecodeError
 
 DATA_CHIPS = 16
 CHECK_CHIPS = 2

@@ -8,7 +8,9 @@ configuration) the parity rides the ECC chip.
 
 This functional model mirrors :class:`repro.core.synergy.SynergyMemory`'s
 interface so tests can compare the two co-designs' correction behaviour
-directly. Differences from Synergy:
+directly. It is a reference oracle: the paper's IVEC results come from the
+timing plane (``secure.designs.IVEC``) and the reliability predicate
+(``reliability.schemes.IVEC_SCHEME``). Differences from Synergy:
 
 * the data MAC lives in a separate MAC region (tree leaf), *not* the ECC
   chip — so each line's ECC lane carries the line's own parity instead,
@@ -30,7 +32,7 @@ from repro.dimm.module import EccDimm
 from repro.ecc.parity import xor_parity
 from repro.secure.errors import AttackDetected
 from repro.secure.mac import LineMacCalculator
-from repro.secure.mac_tree import MacTree
+from reference.mac_tree import MacTree
 from repro.util.stats import StatGroup
 from repro.util.units import CACHELINE_BYTES
 

@@ -9,7 +9,8 @@ Fig. 15) — the tree traversal would over-fetch sibling cachelines.
 
 The functional model stores leaf MACs and node tags in line-shaped groups of
 eight so the timing plane's traffic expansion (one line per level per miss)
-matches the geometry here.
+matches the geometry here. :class:`reference.ivec_memory.IvecMemory` is its
+one user.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.ecc.gf256 import alpha_pow, gf_div, gf_inv, gf_mul, poly_mul
+from reference.gf256 import alpha_pow, gf_div, gf_inv, gf_mul, poly_mul
 
 
 class RsDecodeError(Exception):

@@ -12,7 +12,6 @@ from repro.dimm.geometry import (
     ECC_CHIP,
     LANE_BYTES,
     TOTAL_CHIPS,
-    DimmGeometry,
     beat_word,
     join_lanes,
     split_into_lanes,
@@ -26,11 +25,6 @@ class TestGeometry:
         assert TOTAL_CHIPS == 9
         assert ECC_CHIP == 8
         assert BEATS * DATA_CHIPS == 64
-
-    def test_dimm_geometry_validation(self):
-        with pytest.raises(ValueError):
-            DimmGeometry(0)
-        assert DimmGeometry(16).total_bytes_per_line == 72
 
     def test_lane_roundtrip(self):
         data = bytes(range(64))

@@ -14,7 +14,6 @@ drains, late-arrival re-chooses, refresh and tFAW toggles, a
 non-power-of-two geometry, and one captured SGX_O/mcf quick cell.
 """
 
-import pathlib
 from dataclasses import replace
 
 import pytest
@@ -208,13 +207,3 @@ def test_captured_quick_cell_stream_matches_oracle(monkeypatch):
     _reference, oracle = assert_same(configs[0], epochs)
     assert oracle.rescans > 0
 
-
-def test_production_code_never_imports_the_oracle():
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    offenders = [
-        str(path)
-        for path in sorted(src.rglob("*.py"))
-        if "import reference" in path.read_text()
-        or "from reference" in path.read_text()
-    ]
-    assert offenders == []

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.ecc.chipkill import (
+from reference.chipkill import (
     BEATS,
     DATA_CHIPS,
     TOTAL_CHIPS,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ecc.gf256 import (
+from reference.gf256 import (
     alpha_pow,
     gf_add,
     gf_div,

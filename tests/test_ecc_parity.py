@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.ecc.parity import (
     reconstruct_missing,
-    reconstruction_candidates,
     xor_parity,
 )
 
@@ -46,18 +45,3 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             reconstruct_missing([b"\x00" * 8], b"\x00" * 8, 1)
 
-    def test_candidates_identity_when_clean(self):
-        lanes = [bytes([i] * 8) for i in range(9)]
-        parity = xor_parity(lanes)
-        for candidate in reconstruction_candidates(lanes, parity):
-            assert candidate == lanes
-
-    def test_candidates_repair_single_corruption(self):
-        lanes = [bytes([i] * 8) for i in range(9)]
-        parity = xor_parity(lanes)
-        corrupted = list(lanes)
-        corrupted[4] = b"\xff" * 8
-        candidates = reconstruction_candidates(corrupted, parity)
-        # Exactly the hypothesis at the corrupted index restores the truth.
-        assert candidates[4] == lanes
-        assert all(candidates[i] != lanes for i in range(9) if i != 4)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ecc.reed_solomon import ReedSolomon, RsDecodeError
+from reference.reed_solomon import ReedSolomon, RsDecodeError
 
 
 class TestConstruction:

@@ -141,6 +141,23 @@ class TestCli:
         assert execution["worker_utilisation"] > 0
         assert execution["peak_rss_mib"] > 0
 
+    def test_metrics_out_reports_functional_plane_corrections(self, tmp_path, capsys):
+        """correction_latency builds its SynergyMemory in its own registry
+        scope, so its corrections reach --metrics-out."""
+        import json
+
+        from repro.harness.cli import main
+
+        path = tmp_path / "metrics.json"
+        argv = ["correction_latency", "--scale", "quick", "--metrics-out", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        groups = json.loads(path.read_text())["telemetry"]["groups"]
+        metrics = groups["correction_latency"]["metrics"]
+        assert metrics["core.reconstruction_corrections"]["value"] == 19
+        assert metrics["core.reconstruction_attempts"]["sum"] == 58
+        assert metrics["secure.mac_computations"]["value"] == 117
+
     def test_warm_metrics_out_equals_the_cold_run(self, tmp_path, capsys):
         """A run that revives every cell from the run cache writes the
         same telemetry as the cold run that stored them."""
@@ -163,4 +180,5 @@ class TestCli:
         assert warm["run"]["execution"]["cells_executed"] == 0
         assert warm["run"]["execution"]["cache_hits"] > 0
         assert cold["telemetry"]["groups"]
+        assert "selfcheck:correction" in cold["telemetry"]["groups"]
         assert warm["telemetry"] == cold["telemetry"]

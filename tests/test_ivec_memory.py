@@ -2,9 +2,9 @@
 
 import pytest
 
+from reference.ivec_memory import IvecMemory
 from repro.dimm.faults import ChipFault, FaultKind
 from repro.secure.errors import AttackDetected
-from repro.secure.ivec_memory import IvecMemory
 
 
 @pytest.fixture

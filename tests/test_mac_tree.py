@@ -2,9 +2,9 @@
 
 import pytest
 
+from reference.mac_tree import MacTree
 from repro.crypto.gmac import Gmac64
 from repro.secure.errors import AttackDetected
-from repro.secure.mac_tree import MacTree
 
 
 @pytest.fixture

@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.secure.counters import SplitCounterConfig
 from repro.secure.designs import CounterMode
-from repro.secure.metadata_layout import ROOT_PARENT, MetadataLayout, Region
+from repro.secure.metadata_layout import (
+    ROOT_PARENT,
+    SPLIT_COUNTER_LINES,
+    MetadataLayout,
+    Region,
+)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +155,7 @@ class TestCounterModes:
 
     def test_split_coverage(self):
         layout = MetadataLayout(1 << 20, counter_mode=CounterMode.SPLIT)
-        assert layout.counter_coverage == SplitCounterConfig().coverage
+        assert layout.counter_coverage == SPLIT_COUNTER_LINES == 64
         assert layout.counter_line(0) == layout.counter_line(63)
         assert layout.counter_line(64) == layout.counter_line(0) + 1
         assert layout.num_counter_lines == (1 << 20) // 64

@@ -1,4 +1,4 @@
-"""Tests for counter-line packing and the split-counter model."""
+"""Tests for counter-line packing."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from repro.secure.counters import (
     COUNTER_LIMIT,
     COUNTERS_PER_LINE,
-    SplitCounterConfig,
-    SplitCounterPage,
     counter_line_lanes,
     counter_line_payload_bytes,
     counter_parity,
@@ -73,50 +71,3 @@ class TestPacking:
     def test_payload_bytes_is_64(self):
         assert len(counter_line_payload_bytes([0] * 8, bytes(8))) == 64
 
-
-class TestSplitCounters:
-    def test_coverage(self):
-        assert SplitCounterConfig().coverage == 64
-
-    def test_value_composition(self):
-        page = SplitCounterPage()
-        assert page.value(0) == 0
-        page.bump(0)
-        assert page.value(0) == 1
-
-    def test_bump_returns_new_value(self):
-        page = SplitCounterPage()
-        value, reencrypt = page.bump(3)
-        assert value == 1
-        assert reencrypt == []
-
-    def test_minor_overflow_rolls_major(self):
-        config = SplitCounterConfig(minor_bits=2, lines_per_major=4)
-        page = SplitCounterPage(config)
-        for _ in range(3):
-            _, reencrypt = page.bump(0)
-            assert reencrypt == []
-        value, reencrypt = page.bump(0)  # 4th bump overflows 2-bit minor
-        assert page.major == 1
-        assert sorted(reencrypt) == [1, 2, 3]
-        assert value == (1 << 2)
-
-    def test_overflow_resets_all_minors(self):
-        config = SplitCounterConfig(minor_bits=1, lines_per_major=2)
-        page = SplitCounterPage(config)
-        page.bump(1)
-        page.bump(0)
-        page.bump(0)  # overflow
-        assert page.minors == [0, 0]
-
-    def test_line_index_validated(self):
-        with pytest.raises(ValueError):
-            SplitCounterPage().bump(64)
-
-    def test_counter_values_monotonic_per_line(self):
-        page = SplitCounterPage(SplitCounterConfig(minor_bits=3, lines_per_major=8))
-        previous = page.value(2)
-        for _ in range(20):
-            value, _ = page.bump(2)
-            assert value > previous
-            previous = value

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cpu.trace import MemoryOp, Trace, TraceRecord
 from repro.secure.designs import NON_SECURE, SGX, SGX_O, SYNERGY
 from repro.sim.config import SystemConfig
 from repro.sim.energy import SystemEnergyParams, system_energy
@@ -79,6 +80,20 @@ class TestEndToEnd:
         assert sim.cpu_cycles > 0
         with pytest.raises(RuntimeError):
             sim.run()
+
+    def test_trace_outside_data_region_is_rejected(self):
+        # Lines at or above num_data_lines are metadata addresses: a data
+        # writeback there would land in the counter region unannounced.
+        config = SystemConfig(num_cores=2, warm_caches=False)
+        base = config.num_data_lines
+        high = Trace(
+            [TraceRecord(3, MemoryOp.WRITE, base + 8 * i) for i in range(30)]
+        )
+        inside = Trace([TraceRecord(3, MemoryOp.READ, base - 1)])
+        highest = base + 8 * 29
+        with pytest.raises(ValueError, match="core 1.*%#x.*%#x" % (highest, base)):
+            SystemSimulator(SGX_O, [inside, high], config)
+        SystemSimulator(SGX_O, [inside], config)
 
 
 class TestEnergy:

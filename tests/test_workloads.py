@@ -8,14 +8,15 @@ import pytest
 from reference.trace_oracle import generate_trace_reference
 from repro.cpu.trace import MemoryOp
 from repro.workloads import generator
-from repro.workloads.generator import generate_trace, rate_mode_traces
+from repro.sim.config import SystemConfig
+from repro.sim.runner import _traces_for
+from repro.workloads.generator import generate_trace
 from repro.workloads.mixes import MIXES
 from repro.workloads.profiles import (
     ALL_WORKLOADS,
     GAP_WORKLOADS,
     SPEC_WORKLOADS,
     WorkloadProfile,
-    memory_intensive,
     profile_by_name,
 )
 from repro.workloads.suites import workload_suite
@@ -29,7 +30,7 @@ class TestProfiles:
 
     def test_all_memory_intensive(self):
         # The paper only evaluates >1 access per 1000 instructions.
-        assert len(memory_intensive(1.0)) == 29
+        assert all(p.apki > 1.0 for p in ALL_WORKLOADS)
 
     def test_gap_kernels_named(self):
         names = {p.name for p in GAP_WORKLOADS}
@@ -150,7 +151,10 @@ class TestGenerator:
             generate_trace(profile, 10, scale_divisor=0)
 
     def test_rate_mode_disjoint_footprints(self):
-        traces = rate_mode_traces(profile_by_name("gcc"), 200, num_cores=4)
+        # The runner's rate mode: one profile on every core, each core in
+        # its own slice of the line space.
+        _label, traces = _traces_for("gcc", SystemConfig(accesses_per_core=200))
+        assert len(traces) == 4
         ranges = []
         for trace in traces:
             addresses = [r.line_address for r in trace]

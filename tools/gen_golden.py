@@ -6,7 +6,7 @@ per-category traffic, Monte-Carlo failure counts, and the deterministic
 telemetry snapshot — for a small design x workload grid. The
 perf-equivalence tests (tests/test_perf_equivalence.py) assert that the
 optimized hot paths reproduce these numbers *bit-identically*, at jobs=1
-and jobs=4, with telemetry on and off.
+and jobs=4.
 
 Only regenerate when simulator behaviour changes intentionally (a new
 design knob, a timing-model fix). Performance work must never need to:
