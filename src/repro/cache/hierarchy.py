@@ -48,7 +48,6 @@ class CacheHierarchy:
         "data_llc_fills",
         "_t_metadata_llc_fills",
         "_t_data_llc_fills",
-        "_synced_fills",
     )
 
     def __init__(self, config: CacheConfig = CacheConfig()):
@@ -66,8 +65,6 @@ class CacheHierarchy:
         registry = get_registry()
         self._t_metadata_llc_fills = registry.counter("cache.metadata_llc_fills")
         self._t_data_llc_fills = registry.counter("cache.data_llc_fills")
-        # Deferred-telemetry watermarks (see SetAssociativeCache.sync_telemetry).
-        self._synced_fills = [0, 0]
 
     # -- program data ----------------------------------------------------
 
@@ -125,9 +122,6 @@ class CacheHierarchy:
         """Zero the LLC-fill counters (the post-warmup reset)."""
         self.metadata_llc_fills = 0
         self.data_llc_fills = 0
-        self._synced_fills = [0, 0]
-        self._t_metadata_llc_fills.reset()
-        self._t_data_llc_fills.reset()
 
     def record_telemetry(self) -> None:
         """End-of-run occupancy gauges for both caches.
@@ -135,25 +129,15 @@ class CacheHierarchy:
         The metadata-cache occupancy here is the direct observable behind
         the paper's SGX-vs-Synergy metadata-pressure argument (Figs. 9/10).
         Hit/miss/fill telemetry is recorded deferred (plain ints on the hot
-        path); this is where it reconciles into the registry counters.
+        path); this publishes the totals into the registry counters, once,
+        after the run.
         """
         self.llc.sync_telemetry()
         self.metadata_cache.sync_telemetry()
-        synced = self._synced_fills
-        self._t_data_llc_fills.inc(self.data_llc_fills - synced[0])
-        self._t_metadata_llc_fills.inc(self.metadata_llc_fills - synced[1])
-        synced[0] = self.data_llc_fills
-        synced[1] = self.metadata_llc_fills
+        self._t_data_llc_fills.inc(self.data_llc_fills)
+        self._t_metadata_llc_fills.inc(self.metadata_llc_fills)
         registry = get_registry()
         registry.gauge("cache.llc.occupancy").set(self.llc.occupancy)
         registry.gauge("cache.metadata.occupancy").set(
             self.metadata_cache.occupancy
         )
-
-    def llc_data_hit_rate(self) -> float:
-        """Overall LLC hit rate (data + any metadata routed through it)."""
-        return self.llc.hit_rate
-
-    def metadata_hit_rate(self) -> float:
-        """Dedicated metadata-cache hit rate."""
-        return self.metadata_cache.hit_rate

@@ -13,13 +13,14 @@ access), and hit/clean-miss results are shared singletons — callers only
 ever read ``CacheAccessResult``, so allocation is reserved for the
 dirty-eviction case that actually carries a writeback address.
 Telemetry is deferred: the hot path bumps plain ints and
-``sync_telemetry`` reconciles the registry counters before snapshots.
+``sync_telemetry`` publishes them into the registry counters once, after
+the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.telemetry import get_registry
 from repro.util.units import is_power_of_two, log2_int
@@ -63,7 +64,6 @@ class SetAssociativeCache:
         "_t_hits",
         "_t_misses",
         "_t_dirty_evictions",
-        "_synced",
     )
 
     def __init__(self, num_lines: int, associativity: int, name: str = "cache"):
@@ -91,12 +91,6 @@ class SetAssociativeCache:
         self._t_hits = registry.counter(prefix + ".hits")
         self._t_misses = registry.counter(prefix + ".misses")
         self._t_dirty_evictions = registry.counter(prefix + ".dirty_evictions")
-        # Deferred-telemetry watermarks: what this instance has already
-        # published (registry counters may be shared across instances).
-        self._synced = [0, 0, 0]
-
-    def _locate(self, line_address: int) -> Tuple[int, int]:
-        return line_address & self._set_mask, line_address >> self._set_shift
 
     # ------------------------------------------------------------------
 
@@ -161,9 +155,6 @@ class SetAssociativeCache:
         ways[tag] = dirty
         return writeback
 
-    def _reconstruct(self, set_index: int, tag: int) -> int:
-        return (tag << self._set_shift) | set_index
-
     # ------------------------------------------------------------------
 
     @property
@@ -180,28 +171,18 @@ class SetAssociativeCache:
     def sync_telemetry(self) -> None:
         """Publish the plain counters into the registry counters.
 
-        Hit/miss/eviction telemetry is recorded *deferred* — the hot path
-        bumps plain ints and this method publishes the delta since the
-        last sync (idempotent; safe when instances share a registry
-        counter). Callers that snapshot a registry must sync first;
-        ``CacheHierarchy.record_telemetry`` does.
+        Hit/miss/eviction telemetry is recorded *deferred*: the hot path
+        bumps plain ints and this publishes their totals, once, after the
+        run (``CacheHierarchy.record_telemetry`` calls it).
         """
-        synced = self._synced
-        self._t_hits.inc(self.hits - synced[0])
-        self._t_misses.inc(self.misses - synced[1])
-        self._t_dirty_evictions.inc(self.dirty_evictions - synced[2])
-        synced[0] = self.hits
-        synced[1] = self.misses
-        synced[2] = self.dirty_evictions
+        self._t_hits.inc(self.hits)
+        self._t_misses.inc(self.misses)
+        self._t_dirty_evictions.inc(self.dirty_evictions)
 
     def reset_stats(self) -> None:
         """Zero hit/miss/eviction counters (contents untouched).
 
-        Telemetry counters reset with them so the post-warmup metrics
-        describe the measured phase only, matching ``hit_rate``.
+        The post-warmup reset: the counters, and so the telemetry
+        published from them, describe the measured phase only.
         """
         self.hits = self.misses = self.evictions = self.dirty_evictions = 0
-        self._synced = [0, 0, 0]
-        self._t_hits.reset()
-        self._t_misses.reset()
-        self._t_dirty_evictions.reset()

@@ -26,7 +26,6 @@ from repro.dimm.geometry import DATA_CHIPS, ECC_CHIP, TOTAL_CHIPS
 from repro.ecc.parity import xor_parity
 from repro.secure.mac import LineMacCalculator
 from repro.telemetry import get_registry
-from repro.util.stats import StatGroup
 
 #: Budget caps from Section IV-A.
 MAX_COUNTER_ATTEMPTS = 8
@@ -51,7 +50,9 @@ class ReconstructionEngine:
 
     def __init__(self, mac_calc: LineMacCalculator):
         self.mac_calc = mac_calc
-        self.stats = StatGroup("reconstruction")
+        #: Counter-type lines repaired (corrections of every kind count in
+        #: the ``core.reconstruction_*`` telemetry).
+        self.counter_corrections = 0
         # None unless REPRO_SANITIZE is on; successful corrections are then
         # re-checked for hypothesis uniqueness and parity consistency.
         self._sanitizer = get_sanitizer()
@@ -94,12 +95,10 @@ class ReconstructionEngine:
                         repaired,
                         candidates[position + 1 :],
                     )
-                self.stats.counter("counter_corrections").add()
-                self.stats.histogram("counter_attempts").record(attempts)
+                self.counter_corrections += 1
                 self._t_corrections.inc()
                 self._t_attempts.record(attempts)
                 return ReconstructionOutcome(chip, repaired, attempts)
-        self.stats.counter("counter_failures").add()
         self._t_failures.inc()
         return None
 
@@ -159,12 +158,9 @@ class ReconstructionEngine:
                             repaired,
                             order[accepted + 1 :],
                         )
-                    self.stats.counter("data_corrections").add()
-                    self.stats.histogram("data_attempts").record(attempts)
                     self._t_corrections.inc()
                     self._t_attempts.record(attempts)
                     return ReconstructionOutcome(chip, repaired, attempts, use_rebuilt)
-        self.stats.counter("data_failures").add()
         self._t_failures.inc()
         return None
 
@@ -207,7 +203,6 @@ class ReconstructionEngine:
                 self._sanitizer.check_data_reconstruction(
                     self.mac_calc, address, counter, lanes, parity, repaired, ()
                 )
-            self.stats.counter("precorrections").add()
             self._t_corrections.inc()
             self._t_attempts.record(1)
             return ReconstructionOutcome(faulty_chip, repaired, 1)

@@ -33,7 +33,6 @@ from repro.secure.counter_tree import CounterTree
 from repro.secure.errors import AttackDetected
 from repro.secure.mac import LineMacCalculator
 from repro.secure.metadata_layout import MetadataLayout
-from repro.util.stats import StatGroup
 from repro.util.units import CACHELINE_BYTES
 
 PARITIES_PER_LINE = 8
@@ -67,7 +66,6 @@ class SynergyMemory:
             self.layout, self.tree, self.mac_calc, self.engine, CounterLineSource(self)
         )
         self.tracker = FaultyChipTracker(tracker_threshold)
-        self.stats = StatGroup("synergy_memory")
         self._written_lines: set = set()
 
     # ------------------------------------------------------------------
@@ -77,12 +75,10 @@ class SynergyMemory:
     def _store_lanes(self, address: int, lanes: List[bytes]) -> None:
         self.dimm.write_line(address, lanes)
         self._written_lines.add(address)
-        self.stats.counter("memory_writes").add()
 
     def _load_lanes(self, address: int) -> Optional[List[bytes]]:
         if address not in self._written_lines:
             return None
-        self.stats.counter("memory_reads").add()
         return self.dimm.read_line(address)
 
     # LineStore protocol (used by CounterTree.bump_chain) -----------------
@@ -115,7 +111,6 @@ class SynergyMemory:
 
     def read(self, data_line: int) -> bytes:
         """Read a data line: tree walk, MAC verify, correct if needed."""
-        self.stats.counter("reads").add()
         counter = self._verified_counter(data_line)
         lanes = self._load_lanes(data_line)
         if lanes is None:
@@ -140,7 +135,6 @@ class SynergyMemory:
             return self.cipher.decrypt(data_line, counter, ciphertext)
 
         # MAC mismatch: Scenario D — reconstruct via the 9-chip parity.
-        self.stats.counter("data_mismatches").add()
         parity = self._stored_parity(data_line)
         rebuilt = self._rebuilt_parity(data_line)
         outcome = self.engine.correct_data_line(
@@ -155,12 +149,11 @@ class SynergyMemory:
             raise AttackDetected(
                 "uncorrectable data-line error or attack", data_line
             )
-        self.stats.counter("data_corrections").add()
         self.tracker.record_correction(outcome.faulty_chip)
         # Scrub the repaired line (and parity, if it was the culprit).
         self._store_lanes(data_line, outcome.lanes)
         if outcome.used_rebuilt_parity:
-            self._scrub_parity(data_line, rebuilt)
+            self._update_parity(data_line, rebuilt)
         ciphertext, _mac = decode_data_line(outcome.lanes)
         return self.cipher.decrypt(data_line, counter, ciphertext)
 
@@ -168,11 +161,9 @@ class SynergyMemory:
         """Encrypt, MAC, store a data line; maintain its parity."""
         if len(plaintext) != CACHELINE_BYTES:
             raise ValueError("data lines are %d bytes" % CACHELINE_BYTES)
-        self.stats.counter("writes").add()
         chain = self.layout.verification_chain(data_line)
         trusted, report = self.walk.verified_chain(data_line, full=True)
-        for _address, chip in report.corrected_chips.items():
-            self.stats.counter("counter_corrections").add()
+        for chip in report.corrected_chips.values():
             self.tracker.record_correction(chip)
         counter = self.tree.bump_chain(chain, trusted)
         ciphertext = self.cipher.encrypt(data_line, counter, plaintext)
@@ -187,9 +178,7 @@ class SynergyMemory:
 
     def _verified_counter(self, data_line: int) -> int:
         trusted, report = self.walk.verified_chain(data_line)
-        for address, chip in report.corrected_chips.items():
-            del address
-            self.stats.counter("counter_corrections").add()
+        for chip in report.corrected_chips.values():
             self.tracker.record_correction(chip)
         counter_line = self.layout.counter_line(data_line)
         return trusted[counter_line][self.layout.counter_slot(data_line)]
@@ -228,11 +217,6 @@ class SynergyMemory:
             parities, _ = decode_parity_line(lanes)
         parities[slot] = parity
         self._store_lanes(address, encode_parity_line(parities))
-        self.stats.counter("parity_updates").add()
-
-    def _scrub_parity(self, data_line: int, parity: bytes) -> None:
-        self._update_parity(data_line, parity)
-        self.stats.counter("parity_scrubs").add()
 
     # ------------------------------------------------------------------
     # First-touch materialisation

@@ -61,8 +61,8 @@ from __future__ import annotations
 
 import enum
 from collections import Counter, deque
-from itertools import compress, islice, repeat
-from operator import is_, itemgetter, not_
+from itertools import islice, repeat
+from operator import is_, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,7 +72,6 @@ from repro.dram.address import AddressMapper
 from repro.dram.channel import ChannelState
 from repro.dram.timing import MemoryConfig
 from repro.telemetry import get_registry
-from repro.util.stats import StatGroup
 
 #: Telemetry bucket edges: queue depths in requests, latencies in memory
 #: cycles (fixed so per-cell histograms merge across workers).
@@ -113,21 +112,16 @@ class MemoryController:
         "mapper",
         "channels",
         "sequence",
-        "stats",
+        "data_bus_cycles",
+        "_traffic",
         "_specs",
         "_is_write",
         "_slots",
-        "_read_counters",
-        "_write_counters",
-        "_h_read_latency",
-        "_h_write_latency",
-        "_c_data_bus_cycles",
         "_t_activations",
         "_t_drain_bursts",
         "_t_write_queue_depth",
         "_t_row_hits",
         "_t_row_misses",
-        "_synced_rows",
         "_t_queue_depth",
         "_t_read_latency",
         "_t_write_latency",
@@ -144,19 +138,15 @@ class MemoryController:
         self.channels = [ChannelState(config) for _ in range(config.channels)]
         #: Requests enqueued so far, over all epochs.
         self.sequence = 0
+        #: Data-bus cycles the scheduled requests occupied.
+        self.data_bus_cycles = 0
+        #: (category, is_write) -> requests enqueued.
+        self._traffic: Counter = Counter()
         # The epoch: buffered specs, their is-write column (built at
         # enqueue for the traffic tally) and the slot lists handed out.
         self._specs: List[Spec] = []
         self._is_write: List[bool] = []
         self._slots: List[List[Optional[int]]] = []
-        self.stats = StatGroup("memory_controller")
-        #: category -> (requests_<kind>, traffic_<category>_<kind>) counter
-        #: pairs, one dict per direction, bound lazily.
-        self._read_counters: Dict[str, Tuple] = {}
-        self._write_counters: Dict[str, Tuple] = {}
-        self._h_read_latency = self.stats.histogram("read_latency")
-        self._h_write_latency = self.stats.histogram("write_latency")
-        self._c_data_bus_cycles = self.stats.counter("data_bus_cycles")
         registry = get_registry()
         self._t_activations = registry.counter("dram.bank_activations")
         self._t_drain_bursts = registry.counter("dram.write_drain_bursts")
@@ -165,8 +155,6 @@ class MemoryController:
         )
         self._t_row_hits = registry.counter("dram.row_hits")
         self._t_row_misses = registry.counter("dram.row_misses")
-        # Deferred-telemetry watermarks: hits, misses (= activations).
-        self._synced_rows = [0, 0]
         self._t_queue_depth = registry.histogram(
             "dram.queue_depth", QUEUE_DEPTH_EDGES
         )
@@ -188,35 +176,12 @@ class MemoryController:
 
     # ------------------------------------------------------------------
 
-    def _counters_for(self, category: str, is_write: bool) -> Tuple:
-        """Bind the request/traffic counters for one (category, kind)."""
-        kind = "write" if is_write else "read"
-        counters = (
-            self.stats.counter("requests_%s" % kind),
-            self.stats.counter("traffic_%s_%s" % (category, kind)),
-        )
-        table = self._write_counters if is_write else self._read_counters
-        table[category] = counters
-        return counters
-
-    def enqueue(
-        self,
-        kind: RequestKind,
-        line_address: int,
-        arrival: int,
-        category: str = "data",
-        core: int = 0,
-    ) -> List[Optional[int]]:
-        """Enqueue one spec; returns its one-element completion slot list."""
-        return self.enqueue_batch([(kind, line_address, arrival, category, core)])
-
     def enqueue_batch(self, specs: Sequence[Spec]) -> List[Optional[int]]:
         """Buffer ``(kind, line, arrival, category, core)`` specs in order.
 
         Returns one completion slot per spec, filled by the next
         :meth:`process`. Sequence order is list order, exactly as the same
-        specs enqueued one by one. The request/traffic counters are bumped
-        here, one tally per (direction, category).
+        specs enqueued one by one. The traffic tally is bumped here.
         """
         count = len(specs)
         slots: List[Optional[int]] = [None] * count
@@ -225,18 +190,7 @@ class MemoryController:
         self.sequence += count
         is_write = list(map(is_, map(_kinds_of, specs), repeat(_WRITE)))
         self._is_write += is_write
-        for write, table, mask in (
-            (False, self._read_counters, map(not_, is_write)),
-            (True, self._write_counters, is_write),
-        ):
-            for category, tally in Counter(
-                compress(map(_categories_of, specs), mask)
-            ).items():
-                counters = table.get(category)
-                if counters is None:
-                    counters = self._counters_for(category, write)
-                counters[0].value += tally
-                counters[1].value += tally
+        self._traffic.update(zip(map(_categories_of, specs), is_write))
         return slots
 
     # ------------------------------------------------------------------
@@ -284,7 +238,7 @@ class MemoryController:
             if size:
                 self._schedule_channel(channel, order[begin : begin + size], *columns)
                 begin += size
-        self._c_data_bus_cycles.value += count * config.timing.t_burst
+        self.data_bus_cycles += count * config.timing.t_burst
         if len(slot_lists) > 1:
             begin = 0
             for slots in slot_lists:
@@ -657,12 +611,13 @@ class MemoryController:
     # ------------------------------------------------------------------
 
     def traffic_by_category(self) -> Dict[str, int]:
-        """Access counts keyed by '<category>_<read|write>'."""
-        result: Dict[str, int] = {}
-        for name, stat in self.stats:
-            if name.startswith("traffic_"):
-                result[name[len("traffic_") :]] = stat.value  # type: ignore[attr-defined]
-        return result
+        """Access counts keyed by '<category>_<read|write>', in key order."""
+        return dict(
+            sorted(
+                ("%s_%s" % (category, "write" if write else "read"), count)
+                for (category, write), count in self._traffic.items()
+            )
+        )
 
     @property
     def last_completion(self) -> int:
@@ -676,44 +631,29 @@ class MemoryController:
         expose utilisation imbalance (hot banks) after merging, not just
         the mean.
 
-        Row-hit/miss and activation telemetry is recorded deferred: the
-        kernel bumps the per-bank plain ints and this reconciles the
-        registry counters (idempotently) before the snapshot. Every row
-        miss is one activation.
+        Row-hit/miss, activation and histogram telemetry is recorded
+        deferred: the kernel bumps the per-bank plain ints and tallies,
+        and this publishes their totals, once, after the run. Every row
+        miss is one activation. The histogram tallies record
+        weight-batched (all integer observations, so batching is
+        bit-exact).
         """
-        row_hits = 0
-        row_misses = 0
-        for channel_state in self.channels:
-            for bank in channel_state.banks:
-                row_hits += bank.row_hits
-                row_misses += bank.row_misses
-        synced = self._synced_rows
-        self._t_row_hits.inc(row_hits - synced[0])
-        self._t_row_misses.inc(row_misses - synced[1])
-        self._t_activations.inc(row_misses - synced[1])
-        synced[0] = row_hits
-        synced[1] = row_misses
-        # Flush the deferred histogram tallies (weight-batched; all
-        # integer observations, so batching is bit-exact). The latency
-        # tallies feed both the per-controller stats histograms and the
-        # telemetry registry.
-        for value, weight in self._depth_acc.items():
-            self._t_queue_depth.record(value, weight)
-        self._depth_acc.clear()
-        for acc, histograms in (
-            (self._read_lat_acc, (self._t_read_latency, self._h_read_latency)),
-            (self._write_lat_acc, (self._t_write_latency, self._h_write_latency)),
+        counts = self.activation_counts()
+        self._t_row_hits.inc(counts["row_hits"])
+        self._t_row_misses.inc(counts["activations"])
+        self._t_activations.inc(counts["activations"])
+        for acc, histogram in (
+            (self._depth_acc, self._t_queue_depth),
+            (self._read_lat_acc, self._t_read_latency),
+            (self._write_lat_acc, self._t_write_latency),
         ):
             for value, weight in acc.items():
-                for histogram in histograms:
-                    histogram.record(value, weight)
-            acc.clear()
+                histogram.record(value, weight)
         registry = get_registry()
         last = self.last_completion
         if last > 0:
-            bus_cycles = self._c_data_bus_cycles.value
             registry.gauge("dram.bus_utilisation").set(
-                bus_cycles / (last * self.config.channels)
+                self.data_bus_cycles / (last * self.config.channels)
             )
         bank_gauge = registry.gauge("dram.bank_accesses")
         for channel in self.channels:

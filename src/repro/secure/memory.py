@@ -35,7 +35,6 @@ from repro.secure.counters import (
 from repro.secure.errors import AttackDetected, UncorrectableError
 from repro.secure.mac import LineMacCalculator
 from repro.secure.metadata_layout import MetadataLayout
-from repro.util.stats import StatGroup
 from repro.util.units import CACHELINE_BYTES
 
 MAC_BYTES = 8
@@ -62,7 +61,7 @@ class BaselineSecureMemory:
         "mac_calc",
         "secded",
         "tree",
-        "stats",
+        "secded_corrections",
         "_written_lines",
         "_data_counters_seen",
     )
@@ -80,7 +79,8 @@ class BaselineSecureMemory:
         self.mac_calc = LineMacCalculator(keys.make_mac())
         self.secded = Secded72_64()
         self.tree = CounterTree(self.layout, self.mac_calc, self, cache_capacity)
-        self.stats = StatGroup("baseline_secure_memory")
+        #: SECDED-corrected beats over every decoded line.
+        self.secded_corrections = 0
         self._written_lines: set = set()
         self._data_counters_seen: Dict[int, int] = {}
 
@@ -147,7 +147,7 @@ class BaselineSecureMemory:
                     "SECDED uncorrectable error in beat %d" % beat, address
                 )
             if result.status is SecdedStatus.CORRECTED:
-                self.stats.counter("secded_corrections").add()
+                self.secded_corrections += 1
             word = result.data
             for chip in range(DATA_CHIPS):
                 corrected[beat * DATA_CHIPS + chip] = (word >> (8 * chip)) & 0xFF
@@ -156,12 +156,10 @@ class BaselineSecureMemory:
     def _store_payload(self, address: int, payload: bytes) -> None:
         self.dimm.write_line(address, self._encode_line(payload))
         self._written_lines.add(address)
-        self.stats.counter("memory_writes").add()
 
     def _load_payload(self, address: int) -> Optional[bytes]:
         if address not in self._written_lines:
             return None
-        self.stats.counter("memory_reads").add()
         return self._decode_line(address, self.dimm.read_line(address))
 
     # ------------------------------------------------------------------
@@ -234,7 +232,6 @@ class BaselineSecureMemory:
 
     def read(self, data_line: int) -> bytes:
         """Read and verify a 64-byte data line, returning plaintext."""
-        self.stats.counter("reads").add()
         counter = self._current_counter(data_line)
         ciphertext = self._load_payload(data_line)
         if ciphertext is None:
@@ -250,7 +247,6 @@ class BaselineSecureMemory:
         """Encrypt, MAC, and store a 64-byte data line."""
         if len(plaintext) != CACHELINE_BYTES:
             raise ValueError("data lines are %d bytes" % CACHELINE_BYTES)
-        self.stats.counter("writes").add()
         chain = self.layout.verification_chain(data_line)
         verified: Dict[int, List[int]] = {}
         trusted = {

@@ -15,7 +15,8 @@ split counters, IVEC's MAC tree, LOT-ECC parity RMW) is configuration.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import defaultdict, deque
+from typing import DefaultDict, List, Optional
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.cache.hierarchy import CacheHierarchy
@@ -24,7 +25,6 @@ from repro.dram.controller import MemoryController, RequestKind
 from repro.secure.designs import MacLocation, SecureDesign, TreeKind
 from repro.secure.metadata_layout import MetadataLayout
 from repro.telemetry import get_registry
-from repro.util.stats import StatGroup
 
 #: Tree-walk depth histogram edges: one bucket per level (0 = anchored at
 #: the first node above the leaf), deep enough for any arity-8 tree here.
@@ -73,17 +73,14 @@ class SecureTimingEngine:
         "hierarchy",
         "controller",
         "layout",
-        "stats",
+        "origin_counts",
         "_t_tree_walk_depth",
         "_t_mac_tree_walk_depth",
         "_t_metadata_accesses",
         "_t_counter_hits",
-        "_c_counter_hits",
         "_counts",
-        "_synced_telemetry",
         "_tree_depth_acc",
         "_mac_tree_depth_acc",
-        "_account_counters",
         "_writeback_queue",
         "_batch",
         "_fast_expand",
@@ -106,7 +103,6 @@ class SecureTimingEngine:
         self.layout = MetadataLayout(
             num_data_lines, counter_mode=design.counter_mode
         )
-        self.stats = StatGroup("secure_engine_%s" % design.name)
         registry = get_registry()
         self._t_tree_walk_depth = registry.histogram(
             "secure.tree_walk_depth", TREE_DEPTH_EDGES
@@ -116,24 +112,20 @@ class SecureTimingEngine:
         )
         self._t_metadata_accesses = registry.counter("secure.metadata_accesses")
         self._t_counter_hits = registry.counter("secure.counter_hits")
-        # No design caches its MACs, so nothing counts MAC hits; both
-        # counters stay so payloads and telemetry keep their keys at 0.
+        # No design caches its MACs, so nothing counts MAC hits; the
+        # counter stays so payloads keep the key at 0.
         registry.counter("secure.mac_hits")
-        self._c_counter_hits = self.stats.counter("counter_hits")
-        self.stats.counter("mac_hits")
         # Deferred telemetry (see sync_telemetry): the per-access paths
         # bump plain ints / tally dicts; the registry objects are only
-        # touched at snapshot time.
+        # touched once, after the run.
         self._counts = _RunningCounts()
-        self._synced_telemetry = [0, 0]
         self._tree_depth_acc: dict = {}
         self._mac_tree_depth_acc: dict = {}
-        #: (origin, category, kind) -> bound accounting counter; built
-        #: lazily so the per-request path never string-formats.
-        self._account_counters: dict = {}
-        from collections import deque
-
-        self._writeback_queue = deque()
+        #: Requests by what triggered them (Fig. 9's axes), keyed
+        #: ``<demand|writeback>_<category>_<read|write>``. A key exists
+        #: once its first request is emitted.
+        self.origin_counts: DefaultDict[str, int] = defaultdict(int)
+        self._writeback_queue: deque = deque()
         #: The epoch batch: every spec emitted since the last flush_epoch.
         self._batch: List = []
         self._sanitizer = get_sanitizer()
@@ -215,27 +207,22 @@ class SecureTimingEngine:
         return slots
 
     def sync_telemetry(self) -> None:
-        """Publish the deferred telemetry into the registry objects.
+        """Publish the run's totals into the registry objects.
 
-        Counters publish the delta since the last sync (watermarked, so
-        instances sharing a registry counter each contribute their own
-        events); histogram tallies flush weight-batched — all integer
-        observations, so batching is bit-exact. ``SystemSimulator.run``
-        calls this before the snapshot.
+        Called once, by ``SystemSimulator.run`` before the snapshot: the
+        counters take the totals as they stand, and the histogram tallies
+        record weight-batched — all integer observations, so batching is
+        bit-exact.
         """
-        synced = self._synced_telemetry
         counts = self._counts
-        self._t_metadata_accesses.inc(counts.metadata_accesses - synced[0])
-        self._t_counter_hits.inc(counts.counter_hits - synced[1])
-        synced[0] = counts.metadata_accesses
-        synced[1] = counts.counter_hits
+        self._t_metadata_accesses.inc(counts.metadata_accesses)
+        self._t_counter_hits.inc(counts.counter_hits)
         for acc, histogram in (
             (self._tree_depth_acc, self._t_tree_walk_depth),
             (self._mac_tree_depth_acc, self._t_mac_tree_walk_depth),
         ):
             for value, weight in acc.items():
                 histogram.record(value, weight)
-            acc.clear()
 
     # ------------------------------------------------------------------
     # The fused walks
@@ -247,15 +234,14 @@ class SecureTimingEngine:
         One closure call per miss: the dedicated/LLC dict probes of
         ``CacheHierarchy.access_metadata`` and ``SetAssociativeCache.access``
         are inlined (including the pinned ``llc_result.writeback_address or
-        spill_writeback`` quirk), accounting counters bind lazily through
-        the ``_account_counters`` table, and emissions append straight to
-        the epoch batch. The walk: the data read; the counter line, and on
-        a miss the break-on-hit Bonsai walk to the cached trust anchor; the
-        separate MAC with its optional LLC fill, then the break-on-hit
-        MAC-tree walk (IVEC: the MAC is a tree member). Writeback chains
-        route through the fused writeback drain at the point they arise.
-        Neither closure references the engine, which stores them (see
-        ``_RunningCounts``).
+        spill_writeback`` quirk), the accounting bumps ``origin_counts`` in
+        place, and emissions append straight to the epoch batch. The walk:
+        the data read; the counter line, and on a miss the break-on-hit
+        Bonsai walk to the cached trust anchor; the separate MAC with its
+        optional LLC fill, then the break-on-hit MAC-tree walk (IVEC: the
+        MAC is a tree member). Writeback chains route through the fused
+        writeback drain at the point they arise. Neither closure
+        references the engine, which stores them (see ``_RunningCounts``).
         """
         design = self.design
         layout = self.layout
@@ -285,26 +271,12 @@ class SecureTimingEngine:
         batch = self._batch
         batch_append = batch.append
         handle_writeback = self._fast_writeback
-        counter_hits = self._c_counter_hits
         counts = self._counts
         tree_depth_acc = self._tree_depth_acc
         mac_tree_depth_acc = self._mac_tree_depth_acc
-        stats_counter = self.stats.counter
-        account = self._account_counters
+        origin = self.origin_counts
         absent = ABSENT
         read = _READ
-        c_data = c_counter = c_mac = None
-
-        def bind(category: str):
-            # Lazy bind through the shared table: a counter exists once
-            # its first request is emitted, so stat-group order is
-            # first-use order.
-            key = (False, category, read)
-            counter = account.get(key)
-            if counter is None:
-                counter = stats_counter("demand_%s_read" % category)
-                account[key] = counter
-            return counter
 
         def miss_probe(line, ways, tag, use_llc):
             # Continuation after the dedicated probe popped ABSENT:
@@ -350,7 +322,7 @@ class SecureTimingEngine:
             # exactly as access_metadata computes its writeback.
             return False, llc_wb or spill
 
-        def walk(index, use_llc, category, counter, depth_acc, blocking, when, core):
+        def walk(index, use_llc, category, key, depth_acc, blocking, when, core):
             # Break-on-hit walk from just above leaf ``index`` toward the
             # cached trust anchor; every uncached level is a gating read.
             # Each level's address is computed on the way up instead of
@@ -374,7 +346,7 @@ class SecureTimingEngine:
                 blocking.append(len(batch))
                 batch_append((read, tree_line, when, category, core))
                 depth += 1
-            counter.value += depth
+            origin[key] += depth
             counts.metadata_accesses += depth
             try:
                 depth_acc[depth] += 1
@@ -382,10 +354,7 @@ class SecureTimingEngine:
                 depth_acc[depth] = 1
 
         def expand_fast(data_line, when, core):
-            nonlocal c_data, c_counter, c_mac
-            if c_data is None:
-                c_data = bind("data")
-            c_data.value += 1
+            origin["demand_data_read"] += 1
             blocking = [len(batch)]
             batch_append((read, data_line, when, "data", core))
             if not encrypted:
@@ -397,19 +366,15 @@ class SecureTimingEngine:
             if prev is not absent:
                 md.hits += 1
                 ways[tag] = prev
-                counter_hits.value += 1
                 counts.counter_hits += 1
             else:
                 hit, wb = miss_probe(counter_line, ways, tag, counters_in_llc)
                 if wb is not None:
                     handle_writeback(wb, when, core)
                 if hit:
-                    counter_hits.value += 1
                     counts.counter_hits += 1
                 else:
-                    if c_counter is None:
-                        c_counter = bind("counter")
-                    c_counter.value += 1
+                    origin["demand_counter_read"] += 1
                     counts.metadata_accesses += 1
                     blocking.append(len(batch))
                     batch_append((read, counter_line, when, "counter", core))
@@ -418,7 +383,7 @@ class SecureTimingEngine:
                             data_line // counter_coverage,
                             counters_in_llc,
                             "counter",
-                            c_counter,
+                            "demand_counter_read",
                             tree_depth_acc,
                             blocking,
                             when,
@@ -432,9 +397,7 @@ class SecureTimingEngine:
                 # (design note in repro.secure.designs.IVEC).
                 mac_index = data_line // arity
                 mac_line = mac_base + mac_index
-                if c_mac is None:
-                    c_mac = bind("mac")
-                c_mac.value += 1
+                origin["demand_mac_read"] += 1
                 counts.metadata_accesses += 1
                 blocking.append(len(batch))
                 batch_append((read, mac_line, when, "mac", core))
@@ -447,7 +410,7 @@ class SecureTimingEngine:
                         mac_index,
                         macs_in_llc,
                         "mac",
-                        c_mac,
+                        "demand_mac_read",
                         mac_tree_depth_acc,
                         blocking,
                         when,
@@ -470,9 +433,7 @@ class SecureTimingEngine:
         transitions and stat bumps, including the pinned ``llc_wb or
         spill`` writeback quirk; chained victims re-enter the FIFO queue.
         Nothing inside the drain calls back out, so it needs no re-entrancy
-        flag and reads no engine state (see ``_RunningCounts``). Accounting
-        counters bind lazily through ``_account_counters`` at their first
-        use, so stat-group order is first-use order.
+        flag and reads no engine state (see ``_RunningCounts``).
         """
         design = self.design
         layout = self.layout
@@ -509,32 +470,11 @@ class SecureTimingEngine:
         queue = self._writeback_queue
         queue_append = queue.append
         queue_popleft = queue.popleft
-        stats_counter = self.stats.counter
-        account = self._account_counters
+        origin = self.origin_counts
         absent = ABSENT
         read = _READ
         write = _WRITE
         counts = self._counts
-
-        def bind(origin_flag, category, kind):
-            # Lazy creation under the "<origin>_<category>_<kind>" name;
-            # origin_flag is True for writeback-triggered traffic.
-            key = (origin_flag, category, kind)
-            counter = account.get(key)
-            if counter is None:
-                counter = stats_counter(
-                    "%s_%s_%s"
-                    % (
-                        "writeback" if origin_flag else "demand",
-                        category,
-                        kind.value,
-                    )
-                )
-                account[key] = counter
-            return counter
-
-        # Lazily-bound accounting counters (write-path first-use order).
-        cells = {}
 
         def md_probe_write(line, use_llc):
             # access_metadata(line, is_write=True, use_llc) with the dict
@@ -584,7 +524,7 @@ class SecureTimingEngine:
             # Pinned quirk (see access_metadata): `or`, not `is None`.
             return False, llc_wb or spill
 
-        def dirty_walk(index, use_llc, category, cell_key, when, core):
+        def dirty_walk(index, use_llc, category, key, when, core):
             # Dirty every level from just above leaf ``index`` to the root
             # (each level's counter or hash changes); uncached levels are
             # fetched for the read-modify-write. Returns the RMW reads.
@@ -599,10 +539,7 @@ class SecureTimingEngine:
                     misses += 1
                     batch_append((read, tree_line, when, category, core))
             if misses:
-                counter = cells.get(cell_key)
-                if counter is None:
-                    counter = cells[cell_key] = bind(True, category, read)
-                counter.value += misses
+                origin[key] += misses
             return misses
 
         def writeback_fast(victim, when, core):
@@ -615,10 +552,7 @@ class SecureTimingEngine:
                 if line < counter_base:
                     # Data-region victim: full write-side expansion,
                     # accounted as writeback-origin traffic.
-                    counter = cells.get("wd")
-                    if counter is None:
-                        counter = cells["wd"] = bind(True, "data", write)
-                    counter.value += 1
+                    origin["writeback_data_write"] += 1
                     batch_append((write, line, when, "data", core))
                     if encrypted:
                         counter_line = counter_base + line // counter_coverage
@@ -628,12 +562,7 @@ class SecureTimingEngine:
                         if not hit:
                             # RMW: the counter line is fetched before
                             # its bump.
-                            counter = cells.get("wcr")
-                            if counter is None:
-                                counter = cells["wcr"] = bind(
-                                    True, "counter", read
-                                )
-                            counter.value += 1
+                            origin["writeback_counter_read"] += 1
                             n_meta += 1
                             batch_append(
                                 (read, counter_line, when, "counter", core)
@@ -643,7 +572,7 @@ class SecureTimingEngine:
                                 line // counter_coverage,
                                 counters_in_llc,
                                 "counter",
-                                "wcr",
+                                "writeback_counter_read",
                                 when,
                                 core,
                             )
@@ -652,12 +581,7 @@ class SecureTimingEngine:
                             # write per data write.
                             mac_index = line // arity
                             mac_line = mac_base + mac_index
-                            counter = cells.get("wmw")
-                            if counter is None:
-                                counter = cells["wmw"] = bind(
-                                    True, "mac", write
-                                )
-                            counter.value += 1
+                            origin["writeback_mac_write"] += 1
                             n_meta += 1
                             batch_append((write, mac_line, when, "mac", core))
                             if macs_in_llc:
@@ -670,18 +594,18 @@ class SecureTimingEngine:
                                 # write amplification that makes the
                                 # non-Bonsai structure expensive (§VII-A1).
                                 n_meta += dirty_walk(
-                                    mac_index, macs_in_llc, "mac", "wmr", when, core
+                                    mac_index,
+                                    macs_in_llc,
+                                    "mac",
+                                    "writeback_mac_read",
+                                    when,
+                                    core,
                                 )
                     if parity_on_write:
                         # Synergy: one parity write per data write, computed
                         # from the written line itself (no read).
                         parity_line = parity_base + line // arity
-                        counter = cells.get("wpw")
-                        if counter is None:
-                            counter = cells["wpw"] = bind(
-                                True, "parity", write
-                            )
-                        counter.value += 1
+                        origin["writeback_parity_write"] += 1
                         n_meta += 1
                         batch_append(
                             (write, parity_line, when, "parity", core)
@@ -690,22 +614,12 @@ class SecureTimingEngine:
                         parity_line = parity_base + line // arity
                         if not lotecc_coalesced:
                             # Tier-2 parity needs its old contents: RMW.
-                            counter = cells.get("wpr")
-                            if counter is None:
-                                counter = cells["wpr"] = bind(
-                                    True, "parity", read
-                                )
-                            counter.value += 1
+                            origin["writeback_parity_read"] += 1
                             n_meta += 1
                             batch_append(
                                 (read, parity_line, when, "parity", core)
                             )
-                        counter = cells.get("wpw")
-                        if counter is None:
-                            counter = cells["wpw"] = bind(
-                                True, "parity", write
-                            )
-                        counter.value += 1
+                        origin["writeback_parity_write"] += 1
                         n_meta += 1
                         batch_append(
                             (write, parity_line, when, "parity", core)
@@ -717,23 +631,18 @@ class SecureTimingEngine:
                     # writeback-origin flag).
                     if line < mac_base:
                         category = "counter"
-                        cell_key = "dcw"
+                        key = "demand_counter_write"
                     elif line < parity_base:
                         category = "mac"
-                        cell_key = "dmw"
+                        key = "demand_mac_write"
                     elif line < tree_base:
                         category = "parity"
-                        cell_key = "dpw"
+                        key = "demand_parity_write"
                     else:
                         # Tree lines group with counters (Fig. 9).
                         category = "counter"
-                        cell_key = "dcw"
-                    counter = cells.get(cell_key)
-                    if counter is None:
-                        counter = cells[cell_key] = bind(
-                            False, category, write
-                        )
-                    counter.value += 1
+                        key = "demand_counter_write"
+                    origin[key] += 1
                     n_meta += 1
                     batch_append((write, line, when, category, core))
             if n_meta:

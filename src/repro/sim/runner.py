@@ -310,9 +310,8 @@ def run_workload(
         instructions=sim.total_instructions,
         traffic=sim.traffic(),
         origin_traffic={
-            key: value
-            for key, value in sim.engine.stats.as_dict().items()
-            if key.startswith(("demand_", "writeback_"))
+            key: float(count)
+            for key, count in sorted(sim.engine.origin_counts.items())
         },
         energy_j=energy.total_j,
         power_w=energy.average_power_w,

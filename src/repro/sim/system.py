@@ -27,7 +27,6 @@ from repro.secure.designs import SecureDesign
 from repro.secure.timing_engine import SecureTimingEngine
 from repro.sim.config import SystemConfig
 from repro.telemetry import get_registry
-from repro.util.stats import StatGroup
 
 #: CPU-cycle buckets for end-to-end read-miss latency (LLC miss -> usable).
 MISS_LATENCY_EDGES = (64, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 4096)
@@ -85,7 +84,6 @@ class SystemSimulator:
         self.engine = SecureTimingEngine(
             design, self.hierarchy, self.controller, config.num_data_lines
         )
-        self.stats = StatGroup("system")
         self._traces: Optional[List[Trace]] = list(traces)
         self._unresolved: List[Tuple[AccessHandle, List[int], float]] = []
         self.num_cores = len(traces)
@@ -97,14 +95,7 @@ class SystemSimulator:
         self._t_miss_latency = get_registry().histogram(
             "system.read_miss_latency_cpu", MISS_LATENCY_EDGES
         )
-        # Hot-path bindings: one attribute fetch per access instead of a
-        # per-event StatGroup name lookup.
-        self._c_data_reads = self.stats.counter("data_reads")
-        self._c_data_writes = self.stats.counter("data_writes")
-        self._c_llc_hits = self.stats.counter("llc_hits")
-        self._c_llc_misses = self.stats.counter("llc_misses")
         self._llc_latency = config.llc_latency_cpu
-        self._access_data = self.hierarchy.access_data
         # LLC internals, bound once: _read/_write run per data access and
         # inline the set-dict probe (same ops as SetAssociativeCache.access,
         # same stat bumps — see that class for the LRU idiom).
@@ -122,8 +113,6 @@ class SystemSimulator:
     # ------------------------------------------------------------------
 
     def _read(self, line_address: int, cpu_time: float, core: int) -> AccessHandle:
-        # Unit increments bump the counter slots directly (no method call).
-        self._c_data_reads.value += 1
         set_index = line_address & self._llc_mask
         tag = line_address >> self._llc_shift
         ways = self._llc_sets[set_index]
@@ -131,7 +120,6 @@ class SystemSimulator:
         if prev is not ABSENT:
             self._llc.hits += 1
             ways[tag] = prev
-            self._c_llc_hits.value += 1
             return AccessHandle(cpu_time + self._llc_latency)
         llc = self._llc
         llc.misses += 1
@@ -145,7 +133,6 @@ class SystemSimulator:
                 writeback = (victim_tag << self._llc_shift) | set_index
         ways[tag] = False
         self.hierarchy.data_llc_fills += 1
-        self._c_llc_misses.value += 1
         mem_time = int(cpu_time // self._mult)
         if writeback is not None:
             self._writeback(writeback, mem_time, core)
@@ -155,7 +142,6 @@ class SystemSimulator:
         return handle
 
     def _write(self, line_address: int, cpu_time: float, core: int) -> None:
-        self._c_data_writes.value += 1
         set_index = line_address & self._llc_mask
         tag = line_address >> self._llc_shift
         ways = self._llc_sets[set_index]
@@ -308,9 +294,3 @@ class SystemSimulator:
     def traffic(self) -> Dict[str, int]:
         """Memory accesses keyed '<category>_<read|write>'."""
         return self.controller.traffic_by_category()
-
-    def accesses_per_kilo_instruction(self) -> float:
-        """Total memory accesses per 1000 retired instructions."""
-        total = sum(self.traffic().values())
-        instructions = self.total_instructions
-        return 1000.0 * total / instructions if instructions else 0.0

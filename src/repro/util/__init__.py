@@ -1,4 +1,4 @@
-"""Shared utilities: bit manipulation, deterministic RNG, units, statistics.
+"""Shared utilities: bit manipulation, deterministic RNG, units.
 
 These helpers are deliberately dependency-free (stdlib only) so every other
 subsystem can import them without cycles.
@@ -14,7 +14,6 @@ from repro.util.bitops import (
     rotate_left,
 )
 from repro.util.rng import DeterministicRng, derive_seed
-from repro.util.stats import Counter, Histogram, RatioStat, StatGroup
 from repro.util.units import (
     GIB,
     KIB,
@@ -36,10 +35,6 @@ __all__ = [
     "rotate_left",
     "DeterministicRng",
     "derive_seed",
-    "Counter",
-    "Histogram",
-    "RatioStat",
-    "StatGroup",
     "KIB",
     "MIB",
     "GIB",

@@ -33,7 +33,6 @@ from repro.ecc.parity import xor_parity
 from repro.secure.errors import AttackDetected
 from repro.secure.mac import LineMacCalculator
 from reference.mac_tree import MacTree
-from repro.util.stats import StatGroup
 from repro.util.units import CACHELINE_BYTES
 
 
@@ -46,7 +45,8 @@ class IvecMemory:
         "cipher",
         "mac_calc",
         "tree",
-        "stats",
+        "mismatches",
+        "corrections",
         "_counters",
         "_written",
     )
@@ -64,7 +64,9 @@ class IvecMemory:
         self.cipher = keys.make_cipher()
         self.mac_calc = LineMacCalculator(keys.make_mac())
         self.tree = MacTree(num_data_lines, keys.make_mac())
-        self.stats = StatGroup("ivec_memory")
+        #: Reads whose MAC mismatched, and those a chip rebuild corrected.
+        self.mismatches = 0
+        self.corrections = 0
         # IVEC uses simple per-line write counters for encryption (split
         # counters in the original; a flat map suffices functionally).
         self._counters = {}
@@ -81,7 +83,6 @@ class IvecMemory:
         self._check_line(data_line)
         if len(plaintext) != CACHELINE_BYTES:
             raise ValueError("lines are %d bytes" % CACHELINE_BYTES)
-        self.stats.counter("writes").add()
         counter = self._counters.get(data_line, 0) + 1
         self._counters[data_line] = counter
         ciphertext = self.cipher.encrypt(data_line, counter, plaintext)
@@ -95,7 +96,6 @@ class IvecMemory:
     def read(self, data_line: int) -> bytes:
         """Read, verify against the MAC tree, correct single-chip errors."""
         self._check_line(data_line)
-        self.stats.counter("reads").add()
         if data_line not in self._written:
             return bytes(CACHELINE_BYTES)
         counter = self._counters[data_line]
@@ -108,7 +108,7 @@ class IvecMemory:
 
         # MAC mismatch: try reconstructing each data chip from the in-line
         # parity (the ECC lane), verifying each hypothesis with the MAC.
-        self.stats.counter("mismatches").add()
+        self.mismatches += 1
         parity = lanes[ECC_CHIP]
         for chip in range(DATA_CHIPS):
             others = [lanes[i] for i in range(DATA_CHIPS) if i != chip]
@@ -117,7 +117,7 @@ class IvecMemory:
             repaired[chip] = rebuilt
             candidate, _ = join_lanes(repaired + [parity])
             if self.mac_calc.data_mac(data_line, counter, candidate) == trusted_mac:
-                self.stats.counter("corrections").add()
+                self.corrections += 1
                 self.dimm.write_line(data_line, repaired + [xor_parity(repaired)])
                 return self.cipher.decrypt(data_line, counter, candidate)
         raise AttackDetected("uncorrectable error or attack (IVEC)", data_line)

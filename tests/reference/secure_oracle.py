@@ -9,10 +9,10 @@ enqueue at once or buffer into one ``enqueue_batch`` flush per expansion.
 ``repro.secure.timing_engine`` fuses the same walks into three closures.
 
 :class:`ScalarSecureTimingEngine` subclasses the production engine, so the
-metadata layout, the stats group, the registry counters, the accounting
-table and ``sync_telemetry`` are shared: ``tests/test_columnar_equivalence.py``
+metadata layout, the registry counters, the ``origin_counts`` accounting
+dict and ``sync_telemetry`` are shared: ``tests/test_columnar_equivalence.py``
 drives both engines with one access stream and compares specs, blocking
-sets, stats (in insertion order), cache sets and telemetry.
+sets, origin counts, cache sets and telemetry.
 """
 
 from __future__ import annotations
@@ -96,16 +96,7 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
         return "writeback" if self._in_writeback_path else "demand"
 
     def _account(self, category: str, kind: RequestKind) -> None:
-        key = (self._in_writeback_path, category, kind)
-        counter = self._account_counters.get(key)
-        if counter is None:
-            counter = self.stats.counter(
-                "%s_%s_%s" % (self._origin, category, kind.value)
-            )
-            self._account_counters[key] = counter
-        # Unit increment: bump the slot directly (skips Counter.add's
-        # sign check on the per-request path).
-        counter.value += 1
+        self.origin_counts["%s_%s_%s" % (self._origin, category, kind.value)] += 1
         if category != "data":
             self._counts.metadata_accesses += 1
 
@@ -122,14 +113,14 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
         if self._batching:
             self._batch.append((_READ, line, when, category, core))
         else:
-            self.controller.enqueue(_READ, line, when, category, core)
+            self.controller.enqueue_batch([(_READ, line, when, category, core)])
 
     def _emit_write(self, line: int, when: int, category: str, core: int) -> None:
         self._account(category, _WRITE)
         if self._batching:
             self._batch.append((_WRITE, line, when, category, core))
         else:
-            self.controller.enqueue(_WRITE, line, when, category, core)
+            self.controller.enqueue_batch([(_WRITE, line, when, category, core)])
 
     def _flush_batch(self, out: Optional[ExpandedAccess]) -> None:
         """Enqueue the buffered specs in emission order; hand ``out`` the
@@ -264,7 +255,6 @@ class ScalarSecureTimingEngine(SecureTimingEngine):
         )
         self._handle_writeback(result.writeback_address, when, core)
         if result.hit:
-            self._c_counter_hits.value += 1
             self._counts.counter_hits += 1
             return
         self._emit_read(counter_line, when, "counter", core)

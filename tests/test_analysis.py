@@ -335,14 +335,14 @@ class TestDramSanitizer:
         with sanitized() as sanitizer:
             controller = MemoryController(MemoryConfig(channels=1))
             line = controller.mapper.encode(DecodedAddress(0, 0, 3, 77, 0))
-            controller.enqueue(RequestKind.READ, line, 0)
+            controller.enqueue_batch([(RequestKind.READ, line, 0, "data", 0)])
             controller.process()
             assert sanitizer.checks > 0
             # The bank forgets its open row while the open-row table the
             # kernel classifies against still holds it: the kernel plans a
             # row hit (tCL) that a closed bank cannot serve (tRCD + tCL).
             controller.channels[0].banks[3].open_row = None
-            controller.enqueue(RequestKind.READ, line + 1, 1000)
+            controller.enqueue_batch([(RequestKind.READ, line + 1, 1000, "data", 0)])
             with pytest.raises(SanitizerError, match="latency"):
                 controller.process()
 

@@ -11,7 +11,7 @@ and compare every observable:
   arrival, category, core) in enqueue order, i.e. with its **sequence
   number**;
 * the blocking sets of every expansion (resolved to (line, sequence));
-* the engine's accounting stats (``StatGroup`` insertion order included);
+* the engine's origin accounting (sorted by name, as results carry it);
 * both cache's full set dictionaries — entry order *is* LRU state;
 * the per-engine telemetry snapshot.
 
@@ -127,7 +127,7 @@ def _drive(design, deferred, seed, num_data_lines=_NUM_DATA_LINES):
         observables = {
             "specs": list(controller._specs),
             "blocking": sorted(blocking_log),
-            "stats": list(engine.stats.as_dict().items()),
+            "origin_counts": sorted(engine.origin_counts.items()),
             "metadata_accesses": engine._counts.metadata_accesses,
             "md_sets": [
                 list(ways.items())
@@ -189,7 +189,7 @@ def test_deep_walks_match_scalar_oracle(design_name):
     scalar = _drive(design, deferred=False, seed=7, num_data_lines=1 << 20)
     vector = _drive(design, deferred=True, seed=7, num_data_lines=1 << 20)
     assert vector == scalar, design.name
-    stats = dict(vector["stats"])
+    stats = dict(vector["origin_counts"])
     reads = stats["demand_data_read"]
     if design is design_by_name("IVEC"):
         assert stats["demand_mac_read"] > 2 * reads

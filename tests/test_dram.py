@@ -158,7 +158,8 @@ class TestMemoryController:
     def test_single_enqueues_fill_their_slots(self):
         controller = MemoryController(MemoryConfig())
         slots = [
-            controller.enqueue(RequestKind.READ, index * 3, index) for index in range(40)
+            controller.enqueue_batch([_spec(RequestKind.READ, index * 3, index)])
+            for index in range(40)
         ]
         controller.process()
         assert all(len(slot) == 1 and slot[0] > index for index, slot in enumerate(slots))
@@ -188,8 +189,8 @@ class TestMemoryController:
 
     def test_traffic_categories(self):
         controller = MemoryController(MemoryConfig())
-        controller.enqueue(RequestKind.READ, 0, 0, category="mac")
-        controller.enqueue(RequestKind.WRITE, 1, 0, category="parity")
+        controller.enqueue_batch([_spec(RequestKind.READ, 0, 0, "mac")])
+        controller.enqueue_batch([_spec(RequestKind.WRITE, 1, 0, "parity")])
         controller.process()
         traffic = controller.traffic_by_category()
         assert traffic["mac_read"] == 1

@@ -46,7 +46,7 @@ class TestCorrection:
             chip, ChipFault(FaultKind.SINGLE_WORD, line_address=0, seed=chip)
         )
         assert memory.read(0) == b"D" * 64
-        assert memory.stats.counter("corrections").value == 1
+        assert memory.corrections == 1
 
     def test_correction_scrubs(self, memory):
         memory.write(0, b"S" * 64)
@@ -56,7 +56,7 @@ class TestCorrection:
         memory.read(0)
         memory.dimm.clear_faults()
         assert memory.read(0) == b"S" * 64
-        assert memory.stats.counter("mismatches").value == 1  # only once
+        assert memory.mismatches == 1  # only once
 
     def test_two_chip_failure_is_attack(self, memory):
         memory.write(0, b"X" * 64)

@@ -166,14 +166,42 @@ def test_a_package_reaches_its_submodule_only_by_using_it():
     assert "repro.analysis.rules.hotpath" in rules
 
 
+def _oracle_uses(source: str) -> List[str]:
+    """What in one source file reaches the oracles in ``tests/reference/``.
+
+    An import statement, or a string constant naming an oracle module, as
+    ``importlib.import_module("reference.x")`` would take it.
+    """
+    uses = [
+        line.strip()
+        for line in source.splitlines()
+        if "import reference" in line or "from reference" in line
+    ]
+    uses += [
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith("reference.")
+    ]
+    return uses
+
+
 def test_production_code_never_imports_the_oracle():
     offenders = [
-        str(path)
-        for path in MODULES.values()
-        if "import reference" in path.read_text()
-        or "from reference" in path.read_text()
+        str(path) for path in MODULES.values() if _oracle_uses(path.read_text())
     ]
     assert offenders == []
+
+
+def test_the_oracle_guard_sees_imports_and_module_name_strings():
+    assert _oracle_uses("from reference.chipkill import ChipkillCode\n")
+    assert _oracle_uses("import reference.gf256\n")
+    assert _oracle_uses(
+        'import importlib\nimportlib.import_module("reference.montecarlo_oracle")\n'
+    )
+    # Production docstrings cite oracle files by path; that is no use.
+    assert _oracle_uses('"""Oracle: tests/reference/montecarlo_oracle.py."""\n') == []
 
 
 def test_design_subsystem_table_names_only_real_modules():

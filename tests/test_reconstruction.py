@@ -147,7 +147,7 @@ class TestCounterLineCorrection:
         corrupted = list(lanes)
         corrupted[3] = b"\x77" * 8
         engine.correct_counter_line(100, corrupted, parent_counter=7)
-        assert engine.stats.counter("counter_corrections").value == 1
+        assert engine.counter_corrections == 1
 
 
 class TestFaultyChipTracker:

@@ -65,7 +65,7 @@ class TestReliability:
             2, ChipFault(FaultKind.SINGLE_BIT, line_address=0, bit_index=5)
         )
         assert memory.read(0) == b"A" * 64
-        assert memory.stats.counter("secded_corrections").value > 0
+        assert memory.secded_corrections > 0
 
     def test_ecc_chip_single_bit_corrected(self, memory):
         memory.write(0, b"E" * 64)

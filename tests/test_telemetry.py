@@ -17,9 +17,11 @@ from repro.reliability.montecarlo import (
     simulate_failure_probability,
 )
 from repro.reliability.schemes import SYNERGY_SCHEME
-from repro.secure.designs import SGX, SYNERGY
+from repro.secure.designs import SGX, SGX_O, SYNERGY
+from repro.sim import runner
 from repro.sim.config import SystemConfig
 from repro.sim.runner import run_suite, run_workload
+from repro.sim.system import SystemSimulator
 from repro.telemetry import (
     TELEMETRY_AGGREGATE,
     Counter,
@@ -348,3 +350,37 @@ class TestCellScope:
             snapshot = registry.snapshot()
         assert "inner" in snapshot
         assert "ambient" not in snapshot
+
+
+class TestPublishOnce:
+    def test_registry_equals_component_totals_after_a_warm_run(self):
+        # Components count in plain ints and SystemSimulator.run publishes
+        # each total once, after warm-up's reset: the cell's registry must
+        # read exactly what the components hold when the run returns.
+        _label, traces = runner._traces_for("mcf", TINY)
+        _label, warmup = runner._traces_for("mcf", TINY, "warmup")
+        with scoped_registry() as registry:
+            sim = SystemSimulator(SGX_O, traces, TINY)
+            sim.run(warmup)
+            snapshot = registry.snapshot()
+        hierarchy = sim.hierarchy
+        banks = [bank for channel in sim.controller.channels for bank in channel.banks]
+        activations = sum(bank.row_misses for bank in banks)
+        expected = {
+            "cache.data_llc_fills": hierarchy.data_llc_fills,
+            "cache.metadata_llc_fills": hierarchy.metadata_llc_fills,
+            "dram.row_hits": sum(bank.row_hits for bank in banks),
+            "dram.row_misses": activations,
+            "dram.bank_activations": activations,
+            "secure.metadata_accesses": sim.engine._counts.metadata_accesses,
+            "secure.counter_hits": sim.engine._counts.counter_hits,
+        }
+        for name, cache in (
+            ("llc", hierarchy.llc),
+            ("metadata", hierarchy.metadata_cache),
+        ):
+            expected["cache.%s.hits" % name] = cache.hits
+            expected["cache.%s.misses" % name] = cache.misses
+            expected["cache.%s.dirty_evictions" % name] = cache.dirty_evictions
+        assert {name: snapshot.value(name) for name in expected} == expected
+        assert all(expected.values())

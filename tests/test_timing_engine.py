@@ -144,8 +144,7 @@ class TestWriteExpansion:
         assert traffic["mac_read"] == engine.layout.tree_depth
         assert traffic["mac_write"] == 1
         assert traffic["counter_read"] == 1  # counter RMW, no Bonsai walk
-        stats = engine.stats.as_dict()
-        assert stats["writeback_mac_read"] == engine.layout.tree_depth
+        assert engine.origin_counts["writeback_mac_read"] == engine.layout.tree_depth
 
 
 class TestWritebackDispatch:
