@@ -17,20 +17,14 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.analysis.sanitizer import ENV_VAR as SANITIZE_ENV, configure_sanitizer
-from repro.harness.experiments import (
-    ALL_EXPERIMENTS,
-    EXPERIMENTS,
-    run_experiment,
-    run_spec,
-)
-from repro.harness.plan import run_scoped_cache
+from repro.harness.experiments import ALL_EXPERIMENTS, EXPERIMENTS, run_spec
+from repro.harness.plan import run_experiments, run_record
 from repro.harness.spec import GRID_EXPERIMENT, ExperimentSpec, SpecError
-from repro.harness.report import render_execution_stats, render_metrics_summary
-from repro.parallel import EXECUTION_STATS, ExecutionStats, default_jobs
+from repro.harness.report import render_metrics_summary
+from repro.parallel import EXECUTION_STATS, default_jobs
 from repro.telemetry import TELEMETRY_AGGREGATE, write_metrics
 
 
@@ -65,8 +59,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-cache",
         action="store_true",
         help="reuse no result: ignore and do not populate the on-disk run "
-        "cache ('all' keeps its cells in a temporary run cache for that run "
-        "only, so it still simulates each unique cell once)",
+        "cache (the run keeps its cells in a temporary run cache for that "
+        "run only, so it still simulates each unique cell once)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -140,72 +134,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         else [args.experiment]
     )
     TELEMETRY_AGGREGATE.reset()
-    # EXECUTION_STATS is reset per experiment for its summary line; the
-    # whole run (prefetch included) accumulates here for --metrics-out.
-    run_stats = ExecutionStats()
-    plan_summary = None
-    planned = args.experiment == "all"
-    with run_scoped_cache(cache) if planned else nullcontext(cache) as cache:
-        if planned:
-            plan_summary = _prefetch(names, args, cache)
-            run_stats.absorb(EXECUTION_STATS)
-        for name in names:
-            print("=" * 72)
-            print("Experiment:", name)
-            print("=" * 72)
-            EXECUTION_STATS.reset()
-            started = time.perf_counter()
-            run_experiment(name, scale=args.scale, jobs=args.jobs, cache=cache)
-            print("[%s finished in %.1fs]" % (name, time.perf_counter() - started))
-            if EXECUTION_STATS.cells_executed or EXECUTION_STATS.cache_hits:
-                print(render_execution_stats(EXECUTION_STATS))
-            print()
-            run_stats.absorb(EXECUTION_STATS)
+    steps = run_experiments(
+        names, scale=args.scale, jobs=args.jobs, cache=cache, quiet=False
+    )
     if TELEMETRY_AGGREGATE:
         print(render_metrics_summary(TELEMETRY_AGGREGATE))
         print()
     if args.metrics_out:
-        path = write_metrics(
-            args.metrics_out,
-            run={
-                "experiments": names,
-                "scale": args.scale,
-                "jobs": args.jobs,
-                "plan": plan_summary,
-                "execution": run_stats.as_dict(),
-            },
-        )
+        path = write_metrics(args.metrics_out, run=run_record(steps))
         print("[metrics written to %s]" % path)
     return 0
-
-
-def _prefetch(names: List[str], args: argparse.Namespace, cache) -> dict:
-    """Plan + execute the whole run's unique cells in one fan-out."""
-    from repro.harness.plan import execute_plan, plan_experiments
-
-    print("=" * 72)
-    print("Planned prefetch (whole-run dedup)")
-    print("=" * 72)
-    EXECUTION_STATS.reset()
-    started = time.perf_counter()
-    plan = plan_experiments(names, args.scale)
-    summary = execute_plan(plan, jobs=args.jobs, cache=cache)
-    print(
-        "[plan: %d cells requested, %d unique (%d deduped), "
-        "%d pending, jobs=%d]"
-        % (
-            summary["cells_requested"],
-            summary["cells_unique"],
-            summary["cells_deduped"],
-            summary["cells_pending"],
-            summary["jobs"],
-        )
-    )
-    print("[prefetch finished in %.1fs]" % (time.perf_counter() - started))
-    if EXECUTION_STATS.cells_executed:
-        print(render_execution_stats(EXECUTION_STATS))
-    print()
-    return summary
 
 
 def _comma_list(raw: Optional[str]) -> List[str]:

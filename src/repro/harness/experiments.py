@@ -27,7 +27,6 @@ from repro.reliability.montecarlo import (
 )
 from repro.reliability.schemes import (
     CHIPKILL_SCHEME,
-    IVEC_SCHEME,
     SECDED_SCHEME,
     SYNERGY_SCHEME,
 )
@@ -48,6 +47,7 @@ from repro.secure.designs import (
     SYNERGY_DEDICATED,
     SYNERGY_SPECULATIVE,
     SYNERGY_SPLIT,
+    SecureDesign,
 )
 from repro.secure.metadata_layout import MetadataLayout
 from repro.sim.config import SystemConfig
@@ -72,8 +72,44 @@ def _config(scale: Scale, channels: int = 2) -> SystemConfig:
     return config
 
 
-def _perf_table(scale: Scale, designs, channels: int = 2) -> ResultTable:
-    return run_suite(designs, _workloads(scale), _config(scale, channels))
+#: Figs. 8-10's table, and Fig. 12's at each channel count.
+_HEADLINE = (SGX_O, SGX, SYNERGY)
+
+#: Each timing figure's grids over the scale's workloads: one
+#: ``(designs, channels)`` leg per ResultTable the figure builds, in the
+#: order it builds them. The figures build their tables from here and the
+#: whole-run planner (``harness.plan``) enumerates the same legs.
+GRIDS: Dict[str, List[Tuple[Tuple[SecureDesign, ...], int]]] = {
+    "fig6": [((SGX_O, SGX, NON_SECURE), 2)],
+    "fig8": [(_HEADLINE, 2)],
+    "fig9": [(_HEADLINE, 2)],
+    "fig10": [(_HEADLINE, 2)],
+    "fig12": [(_HEADLINE, channels) for channels in (2, 4, 8)],
+    "fig13": [((SGX_O, SYNERGY), 2), ((SGX_O_SPLIT, SYNERGY_SPLIT), 2)],
+    "fig14": [((SGX_O, SYNERGY), 2), ((SGX, SYNERGY_DEDICATED), 2)],
+    "fig16": [((SGX_O, IVEC, SYNERGY), 2)],
+    "fig17": [((SGX_O, LOTECC, LOTECC_COALESCED, SYNERGY), 2)],
+}
+
+
+def grid_legs(name: str, scale: Scale) -> List[Tuple[Sequence, List, SystemConfig]]:
+    """Experiment ``name``'s timing grids at ``scale``, as ``run_suite``
+    arguments ``(designs, workloads, config)``: its :data:`GRIDS` legs, or
+    selfcheck's fixed grid. Experiments with neither have none."""
+    if name == "selfcheck":
+        from repro.harness.selfcheck import timing_grid
+
+        return [timing_grid()]
+    workloads = _workloads(scale)
+    return [
+        (designs, workloads, _config(scale, channels))
+        for designs, channels in GRIDS.get(name, ())
+    ]
+
+
+def _tables(name: str, scale: Scale) -> List[ResultTable]:
+    """The ResultTables of figure ``name``, one per :data:`GRIDS` leg."""
+    return [run_suite(*leg) for leg in grid_legs(name, scale)]
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +120,7 @@ def _perf_table(scale: Scale, designs, channels: int = 2) -> ResultTable:
 def fig6(scale: object = None, quiet: bool = False) -> Dict[str, float]:
     """Fig. 6: Non-Secure is ~2.12x SGX_O; SGX is ~0.70x SGX_O (gmean)."""
     scale = resolve_scale(scale)
-    table = _perf_table(scale, [SGX_O, SGX, NON_SECURE])
+    (table,) = _tables("fig6", scale)
     series = {
         design: {
             w: table.speedup(design, "SGX_O", w) for w in table.workloads()
@@ -112,7 +148,7 @@ def fig6(scale: object = None, quiet: bool = False) -> Dict[str, float]:
 def fig8(scale: object = None, quiet: bool = False) -> Dict[str, float]:
     """Fig. 8: Synergy +20% over SGX_O; SGX -30% (gmean over 29 workloads)."""
     scale = resolve_scale(scale)
-    table = _perf_table(scale, [SGX_O, SGX, SYNERGY])
+    (table,) = _tables("fig8", scale)
     series = {
         design: {w: table.speedup(design, "SGX_O", w) for w in table.workloads()}
         for design in ("SGX", "Synergy")
@@ -146,7 +182,7 @@ def fig9(scale: object = None, quiet: bool = False) -> Dict[str, Dict[str, float
     read halves of metadata read-modify-writes).
     """
     scale = resolve_scale(scale)
-    table = _perf_table(scale, [SGX_O, SGX, SYNERGY])
+    (table,) = _tables("fig9", scale)
     workloads = table.workloads()
 
     breakdown: Dict[str, Dict[str, float]] = {}
@@ -204,7 +240,7 @@ def fig9(scale: object = None, quiet: bool = False) -> Dict[str, Dict[str, float
 def fig10(scale: object = None, quiet: bool = False) -> Dict[str, Dict[str, float]]:
     """Fig. 10: power flat; Synergy EDP -31%; SGX EDP much worse."""
     scale = resolve_scale(scale)
-    table = _perf_table(scale, [SGX_O, SGX, SYNERGY])
+    (table,) = _tables("fig10", scale)
     workloads = table.workloads()
     out: Dict[str, Dict[str, float]] = {}
     for design in ("SGX", "SGX_O", "Synergy"):
@@ -284,8 +320,7 @@ def fig12(scale: object = None, quiet: bool = False) -> Dict[int, Dict[str, floa
     """Fig. 12: Synergy gain shrinks 20%->6% as channels go 2->8."""
     scale = resolve_scale(scale)
     out: Dict[int, Dict[str, float]] = {}
-    for channels in (2, 4, 8):
-        table = _perf_table(scale, [SGX_O, SGX, SYNERGY], channels)
+    for (_designs, channels), table in zip(GRIDS["fig12"], _tables("fig12", scale)):
         out[channels] = {
             "SGX": table.gmean_speedup("SGX", "SGX_O"),
             "Synergy": table.gmean_speedup("Synergy", "SGX_O"),
@@ -312,10 +347,7 @@ def fig12(scale: object = None, quiet: bool = False) -> Dict[int, Dict[str, floa
 def fig13(scale: object = None, quiet: bool = False) -> Dict[str, float]:
     """Fig. 13: Synergy speedup with split counters ~3% above monolithic."""
     scale = resolve_scale(scale)
-    workloads = _workloads(scale)
-    config = _config(scale)
-    mono = run_suite([SGX_O, SYNERGY], workloads, config)
-    split = run_suite([SGX_O_SPLIT, SYNERGY_SPLIT], workloads, config)
+    mono, split = _tables("fig13", scale)
     out = {
         "monolithic": mono.gmean_speedup("Synergy", "SGX_O"),
         "split": split.gmean_speedup("Synergy_Split", "SGX_O_Split"),
@@ -339,10 +371,7 @@ def fig13(scale: object = None, quiet: bool = False) -> Dict[str, float]:
 def fig14(scale: object = None, quiet: bool = False) -> Dict[str, float]:
     """Fig. 14: dedicated-only caching gives ~13% speedup vs 20% with LLC."""
     scale = resolve_scale(scale)
-    workloads = _workloads(scale)
-    config = _config(scale)
-    llc = run_suite([SGX_O, SYNERGY], workloads, config)
-    dedicated = run_suite([SGX, SYNERGY_DEDICATED], workloads, config)
+    llc, dedicated = _tables("fig14", scale)
     out = {
         "dedicated+LLC": llc.gmean_speedup("Synergy", "SGX_O"),
         "dedicated-only": dedicated.gmean_speedup("Synergy_Dedicated", "SGX"),
@@ -366,7 +395,7 @@ def fig14(scale: object = None, quiet: bool = False) -> Dict[str, float]:
 def fig16(scale: object = None, quiet: bool = False) -> Dict[str, Dict[str, float]]:
     """Fig. 16: IVEC ~0.74x perf and ~1.9x EDP vs SGX_O; Synergy 1.20x / 0.69x."""
     scale = resolve_scale(scale)
-    table = _perf_table(scale, [SGX_O, IVEC, SYNERGY])
+    (table,) = _tables("fig16", scale)
     out = {
         design: {
             "performance": table.gmean_speedup(design, "SGX_O"),
@@ -394,7 +423,7 @@ def fig16(scale: object = None, quiet: bool = False) -> Dict[str, Dict[str, floa
 def fig17(scale: object = None, quiet: bool = False) -> Dict[str, Dict[str, float]]:
     """Fig. 17: LOT-ECC 15-20% slower than SGX_O; Synergy 20% faster."""
     scale = resolve_scale(scale)
-    table = _perf_table(scale, [SGX_O, LOTECC, LOTECC_COALESCED, SYNERGY])
+    (table,) = _tables("fig17", scale)
     out = {
         design: {
             "performance": table.gmean_speedup(design, "SGX_O"),
@@ -955,21 +984,19 @@ def run_experiment(
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
 ) -> object:
-    """Run one registered experiment under an execution-context override.
+    """Run one registered experiment, or ``"all"``, and return its output.
 
-    A thin wrapper that normalises ``(name, scale)`` into an
-    :class:`ExperimentSpec` and defers to :func:`run_spec`, so the CLI,
-    ``tools/run_experiments.py`` and the experiment service all execute
-    requests through one validated path.
-
-    ``name="all"`` runs :data:`ALL_EXPERIMENTS` through the whole-run
-    planner (one globally-deduped fan-out, then per-figure assembly).
+    A one-name batch of :func:`repro.harness.plan.run_experiments`, the one
+    path the CLI, ``tools/run_experiments.py`` and the benchmarks run
+    experiments through: it plans the experiment's cells, simulates each
+    unique one once and assembles the figure from them. ``name="all"``
+    runs :data:`ALL_EXPERIMENTS` and returns ``{name: output}`` after a
+    ``"plan"`` entry with the prefetch summary.
     """
-    if name == "all":
-        from repro.harness.plan import run_all_experiments
+    from repro.harness.plan import run_experiments
 
-        return run_all_experiments(
-            scale=scale, quiet=quiet, jobs=jobs, cache=cache
-        )
-    spec = ExperimentSpec(experiment=name, scale=resolve_scale(scale).name)
-    return run_spec(spec, quiet=quiet, jobs=jobs, cache=cache)
+    names = ALL_EXPERIMENTS if name == "all" else (name,)
+    steps = run_experiments(names, scale=scale, jobs=jobs, cache=cache, quiet=quiet)
+    if name == "all":
+        return {step: run.output for step, run in steps.items()}
+    return steps[name].output

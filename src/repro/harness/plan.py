@@ -1,18 +1,17 @@
-"""Whole-run execution planning: global cell dedup + one fan-out.
+"""The batch runner: every run of experiments is one planned batch.
 
-A full evaluation run (``synergy-repro all``) regenerates 16 tables and
-figures whose performance grids overlap heavily — the SGX_O/SGX/Synergy
-baseline recurs in Figs. 8/9/10, Fig. 12's two-channel leg, and the
-monolithic halves of Figs. 13/14. The legacy path recovers that overlap
-only opportunistically, one figure at a time, through cache hits; every
-figure still pays its own fan-out spin-up and its own straggler tail.
+:func:`run_experiments` is the one way experiments run, whether the CLI
+runs ``all`` or a single figure, ``tools/run_experiments.py`` dumps a
+batch, or a caller asks ``run_experiment``. The paper's timing figures
+overlap heavily: the SGX_O/SGX/Synergy baseline recurs in Figs. 8/9/10,
+Fig. 12's two-channel leg and the monolithic halves of Figs. 13/14. So a
+batch is planned as one grid:
 
-The planner turns the run inside out:
-
-1. **Enumerate** — each experiment declares the ``(design, workload,
-   config, seed)`` cells it will ask ``run_suite`` for, as canonical
-   :class:`CellSpec` records whose identity is exactly the run-cache key
-   (``sim.runner.cell_key``).
+1. **Enumerate** — each experiment's cells come from its
+   ``harness.experiments.GRIDS`` legs (selfcheck's fixed grid aside),
+   the same table the figures build their result tables from, as
+   canonical :class:`CellSpec` records whose identity is exactly the
+   run-cache key (``sim.runner.cell_key``).
 2. **Dedup** — cells are merged across experiments into one unique work
    list (first-request order), and cells already in the run cache are
    dropped via *silent* probes (no hit/miss counting: the assembly phase
@@ -20,24 +19,27 @@ The planner turns the run inside out:
 3. **Dispatch** — the remaining cells run in a *single* fan-out through
    the persistent pool, in first-request order; ``chunksize=1`` dynamic
    scheduling hands each worker the next cell as it frees up.
-4. **Assemble** — the figures then run unchanged; every grid cell they
-   request is a run-cache hit, so their outputs are bit-identical to
-   the legacy path (cells are pure functions of their key, and hits
-   round-trip through the same JSON payloads).
+4. **Assemble** — each experiment then runs through ``run_spec``; every
+   grid cell it requests is a run-cache hit, so its output is
+   bit-identical to running it alone on an empty cache (cells are pure
+   functions of their key, and hits round-trip through the same JSON
+   payloads).
 
-The run cache is where prefetched cells wait for assembly, so a planned
-run with caching off keeps them in a temporary run cache that lives only
-for that run (:func:`run_scoped_cache`): each unique cell is still
-simulated once, and nothing outlives the run.
+The run cache is where prefetched cells wait for assembly, so a batch
+with caching off keeps them in a temporary run cache that lives only for
+that batch (:func:`run_scoped_cache`): each unique cell is still
+simulated once, and nothing outlives the batch.
 
 Under the invariant sanitizer the planner plans but dispatches nothing:
-sanitize runs exist to recompute every cell through the full legacy path.
+sanitize runs exist to recompute every cell through ``run_suite``'s
+checked path.
 """
 
 from __future__ import annotations
 
 import contextlib
 import tempfile
+import time
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -51,21 +53,19 @@ from typing import (
 )
 
 from repro.analysis.sanitizer import get_sanitizer
+from repro.harness.experiments import grid_legs, run_spec
+from repro.harness.report import render_execution_stats
 from repro.harness.scales import Scale, resolve_scale
-from repro.parallel import get_context, overridden, resolve_cache, resolve_jobs
-from repro.secure.designs import (
-    IVEC,
-    LOTECC,
-    LOTECC_COALESCED,
-    NON_SECURE,
-    SGX,
-    SGX_O,
-    SGX_O_SPLIT,
-    SYNERGY,
-    SYNERGY_DEDICATED,
-    SYNERGY_SPLIT,
-    SecureDesign,
+from repro.harness.spec import ExperimentSpec
+from repro.parallel import (
+    EXECUTION_STATS,
+    ExecutionStats,
+    get_context,
+    overridden,
+    resolve_cache,
+    resolve_jobs,
 )
+from repro.secure.designs import SecureDesign
 from repro.sim.config import SystemConfig
 from repro.sim.energy import SystemEnergyParams
 from repro.sim.runner import cell_key, run_cells
@@ -100,97 +100,6 @@ class CellSpec:
     def task(self) -> Tuple:
         """The ``sim.runner.run_cells`` task tuple."""
         return (self.design, self.workload, self.config, self.energy, self.seed)
-
-
-# ---------------------------------------------------------------------------
-# Cell enumeration: one source per experiment that runs timing-plane cells.
-# Table/arithmetic experiments (table1-3, sdc, correction_latency) and the
-# internally-sharded Monte-Carlo figure (fig11) contribute none: they run
-# no timing cell or already fan out. selfcheck contributes its three
-# timing-check cells, at their own fixed size whatever the scale.
-# ---------------------------------------------------------------------------
-
-
-def _grid(
-    designs: Sequence[SecureDesign],
-    scale: Scale,
-    channels: int = 2,
-) -> List[CellSpec]:
-    # Late import: experiments.py owns the scale->workloads/config mapping
-    # (and imports this module lazily for the "all" path).
-    from repro.harness.experiments import _config, _workloads
-
-    config = _config(scale, channels)
-    return [
-        CellSpec(design, workload, config)
-        for design in designs
-        for workload in _workloads(scale)
-    ]
-
-
-def _cells_fig6(scale: Scale) -> List[CellSpec]:
-    return _grid([SGX_O, SGX, NON_SECURE], scale)
-
-
-def _cells_headline(scale: Scale) -> List[CellSpec]:
-    # Figs. 8, 9 and 10 share one table: SGX_O / SGX / Synergy at 2 ch.
-    return _grid([SGX_O, SGX, SYNERGY], scale)
-
-
-def _cells_fig12(scale: Scale) -> List[CellSpec]:
-    return [
-        cell
-        for channels in (2, 4, 8)
-        for cell in _grid([SGX_O, SGX, SYNERGY], scale, channels)
-    ]
-
-
-def _cells_fig13(scale: Scale) -> List[CellSpec]:
-    return _grid([SGX_O, SYNERGY], scale) + _grid(
-        [SGX_O_SPLIT, SYNERGY_SPLIT], scale
-    )
-
-
-def _cells_fig14(scale: Scale) -> List[CellSpec]:
-    return _grid([SGX_O, SYNERGY], scale) + _grid(
-        [SGX, SYNERGY_DEDICATED], scale
-    )
-
-
-def _cells_fig16(scale: Scale) -> List[CellSpec]:
-    return _grid([SGX_O, IVEC, SYNERGY], scale)
-
-
-def _cells_fig17(scale: Scale) -> List[CellSpec]:
-    return _grid([SGX_O, LOTECC, LOTECC_COALESCED, SYNERGY], scale)
-
-
-def _cells_selfcheck(scale: Scale) -> List[CellSpec]:
-    from repro.harness.selfcheck import timing_grid
-
-    designs, workloads, config = timing_grid()
-    return [
-        CellSpec(design, workload, config)
-        for design in designs
-        for workload in workloads
-    ]
-
-
-#: experiment name -> cell source. Must stay in lock-step with the figure
-#: functions in ``harness.experiments`` — the drift guard is the
-#: assembly-executes-zero-cells test in ``tests/test_plan.py``.
-CELL_SOURCES: Dict[str, Callable[[Scale], List[CellSpec]]] = {
-    "fig6": _cells_fig6,
-    "fig8": _cells_headline,
-    "fig9": _cells_headline,
-    "fig10": _cells_headline,
-    "fig12": _cells_fig12,
-    "fig13": _cells_fig13,
-    "fig14": _cells_fig14,
-    "fig16": _cells_fig16,
-    "fig17": _cells_fig17,
-    "selfcheck": _cells_selfcheck,
-}
 
 
 @dataclass
@@ -232,8 +141,12 @@ def plan_experiments(
     requested: List[CellSpec] = []
     per_experiment: Dict[str, int] = {}
     for name in names:
-        source = CELL_SOURCES.get(name)
-        cells = source(scale) if source is not None else []
+        cells = [
+            CellSpec(design, workload, config)
+            for designs, workloads, config in grid_legs(name, scale)
+            for design in designs
+            for workload in workloads
+        ]
         per_experiment[name] = len(cells)
         requested.extend(cells)
     return ExecutionPlan(
@@ -250,11 +163,7 @@ def plan_experiments(
 # ---------------------------------------------------------------------------
 
 
-def execute_cells(
-    cells: Sequence[CellSpec],
-    jobs: Optional[int] = None,
-    cache: object = None,
-) -> Dict[str, object]:
+def execute_cells(cells: Sequence[CellSpec]) -> Dict[str, object]:
     """Dedup ``cells`` and run the not-yet-cached ones in one fan-out.
 
     Pending cells go out in first-request order. The run-cache probes are
@@ -270,9 +179,9 @@ def execute_cells(
     sanitize runs must recompute every cell through ``run_suite``'s
     checked path.
     """
-    jobs = resolve_jobs(jobs)
+    jobs = resolve_jobs()
     unique = _unique(cells)
-    run_cache = resolve_cache(cache)
+    run_cache = resolve_cache()
     pending = []
     for cell in unique:
         if run_cache is not None and run_cache.has(cell.key()):
@@ -299,13 +208,9 @@ def execute_cells(
     return summary
 
 
-def execute_plan(
-    plan: ExecutionPlan,
-    jobs: Optional[int] = None,
-    cache: object = None,
-) -> Dict[str, object]:
+def execute_plan(plan: ExecutionPlan) -> Dict[str, object]:
     """Run a plan's not-yet-cached cells (see :func:`execute_cells`)."""
-    summary = execute_cells(plan.cells, jobs=jobs, cache=cache)
+    summary = execute_cells(plan.cells)
     summary["cells_requested"] = plan.requested
     summary["cells_deduped"] = plan.deduped
     return {
@@ -316,54 +221,133 @@ def execute_plan(
 
 
 @contextlib.contextmanager
-def run_scoped_cache(
-    cache: Optional[bool] = None,
-) -> Iterator[Optional[bool]]:
-    """Give a planned run a run cache even when caching is off.
+def run_scoped_cache() -> Iterator[None]:
+    """Give the block a run cache even when caching is off.
 
-    ``cache`` is the caller's cache argument (``None``: the context's
-    policy). With caching on, the block runs unchanged and gets ``cache``
-    back. With caching off, the block runs against a fresh temporary run
-    cache, removed when the block exits, and gets ``None`` back, so the
-    calls inside must not turn caching off again. The prefetch then
-    simulates each unique cell once and the figures assemble from it,
-    while no result reaches, or comes from, any other run.
+    With caching on, the block runs unchanged. With caching off, it runs
+    against a fresh temporary run cache, removed when the block exits:
+    a planned prefetch then simulates each unique cell once and the
+    figures assemble from it, while no result reaches, or comes from, any
+    other run.
     """
-    enabled = get_context().cache_enabled if cache is None else bool(cache)
-    if enabled:
-        yield cache
+    if get_context().cache_enabled:
+        yield
         return
     with tempfile.TemporaryDirectory(prefix="synergy-repro-run-") as root:
         with overridden(cache_enabled=True, cache_dir=root):
-            yield None
+            yield
 
 
-def run_all_experiments(
+# ---------------------------------------------------------------------------
+# The batch runner
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Step:
+    """One step of a batch: the prefetch or one experiment."""
+
+    output: object
+    seconds: float
+    #: What this step alone executed, hit and missed.
+    execution: ExecutionStats
+
+
+def _step(run: Callable[[], object]) -> Step:
+    """Call ``run`` with :data:`EXECUTION_STATS` counting it alone.
+
+    Afterwards the process collector holds what it held before plus this
+    step, as if it had never been reset.
+    """
+    before = ExecutionStats()
+    before.absorb(EXECUTION_STATS)
+    EXECUTION_STATS.reset()
+    started = time.perf_counter()
+    try:
+        output = run()
+    finally:
+        seconds = time.perf_counter() - started
+        execution = ExecutionStats()
+        execution.absorb(EXECUTION_STATS)
+        EXECUTION_STATS.reset()
+        EXECUTION_STATS.absorb(before)
+        EXECUTION_STATS.absorb(execution)
+    return Step(output, seconds, execution)
+
+
+def _banner(title: str) -> None:
+    print("=" * 72)
+    print(title)
+    print("=" * 72)
+
+
+def _report(name: str, step: Step) -> None:
+    print("[%s finished in %.1fs]" % (name, step.seconds))
+    if step.execution.cells_executed or step.execution.cache_hits:
+        print(render_execution_stats(step.execution))
+    print()
+
+
+def run_experiments(
+    names: Sequence[str],
     scale: object = None,
-    quiet: bool = True,
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
-) -> Dict[str, object]:
-    """Run :data:`~repro.harness.experiments.ALL_EXPERIMENTS`, prefetched.
+    quiet: bool = True,
+) -> Dict[str, Step]:
+    """Run registered experiments as one planned batch; returns its steps.
 
-    The ``run_experiment("all")`` entry point: plans and dispatches the
-    global unique-cell list once, then assembles each figure in name
-    order. Returns ``{name: output}`` plus a ``"plan"`` summary entry.
-    With caching off the run keeps its cells in a temporary run cache
-    (:func:`run_scoped_cache`).
+    ``jobs``/``cache`` override the execution context for the whole batch
+    (``None``: keep it). The batch plans every cell the experiments will
+    request and simulates each unique one once in a single fan-out: the
+    ``"plan"`` step, whose output is the prefetch summary. It then runs
+    each experiment through ``run_spec``, one step per name in order,
+    assembling its grids from the run cache. With caching off the batch
+    keeps its cells in a temporary run cache (:func:`run_scoped_cache`).
+    Unless ``quiet``, each step is printed under a banner with its time
+    and execution stats.
     """
-    from repro.harness.experiments import ALL_EXPERIMENTS, run_experiment
-
     scale = resolve_scale(scale)
-    names = ALL_EXPERIMENTS
     changes: Dict[str, object] = {}
     if jobs is not None:
         changes["jobs"] = max(1, int(jobs))
     if cache is not None:
         changes["cache_enabled"] = bool(cache)
-    out: Dict[str, object] = {}
+    steps: Dict[str, Step] = {}
     with overridden(**changes), run_scoped_cache():
-        out["plan"] = execute_plan(plan_experiments(names, scale))
+        plan = plan_experiments(names, scale)
+        announce = not quiet and plan.requested > 0
+        if announce:
+            _banner("Planned prefetch (whole-run dedup)")
+        steps["plan"] = _step(lambda: execute_plan(plan))
+        if announce:
+            print(
+                "[plan: %(cells_requested)d cells requested, %(cells_unique)d "
+                "unique (%(cells_deduped)d deduped), %(cells_pending)d "
+                "pending, jobs=%(jobs)d]" % steps["plan"].output
+            )
+            _report("prefetch", steps["plan"])
         for name in names:
-            out[name] = run_experiment(name, scale=scale, quiet=quiet)
-    return out
+            spec = ExperimentSpec(experiment=name, scale=scale.name)
+            if not quiet:
+                _banner("Experiment: %s" % name)
+            steps[name] = _step(lambda: run_spec(spec, quiet=quiet))
+            if not quiet:
+                _report(name, steps[name])
+    return steps
+
+
+def run_record(steps: Dict[str, Step]) -> Dict[str, object]:
+    """The ``run`` block of a ``--metrics-out`` file for a batch's steps:
+    its plan summary and the whole run's execution stats."""
+    plan: Dict[str, object] = steps["plan"].output  # type: ignore[assignment]
+    execution = ExecutionStats()
+    for step in steps.values():
+        execution.absorb(step.execution)
+    return {
+        "experiments": plan["experiments"],
+        "scale": plan["scale"],
+        "jobs": plan["jobs"],
+        "plan": plan,
+        "execution": execution.as_dict(),
+    }

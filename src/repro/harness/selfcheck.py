@@ -72,9 +72,9 @@ def _check_attack_detection() -> None:
 def timing_grid() -> Tuple[List[object], List[str], object]:
     """The timing-plane check's grid: ``(designs, workloads, config)``.
 
-    ``harness.plan`` registers these cells too, so a planned ``all`` run
-    simulates them in its prefetch fan-out and the check assembles from
-    the run cache.
+    The planner enumerates these cells too (``experiments.grid_legs``), so
+    a planned run simulates them in its prefetch fan-out and the check
+    assembles from the run cache.
     """
     from repro.secure.designs import SGX, SGX_O, SYNERGY
     from repro.sim.config import SystemConfig

@@ -49,7 +49,7 @@ class ExecutionStats:
         self._cell_peak_kib = 0
 
     def reset(self) -> None:
-        """Zero all counters (the CLI resets between experiments)."""
+        """Zero all counters (the batch runner resets between steps)."""
         self._registry.reset()
         self.cell_times = []
         self.map_spans = []
@@ -58,9 +58,10 @@ class ExecutionStats:
     def absorb(self, other: "ExecutionStats") -> None:
         """Add ``other``'s counts, timings and cell peak to this collector.
 
-        The CLI resets the process collector per experiment and absorbs
-        each one into a whole-run collector, so ``--metrics-out`` describes
-        the prefetch and every experiment, not only the last one.
+        The batch runner (``harness.plan.run_experiments``) resets the
+        process collector per step and keeps each step's share, so
+        ``--metrics-out`` can add them up for the prefetch and every
+        experiment, not only the last one.
         """
         for name, metric in other._registry:
             mine = self._registry[name]

@@ -253,7 +253,7 @@ class SystemSimulator:
         self.hierarchy.metadata_cache.reset_stats()
         self.hierarchy.reset_fill_stats()
 
-    def run(self, warmup_traces: Optional[List[Trace]] = None) -> "SystemSimulator":
+    def run(self) -> "SystemSimulator":
         """Drive the simulation to completion; returns self for chaining.
 
         The cores and the driver live only for this call. Each core holds
@@ -267,8 +267,6 @@ class SystemSimulator:
         if traces is None:
             raise RuntimeError("SystemSimulator.run called twice")
         self._traces = None
-        if self.config.warm_caches and warmup_traces:
-            self.warmup(warmup_traces)
         cores = [
             CoreModel(core_id, trace, self._read, self._write, self.config.core)
             for core_id, trace in enumerate(traces)

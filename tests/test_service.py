@@ -850,6 +850,20 @@ def dying_experiment(monkeypatch):
     _DYING.clear()
 
 
+def _retry_report(reason, client, ticket, state):
+    """Why the worker-death retry never reached its fresh pool's gate."""
+    events = client.events(ticket["id"]).get("events") or []
+    return "%s: job %s in state %r, fresh_count %d, old pids %s, fresh pids %s, last events %s" % (
+        reason,
+        ticket["id"],
+        state,
+        _DYING["fresh_count"].value,
+        list(_DYING["old"]),
+        list(_DYING["fresh"]),
+        events[-5:],
+    )
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
 def test_cancel_during_worker_death_retry(service_factory, dying_experiment):
     """A jobs=2 job cancelled while ``parallel_map`` re-submits to a fresh
@@ -871,7 +885,15 @@ def test_cancel_during_worker_death_retry(service_factory, dying_experiment):
     ticket = client.submit(spec)
     deadline = time.monotonic() + 60.0
     while dying_experiment["fresh_count"].value < 2:
-        assert time.monotonic() < deadline, "the fresh pool never blocked"
+        # A job that ends before the fresh pool blocks will never block it:
+        # fail at once, with what the job and both pools did.
+        state = client.status(ticket["id"])["state"]
+        if state in ("done", "failed", "cancelled"):
+            pytest.fail(_retry_report("the job ended first", client, ticket, state))
+        if time.monotonic() >= deadline:
+            pytest.fail(
+                _retry_report("the fresh pool never blocked", client, ticket, state)
+            )
         time.sleep(0.05)
     old = [pid for pid in dying_experiment["old"] if pid]
     fresh = [pid for pid in dying_experiment["fresh"] if pid]

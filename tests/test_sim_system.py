@@ -117,7 +117,9 @@ class TestEnergy:
             for c in range(2)
         ]
         config = SystemConfig(num_cores=2, accesses_per_core=800)
-        sim = SystemSimulator(SGX_O, traces, config).run(traces)
+        sim = SystemSimulator(SGX_O, traces, config)
+        sim.warmup(traces)
+        sim.run()
         report = system_energy(sim, SystemEnergyParams())
         assert report.total_j == pytest.approx(
             report.core_j + report.uncore_j + report.dram_j

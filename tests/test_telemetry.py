@@ -361,7 +361,8 @@ class TestPublishOnce:
         _label, warmup = runner._traces_for("mcf", TINY, "warmup")
         with scoped_registry() as registry:
             sim = SystemSimulator(SGX_O, traces, TINY)
-            sim.run(warmup)
+            sim.warmup(warmup)
+            sim.run()
             snapshot = registry.snapshot()
         hierarchy = sim.hierarchy
         banks = [bank for channel in sim.controller.channels for bank in channel.banks]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Run experiments at a given scale and dump results (and metrics) as JSON.
+"""Run experiments as one planned batch and dump results (and metrics) as JSON.
 
 Used to produce the paper-vs-measured numbers recorded in EXPERIMENTS.md:
 
@@ -8,20 +8,21 @@ Used to produce the paper-vs-measured numbers recorded in EXPERIMENTS.md:
     python tools/run_experiments.py --figure fig8 --scale quick --metrics-out m.json
 
 ``--figure`` (repeatable) names the experiments to run, ablations
-included; the default runs what ``synergy-repro all`` runs.
-``--metrics-out`` additionally dumps the merged telemetry snapshot
-(see repro.telemetry).
+included; the default runs what ``synergy-repro all`` runs. The batch is
+the CLI's (``repro.harness.plan.run_experiments``): it prints the same
+report, and simulates each unique cell once before assembling the
+figures. The JSON holds each experiment's result, seconds and execution
+stats, after a ``plan`` entry for the prefetch. ``--metrics-out``
+additionally dumps the batch's telemetry snapshot (see repro.telemetry).
 """
 
 import argparse
 import json
 import sys
-import time
 
-from repro.harness.experiments import ALL_EXPERIMENTS, EXPERIMENTS, run_experiment
-from repro.harness.plan import run_scoped_cache
-from repro.parallel import EXECUTION_STATS
-from repro.telemetry import TELEMETRY_AGGREGATE, TelemetryAggregate, write_metrics
+from repro.harness.experiments import ALL_EXPERIMENTS, EXPERIMENTS
+from repro.harness.plan import run_experiments, run_record
+from repro.telemetry import write_metrics
 
 
 def main() -> int:
@@ -56,38 +57,25 @@ def main() -> int:
     args = parser.parse_args()
 
     scale = args.scale or args.scale_arg or "default"
-    names = args.figure or list(ALL_EXPERIMENTS)
-
+    steps = run_experiments(
+        args.figure or ALL_EXPERIMENTS,
+        scale=scale,
+        jobs=args.jobs,
+        cache=False if args.no_cache else None,
+        quiet=False,
+    )
     results = {"scale": scale}
-    overall = TelemetryAggregate()
-    with run_scoped_cache(False if args.no_cache else None) as cache:
-        for name in names:
-            EXECUTION_STATS.reset()
-            TELEMETRY_AGGREGATE.reset()
-            started = time.time()  # lint-ok: D101 run provenance, not simulated time
-            value = run_experiment(
-                name, scale=scale, quiet=True, jobs=args.jobs, cache=cache
-            )
-            elapsed = time.time() - started  # lint-ok: D101 run provenance, not simulated time
-            results[name] = {
-                "result": _jsonable(value),
-                "seconds": round(elapsed, 1),
-                "execution": EXECUTION_STATS.as_dict(),
-                "metrics": TELEMETRY_AGGREGATE.headlines(),
-            }
-            for group, snap in TELEMETRY_AGGREGATE.groups().items():
-                overall.add(group, snap)
-            print("%s done in %.1fs" % (name, elapsed), flush=True)
+    for name, step in steps.items():
+        results[name] = {
+            "result": _jsonable(step.output),
+            "seconds": round(step.seconds, 1),
+            "execution": step.execution.as_dict(),
+        }
     with open(args.output, "w") as handle:
         json.dump(results, handle, indent=2)
     print("wrote", args.output)
     if args.metrics_out:
-        path = write_metrics(
-            args.metrics_out,
-            run={"experiments": names, "scale": scale, "jobs": args.jobs},
-            aggregate=overall,
-        )
-        print("wrote", path)
+        print("wrote", write_metrics(args.metrics_out, run=run_record(steps)))
     return 0
 
 
