@@ -3,9 +3,12 @@
 Two halves (see DESIGN.md, "Analysis"):
 
 * :mod:`repro.analysis.linter` — an AST-based linter with project-specific
-  rule series: D (determinism), P (hot-path discipline), H (hygiene).
-  ``tools/lint_repro.py`` is the CLI entry point; CI runs it with the
-  committed baseline so only *new* violations fail the build.
+  rule series (:mod:`repro.analysis.rules`): D (determinism), P (hot-path
+  discipline), H (hygiene). ``tools/lint_repro.py`` is the CLI entry
+  point; CI runs it with the committed baseline so only *new* violations
+  fail the build. Import it from its own module: the package exports only
+  the sanitizer, so the simulator modules that import the sanitizer do
+  not load the linter and its rules into every simulation process.
 * :mod:`repro.analysis.sanitizer` — runtime invariant checks for the
   simulated hardware (DRAM timing legality, RAID-3 reconstruction
   uniqueness, counter-tree consistency, run-cache replay fidelity and
@@ -13,15 +16,6 @@ Two halves (see DESIGN.md, "Analysis"):
   ``--sanitize`` and free when off.
 """
 
-from repro.analysis.linter import (
-    Violation,
-    lint_paths,
-    lint_source,
-    load_baseline,
-    new_violations,
-    violations_to_baseline,
-)
-from repro.analysis.rules import ALL_RULES, rule_catalogue
 from repro.analysis.sanitizer import (
     Sanitizer,
     SanitizerError,
@@ -32,18 +26,10 @@ from repro.analysis.sanitizer import (
 )
 
 __all__ = [
-    "ALL_RULES",
     "Sanitizer",
     "SanitizerError",
-    "Violation",
     "configure_sanitizer",
     "get_sanitizer",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
-    "new_violations",
-    "rule_catalogue",
     "sanitized",
     "sanitizer_enabled",
-    "violations_to_baseline",
 ]

@@ -2,7 +2,7 @@
 
 Usage (programmatic)::
 
-    from repro.analysis import lint_paths, load_baseline, new_violations
+    from repro.analysis.linter import lint_paths, load_baseline, new_violations
     violations = lint_paths([Path("src/repro")], root=Path("."))
     fresh = new_violations(violations, load_baseline(Path("tools/lint_baseline.json")))
 

@@ -61,11 +61,3 @@ class ChannelState:
             deque(maxlen=8) for _ in range(config.ranks_per_channel)
         ]
         self.refresh_stall_cycles = 0
-
-    @property
-    def row_hit_rate(self) -> float:
-        """Aggregate row-buffer hit rate across banks."""
-        hits = sum(b.row_hits for b in self.banks)
-        misses = sum(b.row_misses for b in self.banks)
-        total = hits + misses
-        return hits / total if total else 0.0

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import resource
 import time
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.parallel.instrument import EXECUTION_STATS, ExecutionStats
@@ -92,6 +91,9 @@ def parallel_map(
             for item in items:
                 land(*_timed_call((fn, item)))
         else:
+            # Loaded with the pool machinery, which serial runs never touch.
+            from concurrent.futures.process import BrokenProcessPool
+
             tasks = [(fn, item) for item in items]
             for retry in (False, True):
                 pool = get_pool(workers, stats=stats)

@@ -39,7 +39,6 @@ import atexit
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from repro.parallel.instrument import EXECUTION_STATS, ExecutionStats
@@ -72,6 +71,11 @@ class PersistentPool:
         #: Spawning pid: a forked child must never touch these workers.
         self.pid = os.getpid()
         started = time.perf_counter()
+        # Imported here, not at module level: ``concurrent.futures.process``
+        # pulls in ``multiprocessing`` (~1.4 MiB resident), which a serial
+        # simulation process never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers, initializer=_warm_worker
         )

@@ -153,21 +153,14 @@ class DeterministicRng:
         """Pick one element with the given (unnormalised) weights."""
         return self._random.choices(list(options), weights=list(weights), k=1)[0]
 
-    def word_stream(self):
-        """numpy MT19937 that continues this generator's raw word stream.
+    def raw_words(self, count: int) -> "_np.ndarray":
+        """The next ``count`` raw 32-bit Mersenne-Twister words, as uint64.
 
-        ``random.Random`` and ``numpy.random.MT19937`` implement the same
-        Mersenne Twister; copying the 624-word key plus position makes the
-        numpy side emit exactly the 32-bit words the CPython side would
-        draw next, across twist boundaries. This generator is not advanced.
+        ``getrandbits(32 * count)`` builds its integer from ``count``
+        consecutive 32-bit outputs, least significant first, so its
+        little-endian bytes are exactly the words ``count`` calls of
+        ``randbits(32)`` would return, across twist boundaries. Advances
+        this generator by ``count`` words.
         """
-        state = self._random.getstate()
-        mt = _np.random.MT19937()
-        mt.state = {
-            "bit_generator": "MT19937",
-            "state": {
-                "key": _np.array(state[1][:624], dtype=_np.uint32),
-                "pos": state[1][624],
-            },
-        }
-        return mt
+        data = self._random.getrandbits(32 * count).to_bytes(4 * count, "little")
+        return _np.frombuffer(data, dtype="<u4").astype(_np.uint64)

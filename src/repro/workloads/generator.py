@@ -18,8 +18,11 @@ expectation and the per-record variance resembles bursty real traces.
 The grammar is specified by a per-record loop that draws each value
 through ``DeterministicRng`` (``tests/reference/trace_oracle.py``).
 :func:`generate_trace` produces **bit-identical** traces without a Python
-object per record: it streams the generator's raw Mersenne-Twister words
-in fixed blocks of ``_BLOCK_WORDS`` and decodes each block in three steps:
+object per record: it draws the generator's raw Mersenne-Twister words in
+fixed blocks of ``_BLOCK_WORDS`` (``DeterministicRng.raw_words``: one
+``getrandbits`` whose little-endian bytes are the next words, so no numpy
+bit generator and no ``numpy.random`` import) and decodes each block in
+three steps:
 
 1. numpy precomputes one code byte per word offset: every threshold
    compare and bounded-draw acceptance the grammar can ask there;
@@ -131,10 +134,9 @@ def generate_trace(
         profile, num_accesses, footprint_lines, hot_lines, num_pages,
         stream_positions, page_window,
     )
-    words = rng.word_stream()
     while decoder.remaining:
         decoder.feed(
-            words.random_raw(
+            rng.raw_words(
                 min(_BLOCK_WORDS, decoder.remaining * _WORDS_PER_RECORD + 64)
             )
         )

@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.linter import (
     lint_source,
     load_baseline,
     new_violations,
-    rule_catalogue,
+    violations_to_baseline,
+    write_baseline,
 )
-from repro.analysis.linter import violations_to_baseline, write_baseline
+from repro.analysis.rules import rule_catalogue
 from repro.analysis.sanitizer import (
     Sanitizer,
     SanitizerError,

@@ -11,10 +11,17 @@ that collector's oldest generation: finished simulators then linger,
 freed late or never, and RSS climbs cell after cell. These tests count
 the allocation blocks long-lived structures leave live, and the objects a
 finished cell leaves to the cyclic collector.
+
+A timing-plane process also keeps every module it imports resident. The
+last test checks, in a fresh interpreter, that a simulation cell loads
+none of the heavy modules only other planes use.
 """
 
 import collections
 import gc
+import json
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -45,6 +52,16 @@ MAX_SYNTHESIS_TRANSIENT = 1 << 20
 #: simulator is gone: packed columns (~80 KiB), not per-set dict copies
 #: holding their own tag ints (~620 KiB).
 MAX_WARM_SNAPSHOT = 128 << 10
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+#: Modules a serial timing-plane cell never runs, with the plane that does:
+#: the Monte-Carlo sampler, the process pool (twice) and the lint CLI.
+HEAVY_MODULES = (
+    "numpy.random",
+    "concurrent.futures.process",
+    "multiprocessing",
+    "repro.analysis.linter",
+)
 
 
 def traced_live_blocks(build):
@@ -171,3 +188,23 @@ def test_warm_snapshot_is_packed():
         tracemalloc.stop()
         runner._WARM_MEMO.clear()
     assert kept <= MAX_WARM_SNAPSHOT, kept
+
+
+def test_a_simulation_process_loads_only_what_it_runs():
+    probe = (
+        "import json, sys\n"
+        "from repro.parallel import parallel_map\n"
+        "from repro.secure.designs import design_by_name\n"
+        "from repro.sim.config import SystemConfig\n"
+        "from repro.sim.runner import run_workload\n"
+        "run_workload(design_by_name('SGX_O'), 'mcf', SystemConfig(accesses_per_core=300))\n"
+        "assert parallel_map(abs, [1, -2], jobs=1) == [1, 2]\n"
+        "print(json.dumps(sorted(m for m in %r if m in sys.modules)))\n" % (HEAVY_MODULES,)
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout) == []

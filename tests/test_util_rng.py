@@ -1,5 +1,6 @@
 """Tests for deterministic RNG infrastructure."""
 
+import numpy as np
 import pytest
 
 from repro.util.rng import DeterministicRng, derive_seed
@@ -100,9 +101,18 @@ class TestDeterministicRng:
         sample = rng.sample(range(100), 10)
         assert len(set(sample)) == 10
 
-    def test_word_stream_continues_the_raw_words(self):
-        rng = DeterministicRng(15)
-        rng.randint(0, 1000)
+    def test_raw_words_are_the_randbits_words(self):
+        rng, twin = DeterministicRng(15), DeterministicRng(15)
+        assert rng.randint(0, 1000) == twin.randint(0, 1000)
         # 700 words cross a 624-word twist of the key block.
-        words = rng.word_stream().random_raw(700).tolist()
-        assert words == [rng.randbits(32) for _ in range(700)]
+        words = rng.raw_words(700)
+        assert words.dtype == np.uint64
+        assert words.tolist() == [twin.randbits(32) for _ in range(700)]
+        # Both generators stand at the same word afterwards.
+        assert rng.randbits(32) == twin.randbits(32)
+
+    def test_zero_raw_words_is_an_empty_uint64_array(self):
+        rng = DeterministicRng(15)
+        words = rng.raw_words(0)
+        assert words.dtype == np.uint64 and words.shape == (0,)
+        assert rng.randbits(32) == DeterministicRng(15).randbits(32)

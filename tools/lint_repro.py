@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the repro linter (repro.analysis) over the source tree.
+"""Run the repro linter (repro.analysis.linter) over the source tree.
 
 Usage:
 
@@ -29,14 +29,14 @@ from typing import List, Optional, Sequence
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis import (  # noqa: E402
+from repro.analysis.linter import (  # noqa: E402
     Violation,
     lint_paths,
     load_baseline,
     new_violations,
-    rule_catalogue,
+    write_baseline,
 )
-from repro.analysis.linter import write_baseline  # noqa: E402
+from repro.analysis.rules import rule_catalogue  # noqa: E402
 
 DEFAULT_TARGET = REPO_ROOT / "src" / "repro"
 DEFAULT_BASELINE = REPO_ROOT / "tools" / "lint_baseline.json"

@@ -14,8 +14,8 @@ change and diff the tables.
 
 ``--memory`` profiles allocations instead, without cProfile: it first
 runs one small untraced warm-up cell of the same design and workload, so
-the first call's lazy imports (``numpy.random`` and others) do not count
-as the cell's memory, clears the runner's memos, then runs the cell under
+the first call's lazy imports and interpreter caches do not count as the
+cell's memory, clears the runner's memos, then runs the cell under
 ``tracemalloc`` and prints the top-N source lines whose
 allocations are still live when ``SystemSimulator.run`` returns, with the
 live total, the traced peak of the whole cell and the largest traced peak
@@ -23,7 +23,11 @@ of one of the cell's trace syntheses (above what was live when it
 began). It also counts the objects the finished cell left to the cyclic
 collector, with their most common types: a cell's simulator must be freed
 by reference counting the moment ``run_workload`` returns, so anything
-but 0 names a reference cycle::
+but 0 names a reference cycle. Last come the process's peak resident set
+(``ru_maxrss``, tracemalloc's own bookkeeping included) and which of the
+heavy modules no timing-plane cell needs (``HEAVY_MODULES``) the process
+imported; the tool itself imports none, so anything but "none" is
+resident weight the cells load in every simulation process::
 
     PYTHONPATH=src python tools/profile_run.py --memory --design IVEC --top 15
 
@@ -36,6 +40,7 @@ import collections
 import cProfile
 import gc
 import pstats
+import resource
 import sys
 import tracemalloc
 
@@ -47,6 +52,9 @@ from repro.sim.runner import run_workload
 SORT_KEYS = ("cumulative", "tottime", "calls")
 #: Accesses per core of ``--memory``'s untraced warm-up cell.
 WARMUP_ACCESSES = 300
+#: Modules only other planes run: the Monte-Carlo sampler's, the process
+#: pool's and the lint CLI's. A timing-plane cell should import none.
+HEAVY_MODULES = ("numpy.random", "multiprocessing", "repro.analysis.linter")
 
 
 def profile_cell(design_name: str, workload: str, accesses: int) -> cProfile.Profile:
@@ -133,10 +141,11 @@ def print_memory(
     peak: int,
     synthesis_peaks: list,
     cyclic: collections.Counter,
+    heavy: list,
     top: int,
 ) -> None:
-    """The live total, the traced peaks, the cyclic garbage and the top-N
-    live sites."""
+    """The live total, the traced peaks, the cyclic garbage, the process's
+    peak RSS, the ``heavy`` modules it imported and the top-N live sites."""
     stats = snapshot.statistics("lineno")
     size = sum(stat.size for stat in stats)
     blocks = sum(stat.count for stat in stats)
@@ -158,6 +167,13 @@ def print_memory(
                 "%s %s %d" % ("," if index else ":", name, count)
                 for index, (name, count) in enumerate(cyclic.most_common(8))
             ),
+        )
+    )
+    print(
+        "process peak RSS (ru_maxrss): %.2f MiB; heavy modules loaded: %s"
+        % (
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            ", ".join(heavy) or "none",
         )
     )
     for stat in stats[:top]:
@@ -223,7 +239,8 @@ def main() -> int:
             snapshot, peak, synthesis_peaks, cyclic = live_at_run_end(
                 args.design, args.workload, args.accesses
             )
-        print_memory(snapshot, peak, synthesis_peaks, cyclic, args.top)
+        heavy = [name for name in HEAVY_MODULES if name in sys.modules]
+        print_memory(snapshot, peak, synthesis_peaks, cyclic, heavy, args.top)
         return 0
     if args.micro:
         print("profiling microbenchmark %r" % args.micro, flush=True)
