@@ -573,7 +573,7 @@ def ablation_correction_latency(quiet: bool = False) -> Dict[str, float]:
             with MacBudget(memory.mac_calc) as budget:
                 memory.read(line)
             costs.append(budget.spent)
-    TELEMETRY_AGGREGATE.add("correction_latency", registry.snapshot().deterministic())
+    TELEMETRY_AGGREGATE.add("correction_latency", registry.snapshot())
     out = {
         "first_access_macs": float(costs[0]),
         "steady_state_macs": float(costs[-1]),

@@ -19,7 +19,6 @@ process-global :class:`ExecutionContext` steered by the CLI flags
 from repro.parallel.context import (
     ExecutionContext,
     applied,
-    configure,
     default_jobs,
     get_context,
     overridden,
@@ -51,7 +50,6 @@ __all__ = [
     "applied",
     "cache_key",
     "code_fingerprint",
-    "configure",
     "default_cache_dir",
     "default_jobs",
     "get_context",

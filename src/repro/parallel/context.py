@@ -67,19 +67,6 @@ def get_context() -> ExecutionContext:
     return _CONTEXT
 
 
-def configure(**changes: object) -> ExecutionContext:
-    """Permanently change fields of the process baseline (CLI entry points).
-
-    Deliberately ignores any scoped override in effect: `configure` is for
-    process-wide policy, `overridden`/`applied` for scoped policy.
-    """
-    global _CONTEXT
-    if _CONTEXT is None:
-        _CONTEXT = _from_env()
-    _CONTEXT = replace(_CONTEXT, **changes)
-    return _CONTEXT
-
-
 @contextlib.contextmanager
 def overridden(**changes: object) -> Iterator[ExecutionContext]:
     """Temporarily override context fields (tests, benchmarks, helpers).

@@ -11,7 +11,7 @@ explicit seeds, not shared state).
 (``repro.parallel.pool``) so consecutive fan-outs reuse warm workers;
 ``Executor.map`` yields in submission order, which is the merge contract.
 If a worker dies mid-map, the broken pool is dropped and the items not
-yet yielded are re-submitted once to a fresh pool (``exec.cell_retries``);
+yet yielded are re-submitted once to a fresh pool (``ExecutionStats.cell_retries``);
 cells are pure and content-keyed, so re-running an unfinished one is
 always safe. A second break raises ``BrokenProcessPool``.
 
@@ -97,7 +97,7 @@ def parallel_map(
             tasks = [(fn, item) for item in items]
             for retry in (False, True):
                 pool = get_pool(workers, stats=stats)
-                stats.record_pool_map()
+                stats.pool_maps += 1
                 try:
                     for outcome in pool.map(_timed_call, tasks[len(outputs):]):
                         land(*outcome)
@@ -106,7 +106,7 @@ def parallel_map(
                     discard_pool(pool)
                     if retry:
                         raise
-                    stats.record_cell_retry()
+                    stats.cell_retries += 1
     finally:
         if items:
             stats.record_map(workers, time.perf_counter() - span_started)

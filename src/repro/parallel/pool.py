@@ -27,8 +27,8 @@ This module owns one long-lived pool instead:
   hands the broken pool to :func:`discard_pool` and retries on a fresh
   one, so a dead worker never outlives the map it broke.
 
-``ExecutionStats`` observes the lifecycle: ``exec.pool_spawns`` /
-``exec.pool_spawn_seconds`` at spawn, ``exec.pool_maps`` per dispatched
+``ExecutionStats`` observes the lifecycle: ``pool_spawns`` /
+``pool_spawn_seconds`` at spawn, ``pool_maps`` per dispatched
 batch — the reuse ratio ``pool_maps / pool_spawns`` measures how well
 consecutive fan-outs share warm workers.
 """
@@ -140,7 +140,8 @@ def get_pool(
             pool = PersistentPool(workers)
             _POOL = pool
             collector = stats if stats is not None else EXECUTION_STATS
-            collector.record_pool_spawn(pool.spawn_seconds)
+            collector.pool_spawns += 1
+            collector.pool_spawn_seconds += pool.spawn_seconds
         return pool
 
 

@@ -132,13 +132,13 @@ class RunCache:
         """On-disk location of one entry (two-level fan-out by prefix)."""
         return os.path.join(self.root, key[:2], key + ".json")
 
-    def get(self, key: str, label: str = "") -> Optional[object]:
+    def get(self, key: str) -> Optional[object]:
         """The cached payload for ``key``, or ``None`` (counts hit/miss).
 
         A *corrupt* entry — the file exists but does not parse, parses to
         something without a ``payload``, or its payload no longer matches
         the stored ``digest`` — is treated as a miss, counted separately
-        (``exec.cache_corrupt``), and deleted so a writer killed mid-flight
+        (``cache_corrupt``), and deleted so a writer killed mid-flight
         (or a bad disk) can never poison later runs: the caller recomputes.
         Hits are touched (mtime) so size-budgeted eviction is LRU, not FIFO.
         """
@@ -147,7 +147,7 @@ class RunCache:
             with open(path, "r") as handle:
                 raw = handle.read()
         except OSError:
-            self._stats.record_cache_miss(label)
+            self._stats.cache_misses += 1
             return None
         try:
             entry = json.loads(raw)
@@ -155,14 +155,14 @@ class RunCache:
             if entry["digest"] != payload_digest(payload):
                 raise ValueError("payload digest mismatch")
         except (ValueError, KeyError, TypeError):
-            self._stats.record_cache_corrupt(label)
-            self._stats.record_cache_miss(label)
+            self._stats.cache_corrupt += 1
+            self._stats.cache_misses += 1
             try:
                 os.unlink(path)
             except OSError:
                 pass  # lost a race with another process's cleanup
             return None
-        self._stats.record_cache_hit(label)
+        self._stats.cache_hits += 1
         try:
             os.utime(path, None)
         except OSError:
@@ -185,7 +185,7 @@ class RunCache:
         """Store one cell result (atomic rename; concurrent-writer safe).
 
         The entry carries the payload's digest, which :meth:`get` checks.
-        An unwritable root is counted (``exec.cache_write_errors``) and
+        An unwritable root is counted (``cache_write_errors``) and
         the caller carries on uncached.
         """
         entry = {
@@ -206,7 +206,7 @@ class RunCache:
             os.replace(temp_path, path)
             temp_path = ""
         except OSError:
-            self._stats.record_cache_write_error()
+            self._stats.cache_write_errors += 1
         finally:
             if temp_path:
                 with contextlib.suppress(OSError):
@@ -241,8 +241,8 @@ class RunCache:
     def enforce_budget(self, max_bytes: int) -> int:
         """Evict least-recently-used entries until the cache fits the budget.
 
-        Returns how many entries were removed (each counted via
-        ``exec.cache_evictions``). ``max_bytes <= 0`` means unlimited. Safe
+        Returns how many entries were removed (each counted in
+        ``cache_evictions``). ``max_bytes <= 0`` means unlimited. Safe
         against concurrent writers: an entry that disappears mid-scan is
         simply skipped.
         """
@@ -260,7 +260,7 @@ class RunCache:
                 continue  # another process evicted it first
             total -= size
             evicted += 1
-            self._stats.record_cache_eviction()
+            self._stats.cache_evictions += 1
         return evicted
 
     def clear(self) -> int:

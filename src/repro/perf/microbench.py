@@ -475,7 +475,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="PATH",
         help="print the JSON report and exit 1 if a gated case (%s) is more "
-        "than %.0f%% slower per op than this snapshot's micro section, or if "
+        "than %.0f%%%% slower per op than this snapshot's micro section, or if "
         "any case ran no ops"
         % (", ".join(GATED_CASES), 100 * (REGRESSION_RATIO - 1)),
     )

@@ -268,7 +268,7 @@ def simulate_failure_probability(
     key = None
     if run_cache is not None:
         key = cache_key("montecarlo", scheme=scheme, config=config)
-        payload = run_cache.get(key, label=label)
+        payload = run_cache.get(key)
         if payload is not None:
             # Warm hit: revive the cached telemetry so reports still carry
             # metrics even when no shard actually executed.

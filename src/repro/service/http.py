@@ -139,7 +139,7 @@ class ServiceProtocol:
         try:
             job, disposition = self.manager.submit(payload)
         except SpecError as exc:
-            self.manager.stats.rejected.inc()
+            self.manager.stats.rejected += 1
             raise HttpError(400, str(exc))
         status = 200 if disposition == CACHED else 202
         return json_response(

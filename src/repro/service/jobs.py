@@ -29,7 +29,6 @@ from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.harness.spec import ExperimentSpec
 from repro.parallel.runcache import RunCache, canonical_bytes
-from repro.telemetry import MetricsRegistry, MetricsSnapshot
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -62,47 +61,29 @@ canonical_result_bytes = canonical_bytes
 
 
 class ServiceStats:
-    """Service-plane counters on a private metrics registry.
+    """Service-plane counts: plain ints, bumped where each event happens.
 
-    Private for the same reason :class:`~repro.parallel.ExecutionStats` is:
-    these describe the *service* (submissions, coalesces, job outcomes),
-    which must never leak into the deterministic per-cell snapshots.
+    Like :class:`~repro.parallel.ExecutionStats`, these describe the
+    *service* (submissions, coalesces, job outcomes), so they stay out of
+    the metrics registry and its deterministic per-cell snapshots.
     """
 
     def __init__(self) -> None:
-        self._registry = MetricsRegistry()
-        self.submissions = self._registry.counter("service.submissions")
-        self.coalesced = self._registry.counter("service.coalesced")
-        self.result_cache_hits = self._registry.counter(
-            "service.result_cache_hits"
-        )
-        self.runs = self._registry.counter("service.runs")
-        self.completed = self._registry.counter("service.completed")
-        self.failed = self._registry.counter("service.failed")
-        self.cancelled = self._registry.counter("service.cancelled")
-        self.progress_events = self._registry.counter("service.progress_events")
-        self.rejected = self._registry.counter("service.rejected")
+        self.submissions = 0
+        self.coalesced = 0
+        self.result_cache_hits = 0
+        self.runs = 0
+        self.completed = 0
+        self.failed = 0
+        self.cancelled = 0
+        self.progress_events = 0
+        self.rejected = 0
         #: Job processes that died without sending a result.
-        self.child_failures = self._registry.counter("service.child_failures")
-
-    def snapshot(self) -> MetricsSnapshot:
-        """The service profile as a mergeable metrics snapshot."""
-        return self._registry.snapshot()
+        self.child_failures = 0
 
     def as_dict(self) -> Dict[str, int]:
-        """JSON-ready counter values (the ``/v1/stats`` payload)."""
-        return {
-            "submissions": int(self.submissions.value),
-            "coalesced": int(self.coalesced.value),
-            "result_cache_hits": int(self.result_cache_hits.value),
-            "runs": int(self.runs.value),
-            "completed": int(self.completed.value),
-            "failed": int(self.failed.value),
-            "cancelled": int(self.cancelled.value),
-            "progress_events": int(self.progress_events.value),
-            "rejected": int(self.rejected.value),
-            "child_failures": int(self.child_failures.value),
-        }
+        """JSON-ready counts (the ``/v1/stats`` payload)."""
+        return dict(vars(self))
 
 
 class Job:
@@ -278,25 +259,23 @@ class JobManager:
         """
         spec = ExperimentSpec.from_payload(payload)
         key = spec.cache_key()
-        self.stats.submissions.inc()
+        self.stats.submissions += 1
 
         inflight = self._inflight.get(key)
         if inflight is not None and not inflight.cancel_requested:
             inflight.subscribers += 1
-            self.stats.coalesced.inc()
+            self.stats.coalesced += 1
             return inflight, COALESCED
 
         if self.run_cache is not None:
-            cached_payload = self.run_cache.get(
-                key, label="service/%s" % spec.experiment
-            )
+            cached_payload = self.run_cache.get(key)
             if cached_payload is not None:
                 job = self._new_job(spec, key)
                 job.record_event("queued", {"experiment": spec.experiment})
                 job.mark_running()
                 job.finish(canonical_result_bytes(cached_payload))
                 job.record_event("done", {"cached": True})
-                self.stats.result_cache_hits.inc()
+                self.stats.result_cache_hits += 1
                 self._retire(job)
                 return job, CACHED
 
@@ -324,29 +303,29 @@ class JobManager:
         kind = event.get("kind")
         payload = {name: value for name, value in event.items() if name != "kind"}
         job.record_event(str(kind), payload)
-        self.stats.progress_events.inc()
+        self.stats.progress_events += 1
 
     def start(self, job: Job) -> None:
         job.mark_running()
         job.record_event("started", {})
-        self.stats.runs.inc()
+        self.stats.runs += 1
 
     def finish(self, job: Job, result: bytes) -> None:
         job.finish(result)
         job.record_event("done", {"cached": False})
-        self.stats.completed.inc()
+        self.stats.completed += 1
         self._retire(job)
 
     def fail(self, job: Job, error: str) -> None:
         job.fail(error)
         job.record_event("failed", {"error": error})
-        self.stats.failed.inc()
+        self.stats.failed += 1
         self._retire(job)
 
     def finalize_cancel(self, job: Job) -> None:
         job.mark_cancelled()
         job.record_event("cancelled", {})
-        self.stats.cancelled.inc()
+        self.stats.cancelled += 1
         self._retire(job)
 
     def cancel(self, job_id: str) -> Optional[Job]:

@@ -117,7 +117,7 @@ class WorkerBridge:
             except Exception as exc:  # lint-ok: H301 job isolation — one bad
                 # spec must fail its own job, not take down the service loop.
                 if isinstance(exc, ChildExited):
-                    self.manager.stats.child_failures.inc()
+                    self.manager.stats.child_failures += 1
                 detail = "%s: %s" % (type(exc).__name__, exc)
                 self.manager.fail(job, detail)
                 job.record_event(

@@ -83,14 +83,6 @@ def emit_progress(event: Dict[str, object]) -> None:
         callback(dict(event))
 
 
-def _active_progress(
-    explicit: Optional[ProgressCallback],
-) -> Optional[ProgressCallback]:
-    if explicit is not None:
-        return explicit
-    return _PROGRESS
-
-
 #: Memo for generated traces. Grid runs regenerate the same per-core
 #: traces for every design sharing a workload (designs outer, workloads
 #: inner), and trace synthesis is a measurable slice of each cell;
@@ -113,11 +105,7 @@ def _memoised_trace(
 ) -> Trace:
     memo = _TRACE_MEMO
     key = (profile, accesses, core, base_line, seed_salt, scale_divisor)
-    try:
-        trace = memo.get(key)
-    except TypeError:  # unhashable profile or salt: just generate
-        key = None
-        trace = None
+    trace = memo.get(key)
     if trace is None:
         trace = generate_trace(
             profile,
@@ -127,10 +115,9 @@ def _memoised_trace(
             seed_salt=seed_salt,
             scale_divisor=scale_divisor,
         )
-        if key is not None:
-            if len(memo) >= _TRACE_MEMO_MAX:
-                memo.clear()
-            memo[key] = trace
+        if len(memo) >= _TRACE_MEMO_MAX:
+            memo.clear()
+        memo[key] = trace
     return trace
 
 
@@ -301,7 +288,7 @@ def run_workload(
             _warm_simulator(sim, design, label, config, warmup_traces, seed)
         sim.run()
         energy = system_energy(sim, energy_params or SystemEnergyParams())
-        telemetry = registry.snapshot().deterministic().to_payload()
+        telemetry = registry.snapshot().to_payload()
     return RunResult(
         design=design.name,
         workload=label,
@@ -391,7 +378,6 @@ def run_suite(
     jobs: Optional[int] = None,
     cache: Union[None, bool, str, RunCache] = None,
     seed: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
 ) -> ResultTable:
     """Run every design on every workload, fanned over ``jobs`` processes.
 
@@ -401,7 +387,7 @@ def run_suite(
     whatever the completion order, and are bit-identical to a serial run.
 
     ``seed`` re-salts trace synthesis per cell (see :func:`run_workload`).
-    ``progress`` (or the :func:`cell_progress` hook) receives one
+    The :func:`cell_progress` hook, when installed, receives one
     ``suite`` event, then one ``cell`` event per finished cell: cache hits
     in grid-scan order, executed cells in submission order — the same
     sequence at any ``jobs`` count, modulo the wall-clock ``seconds``
@@ -411,7 +397,7 @@ def run_suite(
     workloads = list(workloads)
     jobs = resolve_jobs(jobs)
     run_cache = resolve_cache(cache)
-    progress = _active_progress(progress)
+    progress = _PROGRESS
 
     cells = [(design, workload) for design in designs for workload in workloads]
     total = len(cells)
@@ -423,7 +409,7 @@ def run_suite(
         key = None
         if run_cache is not None:
             key = cell_key(design, workload, config, energy_params, seed)
-            payload = run_cache.get(key, label=label)
+            payload = run_cache.get(key)
             if payload is not None:
                 sanitizer = get_sanitizer()
                 if sanitizer is not None:
@@ -511,7 +497,7 @@ def run_cells(
         labels = [
             "%s/%s" % (task[0].name, _workload_label(task[1])) for task in tasks
         ]
-    hook = _active_progress(None)
+    hook = _PROGRESS
     total = len(tasks)
 
     def on_cell(index, label, result, elapsed):

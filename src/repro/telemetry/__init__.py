@@ -2,8 +2,8 @@
 
 The two pieces (see DESIGN.md, "Telemetry"):
 
-* :class:`MetricsRegistry` — counters, gauges, fixed-edge histograms and
-  timers, fetched by name at component construction. Collection is always
+* :class:`MetricsRegistry` — counters, gauges and fixed-edge histograms of
+  deterministic simulator quantities, fetched by name. Collection is always
   on; :func:`scoped_registry` gives each cell its own registry.
 * :data:`TELEMETRY_AGGREGATE` — order-independent merge of per-cell
   snapshots (including snapshots revived from the run cache), grouped by
@@ -28,7 +28,6 @@ from repro.telemetry.metrics import (
     DEFAULT_EDGES,
     Gauge,
     Histogram,
-    Timer,
     merge_payloads,
 )
 from repro.telemetry.registry import (
@@ -47,7 +46,6 @@ __all__ = [
     "MetricsSnapshot",
     "TELEMETRY_AGGREGATE",
     "TelemetryAggregate",
-    "Timer",
     "get_registry",
     "merge_payloads",
     "scoped_registry",

@@ -1,4 +1,4 @@
-"""Metric primitives: counters, gauges, fixed-edge histograms, timers.
+"""Metric primitives: counters, gauges and fixed-edge histograms.
 
 Design constraints (see DESIGN.md, "Telemetry"):
 
@@ -8,16 +8,14 @@ Design constraints (see DESIGN.md, "Telemetry"):
   into the same aggregate no matter the completion order (the guarantee
   ``ResultTable.merge()`` already gives simulation results).
 
-Determinism convention: counters, gauges and histograms record *simulated*
-quantities (cycles, depths, occupancies) and are bit-identical across
-``--jobs`` settings; timers record host wall-clock and are therefore
-excluded from determinism comparisons (``MetricsSnapshot.deterministic``).
+Determinism convention: every metric records a *simulated* quantity
+(cycles, depths, occupancies), so a cell's snapshot is bit-identical across
+``--jobs`` settings. Host wall clocks are not metrics: the harness keeps
+them in plain fields (``repro.parallel.ExecutionStats``).
 """
 
 from __future__ import annotations
 
-import contextlib
-import time
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -29,11 +27,10 @@ class Counter:
 
     kind = "counter"
 
-    __slots__ = ("name", "description", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, description: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.description = description
         self.value: Number = 0
 
     def inc(self, amount: Number = 1) -> None:
@@ -41,10 +38,6 @@ class Counter:
         if amount < 0:
             raise ValueError("counter %s cannot decrease" % self.name)
         self.value += amount
-
-    def reset(self) -> None:
-        """Zero the counter."""
-        self.value = 0
 
     def to_payload(self) -> Dict[str, object]:
         return {"kind": self.kind, "value": self.value}
@@ -63,12 +56,14 @@ class Gauge:
 
     kind = "gauge"
 
-    __slots__ = ("name", "description", "count", "total", "minimum", "maximum")
+    __slots__ = ("name", "count", "total", "minimum", "maximum")
 
-    def __init__(self, name: str, description: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.description = description
-        self.reset()
+        self.count = 0
+        self.total = 0.0
+        self.minimum: Optional[Number] = None
+        self.maximum: Optional[Number] = None
 
     def set(self, value: Number) -> None:
         """Record one observation of the gauge's value."""
@@ -83,13 +78,6 @@ class Gauge:
     def mean(self) -> float:
         """Mean observation, 0.0 when empty."""
         return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        """Drop all observations."""
-        self.count = 0
-        self.total = 0.0
-        self.minimum: Optional[Number] = None
-        self.maximum: Optional[Number] = None
 
     def to_payload(self) -> Dict[str, object]:
         return {
@@ -124,7 +112,6 @@ class Histogram:
 
     __slots__ = (
         "name",
-        "description",
         "edges",
         "buckets",
         "count",
@@ -133,12 +120,7 @@ class Histogram:
         "maximum",
     )
 
-    def __init__(
-        self,
-        name: str,
-        edges: Sequence[Number] = DEFAULT_EDGES,
-        description: str = "",
-    ):
+    def __init__(self, name: str, edges: Sequence[Number] = DEFAULT_EDGES):
         edges = tuple(edges)
         if not edges:
             raise ValueError("histogram %s needs at least one edge" % name)
@@ -147,7 +129,6 @@ class Histogram:
                 "histogram %s edges must be strictly increasing" % name
             )
         self.name = name
-        self.description = description
         self.edges = edges
         self.buckets: List[int] = [0] * (len(edges) + 1)
         self.count = 0
@@ -170,14 +151,6 @@ class Histogram:
         """Mean of observations, 0.0 when empty."""
         return self.total / self.count if self.count else 0.0
 
-    def reset(self) -> None:
-        """Clear all buckets and summary fields."""
-        self.buckets = [0] * (len(self.edges) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.minimum = None
-        self.maximum = None
-
     def to_payload(self) -> Dict[str, object]:
         return {
             "kind": self.kind,
@@ -191,58 +164,6 @@ class Histogram:
 
     def __repr__(self) -> str:
         return "Histogram(%s mean=%.2f n=%d)" % (self.name, self.mean, self.count)
-
-
-class Timer:
-    """Host wall-clock accumulator (count + total seconds).
-
-    Timers exist for profiling the harness itself (per-cell wall times,
-    pool spans). They are intentionally *not* part of the deterministic
-    snapshot view — wall clocks differ across runs and worker counts.
-    """
-
-    kind = "timer"
-
-    __slots__ = ("name", "description", "count", "total_seconds")
-
-    def __init__(self, name: str, description: str = ""):
-        self.name = name
-        self.description = description
-        self.count = 0
-        self.total_seconds = 0.0
-
-    def record(self, seconds: float) -> None:
-        """Add one measured duration."""
-        self.count += 1
-        self.total_seconds += seconds
-
-    @contextlib.contextmanager
-    def time(self):
-        """Context manager measuring the enclosed block."""
-        started = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.record(time.perf_counter() - started)
-
-    def reset(self) -> None:
-        """Zero the accumulator."""
-        self.count = 0
-        self.total_seconds = 0.0
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "total_seconds": self.total_seconds,
-        }
-
-    def __repr__(self) -> str:
-        return "Timer(%s total=%.3fs n=%d)" % (
-            self.name,
-            self.total_seconds,
-            self.count,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +191,6 @@ def merge_payloads(
         )
     if kind == Counter.kind:
         return {"kind": kind, "value": left["value"] + right["value"]}
-    if kind == Timer.kind:
-        return {
-            "kind": kind,
-            "count": left["count"] + right["count"],
-            "total_seconds": left["total_seconds"] + right["total_seconds"],
-        }
     if kind == Gauge.kind:
         return {
             "kind": kind,

@@ -2,10 +2,11 @@
 
 One :class:`MetricsRegistry` is active per process at any moment (one
 simulation runs per process; see DESIGN.md "One simulation per process").
-Simulator components fetch metric handles by name at construction time
-(`counter`, `gauge`, `histogram`, `timer`); handles with the same name
-resolve to the same object, so any number of components can share a
-counter.
+Simulator components fetch metric handles by name (`counter`, `gauge`,
+`histogram`) and publish their plain-int tallies once per run; handles
+with the same name resolve to the same object, so any number of
+components can share a counter. Only deterministic per-cell simulator
+metrics live here: the harness and the service count in plain fields.
 
 ``run_workload`` / Monte-Carlo shard tasks push a *fresh* registry for the
 duration of one cell (:func:`scoped_registry`), so the snapshot taken at the
@@ -17,7 +18,7 @@ processes. Collection is always on.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.telemetry.metrics import (
     Counter,
@@ -25,7 +26,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     Number,
-    Timer,
     merge_payloads,
 )
 
@@ -63,8 +63,6 @@ class MetricsSnapshot:
         kind = payload.get("kind")
         if kind == "counter":
             return float(payload["value"])
-        if kind == "timer":
-            return float(payload["total_seconds"])
         count = payload.get("count") or 0
         if not count:
             return default
@@ -82,20 +80,6 @@ class MetricsSnapshot:
                 else:
                     merged[name] = dict(payload)
         return MetricsSnapshot(merged)
-
-    def deterministic(self) -> "MetricsSnapshot":
-        """The snapshot minus host wall-clock timers.
-
-        Counters/gauges/histograms record simulated quantities and are
-        bit-identical across ``--jobs`` settings; timers are not.
-        """
-        return MetricsSnapshot(
-            {
-                name: payload
-                for name, payload in self.metrics.items()
-                if payload.get("kind") != "timer"
-            }
-        )
 
     def ratio(self, numerator: str, denominator_extra: str) -> Optional[float]:
         """``a / (a + b)`` over two counters, None when both absent/zero."""
@@ -139,7 +123,6 @@ class MetricsSnapshot:
             ("mac_computations", "secure.mac_computations"),
             ("mc_devices", "mc.devices"),
             ("mc_failures", "mc.failures"),
-            ("scrub_corrections", "core.scrub_corrections"),
         ):
             if name in self.metrics:
                 out[label] = self.value(name)
@@ -167,38 +150,21 @@ class MetricsRegistry:
 
     # -- factories ----------------------------------------------------------
 
-    def counter(self, name: str, description: str = "") -> Counter:
+    def counter(self, name: str) -> Counter:
         """Create (or fetch) the counter ``name``."""
-        return self._get_or_create(name, Counter, description)
+        return self._get_or_create(name, Counter)
 
-    def gauge(self, name: str, description: str = "") -> Gauge:
+    def gauge(self, name: str) -> Gauge:
         """Create (or fetch) the gauge ``name``."""
-        return self._get_or_create(name, Gauge, description)
+        return self._get_or_create(name, Gauge)
 
     def histogram(
-        self,
-        name: str,
-        edges: Sequence[Number] = DEFAULT_EDGES,
-        description: str = "",
+        self, name: str, edges: Sequence[Number] = DEFAULT_EDGES
     ) -> Histogram:
         """Create (or fetch) the fixed-edge histogram ``name``."""
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if not isinstance(existing, Histogram):
-                raise TypeError(
-                    "metric %s already registered as %s"
-                    % (name, type(existing).__name__)
-                )
-            return existing
-        metric = Histogram(name, edges, description)
-        self._metrics[name] = metric
-        return metric
+        return self._get_or_create(name, Histogram, edges)
 
-    def timer(self, name: str, description: str = "") -> Timer:
-        """Create (or fetch) the timer ``name``."""
-        return self._get_or_create(name, Timer, description)
-
-    def _get_or_create(self, name: str, factory, description: str):
+    def _get_or_create(self, name: str, factory, *args):
         existing = self._metrics.get(name)
         if existing is not None:
             if not isinstance(existing, factory):
@@ -207,25 +173,9 @@ class MetricsRegistry:
                     % (name, type(existing).__name__)
                 )
             return existing
-        metric = factory(name, description)
+        metric = factory(name, *args)
         self._metrics[name] = metric
         return metric
-
-    # -- introspection ------------------------------------------------------
-
-    def __iter__(self) -> Iterator[Tuple[str, object]]:
-        return iter(sorted(self._metrics.items()))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __getitem__(self, name: str):
-        return self._metrics[name]
-
-    def reset(self) -> None:
-        """Reset every registered metric in place (handles stay valid)."""
-        for metric in self._metrics.values():
-            metric.reset()  # type: ignore[attr-defined]
 
     def snapshot(self) -> MetricsSnapshot:
         """Serialise the current state."""

@@ -147,7 +147,7 @@ def _drive(design, deferred, seed, num_data_lines=_NUM_DATA_LINES):
                 hierarchy.data_llc_fills,
                 hierarchy.metadata_llc_fills,
             ),
-            "telemetry": registry.snapshot().deterministic().to_payload(),
+            "telemetry": registry.snapshot().to_payload(),
         }
     return observables
 

@@ -1,14 +1,17 @@
-"""The microbenchmark regression gate: verdicts on fixed payloads, and
-one run of ``python -m repro.perf.microbench --baseline``."""
+"""The microbenchmark regression gate: verdicts on fixed payloads, one
+run of ``python -m repro.perf.microbench --baseline``, and its ``--help``."""
 
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 from repro.perf.microbench import (
     GATED_CASES,
     REGRESSION_RATIO,
+    _main,
     count_calls,
     verdict,
 )
@@ -102,3 +105,14 @@ def test_call_counts_repeat_exactly():
     # Unlike a timing, a count has no host noise to average out.
     count_calls("telemetry_record")  # takes the case's lazy imports
     assert count_calls("telemetry_record") == count_calls("telemetry_record")
+
+
+def test_help_renders_the_gate_bound(capsys):
+    # The --baseline help is formatted twice (by us, then by argparse):
+    # a literal percent sign must survive both.
+    with pytest.raises(SystemExit) as stopped:
+        _main(["--help"])
+    assert stopped.value.code == 0
+    out = capsys.readouterr().out
+    assert "25% slower" in out
+    assert "option_strings" not in out

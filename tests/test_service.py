@@ -368,7 +368,7 @@ def test_progress_event_order_is_jobs_invariant():
     from repro.parallel import overridden
     from repro.secure.designs import SGX_O, SYNERGY
     from repro.sim.config import SystemConfig
-    from repro.sim.runner import clear_run_memos, run_suite
+    from repro.sim.runner import cell_progress, clear_run_memos, run_suite
 
     tiny = SystemConfig(accesses_per_core=600)
 
@@ -381,14 +381,8 @@ def test_progress_event_order_is_jobs_invariant():
                 {k: v for k, v in event.items() if k != "seconds"}
             )
 
-        with overridden(cache_enabled=False):
-            run_suite(
-                [SGX_O, SYNERGY],
-                ["mcf", "pr-web"],
-                tiny,
-                jobs=jobs,
-                progress=on_event,
-            )
+        with overridden(cache_enabled=False), cell_progress(on_event):
+            run_suite([SGX_O, SYNERGY], ["mcf", "pr-web"], tiny, jobs=jobs)
         return events
 
     serial = collect(1)

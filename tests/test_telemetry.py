@@ -30,7 +30,6 @@ from repro.telemetry import (
     MetricsRegistry,
     MetricsSnapshot,
     TelemetryAggregate,
-    Timer,
     get_registry,
     merge_payloads,
     scoped_registry,
@@ -189,14 +188,6 @@ class TestSnapshot:
         )
         assert revived.to_payload() == snapshot.to_payload()
 
-    def test_deterministic_drops_timers(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.timer("t").record(0.5)
-        deterministic = registry.snapshot().deterministic()
-        assert "c" in deterministic
-        assert "t" not in deterministic
-
     def test_ratio_and_headline(self):
         registry = MetricsRegistry()
         registry.counter("dram.row_hits").inc(3)
@@ -214,15 +205,15 @@ class TestSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# ExecutionStats (now registry-backed) keeps its public contract
+# ExecutionStats (plain fields) keeps its public contract
 # ---------------------------------------------------------------------------
 
 
 class TestExecutionStats:
     def test_api_and_as_dict_keys(self):
         stats = ExecutionStats()
-        stats.record_cache_hit()
-        stats.record_cache_miss()
+        stats.cache_hits += 1
+        stats.cache_misses += 1
         stats.record_cell("a", 2.0)
         stats.record_cell("b", 1.0)
         stats.record_map(2, 2.0)
@@ -253,14 +244,36 @@ class TestExecutionStats:
         }
         assert payload["peak_rss_mib"] > 0
 
-    def test_snapshot_and_reset(self):
+    def test_reset(self):
         stats = ExecutionStats()
-        stats.record_cell("a", 1.0)
-        snapshot = stats.snapshot()
-        assert snapshot.value("exec.cell_seconds") == 1.0
+        stats.record_cell("a", 1.0, peak_kib=2048)
+        stats.record_map(1, 1.0)
+        stats.pool_spawns += 1
         stats.reset()
-        assert stats.cells_executed == 0
-        assert not stats.cell_times
+        after, fresh = stats.as_dict(), ExecutionStats().as_dict()
+        del after["peak_rss_mib"], fresh["peak_rss_mib"]  # this process's
+        assert after == fresh
+        assert stats.cell_peak_rss_mib == 0.0
+        assert not stats.cell_times and not stats.map_spans
+
+    def test_absorb_adds_counts_and_keeps_the_larger_peak(self):
+        first, second, total = ExecutionStats(), ExecutionStats(), ExecutionStats()
+        first.record_cell("a", 2.0, peak_kib=1024)
+        first.record_map(2, 2.0)
+        first.cache_hits += 1
+        second.record_cell("b", 1.0, peak_kib=3072)
+        second.pool_spawns += 1
+        second.pool_spawn_seconds += 0.5
+        total.absorb(first)
+        total.absorb(second)
+        assert total.cells_executed == 2
+        assert total.busy_seconds == 3.0
+        assert total.cache_hits == 1 and total.pool_spawns == 1
+        assert total.pool_spawn_seconds == 0.5
+        assert total.worker_utilisation == 0.75
+        assert total.cell_times == [("a", 2.0), ("b", 1.0)]
+        assert total.map_spans == [(2, 2.0)]
+        assert total.cell_peak_rss_mib == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +283,10 @@ class TestExecutionStats:
 
 class TestDeterminism:
     def test_cell_snapshot_has_no_timers(self):
+        # Only simulated quantities: no host wall clock in a cell snapshot.
         result = run_workload(SGX, "lbm", TINY)
         kinds = {payload["kind"] for payload in result.telemetry.values()}
-        assert "timer" not in kinds
+        assert kinds <= {"counter", "gauge", "histogram"}
 
     def test_jobs_do_not_change_results_or_aggregate(self, one_pool_map):
         TELEMETRY_AGGREGATE.reset()
