@@ -213,10 +213,11 @@ class Sanitizer:
                 )
         for name, members, row_counts, hits in census:
             open_rows = channel.open_rows
+            banks = len(open_rows)
             counts: Dict[int, int] = {}
             fresh_hits = 0
             for flat, row in members:
-                key = (flat << 40) | row
+                key = row * banks + flat
                 counts[key] = counts.get(key, 0) + 1
                 if open_rows[flat] == row:
                     fresh_hits += 1

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, islice, repeat
+from operator import add, truediv
 from typing import Callable, Deque, Iterator, Optional, Tuple
 
-import numpy as np
-
-from repro.cpu.trace import Trace, column_buffer
+from repro.cpu.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -87,26 +86,25 @@ class CoreModel:
         self.params = params
         self._read_fn = read_fn
         self._write_fn = write_fn
-        # Columnar batch precomputation: everything :meth:`advance` would
-        # derive per record comes out of one vectorised pass over the
-        # trace columns. ``terms[i]`` is the fetch-clock increment
-        # ``(gap + 1) / width`` — float64 division, the identical IEEE op
-        # the scalar expression performs, so the sequential adds in
-        # ``advance`` produce bit-identical fetch times. ``mem_pos[i]``
-        # is the instruction position of record i's memory op
-        # (``cumsum(gap + 1) - 1``, matching the running fetched_count).
-        # The columns are typed buffers (one allocation each), never lists
-        # of boxed values: a cell holds tens of thousands of records per
-        # core, and per-record objects fragment the allocator cell after
-        # cell. ``advance`` steps one zip over them, so each value is boxed
-        # only while its record is in flight.
-        instructions = np.asarray(trace.gaps, dtype=np.int64) + 1
+        # Everything :meth:`advance` would derive per record streams out of
+        # the trace columns through C-level iterators, one record at a
+        # time. ``term`` is the fetch-clock increment ``(gap + 1) / width``
+        # — the scalar expression itself, so the sequential adds in
+        # ``advance`` produce bit-identical fetch times. ``mem_pos`` is the
+        # instruction position of the record's memory op (the running sum
+        # of ``gap + 1``, less one, matching the running fetched_count).
+        # Nothing is listed or copied per record: a cell holds tens of
+        # thousands of records per core, and per-record objects fragment
+        # the allocator cell after cell. ``advance`` steps one zip over
+        # these iterators, so each value is boxed only while its record is
+        # in flight.
+        gaps = trace.gaps
         #: (term, mem_pos, op, line) per record, consumed in order.
         self._records: Iterator[Tuple[float, int, int, int]] = zip(
-            column_buffer("d", instructions / params.width),
-            column_buffer("q", np.cumsum(instructions) - 1),
-            column_buffer("b", trace.ops),
-            column_buffer("q", trace.lines),
+            map(truediv, map(add, gaps, repeat(1)), repeat(params.width)),
+            islice(accumulate(map(add, gaps, repeat(1)), initial=-1), 1, None),
+            trace.ops,
+            trace.lines,
         )
         #: the record a blocked ``advance`` fetched but could not issue.
         self._held: Optional[Tuple[float, int, int, int]] = None
@@ -130,13 +128,13 @@ class CoreModel:
         retired its trace.
 
         Hot-path note: this is the batch-advance stepper — per-record
-        work is one step of the column zip (precomputed term, memory
-        position, op, line) plus the memory callback. Indexing the typed
-        buffers in place would box every value on each access; the zip
-        boxes each once. Fetch state lives in locals and is written back
-        to the instance only at blocking points; the memory callbacks
-        never read ``fetch_time``/``fetched_count``, and the precomputed
-        columns make the stepper branch-free between ROB stalls. The
+        work is one step of the record zip (term, memory position, op,
+        line) plus the memory callback. Indexing the trace columns in place
+        would box every value on each access; the zip boxes each once.
+        Fetch state lives in locals and is written back to the instance
+        only at blocking points; the memory callbacks never read
+        ``fetch_time``/``fetched_count``, and the streamed terms and
+        positions make the stepper branch-free between ROB stalls. The
         arithmetic (one float add per record, ``max`` with the retire
         clock at stalls) is the scalar model's, op for op.
         """

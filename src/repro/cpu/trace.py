@@ -6,12 +6,13 @@ Addresses are cacheline-granular (the caches and DRAM all speak lines).
 This is the same shape as USIMM input traces; here they come from the
 synthetic workload generator rather than Pin.
 
-Storage is columnar: a :class:`Trace` holds three compact parallel arrays
-(``gaps``/``ops``/``lines``) instead of one Python object per record —
-roughly 17 bytes per access instead of ~100. Hot consumers read the
-columns through typed buffers (:func:`column_buffer`, as the ROB does, or
-:meth:`Trace.iter_accesses` for the warm-up replay), which box one value
-at a time instead of listing a whole column. :class:`TraceRecord` remains
+Storage is columnar: a :class:`Trace` holds three compact parallel stdlib
+``array`` columns (``gaps``/``ops``/``lines``) instead of one Python object
+per record — roughly 17 bytes per access instead of ~100. Hot consumers
+iterate the columns (as the ROB does, or :meth:`Trace.iter_accesses` for
+the warm-up replay), which boxes one value at a time: ``tolist`` would box
+a whole column at once and keep every box alive as long as the list, one
+small allocation per record. :class:`TraceRecord` remains
 the one-record view for file I/O, tests, and ad-hoc construction;
 iterating a trace yields records, so existing callers are unchanged.
 """
@@ -22,26 +23,6 @@ import enum
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
-
-import numpy as np
-
-
-#: numpy dtype of each stdlib ``array`` typecode a column may take.
-_DTYPES = {"b": np.int8, "q": np.int64, "d": np.float64}
-
-
-def column_buffer(typecode: str, column) -> array:
-    """A column's values as one typed stdlib buffer (``b``/``q``/``d``).
-
-    Iterating the buffer boxes one value per step, and each box dies with
-    its step. ``tolist`` would box the whole column at once and keep every
-    box alive as long as the list, one small allocation per record. A
-    stdlib ``array`` of the requested type is returned as is.
-    """
-    if isinstance(column, array) and column.typecode == typecode:
-        return column
-    values = np.ascontiguousarray(column, dtype=_DTYPES[typecode])
-    return array(typecode, values.tobytes())
 
 
 class MemoryOp(enum.Enum):
@@ -80,11 +61,10 @@ class TraceRecord:
 class Trace:
     """An in-memory trace: compact parallel columns plus summary stats.
 
-    ``gaps``/``lines`` are signed-64 arrays, ``ops`` is a byte/bool array
-    (truthy = write). Columns are either numpy arrays (the vectorised
-    generator's output) or stdlib ``array`` objects (the record-compat
-    constructor); both expose ``tolist`` and ``len``, which is all the
-    consumers use.
+    ``gaps``/``lines`` are signed-64 stdlib ``array`` columns (``q``),
+    ``ops`` a byte column (``b``, truthy = write), as both the generator
+    and the record constructor build them. Consumers use only ``tolist``,
+    ``len`` and iteration.
     """
 
     __slots__ = (
@@ -111,9 +91,9 @@ class Trace:
     def from_arrays(cls, gaps, ops, lines, name: str = "trace") -> "Trace":
         """Build a trace directly from parallel columns (no validation).
 
-        Columns must be equal length and support ``tolist``/``len``;
-        ``ops`` entries are truthy for writes. The arrays are adopted,
-        not copied.
+        Columns must be equal-length stdlib ``array`` columns of the
+        types :class:`Trace` describes; ``ops`` entries are truthy for
+        writes. The columns are adopted, not copied.
         """
         trace = cls.__new__(cls)
         trace.gaps = gaps
@@ -134,11 +114,11 @@ class Trace:
         """Raw column iterator: ``(is_write, line_address)`` pairs.
 
         The warm-up replay's view: plain ints (``is_write`` truthy for
-        writes), no per-record objects, and no list of any column — ops
-        and lines are read through :func:`column_buffer`, so only the
-        record in flight is boxed. Gaps are not read.
+        writes), no per-record objects, and no list of any column — the
+        columns are iterated, so only the record in flight is boxed. Gaps
+        are not read.
         """
-        return zip(column_buffer("b", self.ops), column_buffer("q", self.lines))
+        return zip(self.ops, self.lines)
 
     def __len__(self) -> int:
         return len(self.gaps)

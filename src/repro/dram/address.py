@@ -13,16 +13,14 @@ Fig. 12 only varies the channel count.
 ``decode_fast`` returns a plain tuple and, when every geometry factor is a
 power of two (the default and every configuration in the paper), uses
 precomputed shifts and masks instead of div/mod chains.
-``decode_columns`` is the same arithmetic over a numpy column of lines: the
-controller decodes each scheduling epoch with one call.
+``decode_columns`` is the same arithmetic over a sequence of lines, one
+list per field: the controller decodes each scheduling epoch with one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.dram.timing import MemoryConfig
 from repro.util.units import is_power_of_two, log2_int
@@ -106,26 +104,44 @@ class AddressMapper:
         row = remaining % config.rows_per_bank
         return channel, rank, bank, row, column
 
-    def decode_columns(self, lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(channel, flat_bank, row)`` int64 arrays for a column of lines.
+    def decode_columns(
+        self, lines: Sequence[int]
+    ) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """``(channel, flat_bank, row, row_key)`` lists for a sequence of lines.
 
-        The same arithmetic as :meth:`decode_fast`, vectorised; ``flat_bank``
-        is ``rank * banks_per_rank + bank``, the channel-local bank index.
+        The same arithmetic as :meth:`decode_fast`, one comprehension per
+        column. ``flat_bank`` is ``rank * banks_per_rank + bank``, the
+        channel-local bank index, and ``row_key`` is
+        ``row * banks_per_channel + flat_bank``, one id per (bank, row)
+        pair of a channel. In a power-of-two geometry ``row_key`` is the
+        contiguous ``[row | rank | bank]`` field of the line, so it is
+        decoded first and the bank and row are split off it.
         """
         config = self.config
+        banks = config.banks_per_channel
         if self._pow2:
-            remaining = lines & self._total_mask
-            channel = remaining & self._channel_mask
-            remaining = remaining >> (self._channel_shift + self._column_shift)
-            flat_bank = remaining & (config.banks_per_channel - 1)
-            row = (remaining >> (self._bank_shift + self._rank_shift)) & self._row_mask
-            return channel, flat_bank, row
-        remaining = lines % config.total_lines
-        channel = remaining % config.channels
-        remaining = remaining // config.channels // config.lines_per_row
-        flat_bank = remaining % config.banks_per_channel
-        row = (remaining // config.banks_per_channel) % config.rows_per_bank
-        return channel, flat_bank, row
+            channel_mask = self._channel_mask
+            key_shift = self._channel_shift + self._column_shift
+            key_mask = banks * config.rows_per_bank - 1
+            bank_mask = banks - 1
+            row_shift = self._bank_shift + self._rank_shift
+            keys = [(line >> key_shift) & key_mask for line in lines]
+            return (
+                [line & channel_mask for line in lines],
+                [key & bank_mask for key in keys],
+                [key >> row_shift for key in keys],
+                keys,
+            )
+        total_lines = config.total_lines
+        channels = config.channels
+        stride = channels * config.lines_per_row
+        keys = [line % total_lines // stride for line in lines]
+        return (
+            [line % total_lines % channels for line in lines],
+            [key % banks for key in keys],
+            [key // banks for key in keys],
+            keys,
+        )
 
     def decode(self, line_address: int) -> DecodedAddress:
         """Split a line address into DRAM coordinates (wraps modulo size)."""

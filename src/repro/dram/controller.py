@@ -20,9 +20,10 @@ The epoch kernel. A request is a ``(kind, line, arrival, category, core)``
 spec tuple, never an object. :meth:`enqueue_batch` buffers the specs and
 hands back one completion slot per spec; :meth:`process` then
 
-* decodes the whole epoch with one numpy pass (flat bank, row, packed
-  ``(flat_bank << 40) | row`` key; shift/mask for power-of-two
-  geometries, div/mod otherwise);
+* decodes the whole epoch into plain lists, one comprehension per field
+  (channel, flat bank, row, and the row key ``row * banks_per_channel +
+  flat_bank``; shift/mask for power-of-two geometries, div/mod
+  otherwise);
 * orders each channel's spec indices by a stable sort on arrival, which
   equals the (arrival, sequence) order of serial enqueues;
 * runs one fused decision loop per channel over integer indices into
@@ -64,8 +65,6 @@ from collections import Counter, deque
 from itertools import islice, repeat
 from operator import is_, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.dram.address import AddressMapper
@@ -219,22 +218,18 @@ class MemoryController:
         else:
             completions = [None] * count
         config = self.config
-        arrival_col = np.fromiter(map(_arrivals_of, specs), np.int64, count)
-        channel_col, flat_col, row_col = self.mapper.decode_columns(
-            np.fromiter(map(_lines_of, specs), np.int64, count)
+        arrivals = list(map(_arrivals_of, specs))
+        channel_col, *decoded = self.mapper.decode_columns(
+            list(map(_lines_of, specs))
         )
-        order = np.lexsort((arrival_col, channel_col)).tolist()
-        per_channel = np.bincount(channel_col, minlength=config.channels).tolist()
-        columns = (
-            arrival_col.tolist(),
-            flat_col.tolist(),
-            row_col.tolist(),
-            ((flat_col << 40) | row_col).tolist(),
-            self._is_write,
-            completions,
-        )
+        # Two stable sorts: by arrival (ties in spec order), then by
+        # channel, which keeps each channel's (arrival, sequence) order.
+        order = sorted(range(count), key=arrivals.__getitem__)
+        order.sort(key=channel_col.__getitem__)
+        columns = (arrivals, *decoded, self._is_write, completions)
         begin = 0
-        for channel, size in zip(self.channels, per_channel):
+        for index, channel in enumerate(self.channels):
+            size = channel_col.count(index)
             if size:
                 self._schedule_channel(channel, order[begin : begin + size], *columns)
                 begin += size
@@ -265,6 +260,7 @@ class MemoryController:
         open_rows = channel.open_rows
         recent_activates = channel.recent_activates
         banks_per_rank = config.banks_per_rank
+        banks_per_channel = config.banks_per_channel
         model_refresh = config.model_refresh
         model_faw = config.model_faw
         t_refi = timing.t_refi
@@ -585,7 +581,7 @@ class MemoryController:
                 if open_row < 0:
                     closed_banks -= 1
                 else:
-                    old_key = key - row + open_row
+                    old_key = key + (open_row - row) * banks_per_channel
                     if old_key in read_counts:
                         read_hits -= read_counts[old_key]
                     if old_key in write_counts:

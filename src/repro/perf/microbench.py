@@ -16,7 +16,7 @@ versions:
 * ``telemetry_record``  — counter/histogram recording through a registry
 * ``pool_dispatch``     — repeated small ``parallel_map`` fan-outs through
   the shared persistent pool (spawn amortisation + per-map round-trip)
-* ``trace_generate``    — block-streamed workload-trace synthesis (sphinx3,
+* ``trace_generate``    — per-record workload-trace synthesis (sphinx3,
   50k); its per-record oracle lives with the tests, not here
 
 Cases return their op count; the harness times them (best-of-N
@@ -105,19 +105,23 @@ def controller_schedule() -> int:
 def rob_advance() -> int:
     """Drive one core through a synthetic trace with instantly-resolved reads.
 
-    The trace is assembled columnarly (``Trace.from_arrays``) so the case
-    times the batch-advance stepper, not 30k ``TraceRecord`` constructions;
-    the stream (gap = line % 7, write when line % 4 == 0) matches the
-    record-based construction this case used before it was columnar.
+    The trace is assembled columnarly (``Trace.from_arrays`` over stdlib
+    arrays) so the case times the batch-advance stepper, not 30k
+    ``TraceRecord`` constructions; the stream (gap = line % 7, write when
+    line % 4 == 0) matches the record-based construction this case used
+    before it was columnar.
     """
-    import numpy as np
+    from array import array
 
     from repro.cpu.rob import AccessHandle, CoreModel
     from repro.cpu.trace import Trace
 
-    lines = np.array(_addresses(30_000, 1 << 20, seed=41), dtype=np.int64)
+    lines = array("q", _addresses(30_000, 1 << 20, seed=41))
     trace = Trace.from_arrays(
-        lines % 7, (lines % 4 == 0).astype(np.int8), lines, "microbench"
+        array("q", [line % 7 for line in lines]),
+        array("b", [line % 4 == 0 for line in lines]),
+        lines,
+        "microbench",
     )
 
     def read_fn(_line: int, cpu_time: float, _core: int) -> AccessHandle:
@@ -217,7 +221,7 @@ _TRACE_BENCH_ACCESSES = 50_000
 
 
 def trace_generate() -> int:
-    """Block-streamed trace synthesis (the production ``generate_trace``)."""
+    """Per-record trace synthesis (the production ``generate_trace``)."""
     from repro.workloads.generator import generate_trace
     from repro.workloads.profiles import profile_by_name
 

@@ -32,8 +32,6 @@ from functools import partial
 from itertools import accumulate
 from typing import List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.parallel import parallel_map, resolve_cache, resolve_jobs
 from repro.parallel.runcache import RunCache, cache_key
 from repro.reliability.faults import ChipGeometry, FaultInstance
@@ -197,7 +195,14 @@ def _shard_failures(
     multi-bit faults — a Bernoulli over the binomial tally. Multi-fault
     devices run the explicit predicate, device ``i`` drawing from
     ``derive_seed(shard_seed, "device", i)``.
+
+    numpy is imported here, not at module level: this kernel is its only
+    user, and a timing-plane process that imports this module (for
+    Fig. 11's configuration or a pool worker's warm-up) then never loads
+    it.
     """
+    import numpy as np
+
     generator = np.random.default_rng(shard_seed)
     counts = generator.poisson(_FIT_RATE * config.lifetime_hours * scheme.chips, size)
     failures = 0

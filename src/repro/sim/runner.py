@@ -87,7 +87,7 @@ def emit_progress(event: Dict[str, object]) -> None:
 #: traces for every design sharing a workload (designs outer, workloads
 #: inner), and trace synthesis is a measurable slice of each cell;
 #: generate_trace is a pure function of the key below, and traces are
-#: immutable (columnar numpy arrays that no consumer mutates), so sharing
+#: immutable (typed ``array`` columns that no consumer mutates), so sharing
 #: one instance across simulators is safe. Bounded by wholesale clearing —
 #: the access pattern is a small working set per experiment, not an
 #: LRU-worthy stream.

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.setassoc import ABSENT
 from repro.cpu.multicore import MulticoreDriver
@@ -41,10 +39,7 @@ def _check_data_region(traces: List[Trace], num_data_lines: int) -> None:
     test.
     """
     for core, trace in enumerate(traces):
-        lines = trace.lines
-        if not len(lines):
-            continue
-        highest = int(np.max(lines))
+        highest = max(trace.lines, default=-1)
         if highest >= num_data_lines:
             raise ValueError(
                 "core %d: trace line %#x is outside the data region "

@@ -1,9 +1,10 @@
 """Deterministic random number generation.
 
 Every stochastic component in the reproduction (trace generation, Monte-Carlo
-fault injection, mixed-workload selection) draws from a ``DeterministicRng``
-seeded through ``derive_seed`` so that runs are bit-reproducible across
-machines and Python versions.
+fault injection, mixed-workload selection) draws from a Mersenne Twister
+seeded through ``derive_seed`` (a ``DeterministicRng``, or in the hot loops
+the :class:`random.Random` it wraps) so that runs are bit-reproducible
+across machines and Python versions.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import hashlib
 import random
 from typing import Iterable, List, Sequence, TypeVar
-
-import numpy as _np
 
 _T = TypeVar("_T")
 
@@ -50,13 +49,15 @@ def derive_seeds(prefix: Sequence[object], suffixes: Iterable[object]) -> List[i
 
 
 class ReseedableStream:
-    """One Mersenne Twister reseeded in place for many short draw sequences.
+    """One Mersenne Twister reseeded in place for draw sequences.
 
     After ``reseed(seed)``, ``random`` and ``getrandbits`` return exactly
     what a fresh ``DeterministicRng(seed)`` draws from its underlying
     :class:`random.Random`, without allocating a generator per sequence.
-    Consumers that need ``randint``/``weighted_choice`` draws inline the
-    stdlib's arithmetic over these two primitives.
+    Consumers that need ``randint``/``weighted_choice``/``expovariate``
+    draws inline the stdlib's arithmetic over these two primitives: the
+    Monte-Carlo fault sampler (many short sequences) and the trace
+    generator (one per trace).
     """
 
     __slots__ = ("reseed", "random", "getrandbits")
@@ -152,15 +153,3 @@ class DeterministicRng:
     def weighted_choice(self, options: Sequence[_T], weights: Iterable[float]) -> _T:
         """Pick one element with the given (unnormalised) weights."""
         return self._random.choices(list(options), weights=list(weights), k=1)[0]
-
-    def raw_words(self, count: int) -> "_np.ndarray":
-        """The next ``count`` raw 32-bit Mersenne-Twister words, as uint64.
-
-        ``getrandbits(32 * count)`` builds its integer from ``count``
-        consecutive 32-bit outputs, least significant first, so its
-        little-endian bytes are exactly the words ``count`` calls of
-        ``randbits(32)`` would return, across twist boundaries. Advances
-        this generator by ``count`` words.
-        """
-        data = self._random.getrandbits(32 * count).to_bytes(4 * count, "little")
-        return _np.frombuffer(data, dtype="<u4").astype(_np.uint64)

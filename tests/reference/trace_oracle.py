@@ -2,9 +2,9 @@
 
 The readable specification of the synthetic trace grammar. It draws every
 value through ``DeterministicRng`` one record at a time; the production
-generator decodes the same Mersenne-Twister word stream in blocks with
-numpy and must match this record for record. Keep the draw sequence
-frozen: any change here changes every trace.
+generator runs the same loop with the stdlib draws inlined and must match
+this record for record. Keep the draw sequence frozen: any change here
+changes every trace.
 """
 
 from __future__ import annotations

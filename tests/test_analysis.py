@@ -542,7 +542,8 @@ class TestSchedulerIndexSanitizer:
             flat = next(f for f, row in enumerate(channel.open_rows) if row >= 0)
             row = channel.open_rows[flat]
             members = [(flat, row), (flat, row + 1)]
-            counts = {(flat << 40) | row: 1, (flat << 40) | (row + 1): 1}
+            banks = len(channel.open_rows)
+            counts = {row * banks + flat: 1, (row + 1) * banks + flat: 1}
             # One queued request on the bank's open row is one hit ...
             sanitizer.check_scheduler_index(
                 controller, channel, (("read", members, counts, 1),)

@@ -55,6 +55,21 @@ class TestAddressMapper:
         mapper = AddressMapper(config)
         assert mapper.decode(config.total_lines) == mapper.decode(0)
 
+    @pytest.mark.parametrize("channels", [1, 2, 3, 8])
+    def test_epoch_decode_matches_the_scalar_decode(self, channels):
+        # Power-of-two geometries split the row key off the line; three
+        # channels take the div/mod path. Lines past capacity wrap.
+        config = MemoryConfig(channels=channels)
+        mapper = AddressMapper(config)
+        rng = random.Random(channels)
+        lines = [rng.randrange(3 * config.total_lines) for _ in range(2000)]
+        expected = []
+        for line in lines:
+            channel, rank, bank, row, _column = mapper.decode_fast(line)
+            flat = rank * config.banks_per_rank + bank
+            expected.append((channel, flat, row, row * config.banks_per_channel + flat))
+        assert list(zip(*mapper.decode_columns(lines))) == expected
+
 
 class TestBankState:
     """Bank classification and access commit, via the reference helpers the

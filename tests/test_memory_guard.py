@@ -13,8 +13,9 @@ the allocation blocks long-lived structures leave live, and the objects a
 finished cell leaves to the cyclic collector.
 
 A timing-plane process also keeps every module it imports resident. The
-last test checks, in a fresh interpreter, that a simulation cell loads
-none of the heavy modules only other planes use.
+last tests check, in a fresh interpreter, that a simulation cell and a
+service job's specs load none of the heavy modules only other planes use,
+and that the Monte-Carlo kernel loads numpy only when it runs.
 """
 
 import collections
@@ -24,8 +25,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 
-import numpy as np
 import pytest
 
 from repro.cpu.rob import AccessHandle, CoreModel
@@ -45,9 +46,11 @@ from repro.workloads.profiles import profile_by_name
 MAX_CORE_BLOCKS = 512
 #: Live blocks 100k metadata-path lookups may leave: none beyond noise.
 MAX_LOOKUP_BLOCKS = 64
-#: Traced peak of one trace synthesis beyond its output columns. Streaming
-#: the word stream in fixed blocks keeps it flat in the trace length.
-MAX_SYNTHESIS_TRANSIENT = 1 << 20
+#: Traced peak of one trace synthesis beyond its output columns. The
+#: per-record loop writes straight into the preallocated columns, so what
+#: remains is the generator's own state (~7 KiB measured), flat in the
+#: trace length.
+MAX_SYNTHESIS_TRANSIENT = 16 << 10
 #: Traced bytes one quick-scale warm-memo snapshot may keep alive once its
 #: simulator is gone: packed columns (~80 KiB), not per-set dict copies
 #: holding their own tag ints (~620 KiB).
@@ -55,9 +58,9 @@ MAX_WARM_SNAPSHOT = 128 << 10
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 #: Modules a serial timing-plane cell never runs, with the plane that does:
-#: the Monte-Carlo sampler, the process pool (twice) and the lint CLI.
+#: numpy (the Monte-Carlo kernel), the process pool (twice) and the lint CLI.
 HEAVY_MODULES = (
-    "numpy.random",
+    "numpy",
     "concurrent.futures.process",
     "multiprocessing",
     "repro.analysis.linter",
@@ -85,8 +88,13 @@ def traced_live_blocks(build):
 
 def test_core_model_holds_no_per_record_objects():
     count = 8_000
-    lines = (np.arange(count, dtype=np.int64) * 7919) % (1 << 22) + 1024
-    trace = Trace.from_arrays(lines % 5, lines % 4 == 0, lines, "guard")
+    lines = array("q", [(index * 7919) % (1 << 22) + 1024 for index in range(count)])
+    trace = Trace.from_arrays(
+        array("q", [line % 5 for line in lines]),
+        array("b", [line % 4 == 0 for line in lines]),
+        lines,
+        "guard",
+    )
 
     def read(_line, cpu_time, _core):
         return AccessHandle(cpu_time + 150.0)
@@ -136,7 +144,10 @@ def test_trace_synthesis_transient_is_bounded():
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        columns = trace.gaps.nbytes + trace.ops.nbytes + trace.lines.nbytes
+        columns = sum(
+            column.itemsize * len(column)
+            for column in (trace.gaps, trace.ops, trace.lines)
+        )
         assert peak - columns <= MAX_SYNTHESIS_TRANSIENT, (count, peak, columns)
 
 
@@ -190,16 +201,10 @@ def test_warm_snapshot_is_packed():
     assert kept <= MAX_WARM_SNAPSHOT, kept
 
 
-def test_a_simulation_process_loads_only_what_it_runs():
-    probe = (
-        "import json, sys\n"
-        "from repro.parallel import parallel_map\n"
-        "from repro.secure.designs import design_by_name\n"
-        "from repro.sim.config import SystemConfig\n"
-        "from repro.sim.runner import run_workload\n"
-        "run_workload(design_by_name('SGX_O'), 'mcf', SystemConfig(accesses_per_core=300))\n"
-        "assert parallel_map(abs, [1, -2], jobs=1) == [1, 2]\n"
-        "print(json.dumps(sorted(m for m in %r if m in sys.modules)))\n" % (HEAVY_MODULES,)
+def heavy_modules_after(statements):
+    """The :data:`HEAVY_MODULES` a fresh interpreter holds after ``statements``."""
+    probe = "import json, sys\n%s\nprint(json.dumps(sorted(m for m in %r if m in sys.modules)))\n" % (
+        statements, HEAVY_MODULES,
     )
     completed = subprocess.run(
         [sys.executable, "-c", probe],
@@ -207,4 +212,41 @@ def test_a_simulation_process_loads_only_what_it_runs():
         check=False,
     )
     assert completed.returncode == 0, completed.stderr
-    assert json.loads(completed.stdout) == []
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def test_a_simulation_process_loads_only_what_it_runs():
+    assert heavy_modules_after(
+        "from repro.parallel import parallel_map\n"
+        "from repro.secure.designs import design_by_name\n"
+        "from repro.sim.config import SystemConfig\n"
+        "from repro.sim.runner import run_workload\n"
+        "run_workload(design_by_name('SGX_O'), 'mcf', SystemConfig(accesses_per_core=300))\n"
+        "assert parallel_map(abs, [1, -2], jobs=1) == [1, 2]"
+    ) == []
+
+
+def test_a_service_jobs_specs_load_no_numpy():
+    # The specs a service job child runs: two tables and a quick grid.
+    assert heavy_modules_after(
+        "from repro.harness.experiments import run_spec\n"
+        "from repro.harness.spec import ExperimentSpec\n"
+        "from repro.parallel import overridden\n"
+        "specs = [{'experiment': 'sdc'}, {'experiment': 'table1'},\n"
+        "         {'experiment': 'grid', 'scale': 'quick', 'designs': ['SGX_O'], 'jobs': 1}]\n"
+        "with overridden(cache_enabled=False):\n"
+        "    for spec in specs:\n"
+        "        run_spec(ExperimentSpec.from_payload(spec), quiet=True)"
+    ) == []
+
+
+def test_monte_carlo_loads_numpy_only_when_it_runs():
+    loaded = heavy_modules_after(
+        "from repro.reliability import MonteCarloConfig, SECDED_SCHEME,"
+        " simulate_failure_probability\n"
+        "assert 'numpy' not in sys.modules\n"
+        "config = MonteCarloConfig(devices=20_000, shard_devices=10_000, seed=3)\n"
+        "probability = simulate_failure_probability(SECDED_SCHEME, config, jobs=1, cache=False)\n"
+        "assert 0.0 <= probability < 1.0, probability"
+    )
+    assert loaded == ["numpy"]

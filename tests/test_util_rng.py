@@ -1,6 +1,5 @@
 """Tests for deterministic RNG infrastructure."""
 
-import numpy as np
 import pytest
 
 from repro.util.rng import DeterministicRng, derive_seed
@@ -100,19 +99,3 @@ class TestDeterministicRng:
         rng = DeterministicRng(13)
         sample = rng.sample(range(100), 10)
         assert len(set(sample)) == 10
-
-    def test_raw_words_are_the_randbits_words(self):
-        rng, twin = DeterministicRng(15), DeterministicRng(15)
-        assert rng.randint(0, 1000) == twin.randint(0, 1000)
-        # 700 words cross a 624-word twist of the key block.
-        words = rng.raw_words(700)
-        assert words.dtype == np.uint64
-        assert words.tolist() == [twin.randbits(32) for _ in range(700)]
-        # Both generators stand at the same word afterwards.
-        assert rng.randbits(32) == twin.randbits(32)
-
-    def test_zero_raw_words_is_an_empty_uint64_array(self):
-        rng = DeterministicRng(15)
-        words = rng.raw_words(0)
-        assert words.dtype == np.uint64 and words.shape == (0,)
-        assert rng.randbits(32) == DeterministicRng(15).randbits(32)

@@ -1,13 +1,11 @@
 """Workload profile and trace-generator tests."""
 
 import pathlib
-from collections import Counter
 
 import pytest
 
 from reference.trace_oracle import generate_trace_reference
 from repro.cpu.trace import MemoryOp
-from repro.workloads import generator
 from repro.sim.config import SystemConfig
 from repro.sim.runner import _traces_for
 from repro.workloads.generator import generate_trace
@@ -164,37 +162,51 @@ class TestGenerator:
 
 
 class TestVectorizedEquivalence:
-    """The block decoder must match the per-record oracle bit-for-bit.
+    """The generator must match the per-record oracle bit-for-bit.
 
-    ``generate_trace`` decodes the raw Mersenne-Twister word stream in
-    blocks with numpy; ``generate_trace_reference`` is the per-record loop
-    (``tests/reference/trace_oracle.py``). Any record-level divergence
-    silently changes every downstream golden, so equality is checked
-    record-for-record here across the profile space, including the
-    decoder's special-cased regions (no-gap traces, pure branches, the
-    run-accelerated sequential walk, tiny footprints where the page count
-    collapses to one) and records and state that cross block ends.
+    ``generate_trace`` is the per-record grammar with the stdlib draws
+    inlined; ``generate_trace_reference`` spells every draw through
+    ``DeterministicRng`` (``tests/reference/trace_oracle.py``). Any
+    record-level divergence silently changes every downstream golden, so
+    equality is checked record-for-record across every profile, both
+    salts and scalings, and the edge profiles (no-gap traces, a single
+    locality arm, a single-page footprint).
     """
 
     @staticmethod
-    def _assert_identical(profile, count, **kwargs):
-        reference = generate_trace_reference(profile, count, **kwargs)
-        batched = generate_trace(profile, count, **kwargs)
-        assert reference.name == batched.name
-        assert reference.gaps.tolist() == batched.gaps.tolist()
-        assert [bool(op) for op in reference.ops.tolist()] == [
-            bool(op) for op in batched.ops.tolist()
-        ]
-        assert reference.lines.tolist() == batched.lines.tolist()
+    def _columns(trace):
+        return (
+            trace.gaps.tolist(),
+            [bool(op) for op in trace.ops.tolist()],
+            trace.lines.tolist(),
+        )
 
-    @pytest.mark.parametrize(
-        "name", ["mcf", "lbm", "libquantum", "gobmk", "gcc", "pr-twi"]
-    )
+    @classmethod
+    def _assert_identical(cls, profile, count, **kwargs):
+        reference = generate_trace_reference(profile, count, **kwargs)
+        generated = generate_trace(profile, count, **kwargs)
+        assert reference.name == generated.name
+        assert cls._columns(reference) == cls._columns(generated)
+
+    @pytest.mark.parametrize("name", [profile.name for profile in ALL_WORKLOADS])
     def test_profiles_record_for_record(self, name):
-        self._assert_identical(profile_by_name(name), 2500)
+        # A trace is a prefix of any longer trace of the same seed, so one
+        # oracle run per salt and scaling covers every count.
+        profile = profile_by_name(name)
+        for salt in ("trace", "warmup"):
+            for scale_divisor in (1, 4):
+                kwargs = dict(seed_salt=salt, scale_divisor=scale_divisor)
+                reference = self._columns(
+                    generate_trace_reference(profile, 8_000, **kwargs)
+                )
+                for count in (1, 300, 3_000, 8_000):
+                    generated = self._columns(generate_trace(profile, count, **kwargs))
+                    assert generated == tuple(
+                        column[:count] for column in reference
+                    ), (salt, scale_divisor, count)
 
     def test_run_accelerated_walk(self):
-        # sequential >= 0.5 and count >= 2048 takes the run-length walk.
+        # A sequential-heavy trace: long single-stream runs.
         self._assert_identical(profile_by_name("lbm"), 4096)
 
     def test_salts_cores_and_scaling(self):
@@ -224,7 +236,7 @@ class TestVectorizedEquivalence:
             self._edge(sequential=0.0, hot=1.0),
         ]
         for profile in edges:
-            for count in (1, 7, 500):
+            for count in (1, 7, 500, 3000):
                 self._assert_identical(profile, count)
 
     def test_tiny_counts(self):
@@ -234,61 +246,8 @@ class TestVectorizedEquivalence:
 
     @pytest.mark.parametrize("name", ["sphinx3", "lbm", "mcf"])
     def test_many_default_blocks(self, name):
-        # ~8-10 words per record: 20k records span about ten blocks.
+        # Long traces, past the 8,000 records of the profile sweep.
         self._assert_identical(profile_by_name(name), 20_000)
-
-    @pytest.fixture
-    def small_blocks(self, monkeypatch):
-        """Shrink blocks to a few dozen words and count the carried state.
-
-        Counts, per block, the state a block inherits from the one before
-        (a burst in progress, a page-window ring that fresh picks have
-        advanced, an active stream other than the first) and the records
-        whose bounded-draw rejection run crossed the block end (the scan
-        began below the decodable words and stopped in the sentinels).
-        """
-        monkeypatch.setattr(generator, "_BLOCK_WORDS", 40)
-        decoder = generator._BlockDecoder
-        real_feed, real_walk = decoder.feed, decoder._walk
-        seen = Counter()
-
-        def feed(self, fresh):
-            seen["burst"] += self.burst_left > 0
-            seen["ring"] += self.cursor != 0
-            seen["stream"] += self.active_stream != 0
-            real_feed(self, fresh)
-
-        def walk(self, codes_np, i53, valid):
-            offsets, d = real_walk(self, codes_np, i53, valid)
-            records, hot, switches, hits, fresh = offsets[:5]
-            last = records[-1] if records else -1
-            if d - (self.pre - 2) > valid:
-                # Where each bounded draw's scan starts, after the draw
-                # offset of the record that did not fit.
-                for side, start in ((hot, 3), (switches, 4), (hits, 4), (fresh, 4)):
-                    if side and side[-1] >= valid > last + start:
-                        seen["rejection"] += 1
-            return offsets, d
-
-        monkeypatch.setattr(decoder, "feed", feed)
-        monkeypatch.setattr(decoder, "_walk", walk)
-        return seen
-
-    @pytest.mark.parametrize(
-        "name, count", [("lbm", 3000), ("pr-twi", 1500), ("gobmk", 1500)]
-    )
-    def test_state_carried_across_small_blocks(self, small_blocks, name, count):
-        self._assert_identical(profile_by_name(name), count)
-
-    def test_every_carried_state_occurs(self, small_blocks):
-        # sphinx3 takes all three locality arms, with rejection-heavy
-        # bounded draws (half of the hot-set words reject).
-        self._assert_identical(profile_by_name("sphinx3"), 3000)
-        for case in ("burst", "ring", "stream", "rejection"):
-            assert small_blocks[case] > 0, case
-
-    def test_edge_profiles_in_small_blocks(self, small_blocks):
-        self.test_edge_profiles()
 
     def test_production_code_has_no_oracle_twin(self):
         # Neither an import of the oracle nor a second scalar generator.

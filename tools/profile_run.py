@@ -25,9 +25,10 @@ collector, with their most common types: a cell's simulator must be freed
 by reference counting the moment ``run_workload`` returns, so anything
 but 0 names a reference cycle. Last come the process's peak resident set
 (``ru_maxrss``, tracemalloc's own bookkeeping included) and which of the
-heavy modules no timing-plane cell needs (``HEAVY_MODULES``) the process
-imported; the tool itself imports none, so anything but "none" is
-resident weight the cells load in every simulation process::
+heavy modules no timing-plane cell needs (``HEAVY_MODULES``: numpy, the
+process pool, the lint CLI) the process imported; the tool itself imports
+none, so anything but "none" is resident weight the cells load in every
+simulation process::
 
     PYTHONPATH=src python tools/profile_run.py --memory --design IVEC --top 15
 
@@ -52,9 +53,9 @@ from repro.sim.runner import run_workload
 SORT_KEYS = ("cumulative", "tottime", "calls")
 #: Accesses per core of ``--memory``'s untraced warm-up cell.
 WARMUP_ACCESSES = 300
-#: Modules only other planes run: the Monte-Carlo sampler's, the process
-#: pool's and the lint CLI's. A timing-plane cell should import none.
-HEAVY_MODULES = ("numpy.random", "multiprocessing", "repro.analysis.linter")
+#: Modules only other planes run: numpy (the Monte-Carlo kernel's), the
+#: process pool's and the lint CLI's. A timing-plane cell should import none.
+HEAVY_MODULES = ("numpy", "multiprocessing", "repro.analysis.linter")
 
 
 def profile_cell(design_name: str, workload: str, accesses: int) -> cProfile.Profile:
