@@ -22,7 +22,6 @@ from repro.analysis.sanitizer import (
     configure_sanitizer,
     get_sanitizer,
     sanitized,
-    sanitizer_enabled,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "configure_sanitizer",
     "get_sanitizer",
     "sanitized",
-    "sanitizer_enabled",
 ]

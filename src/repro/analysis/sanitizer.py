@@ -52,7 +52,6 @@ __all__ = [
     "configure_sanitizer",
     "get_sanitizer",
     "sanitized",
-    "sanitizer_enabled",
 ]
 
 ENV_VAR = "REPRO_SANITIZE"
@@ -546,12 +545,6 @@ _sanitizer: Optional[Sanitizer] = None
 _resolved = False
 
 
-def sanitizer_enabled() -> bool:
-    """Is the sanitizer on for this process (env var or configure call)?"""
-
-    return get_sanitizer() is not None
-
-
 def get_sanitizer() -> Optional[Sanitizer]:
     """The process sanitizer, or None when disabled (the common case).
 
@@ -572,6 +565,8 @@ def configure_sanitizer(enabled: bool) -> Optional[Sanitizer]:
 
     Only components constructed *after* this call observe the change —
     existing instances keep the sanitizer they bound at ``__init__``.
+    A child forked later (a service job) copies the switch; pool workers
+    take it with every task ``parallel_map`` hands them, however old.
     """
 
     global _sanitizer, _resolved

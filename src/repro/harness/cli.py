@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import List, Optional
 
-from repro.analysis.sanitizer import ENV_VAR as SANITIZE_ENV, configure_sanitizer
+from repro.analysis.sanitizer import configure_sanitizer
 from repro.harness.experiments import ALL_EXPERIMENTS, EXPERIMENTS, run_spec
 from repro.harness.plan import run_experiments, run_record
 from repro.harness.spec import GRID_EXPERIMENT, ExperimentSpec, SpecError
@@ -117,8 +116,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.sanitize:
-        # Set the env var too so --jobs worker processes inherit the switch.
-        os.environ[SANITIZE_ENV] = "1"
         configure_sanitizer(True)
 
     cache = False if args.no_cache else None

@@ -30,9 +30,10 @@ with caching off keeps them in a temporary run cache that lives only for
 that batch (:func:`run_scoped_cache`): each unique cell is still
 simulated once, and nothing outlives the batch.
 
-Under the invariant sanitizer the planner plans but dispatches nothing:
-sanitize runs exist to recompute every cell through ``run_suite``'s
-checked path.
+Under the invariant sanitizer the batch takes the same path: each cell
+runs its checks wherever it is dispatched, pool workers included, and at
+assembly ``run_suite`` recomputes every hit to check that it replays
+byte-equal. A sanitized batch thus simulates each cell twice.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from typing import (
     Union,
 )
 
-from repro.analysis.sanitizer import get_sanitizer
 from repro.harness.experiments import grid_legs, run_spec
 from repro.harness.report import render_execution_stats
 from repro.harness.scales import Scale, resolve_scale
@@ -166,46 +166,30 @@ def plan_experiments(
 def execute_cells(cells: Sequence[CellSpec]) -> Dict[str, object]:
     """Dedup ``cells`` and run the not-yet-cached ones in one fan-out.
 
-    Pending cells go out in first-request order. The run-cache probes are
-    silent (``RunCache.has``), so the assembly phase's hit/miss counters
-    match the legacy path. Returns a summary dict (requested/unique/
-    pending counts, jobs) for reporting; results land in the run cache,
-    where the figures then find them. With no run cache there is nowhere
-    to keep them, so nothing is dispatched: each figure simulates its own
-    cells (:func:`run_scoped_cache` gives a planned run a cache of its
-    own instead).
-
-    Under the sanitizer the pending cells are counted but not dispatched:
-    sanitize runs must recompute every cell through ``run_suite``'s
-    checked path.
+    Requires a run cache (the context's, or :func:`run_scoped_cache`'s):
+    it is where the results wait for the figures. Pending cells go out in
+    first-request order. The run-cache probes are silent
+    (``RunCache.has``), so the assembly phase's hit/miss counters match
+    the legacy path. Returns a summary dict (requested/unique/pending
+    counts, jobs) for reporting.
     """
     jobs = resolve_jobs()
     unique = _unique(cells)
     run_cache = resolve_cache()
-    pending = []
-    for cell in unique:
-        if run_cache is not None and run_cache.has(cell.key()):
-            continue
-        pending.append(cell)
-    summary: Dict[str, object] = {
+    pending = [cell for cell in unique if not run_cache.has(cell.key())]
+    run_cells(
+        [cell.task() for cell in pending],
+        labels=[cell.label for cell in pending],
+        jobs=jobs,
+        cache=run_cache,
+    )
+    return {
         "cells_requested": len(cells),
         "cells_unique": len(unique),
         "cells_deduped": len(cells) - len(unique),
         "cells_pending": len(pending),
         "jobs": jobs,
     }
-    if get_sanitizer() is not None:
-        summary["skipped"] = "sanitizer"
-    elif run_cache is None:
-        summary["skipped"] = "no run cache"
-    elif pending:
-        run_cells(
-            [cell.task() for cell in pending],
-            labels=[cell.label for cell in pending],
-            jobs=jobs,
-            cache=run_cache,
-        )
-    return summary
 
 
 def execute_plan(plan: ExecutionPlan) -> Dict[str, object]:

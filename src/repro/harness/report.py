@@ -58,7 +58,8 @@ def render_execution_stats(stats: "ExecutionStats") -> str:
 
     Shows cache hit/miss counts, the peak resident set, cell execution
     totals, pool utilisation and the slowest cells — the numbers that
-    tell you whether ``--jobs`` and the run cache are actually paying off.
+    tell you whether ``--jobs`` and the run cache are actually paying off
+    (and, when sanitized, the checks the cells ran).
     """
     cells = stats.cells_executed
     lines = [
@@ -79,6 +80,8 @@ def render_execution_stats(stats: "ExecutionStats") -> str:
             for label, seconds in stats.slowest_cells(3)
         )
         lines.append("slowest cells: " + slowest)
+    if stats.sanitizer_checks:
+        lines.append("sanitizer: %d check(s) in the executed cells" % stats.sanitizer_checks)
     return "\n".join(lines)
 
 

@@ -25,6 +25,7 @@ import resource
 import time
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.analysis.sanitizer import configure_sanitizer, get_sanitizer
 from repro.parallel.instrument import EXECUTION_STATS, ExecutionStats
 from repro.parallel.pool import discard_pool, get_pool
 
@@ -33,21 +34,30 @@ _R = TypeVar("_R")
 
 
 def _timed_call(
-    task: Tuple[Callable[[_T], _R], _T]
-) -> Tuple[_R, float, int]:
-    """Worker-side wrapper: run one cell; report its wall time and the
-    running process's peak resident set (``ru_maxrss``, KiB on Linux).
+    task: Tuple[Callable[[_T], _R], _T, bool]
+) -> Tuple[_R, float, int, int]:
+    """Worker-side wrapper: run one cell under the mapping process's
+    sanitizer switch; report its wall time, the running process's peak
+    resident set (``ru_maxrss``, KiB on Linux) and the sanitizer checks
+    the cell ran.
 
     A pool worker is reaped only when the pool shuts down, so its peak
     reaches the parent's ``RUSAGE_CHILDREN`` late or, for a live pool,
     not at all; shipping it with each result keeps ``peak_rss_mib``
-    whole.
+    whole. A worker's switch is the one it was forked with, so the task
+    carries the current one.
     """
-    fn, item = task
+    fn, item, sanitize = task
+    sanitizer = get_sanitizer()
+    if sanitize != (sanitizer is not None):
+        sanitizer = configure_sanitizer(sanitize)
+    before = sanitizer.checks if sanitizer is not None else 0
     started = time.perf_counter()
     result = fn(item)
     elapsed = time.perf_counter() - started
-    return result, elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    checks = sanitizer.checks - before if sanitizer is not None else 0
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return result, elapsed, peak_kib, checks
 
 
 def parallel_map(
@@ -79,22 +89,23 @@ def parallel_map(
     span_started = time.perf_counter()
     outputs: List[_R] = []
 
-    def land(result: _R, elapsed: float, peak_kib: int) -> None:
+    def land(result: _R, elapsed: float, peak_kib: int, checks: int) -> None:
         index = len(outputs)
-        stats.record_cell(labels[index], elapsed, peak_kib)
+        stats.record_cell(labels[index], elapsed, peak_kib, checks)
         outputs.append(result)
         if progress is not None:
             progress(index, labels[index], result, elapsed)
 
+    sanitize = get_sanitizer() is not None
+    tasks = [(fn, item, sanitize) for item in items]
     try:
         if workers <= 1:
-            for item in items:
-                land(*_timed_call((fn, item)))
+            for task in tasks:
+                land(*_timed_call(task))
         else:
             # Loaded with the pool machinery, which serial runs never touch.
             from concurrent.futures.process import BrokenProcessPool
 
-            tasks = [(fn, item) for item in items]
             for retry in (False, True):
                 pool = get_pool(workers, stats=stats)
                 stats.pool_maps += 1

@@ -59,6 +59,8 @@ class ExecutionStats:
         self.map_spans: List[Tuple[int, float]] = []
         #: largest ``ru_maxrss`` (KiB) a process reported with its cell
         self.cell_peak_kib = 0
+        #: sanitizer checks the executed cells ran, wherever they ran
+        self.sanitizer_checks = 0
 
     def absorb(self, other: "ExecutionStats") -> None:
         """Add ``other``'s counts, timings and cell peak to this collector.
@@ -77,13 +79,14 @@ class ExecutionStats:
 
     # -- recording (called by the executor) ---------------------------------
 
-    def record_cell(self, label: str, seconds: float, peak_kib: int = 0) -> None:
+    def record_cell(self, label: str, seconds: float, peak_kib: int = 0, checks: int = 0) -> None:
         """One executed cell: its wall time and, when the executing
-        process reported it, that process's ``ru_maxrss`` in KiB."""
+        process reported them, its ``ru_maxrss`` (KiB) and sanitizer checks."""
         self.cell_times.append((label, seconds))
         self.cells_executed += 1
         self.busy_seconds += seconds
         self.cell_peak_kib = max(self.cell_peak_kib, peak_kib)
+        self.sanitizer_checks += checks
 
     def record_map(self, jobs: int, span_seconds: float) -> None:
         """One fan-out call: ``jobs`` workers busy or idle for its span."""
@@ -148,6 +151,7 @@ class ExecutionStats:
             "span_seconds": round(self.span_seconds, 3),
             "worker_utilisation": round(self.worker_utilisation, 3),
             "peak_rss_mib": round(self.peak_rss_mib, 1),
+            "sanitizer_checks": self.sanitizer_checks,
             "slowest_cells": [
                 {"cell": label, "seconds": round(seconds, 3)}
                 for label, seconds in self.slowest_cells()

@@ -148,7 +148,6 @@ class TestCli:
         import json
         import tempfile
 
-        from repro.analysis.sanitizer import sanitizer_enabled
         from repro.harness.cli import main
         from repro.harness.experiments import _workloads
 
@@ -164,10 +163,32 @@ class TestCli:
         assert run["plan"]["cells_requested"] == run["plan"]["cells_unique"] == cells
         assert run["plan"]["cells_pending"] == cells
         assert run["execution"]["cells_executed"] == cells
-        if not sanitizer_enabled():
-            # The prefetch ran every cell; fig6 assembled from the hits.
-            assert run["execution"]["cache_hits"] == cells
+        # The prefetch ran every cell; fig6 assembled from the hits.
+        assert run["execution"]["cache_hits"] == cells
         assert list(scratch.iterdir()) == []
+
+    def test_sanitized_run_reports_the_worker_checks(self, tmp_path, capsys):
+        """Under the sanitizer a figure's cells run their invariant checks
+        in the pool workers, and the run's execution block counts them."""
+        import json
+
+        from repro.analysis.sanitizer import sanitized
+        from repro.harness.cli import main
+        from repro.parallel import shutdown_pool
+
+        path = tmp_path / "metrics.json"
+        argv = [
+            "fig8", "--scale", "quick", "--jobs", "2", "--no-cache",
+            "--metrics-out", str(path),
+        ]
+        with sanitized():
+            assert main(argv) == 0
+        shutdown_pool()
+        out = capsys.readouterr().out
+        checks = json.loads(path.read_text())["run"]["execution"]["sanitizer_checks"]
+        assert checks > 0
+        # All of them ran in the prefetch, which the CLI reports on its own.
+        assert "sanitizer: %d check(s)" % checks in out
 
     def test_metrics_out_reports_functional_plane_corrections(self, tmp_path, capsys):
         """correction_latency builds its SynergyMemory in its own registry

@@ -12,6 +12,8 @@ The contracts under test:
 * with caching off, a planned run keeps its cells in a run cache of its
   own: each unique cell runs once, and the figures are byte-identical;
 * the planner's run-cache probes are silent and skip warm cells;
+* under the sanitizer the planner dispatches like any run, and pool
+  workers run the checks whatever switch they were forked under;
 * the persistent pool is reused across maps, grows by respawn, survives
   only in the process that spawned it, shuts down idempotently, and is
   replaced once mid-map when a worker dies.
@@ -24,7 +26,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.analysis.sanitizer import configure_sanitizer, sanitizer_enabled
+from repro.analysis.sanitizer import sanitized
 from repro.harness.experiments import (
     ALL_EXPERIMENTS,
     EXPERIMENTS,
@@ -55,13 +57,6 @@ from repro.parallel import (
 from repro.secure.designs import SGX_O, SYNERGY
 from repro.sim.config import SystemConfig
 from repro.sim.runner import clear_run_memos
-
-#: The planner deliberately stands down under the invariant sanitizer
-#: (sanitize runs must recompute every cell through the checked path), so
-#: the tests that assert on a plan's *execution* skip in that mode.
-requires_planner = pytest.mark.skipif(
-    sanitizer_enabled(), reason="planner stands down under the sanitizer"
-)
 
 #: Small enough that three full planned/legacy legs run in seconds.
 TINY = Scale("planner-tiny", "smoke", 240, False, 20_000)
@@ -123,24 +118,6 @@ class TestRunCacheMetadata:
 
 
 class TestExecutePlan:
-    def test_sanitizer_stands_down(self, tmp_path):
-        # Under the sanitizer the probes still count the pending cells,
-        # but nothing is dispatched: run_suite recomputes every cell.
-        was_enabled = sanitizer_enabled()
-        configure_sanitizer(True)
-        try:
-            clear_run_memos()
-            executed = EXECUTION_STATS.cells_executed
-            with overridden(cache_enabled=True, cache_dir=str(tmp_path)):
-                plan = plan_experiments(["fig8"], TINY)
-                summary = execute_plan(plan)
-            assert summary["skipped"] == "sanitizer"
-            assert summary["cells_pending"] == plan.unique > 0
-            assert EXECUTION_STATS.cells_executed == executed
-        finally:
-            configure_sanitizer(was_enabled)
-
-    @requires_planner
     def test_execute_cells_dedups_adhoc_lists(self, tmp_path):
         cells = [
             CellSpec(design, workload, TINY_CONFIG)
@@ -164,7 +141,6 @@ class TestExecutePlan:
                 EXECUTION_STATS.cache_misses,
             ) == counters
 
-    @requires_planner
     def test_uncached_multi_seed_grid_runs_each_cell_once(self, tmp_path):
         from repro.harness.experiments import grid_experiment
 
@@ -184,15 +160,41 @@ class TestExecutePlan:
         with overridden(cache_enabled=True, cache_dir=str(tmp_path), jobs=1):
             assert sweep() == uncached
 
-    @requires_planner
-    def test_no_run_cache_dispatches_nothing(self):
-        # Prefetched cells would have nowhere to wait for assembly.
+    def test_sanitized_plan_dispatches_every_unique_cell(self, tmp_path):
+        # The sanitizer changes what a cell checks, not which path it
+        # takes: the prefetch simulates every unique cell, checked.
+        clear_run_memos()
         executed = EXECUTION_STATS.cells_executed
-        with overridden(cache_enabled=False, jobs=1):
-            summary = execute_cells([CellSpec(SGX_O, "mcf", TINY_CONFIG)])
-        assert summary["skipped"] == "no run cache"
-        assert summary["cells_pending"] == 1
-        assert EXECUTION_STATS.cells_executed == executed
+        checks = EXECUTION_STATS.sanitizer_checks
+        with sanitized(), overridden(
+            cache_enabled=True, cache_dir=str(tmp_path), jobs=1
+        ):
+            plan = plan_experiments(["fig8"], TINY)
+            summary = execute_plan(plan)
+        assert "skipped" not in summary
+        assert summary["cells_pending"] == plan.unique > 0
+        assert EXECUTION_STATS.cells_executed - executed == plan.unique
+        assert EXECUTION_STATS.sanitizer_checks > checks
+
+    def test_pool_forked_before_the_switch_runs_the_checks(self, tmp_path):
+        # Workers copy the sanitizer switch when they are forked; the
+        # switch must still reach them with each cell, and their checks
+        # must come back with the results.
+        shutdown_pool()
+        with sanitized(False):
+            assert parallel_map(_identity, [1, 2], jobs=2) == [1, 2]
+        pool = active_pool()
+        cells = [CellSpec(design, "mcf", TINY_CONFIG) for design in (SGX_O, SYNERGY)]
+        checks = EXECUTION_STATS.sanitizer_checks
+        with sanitized() as sanitizer, overridden(
+            cache_enabled=True, cache_dir=str(tmp_path), jobs=2
+        ):
+            summary = execute_cells(cells)
+        assert summary["cells_pending"] == 2
+        assert active_pool() is pool  # the switch travelled; no respawn
+        assert sanitizer.checks == 0  # both cells ran in the workers
+        assert EXECUTION_STATS.sanitizer_checks > checks
+        shutdown_pool()
 
 
 def _timing_cells_executed() -> int:
@@ -232,7 +234,6 @@ def _assemble(scale, executed=None):
     return digests
 
 
-@requires_planner
 class TestPlannedLegacyEquivalence:
     """The acceptance gate: planned output == legacy output, bit for bit."""
 

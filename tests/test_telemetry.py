@@ -240,9 +240,11 @@ class TestExecutionStats:
             "span_seconds",
             "worker_utilisation",
             "peak_rss_mib",
+            "sanitizer_checks",
             "slowest_cells",
         }
         assert payload["peak_rss_mib"] > 0
+        assert payload["sanitizer_checks"] == 0
 
     def test_reset(self):
         stats = ExecutionStats()
@@ -258,15 +260,16 @@ class TestExecutionStats:
 
     def test_absorb_adds_counts_and_keeps_the_larger_peak(self):
         first, second, total = ExecutionStats(), ExecutionStats(), ExecutionStats()
-        first.record_cell("a", 2.0, peak_kib=1024)
+        first.record_cell("a", 2.0, peak_kib=1024, checks=5)
         first.record_map(2, 2.0)
         first.cache_hits += 1
-        second.record_cell("b", 1.0, peak_kib=3072)
+        second.record_cell("b", 1.0, peak_kib=3072, checks=2)
         second.pool_spawns += 1
         second.pool_spawn_seconds += 0.5
         total.absorb(first)
         total.absorb(second)
         assert total.cells_executed == 2
+        assert total.sanitizer_checks == 7
         assert total.busy_seconds == 3.0
         assert total.cache_hits == 1 and total.pool_spawns == 1
         assert total.pool_spawn_seconds == 0.5
