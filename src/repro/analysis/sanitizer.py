@@ -25,9 +25,9 @@ Invariants checked (paper cross-references in DESIGN.md):
 * Run cache — a replayed payload is byte-equal (canonical JSON) to a
   fresh recomputation of the same cell.
 * Scheduler index — at every controller ``process()`` epoch boundary
-  and every 64 decisions, the incremental FR-FCFS structures (per-channel
-  open-row table, closed-bank tally, the epoch-local pools' row census)
-  agree with a fresh recount against the actual bank states.
+  and every 64 decisions, the incremental FR-FCFS structures (closed-bank
+  tally, the epoch-local pools' row census) agree with a fresh recount
+  against each channel's open-row list.
 """
 
 from __future__ import annotations
@@ -98,19 +98,20 @@ class Sanitizer:
         about to be committed over (must run *before* the commit mutates)."""
         self._enter("dram_commit")
         timing = channel.timing
-        bank_state = channel.banks[flat_bank]
+        ready_at = channel.ready_at[flat_bank]
+        open_row = channel.open_rows[flat_bank]
         rank = flat_bank // channel.config.banks_per_rank
         where = f"ch bank={flat_bank} rank={rank} row={row} start={start}"
 
-        if start < bank_state.ready_at:
+        if start < ready_at:
             self._fail(
                 f"DRAM: command starts at {start} before bank ready_at "
-                f"{bank_state.ready_at} (tCCD/tWR violation) [{where}]"
+                f"{ready_at} (tCCD/tWR violation) [{where}]"
             )
         column = timing.t_cwl if is_write else timing.t_cl
-        if bank_state.open_row is None:
+        if open_row < 0:
             latency = timing.t_rcd + column
-        elif bank_state.open_row == row:
+        elif open_row == row:
             latency = column
         else:
             latency = timing.t_rp + timing.t_rcd + column
@@ -135,9 +136,8 @@ class Sanitizer:
                 f"{bus_bound} [{where}]"
             )
 
-        activating = bank_state.open_row != row
         history: Sequence[int] = ()
-        if channel.config.model_faw and activating:
+        if open_row != row:
             history = channel.recent_activates[rank]
             if history:
                 if start < history[-1] + timing.t_rrd:
@@ -151,24 +151,23 @@ class Sanitizer:
                         f"at {history[-4]} [{where}]"
                     )
 
-        if channel.config.model_refresh:
-            phase = start % timing.t_refi
-            if phase < timing.t_rfc:
-                # The plan lifts start out of the blackout *before* the
-                # tFAW and bus-turnaround stages, which may legitimately
-                # push it into a later blackout; a start inside a blackout
-                # is only a bug when no later constraint pinned it there.
-                pinned_by_bus = data_start == bus_bound
-                pinned_by_act = bool(history) and (
-                    start == history[-1] + timing.t_rrd
-                    or (len(history) >= 4 and start == history[-4] + timing.t_faw)
+        phase = start % timing.t_refi
+        if phase < timing.t_rfc:
+            # The plan lifts start out of the blackout *before* the tFAW
+            # and bus-turnaround stages, which may legitimately push it
+            # into a later blackout; a start inside a blackout is only a
+            # bug when no later constraint pinned it there.
+            pinned_by_bus = data_start == bus_bound
+            pinned_by_act = bool(history) and (
+                start == history[-1] + timing.t_rrd
+                or (len(history) >= 4 and start == history[-4] + timing.t_faw)
+            )
+            if not (pinned_by_bus or pinned_by_act):
+                self._fail(
+                    f"DRAM: command at {start} inside refresh blackout "
+                    f"(phase {phase} < tRFC {timing.t_rfc}) with no "
+                    f"pinning constraint [{where}]"
                 )
-                if not (pinned_by_bus or pinned_by_act):
-                    self._fail(
-                        f"DRAM: command at {start} inside refresh blackout "
-                        f"(phase {phase} < tRFC {timing.t_rfc}) with no "
-                        f"pinning constraint [{where}]"
-                    )
 
     # ------------------------------------------------------------------
     # FR-FCFS row-hit census (hooks: MemoryController.process at every
@@ -182,29 +181,19 @@ class Sanitizer:
         census: Sequence[Tuple[str, Sequence[Tuple[int, int]], Dict[int, int], int]] = (),
     ) -> None:
         """The controller's incremental scheduling state must agree with a
-        fresh scan of ground truth: each channel's ``open_rows`` table and
-        ``closed_banks`` tally mirror per-bank state, and each epoch-local
-        pool census ``(name, members, row_counts, hits)`` of ``channel`` —
-        ``members`` being the queued requests' ``(flat_bank, row)`` pairs —
-        equals a recount of those requests against its open-row table. Runs at
+        fresh scan of ground truth: each channel's ``closed_banks`` tally
+        equals a count of its closed banks (``open_rows`` entries of -1),
+        and each epoch-local pool census ``(name, members, row_counts,
+        hits)`` of ``channel`` — ``members`` being the queued requests'
+        ``(flat_bank, row)`` pairs — equals a recount of those requests
+        against its open-row list. Runs at
         every ``process()`` epoch boundary (pools are drained there) and
         every 64 decisions with the live pools of the channel being
         scheduled, so maintenance bugs fail loudly instead of silently
         changing schedules."""
         self._enter("scheduler_index")
         for channel_index, state in enumerate(controller.channels):
-            open_rows = state.open_rows
-            closed = 0
-            for flat, bank in enumerate(state.banks):
-                expected = -1 if bank.open_row is None else bank.open_row
-                if open_rows[flat] != expected:
-                    self._fail(
-                        f"scheduler index: channel {channel_index} bank {flat} "
-                        f"open-row table holds {open_rows[flat]}, bank state "
-                        f"says {expected}"
-                    )
-                if bank.open_row is None:
-                    closed += 1
+            closed = state.open_rows.count(-1)
             if closed != state.closed_banks:
                 self._fail(
                     f"scheduler index: channel {channel_index} closed_banks "

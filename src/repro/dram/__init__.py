@@ -2,8 +2,8 @@
 
 * :mod:`repro.dram.timing` — DDR3 timing/config parameters (Table III).
 * :mod:`repro.dram.address` — line address -> (channel, rank, bank, row, col).
-* :mod:`repro.dram.bank` — per-bank open-row state and ready times.
-* :mod:`repro.dram.channel` — a channel's state between scheduling epochs.
+* :mod:`repro.dram.channel` — a channel's state between scheduling epochs,
+  per-bank state as flat lists.
 * :mod:`repro.dram.controller` — the columnar FR-FCFS epoch kernel.
 * :mod:`repro.dram.power` — Micron-style DRAM energy accounting.
 

@@ -34,7 +34,9 @@ hands back one completion slot per spec; :meth:`process` then
 
 Pools drain fully in every ``process`` call, so indices are epoch-local;
 bank, bus, drain-mode and activation-window state persist across epochs in
-:class:`~repro.dram.channel.ChannelState`.
+:class:`~repro.dram.channel.ChannelState`'s flat per-bank lists. Traffic
+is counted once, by the secure engine (``origin_counts``); a spec's
+``category`` and ``core`` travel for the sanitizer's expansion checks.
 
 Each pool keeps an incremental row-hit census (``row_key -> count`` plus
 the number of queued row hits), re-based whenever a commit moves a bank's
@@ -100,7 +102,6 @@ Spec = Tuple[RequestKind, int, int, str, int]
 _kinds_of = itemgetter(0)
 _lines_of = itemgetter(1)
 _arrivals_of = itemgetter(2)
-_categories_of = itemgetter(3)
 
 
 class MemoryController:
@@ -112,9 +113,7 @@ class MemoryController:
         "channels",
         "sequence",
         "data_bus_cycles",
-        "_traffic",
         "_specs",
-        "_is_write",
         "_slots",
         "_t_activations",
         "_t_drain_bursts",
@@ -139,12 +138,8 @@ class MemoryController:
         self.sequence = 0
         #: Data-bus cycles the scheduled requests occupied.
         self.data_bus_cycles = 0
-        #: (category, is_write) -> requests enqueued.
-        self._traffic: Counter = Counter()
-        # The epoch: buffered specs, their is-write column (built at
-        # enqueue for the traffic tally) and the slot lists handed out.
+        # The epoch: buffered specs and the slot lists handed out.
         self._specs: List[Spec] = []
-        self._is_write: List[bool] = []
         self._slots: List[List[Optional[int]]] = []
         registry = get_registry()
         self._t_activations = registry.counter("dram.bank_activations")
@@ -180,16 +175,13 @@ class MemoryController:
 
         Returns one completion slot per spec, filled by the next
         :meth:`process`. Sequence order is list order, exactly as the same
-        specs enqueued one by one. The traffic tally is bumped here.
+        specs enqueued one by one.
         """
         count = len(specs)
         slots: List[Optional[int]] = [None] * count
         self._slots.append(slots)
         self._specs += specs
         self.sequence += count
-        is_write = list(map(is_, map(_kinds_of, specs), repeat(_WRITE)))
-        self._is_write += is_write
-        self._traffic.update(zip(map(_categories_of, specs), is_write))
         return slots
 
     # ------------------------------------------------------------------
@@ -203,10 +195,9 @@ class MemoryController:
             if sanitizer is not None:
                 sanitizer.check_epoch_completions(specs, completions)
             self._specs = []
-            self._is_write = []
         self._slots = []
         if sanitizer is not None:
-            # Epoch boundary: the open-row tables must mirror bank state.
+            # Epoch boundary: the closed-bank tallies must match a recount.
             sanitizer.check_scheduler_index(self)
 
     def _schedule_epoch(self, specs: List[Spec]) -> List[Optional[int]]:
@@ -219,6 +210,7 @@ class MemoryController:
             completions = [None] * count
         config = self.config
         arrivals = list(map(_arrivals_of, specs))
+        is_write = list(map(is_, map(_kinds_of, specs), repeat(_WRITE)))
         channel_col, *decoded = self.mapper.decode_columns(
             list(map(_lines_of, specs))
         )
@@ -226,7 +218,7 @@ class MemoryController:
         # channel, which keeps each channel's (arrival, sequence) order.
         order = sorted(range(count), key=arrivals.__getitem__)
         order.sort(key=channel_col.__getitem__)
-        columns = (arrivals, *decoded, self._is_write, completions)
+        columns = (arrivals, *decoded, is_write, completions)
         begin = 0
         for index, channel in enumerate(self.channels):
             size = channel_col.count(index)
@@ -256,13 +248,13 @@ class MemoryController:
         """FR-FCFS over one channel's epoch, plan and commit inlined."""
         config = self.config
         timing = config.timing
-        banks = channel.banks
         open_rows = channel.open_rows
+        ready_at = channel.ready_at
+        row_hits = channel.row_hits
+        row_misses = channel.row_misses
         recent_activates = channel.recent_activates
         banks_per_rank = config.banks_per_rank
         banks_per_channel = config.banks_per_channel
-        model_refresh = config.model_refresh
-        model_faw = config.model_faw
         t_refi = timing.t_refi
         t_rfc = timing.t_rfc
         t_rrd = timing.t_rrd
@@ -394,7 +386,7 @@ class MemoryController:
                             break  # age order: no later candidate can win
                         earliest = arrival if arrival > horizon else horizon
                         bank_index = flat[i]
-                        ready = banks[bank_index].ready_at
+                        ready = ready_at[bank_index]
                         if ready > earliest:
                             earliest = ready
                         open_row = open_rows[bank_index]
@@ -418,7 +410,7 @@ class MemoryController:
                     for i in islice(pool, window):
                         arrival = arrivals[i]
                         earliest = arrival if arrival > horizon else horizon
-                        ready = banks[flat[i]].ready_at
+                        ready = ready_at[flat[i]]
                         if ready > earliest:
                             earliest = ready
                         if earliest <= horizon:
@@ -442,7 +434,7 @@ class MemoryController:
                         if open_rows[bank_index] == rows[i]:
                             arrival = arrivals[i]
                             earliest = arrival if arrival > horizon else horizon
-                            ready = banks[bank_index].ready_at
+                            ready = ready_at[bank_index]
                             if ready > earliest:
                                 earliest = ready
                             estimate = earliest + lat_hit
@@ -457,7 +449,7 @@ class MemoryController:
                         elif best > bound:
                             arrival = arrivals[i]
                             earliest = arrival if arrival > horizon else horizon
-                            ready = banks[bank_index].ready_at
+                            ready = ready_at[bank_index]
                             if ready > earliest:
                                 earliest = ready
                             estimate = earliest + lat_miss
@@ -472,30 +464,27 @@ class MemoryController:
                 arrival = arrivals[chosen]
                 start = arrival if arrival > horizon else horizon
                 bank_index = flat[chosen]
-                bank = banks[bank_index]
-                ready = bank.ready_at
+                ready = ready_at[bank_index]
                 if ready > start:
                     start = ready
-                if model_refresh:
-                    phase = start % t_refi
-                    if phase < t_rfc:
-                        refresh_stall += t_rfc - phase
-                        start += t_rfc - phase
+                phase = start % t_refi
+                if phase < t_rfc:
+                    refresh_stall += t_rfc - phase
+                    start += t_rfc - phase
                 open_row = open_rows[bank_index]
                 row = rows[chosen]
                 if open_row == row:
                     data_start = start + lat_hit
                 else:
-                    if model_faw:
-                        history = recent_activates[bank_index // banks_per_rank]
-                        if history:
-                            after = history[-1] + t_rrd
+                    history = recent_activates[bank_index // banks_per_rank]
+                    if history:
+                        after = history[-1] + t_rrd
+                        if after > start:
+                            start = after
+                        if len(history) >= 4:
+                            after = history[-4] + t_faw
                             if after > start:
                                 start = after
-                            if len(history) >= 4:
-                                after = history[-4] + t_faw
-                                if after > start:
-                                    start = after
                     data_start = start + (lat_closed if open_row < 0 else lat_miss)
                 if write_pool:
                     bus_ready = bus_free_at if last_was_write else bus_free_at + t_rtw
@@ -562,7 +551,7 @@ class MemoryController:
             else:
                 pool.remove(chosen)
             if open_row == row:
-                bank.row_hits += 1
+                row_hits[bank_index] += 1
                 if write_pool:
                     write_hits -= 1
                 else:
@@ -571,8 +560,7 @@ class MemoryController:
                 # Activation: the bank's open row moves. Requests on the
                 # new row become hits, requests on the old row stop being
                 # hits (none existed while the bank was closed).
-                bank.row_misses += 1
-                bank.open_row = row
+                row_misses[bank_index] += 1
                 open_rows[bank_index] = row
                 if key in read_counts:
                     read_hits += read_counts[key]
@@ -586,9 +574,8 @@ class MemoryController:
                         read_hits -= read_counts[old_key]
                     if old_key in write_counts:
                         write_hits -= write_counts[old_key]
-                if model_faw:
-                    history.append(start)
-            bank.ready_at = start + (ready_write if write_pool else ready_read)
+                history.append(start)
+            ready_at[bank_index] = start + (ready_write if write_pool else ready_read)
             bus_free_at = completion
             last_was_write = write_pool
             last_start = start
@@ -606,15 +593,6 @@ class MemoryController:
 
     # ------------------------------------------------------------------
 
-    def traffic_by_category(self) -> Dict[str, int]:
-        """Access counts keyed by '<category>_<read|write>', in key order."""
-        return dict(
-            sorted(
-                ("%s_%s" % (category, "write" if write else "read"), count)
-                for (category, write), count in self._traffic.items()
-            )
-        )
-
     @property
     def last_completion(self) -> int:
         """Latest data-bus release across channels (end of simulation)."""
@@ -628,7 +606,7 @@ class MemoryController:
         the mean.
 
         Row-hit/miss, activation and histogram telemetry is recorded
-        deferred: the kernel bumps the per-bank plain ints and tallies,
+        deferred: the kernel bumps the per-bank tally lists,
         and this publishes their totals, once, after the run. Every row
         miss is one activation. The histogram tallies record
         weight-batched (all integer observations, so batching is
@@ -653,15 +631,11 @@ class MemoryController:
             )
         bank_gauge = registry.gauge("dram.bank_accesses")
         for channel in self.channels:
-            for bank in channel.banks:
-                bank_gauge.set(bank.row_hits + bank.row_misses)
+            for hits, misses in zip(channel.row_hits, channel.row_misses):
+                bank_gauge.set(hits + misses)
 
     def activation_counts(self) -> Dict[str, int]:
         """Row activations and accesses for the energy model."""
-        activations = sum(
-            bank.row_misses for channel in self.channels for bank in channel.banks
-        )
-        hits = sum(
-            bank.row_hits for channel in self.channels for bank in channel.banks
-        )
+        activations = sum(sum(channel.row_misses) for channel in self.channels)
+        hits = sum(sum(channel.row_hits) for channel in self.channels)
         return {"activations": activations, "row_hits": hits}

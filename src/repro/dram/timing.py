@@ -25,7 +25,7 @@ class DramTiming:
     t_wtr: int = 6  #: write-to-read turnaround penalty
     t_rtw: int = 2  #: read-to-write turnaround penalty
     t_refi: int = 6240  #: average refresh interval (7.8 us at 800 MHz)
-    t_rfc: int = 208  #: refresh cycle time (4Gb-class device)
+    t_rfc: int = 208  #: refresh cycle time (4Gb-class device); 0: no refresh
     t_faw: int = 32  #: four-activate window per rank
     t_rrd: int = 5  #: activate-to-activate, same rank
 
@@ -59,10 +59,6 @@ class MemoryConfig:
     write_queue_capacity: int = 64
     write_drain_high: int = 40  #: start exclusive write drain
     write_drain_low: int = 20  #: stop draining
-    #: model periodic refresh (tREFI/tRFC rank blackouts)
-    model_refresh: bool = True
-    #: model the four-activate window (tFAW) and tRRD per rank
-    model_faw: bool = True
 
     #: CPU clock runs this many times faster than the memory bus clock
     #: (3.2 GHz vs 800 MHz in Table III).

@@ -54,7 +54,11 @@ def _warm_worker() -> None:
     batch's critical path, and computing the code fingerprint here (it
     hashes every ``repro`` source file on first call) warms the worker's
     cache-key path. Runs in the *worker* process; keep it import-only.
+
+    No Monte-Carlo call uses BLAS, yet OpenBLAS's helper thread spins
+    after ``import numpy``: one thread, unless the caller exported a count.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import repro.reliability.montecarlo  # noqa: F401
     import repro.sim.runner  # noqa: F401
 

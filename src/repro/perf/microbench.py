@@ -22,10 +22,11 @@ versions:
 Cases return their op count; the harness times them (best-of-N
 ``perf_counter``, garbage collection suspended per round as ``timeit``
 does) and reports microseconds per op. Next to each time it reports the
-case's Python function calls per op, counted by one extra cProfile run:
-a count repeats exactly from run to run, so it can explain a time that
-host noise hides. It is reported, never gated. ``tools/profile_run.py
---micro`` profiles one case.
+case's Python function calls per op, counted by one extra cProfile run,
+and its interpreted opcodes per op, counted by one ``sys.settrace`` run
+(about 30x the case's time). A count repeats exactly from run to run, so
+it can explain a time that host noise hides. Counts are reported, never
+gated. ``tools/profile_run.py --micro`` profiles one case.
 
 The CLI times each case in a fresh interpreter (``--case`` alone times
 one case in this one). It is also CI's regression gate: with
@@ -46,6 +47,7 @@ import subprocess
 import sys
 from dataclasses import dataclass, replace
 from time import perf_counter
+from types import FrameType
 from typing import Callable, Dict, List, Optional, Sequence
 
 #: LCG constants (glibc); enough quality for address-stream mixing.
@@ -255,6 +257,8 @@ class MicroResult:
     best_s: float
     #: Python function calls of one run (:func:`count_calls`), if counted.
     calls: Optional[int] = None
+    #: Interpreted opcodes of one run (:func:`count_opcodes`), if counted.
+    opcodes: Optional[int] = None
 
     @property
     def per_op_us(self) -> float:
@@ -268,8 +272,9 @@ class MicroResult:
             "best_s": self.best_s,
             "per_op_us": self.per_op_us,
         }
-        if self.calls is not None:
-            payload["calls_per_op"] = self.calls / self.ops if self.ops else 0.0
+        for key, count in (("calls_per_op", self.calls), ("opcodes_per_op", self.opcodes)):
+            if count is not None:
+                payload[key] = count / self.ops if self.ops else 0.0
         return payload
 
 
@@ -319,6 +324,39 @@ def count_calls(name: str) -> int:
     profiler = cProfile.Profile()
     profiler.runcall(CASES[name])
     return pstats.Stats(profiler).total_calls
+
+
+def count_opcodes(name: str) -> int:
+    """Bytecode instructions one run of a case executes on this thread.
+
+    Work inside C code (builtins, extension modules) is uncounted. Like
+    :func:`count_calls`, run it after the case's lazy imports. The
+    collector is suspended, as in :func:`run_case`: finalizers it runs at
+    arbitrary points would be counted.
+    """
+    import gc
+
+    count = 0
+
+    def trace(frame: FrameType, event: str, arg: object) -> Callable[..., object]:
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        frame.f_trace_opcodes = True
+        return trace
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        CASES[name]()
+    finally:
+        sys.settrace(previous)
+        if was_enabled:
+            gc.enable()
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -434,21 +472,23 @@ def _print_report(report: Dict) -> None:
             flag = "  WARN: slower than %.2fx" % REGRESSION_RATIO
         payload = report["micro"][name]
         lines.append(
-            "  %-24s %8.3f us/op (%.2fx) %9.1f calls/op%s"
+            "  %-24s %8.3f us/op (%.2fx) %9.1f calls/op %9.1f opcodes/op%s"
             % (
                 name,
                 payload["per_op_us"],
                 ratio,
                 payload.get("calls_per_op", 0.0),
+                payload.get("opcodes_per_op", 0.0),
                 flag,
             )
         )
     lines += [
-        "  %-24s %8.3f us/op (new case) %9.1f calls/op"
+        "  %-24s %8.3f us/op (new case) %9.1f calls/op %9.1f opcodes/op"
         % (
             name,
             report["micro"][name]["per_op_us"],
             report["micro"][name].get("calls_per_op", 0.0),
+            report["micro"][name].get("opcodes_per_op", 0.0),
         )
         for name in report["new"]
     ]
@@ -465,8 +505,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
     """CLI: time the cases and print a JSON payload map.
 
     Every case runs in a fresh interpreter; ``--case`` alone times that
-    one case in this interpreter and then counts its calls (the
-    fresh-interpreter path shells out here once per case).
+    one case in this interpreter and then counts its calls and opcodes
+    (the fresh-interpreter path shells out here once per case).
     ``--baseline`` adds the gate's comparison.
     """
     import argparse
@@ -486,7 +526,9 @@ def _main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.case and not args.baseline:
         result = run_case(args.case, args.repeats)
-        result = replace(result, calls=count_calls(args.case))
+        result = replace(
+            result, calls=count_calls(args.case), opcodes=count_opcodes(args.case)
+        )
         print(json.dumps({result.name: result.to_payload()}))
         return 0
     names = [args.case] if args.case else sorted(CASES)

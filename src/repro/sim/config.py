@@ -36,9 +36,6 @@ class SystemConfig:
     verify_latency_cpu: int = 40
     #: LLC hit latency (CPU cycles)
     llc_latency_cpu: int = 30
-    #: replay same-distribution (different-seed) traces through the caches
-    #: before timing, so short traces measure steady-state cache behaviour
-    warm_caches: bool = True
     #: scaled simulation: caches, footprints and hot sets are all divided
     #: by this factor, preserving every capacity *ratio* the results depend
     #: on while letting short traces exercise full caches (see DESIGN.md)

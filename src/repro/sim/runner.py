@@ -284,8 +284,7 @@ def run_workload(
     _label, warmup_traces = _traces_for(workload, config, seed_salt=warmup_salt)
     with scoped_registry() as registry:
         sim = SystemSimulator(design, traces, config)
-        if config.warm_caches and warmup_traces:
-            _warm_simulator(sim, design, label, config, warmup_traces, seed)
+        _warm_simulator(sim, design, label, config, warmup_traces, seed)
         sim.run()
         energy = system_energy(sim, energy_params or SystemEnergyParams())
         telemetry = registry.snapshot().to_payload()

@@ -13,7 +13,7 @@ cycles; ``cpu_clock_multiplier`` converts at the boundary.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.setassoc import ABSENT
@@ -45,6 +45,17 @@ def _check_data_region(traces: List[Trace], num_data_lines: int) -> None:
                 "core %d: trace line %#x is outside the data region "
                 "(num_data_lines = %#x)" % (core, highest, num_data_lines)
             )
+
+
+def category_traffic(origin_counts: Mapping[str, int]) -> Dict[str, int]:
+    """Fold ``<demand|writeback>_<category>_<read|write>`` request tallies
+    into nonzero ``<category>_<read|write>`` totals, in key order."""
+    totals: Dict[str, int] = {}
+    for key, count in origin_counts.items():
+        if count:
+            key = key.partition("_")[2]
+            totals[key] = totals.get(key, 0) + count
+    return dict(sorted(totals.items()))
 
 
 class SystemSimulator:
@@ -285,5 +296,5 @@ class SystemSimulator:
         return self.total_instructions / cycles if cycles else 0.0
 
     def traffic(self) -> Dict[str, int]:
-        """Memory accesses keyed '<category>_<read|write>'."""
-        return self.controller.traffic_by_category()
+        """Memory accesses keyed '<category>_<read|write>', in key order."""
+        return category_traffic(self.engine.origin_counts)

@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.dram.address import AddressMapper
-from repro.dram.bank import BankState
 from repro.dram.channel import ChannelState
 from repro.dram.controller import (
     LATENCY_EDGES,
@@ -26,25 +25,30 @@ from repro.dram.controller import (
     WINDOW,
     RequestKind,
 )
-from repro.dram.timing import DramTiming, MemoryConfig
+from repro.dram.timing import MemoryConfig
 from repro.telemetry import get_registry
 
 
 # ---------------------------------------------------------------------------
-# Bank: classification, latency and access commit
+# Bank: classification, latency and access commit, over the channel's
+# per-bank lists (``flat`` is the flat bank index)
 
 
-def classify(bank: BankState, row: int) -> str:
+def classify(channel: ChannelState, flat: int, row: int) -> str:
     """'hit', 'miss' (conflict), or 'closed'."""
-    if bank.open_row is None:
+    open_row = channel.open_rows[flat]
+    if open_row < 0:
         return "closed"
-    return "hit" if bank.open_row == row else "miss"
+    return "hit" if open_row == row else "miss"
 
 
-def access_latency(bank: BankState, timing: DramTiming, row: int, is_write: bool) -> int:
+def access_latency(
+    channel: ChannelState, flat: int, row: int, is_write: bool
+) -> int:
     """Command-start to first-data-beat latency for accessing ``row``."""
+    timing = channel.timing
     column = timing.t_cwl if is_write else timing.t_cl
-    kind = classify(bank, row)
+    kind = classify(channel, flat, row)
     if kind == "hit":
         return column
     if kind == "closed":
@@ -53,18 +57,19 @@ def access_latency(bank: BankState, timing: DramTiming, row: int, is_write: bool
 
 
 def begin_access(
-    bank: BankState, timing: DramTiming, row: int, start: int, is_write: bool
-) -> Optional[int]:
+    channel: ChannelState, flat: int, row: int, start: int, is_write: bool
+) -> int:
     """Commit an access starting at ``start``; returns the previously open
-    row (``None`` for a closed bank). The bank is ready again at
+    row (-1 for a closed bank). The bank is ready again at
     ``start + tCCD`` (``+ tWR`` after a write)."""
-    open_row = bank.open_row
+    timing = channel.timing
+    open_row = channel.open_rows[flat]
     if open_row == row:
-        bank.row_hits += 1
+        channel.row_hits[flat] += 1
     else:
-        bank.row_misses += 1
-        bank.open_row = row
-    bank.ready_at = start + timing.t_ccd + (timing.t_wr if is_write else 0)
+        channel.row_misses[flat] += 1
+        channel.open_rows[flat] = row
+    channel.ready_at[flat] = start + timing.t_ccd + (timing.t_wr if is_write else 0)
     return open_row
 
 
@@ -79,8 +84,9 @@ class OracleChannel(ChannelState):
         super().__init__(config)
         self._sanitizer = get_sanitizer()
 
-    def bank(self, rank: int, bank: int) -> BankState:
-        return self.banks[rank * self.config.banks_per_rank + bank]
+    def flat(self, rank: int, bank: int) -> int:
+        """The flat bank index of ``bank`` in ``rank``."""
+        return rank * self.config.banks_per_rank + bank
 
     def plan(
         self, rank: int, bank: int, row: int, is_write: bool, now: int
@@ -92,21 +98,20 @@ class OracleChannel(ChannelState):
         class, bus turnaround — in that order.
         """
         timing = self.timing
-        bank_state = self.bank(rank, bank)
-        start = max(bank_state.ready_at, now)
-        if self.config.model_refresh:
-            phase = start % timing.t_refi
-            if phase < timing.t_rfc:
-                shifted = start + (timing.t_rfc - phase)
-                self.refresh_stall_cycles += shifted - start
-                start = shifted
-        if bank_state.open_row != row and self.config.model_faw:
+        flat = self.flat(rank, bank)
+        start = max(self.ready_at[flat], now)
+        phase = start % timing.t_refi
+        if phase < timing.t_rfc:
+            shifted = start + (timing.t_rfc - phase)
+            self.refresh_stall_cycles += shifted - start
+            start = shifted
+        if self.open_rows[flat] != row:
             history = self.recent_activates[rank]
             if history:
                 start = max(start, history[-1] + timing.t_rrd)
                 if len(history) >= 4:
                     start = max(start, history[-4] + timing.t_faw)
-        data_start = start + access_latency(bank_state, timing, row, is_write)
+        data_start = start + access_latency(self, flat, row, is_write)
         if is_write:
             turnaround = 0 if self.last_was_write else timing.t_rtw
         else:
@@ -126,17 +131,15 @@ class OracleChannel(ChannelState):
         plan: Tuple[int, int, int],
     ) -> None:
         """Apply a previously planned access to bank and bus state."""
-        flat = rank * self.config.banks_per_rank + bank
+        flat = self.flat(rank, bank)
         if self._sanitizer is not None:
             self._sanitizer.check_dram_commit(self, flat, row, is_write, *plan)
         start, _data_start, completion = plan
-        previous = begin_access(self.banks[flat], self.timing, row, start, is_write)
+        previous = begin_access(self, flat, row, start, is_write)
         if previous != row:
-            if self.config.model_faw:
-                self.recent_activates[rank].append(start)
-            if previous is None:
+            self.recent_activates[rank].append(start)
+            if previous < 0:
                 self.closed_banks -= 1
-            self.open_rows[flat] = row
         self.bus_free_at = completion
         self.last_was_write = is_write
 
@@ -166,10 +169,10 @@ def choose(
     best = None
     best_estimate = None
     for request in list(pool)[:WINDOW]:
-        bank = channel.bank(request.rank, request.bank)
-        earliest = max(request.arrival, horizon, bank.ready_at)
+        flat = channel.flat(request.rank, request.bank)
+        earliest = max(request.arrival, horizon, channel.ready_at[flat])
         estimate = earliest + access_latency(
-            bank, channel.timing, request.row, request.is_write
+            channel, flat, request.row, request.is_write
         )
         if best is None or estimate < best_estimate:
             best, best_estimate = request, estimate

@@ -320,6 +320,7 @@ class TestDramSanitizer:
             channel.commit(0, 0, 5, False, plan)
             # Replaying the same plan starts the next command before the
             # bank's ready_at (tCCD) — an illegal timing transition.
+            assert plan[0] < channel.ready_at[0]
             with pytest.raises(SanitizerError, match="ready_at"):
                 channel.commit(0, 0, 5, False, plan)
 
@@ -339,13 +340,16 @@ class TestDramSanitizer:
             controller.enqueue_batch([(RequestKind.READ, line, 0, "data", 0)])
             controller.process()
             assert sanitizer.checks > 0
-            # The bank forgets its open row while the open-row table the
-            # kernel classifies against still holds it: the kernel plans a
-            # row hit (tCL) that a closed bank cannot serve (tRCD + tCL).
-            controller.channels[0].banks[3].open_row = None
+            # Bank 3 forgets its open row behind the closed-bank tally:
+            # the kernel re-activates it as a closed bank and decrements
+            # the tally a second time for one bank, which the recount at
+            # the epoch boundary catches.
+            channel = controller.channels[0]
+            channel.open_rows[3] = -1
             controller.enqueue_batch([(RequestKind.READ, line + 1, 1000, "data", 0)])
-            with pytest.raises(SanitizerError, match="latency"):
+            with pytest.raises(SanitizerError, match="closed_banks"):
                 controller.process()
+            assert channel.open_rows[3] == 77
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +562,33 @@ class TestSchedulerIndexSanitizer:
         with sanitized():
             controller = self._loaded_controller()
             controller.process()
-            controller.channels[0].open_rows[0] += 1
-            with pytest.raises(SanitizerError, match="open-row table"):
+            channel = controller.channels[0]
+            flat = next(f for f, row in enumerate(channel.open_rows) if row >= 0)
+            # An open bank that the open-row list calls closed leaves the
+            # closed-bank tally one short of a recount.
+            channel.open_rows[flat] = -1
+            with pytest.raises(SanitizerError, match="closed_banks"):
                 controller.process()
+
+    def test_wrong_pool_census_is_caught(self):
+        with sanitized() as sanitizer:
+            controller = self._loaded_controller()
+            controller.process()
+            channel = controller.channels[0]
+            flat = next(f for f, row in enumerate(channel.open_rows) if row >= 0)
+            row = channel.open_rows[flat]
+            members = [(flat, row), (flat, row + 1)]
+            banks = len(channel.open_rows)
+            counts = {row * banks + flat: 1, (row + 1) * banks + flat: 1}
+            sanitizer.check_scheduler_index(
+                controller, channel, (("write", members, counts, 1),)
+            )
+            # A row census that lost the second request has drifted.
+            del counts[(row + 1) * banks + flat]
+            with pytest.raises(SanitizerError, match="row_counts"):
+                sanitizer.check_scheduler_index(
+                    controller, channel, (("write", members, counts, 1),)
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from reference.dram_oracle import OracleChannel, access_latency, begin_access, classify
 from repro.dram.address import AddressMapper, DecodedAddress
-from repro.dram.bank import BankState
 from repro.dram.controller import MemoryController, RequestKind
 from repro.dram.power import DramEnergyParams, dram_energy
 from repro.dram.timing import DramTiming, MemoryConfig
@@ -72,41 +71,47 @@ class TestAddressMapper:
 
 
 class TestBankState:
-    """Bank classification and access commit, via the reference helpers the
-    epoch kernel is pinned against (tests/test_dram_kernel.py)."""
+    """Bank classification and access commit over a channel's per-bank
+    lists, via the reference helpers the epoch kernel is pinned against
+    (tests/test_dram_kernel.py). Bank 3 is used; its neighbours must stay
+    untouched."""
+
+    BANK = 3
 
     def test_closed_then_hit(self):
-        timing = DramTiming()
-        bank = BankState()
-        assert classify(bank, 5) == "closed"
-        begin_access(bank, timing, 5, 0, is_write=False)
-        assert classify(bank, 5) == "hit"
-        assert classify(bank, 6) == "miss"
+        channel = OracleChannel(MemoryConfig())
+        assert classify(channel, self.BANK, 5) == "closed"
+        assert begin_access(channel, self.BANK, 5, 0, is_write=False) == -1
+        assert classify(channel, self.BANK, 5) == "hit"
+        assert classify(channel, self.BANK, 6) == "miss"
+        assert channel.open_rows[self.BANK] == 5
+        assert channel.open_rows.count(-1) == len(channel.open_rows) - 1
 
     def test_latencies(self):
-        timing = DramTiming()
-        bank = BankState()
-        assert access_latency(bank, timing, 5, False) == timing.row_closed_read
-        begin_access(bank, timing, 5, 0, False)
-        assert access_latency(bank, timing, 5, False) == timing.t_cl
-        assert access_latency(bank, timing, 6, False) == timing.row_miss_read
+        channel = OracleChannel(MemoryConfig())
+        timing = channel.timing
+        assert access_latency(channel, self.BANK, 5, False) == timing.row_closed_read
+        begin_access(channel, self.BANK, 5, 0, False)
+        assert access_latency(channel, self.BANK, 5, False) == timing.t_cl
+        assert access_latency(channel, self.BANK, 6, False) == timing.row_miss_read
 
     def test_hit_miss_counters(self):
-        timing = DramTiming()
-        bank = BankState()
-        begin_access(bank, timing, 5, 0, False)
-        begin_access(bank, timing, 5, 10, False)
-        begin_access(bank, timing, 6, 20, False)
-        assert bank.row_hits == 1
-        assert bank.row_misses == 2
+        channel = OracleChannel(MemoryConfig())
+        begin_access(channel, self.BANK, 5, 0, False)
+        begin_access(channel, self.BANK, 5, 10, False)
+        assert begin_access(channel, self.BANK, 6, 20, False) == 5
+        assert channel.row_hits[self.BANK] == 1
+        assert channel.row_misses[self.BANK] == 2
+        assert sum(channel.row_hits) + sum(channel.row_misses) == 3
 
     def test_ready_time_advances(self):
-        timing = DramTiming()
-        bank = BankState()
-        begin_access(bank, timing, 5, 0, False)
-        assert bank.ready_at == timing.t_ccd
-        begin_access(bank, timing, 5, 10, True)
-        assert bank.ready_at == 10 + timing.t_ccd + timing.t_wr
+        channel = OracleChannel(MemoryConfig())
+        timing = channel.timing
+        begin_access(channel, self.BANK, 5, 0, False)
+        assert channel.ready_at[self.BANK] == timing.t_ccd
+        begin_access(channel, self.BANK, 5, 10, True)
+        assert channel.ready_at[self.BANK] == 10 + timing.t_ccd + timing.t_wr
+        assert channel.ready_at.count(0) == len(channel.ready_at) - 1
 
 
 class TestChannelState:
@@ -179,9 +184,9 @@ class TestMemoryController:
             [_spec(RequestKind.READ, index, index * 4) for index in range(2000)]
         )
         controller.process()
-        banks = controller.channels[0].banks
-        hits = sum(bank.row_hits for bank in banks)
-        assert hits > 0.9 * (hits + sum(bank.row_misses for bank in banks))
+        channel = controller.channels[0]
+        hits = sum(channel.row_hits)
+        assert hits > 0.9 * (hits + sum(channel.row_misses))
 
     def test_saturation_bounded_by_burst(self):
         # Offered load of 1 request/cycle on one channel must drain at
@@ -196,15 +201,6 @@ class TestMemoryController:
         controller.process()
         span = controller.last_completion
         assert span >= count * config.timing.t_burst * 0.9
-
-    def test_traffic_categories(self):
-        controller = MemoryController(MemoryConfig())
-        controller.enqueue_batch([_spec(RequestKind.READ, 0, 0, "mac")])
-        controller.enqueue_batch([_spec(RequestKind.WRITE, 1, 0, "parity")])
-        controller.process()
-        traffic = controller.traffic_by_category()
-        assert traffic["mac_read"] == 1
-        assert traffic["parity_write"] == 1
 
     def test_writes_drain_eventually(self):
         controller = MemoryController(MemoryConfig(channels=1))

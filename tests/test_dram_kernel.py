@@ -5,13 +5,15 @@ candidate scans and the bank/bus plan/commit arithmetic into one loop over
 integer columns. ``tests/reference/dram_oracle.py`` keeps the readable
 version: one object per request, the plain windowed ``choose`` and a
 ``plan``/``commit`` method pair. Both replay the same epoch streams here,
-and every observable must agree: per-request completions, per-bank state
-and hit/miss counts, channel bus/drain/refresh state, and the drain-burst,
-queue-depth and latency telemetry.
+and every observable must agree: per-request completions, the per-bank
+lists (open row, ready time, hit and miss counts), channel
+bus/drain/refresh state, and the drain-burst, queue-depth and latency
+telemetry.
 
 The streams cover closed-bank warm-up (every stream starts cold), write
-drains, late-arrival re-chooses, refresh and tFAW toggles, a
-non-power-of-two geometry, and one captured SGX_O/mcf quick cell.
+drains, late-arrival re-chooses, refresh off (``t_rfc=0``) and the
+activation window off (``t_rrd=t_faw=0``), a non-power-of-two geometry,
+and one captured SGX_O/mcf quick cell.
 """
 
 from dataclasses import replace
@@ -92,15 +94,16 @@ def replay(config, epochs):
             {
                 "completions": completions,
                 "banks": [
-                    [
-                        (bank.open_row, bank.ready_at, bank.row_hits, bank.row_misses)
-                        for bank in channel.banks
-                    ]
+                    (
+                        channel.open_rows,
+                        channel.ready_at,
+                        channel.row_hits,
+                        channel.row_misses,
+                    )
                     for channel in controller.channels
                 ],
                 "channels": [
                     (
-                        channel.open_rows,
                         channel.closed_banks,
                         channel.bus_free_at,
                         channel.last_was_write,
@@ -145,8 +148,8 @@ _NON_POW2 = MemoryConfig(
         (_ONE_CHANNEL, 2, 1 << 12, 2, 3),  # row-hit heavy
         (_BASE, 3, 1 << 22, 4, 4),
         (_NON_POW2, 4, 1 << 21, 3, 5),
-        (replace(_ONE_CHANNEL, model_refresh=False), 5, 1 << 16, 3, 4),
-        (replace(_ONE_CHANNEL, model_faw=False), 6, 1 << 16, 3, 4),
+        (replace(_ONE_CHANNEL, timing=DramTiming(t_rfc=0)), 5, 1 << 16, 3, 4),
+        (replace(_ONE_CHANNEL, timing=DramTiming(t_rrd=0, t_faw=0)), 6, 1 << 16, 3, 4),
         (
             replace(
                 _ONE_CHANNEL, timing=DramTiming(t_faw=60, t_rrd=9, t_refi=900)
@@ -174,7 +177,7 @@ def test_warm_up_then_steady_state_across_epochs():
     bus and drain state carry across many process() boundaries."""
     epochs = lcg_epochs(11, 40, 25, 1 << 14, 3, 8, burst=7)
     reference, _oracle = assert_same(_ONE_CHANNEL, epochs)
-    assert reference["channels"][0][1] == 0  # every bank opened on the way
+    assert reference["channels"][0][0] == 0  # every bank opened on the way
 
 
 def test_empty_and_single_request_epochs():

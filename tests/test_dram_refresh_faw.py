@@ -2,7 +2,9 @@
 
 The plan/commit cases drive the reference channel arithmetic
 (``tests/reference/dram_oracle.py``) the epoch kernel is pinned against;
-the throughput case runs the production controller.
+the throughput case runs the production controller. Refresh is switched
+off with ``DramTiming(t_rfc=0)``, the activation window with
+``DramTiming(t_rrd=0, t_faw=0)``.
 """
 
 import random
@@ -33,7 +35,7 @@ class TestRefresh:
         assert start == now
 
     def test_disabled_refresh(self):
-        config = replace(MemoryConfig(), model_refresh=False)
+        config = replace(MemoryConfig(), timing=DramTiming(t_rfc=0))
         channel = OracleChannel(config)
         start, _data, _done = channel.plan(0, 0, 5, False, 10)
         assert start == 10
@@ -45,8 +47,8 @@ class TestRefresh:
         assert channel.refresh_stall_cycles > 0
 
     def test_refresh_costs_throughput(self):
-        def run(model_refresh):
-            config = replace(MemoryConfig(channels=1), model_refresh=model_refresh)
+        def run(t_rfc):
+            config = MemoryConfig(channels=1, timing=DramTiming(t_rfc=t_rfc))
             controller = MemoryController(config)
             rng = random.Random(1)
             controller.enqueue_batch(
@@ -58,14 +60,14 @@ class TestRefresh:
             controller.process()
             return controller.last_completion
 
-        assert run(True) > run(False)
+        assert run(DramTiming().t_rfc) > run(0)
 
 
 class TestFaw:
     def make_channel(self):
         # Exaggerated window to make the constraint visible.
-        timing = DramTiming(t_faw=200, t_rrd=2)
-        config = replace(MemoryConfig(), timing=timing, model_refresh=False)
+        timing = DramTiming(t_faw=200, t_rrd=2, t_rfc=0)
+        config = replace(MemoryConfig(), timing=timing)
         return OracleChannel(config), timing
 
     def test_fifth_activate_delayed(self):
@@ -103,10 +105,7 @@ class TestFaw:
 
     def test_disabled_faw(self):
         config = replace(
-            MemoryConfig(),
-            timing=DramTiming(t_faw=500),
-            model_refresh=False,
-            model_faw=False,
+            MemoryConfig(), timing=DramTiming(t_faw=0, t_rrd=0, t_rfc=0)
         )
         channel = OracleChannel(config)
         starts = []
@@ -114,4 +113,6 @@ class TestFaw:
             plan = channel.plan(0, bank, 1, False, 0)
             channel.commit(0, bank, 1, False, plan)
             starts.append(plan[0])
-        assert starts[4] < 500
+        # Only the shared data bus spaces the five activations.
+        burst = config.timing.t_burst
+        assert starts == [burst * index for index in range(5)]

@@ -9,10 +9,12 @@ import sys
 import pytest
 
 from repro.perf.microbench import (
+    CASES,
     GATED_CASES,
     REGRESSION_RATIO,
     _main,
     count_calls,
+    count_opcodes,
     verdict,
 )
 
@@ -92,19 +94,31 @@ def test_gate_cli_against_a_temporary_baseline(tmp_path):
     assert report["micro"]["telemetry_record"]["ops"] > 0
     # Each op is an ``inc`` or a ``record`` call: at least one call per op.
     assert report["micro"]["telemetry_record"]["calls_per_op"] >= 1.0
+    # ... and each call runs bytecode of its own.
+    assert (
+        report["micro"]["telemetry_record"]["opcodes_per_op"]
+        > report["micro"]["telemetry_record"]["calls_per_op"]
+    )
     assert report["ratios"]["telemetry_record"] < 1.0
     assert report["not_run"] == ["miss_expansion"]
     assert report["baseline"]["code_fingerprint"] == "f00d"
     assert report["host"]["cpu_count"] >= 1
     # The provenance of both sides is printed next to the verdict.
     assert "f00d" in completed.stderr and "CPU(s)" in completed.stderr
-    assert "calls/op" in completed.stderr
+    assert "calls/op" in completed.stderr and "opcodes/op" in completed.stderr
 
 
 def test_call_counts_repeat_exactly():
     # Unlike a timing, a count has no host noise to average out.
     count_calls("telemetry_record")  # takes the case's lazy imports
     assert count_calls("telemetry_record") == count_calls("telemetry_record")
+
+
+def test_opcode_counts_repeat_exactly():
+    CASES["controller_schedule"]()  # takes the case's lazy imports
+    first = count_opcodes("controller_schedule")
+    assert first > 20_000  # the case schedules 20k requests
+    assert count_opcodes("controller_schedule") == first
 
 
 def test_help_renders_the_gate_bound(capsys):

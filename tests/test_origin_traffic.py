@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.secure.designs import SGX_O, SYNERGY
+from repro.secure.designs import ALL_DESIGNS, SGX_O, SYNERGY
+from repro.sim import runner
 from repro.sim.config import SystemConfig
 from repro.sim.runner import run_workload
+from repro.sim.system import SystemSimulator
 
 SMALL = SystemConfig(accesses_per_core=1_500)
+TINY = SystemConfig(accesses_per_core=400)
 
 
 class TestOriginAttribution:
@@ -45,9 +48,21 @@ class TestOriginAttribution:
         assert apki.get("writeback_parity_write", 0) > 0
         assert apki.get("demand_parity_read", 0) == 0
 
-    def test_origin_totals_match_controller(self, sgx_o):
+    def test_origin_totals_match_controller(self, monkeypatch):
         # Engine-side accounting covers data+metadata demand/writeback
-        # traffic; controller totals must match (same events, two views).
-        engine_total = sum(sgx_o.origin_traffic.values())
-        controller_total = sum(sgx_o.traffic.values())
-        assert engine_total == controller_total
+        # traffic: for every design it must sum to the requests the
+        # controller received, counted independently by its sequence.
+        simulators = []
+
+        class Recording(SystemSimulator):
+            def run(self):
+                simulators.append(self)
+                return super().run()
+
+        monkeypatch.setattr(runner, "SystemSimulator", Recording)
+        for design in ALL_DESIGNS:
+            result = run_workload(design, "mcf", TINY)
+            sequence = simulators[-1].controller.sequence
+            assert sequence > 0
+            assert sum(result.origin_traffic.values()) == sequence, design.name
+            assert sum(result.traffic.values()) == sequence, design.name

@@ -47,6 +47,10 @@ def _square(value):
     return value * value
 
 
+def _openblas_threads(_item):
+    return os.environ.get("OPENBLAS_NUM_THREADS")
+
+
 def _touch_mib(mib):
     """Write one byte per page of ``mib`` MiB; return this process's peak."""
     import resource
@@ -74,6 +78,30 @@ class TestParallelMap:
         assert stats.span_seconds >= 0
         assert 0 <= stats.worker_utilisation <= 1
 
+
+    def test_pool_workers_cap_openblas_at_one_thread(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        shutdown_pool()
+        try:
+            assert parallel_map(
+                _openblas_threads, [0, 1], jobs=2, stats=ExecutionStats()
+            ) == ["1", "1"]
+            # The in-process path leaves the caller's environment alone.
+            assert parallel_map(
+                _openblas_threads, [0], jobs=1, stats=ExecutionStats()
+            ) == [None]
+        finally:
+            shutdown_pool()
+
+    def test_exported_openblas_threads_win(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        shutdown_pool()
+        try:
+            assert parallel_map(
+                _openblas_threads, [0, 1], jobs=2, stats=ExecutionStats()
+            ) == ["3", "3"]
+        finally:
+            shutdown_pool()
 
     def test_peak_rss_counts_live_pool_workers(self):
         # Pool workers are reaped only at shutdown, so their peaks must

@@ -62,6 +62,27 @@ class TestEndToEnd:
             > comparison["NonSecure"].total_accesses
         )
 
+    def test_traffic_folds_origin_counts(self):
+        # The engine's origin tally is the one count of the requests the
+        # controller received; traffic() folds its demand/writeback
+        # origins and drops keys that stayed at zero.
+        traces = [
+            generate_trace(profile_by_name("gcc"), 400, core_id=c, scale_divisor=16)
+            for c in range(2)
+        ]
+        config = SystemConfig(num_cores=2, accesses_per_core=400)
+        sim = SystemSimulator(SGX_O, traces, config).run()
+        origin = sim.engine.origin_counts
+        traffic = sim.traffic()
+        assert list(traffic) == sorted(traffic)
+        assert sum(traffic.values()) == sim.controller.sequence
+        assert traffic["counter_read"] == (
+            origin["demand_counter_read"] + origin["writeback_counter_read"]
+        )
+        assert traffic["data_read"] == origin["demand_data_read"]
+        origin["demand_parity_read"] = 0
+        assert "parity_read" not in sim.traffic()
+
     def test_deterministic(self):
         a = run_workload(SYNERGY, "gcc", SMALL)
         b = run_workload(SYNERGY, "gcc", SMALL)
@@ -84,7 +105,7 @@ class TestEndToEnd:
     def test_trace_outside_data_region_is_rejected(self):
         # Lines at or above num_data_lines are metadata addresses: a data
         # writeback there would land in the counter region unannounced.
-        config = SystemConfig(num_cores=2, warm_caches=False)
+        config = SystemConfig(num_cores=2)
         base = config.num_data_lines
         high = Trace(
             [TraceRecord(3, MemoryOp.WRITE, base + 8 * i) for i in range(30)]

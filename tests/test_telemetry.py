@@ -382,12 +382,12 @@ class TestPublishOnce:
             sim.run()
             snapshot = registry.snapshot()
         hierarchy = sim.hierarchy
-        banks = [bank for channel in sim.controller.channels for bank in channel.banks]
-        activations = sum(bank.row_misses for bank in banks)
+        channels = sim.controller.channels
+        activations = sum(sum(channel.row_misses) for channel in channels)
         expected = {
             "cache.data_llc_fills": hierarchy.data_llc_fills,
             "cache.metadata_llc_fills": hierarchy.metadata_llc_fills,
-            "dram.row_hits": sum(bank.row_hits for bank in banks),
+            "dram.row_hits": sum(sum(channel.row_hits) for channel in channels),
             "dram.row_misses": activations,
             "dram.bank_activations": activations,
             "secure.metadata_accesses": sim.engine._counts.metadata_accesses,
